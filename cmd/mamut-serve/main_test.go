@@ -42,9 +42,81 @@ func fleetSmokeConfig(policy string) mamut.ServeConfig {
 	}
 }
 
+// goldenVariants are the dispatcher, worker and shard settings every
+// golden is checked under. The sharded variants assert against the same
+// golden bytes: the sharded dispatcher's contract is bit-identical
+// output.
+var goldenVariants = []struct {
+	name     string
+	dispatch mamut.ServeDispatchMode
+	workers  int
+	shards   int
+}{
+	{"indexed_w1", mamut.DispatchIndexed, 1, 0},
+	{"indexed_w4", mamut.DispatchIndexed, 4, 0},
+	{"scan_w1", mamut.DispatchScan, 1, 0},
+	{"indexed_w1_s4", mamut.DispatchIndexed, 1, 4},
+	{"indexed_w4_s4", mamut.DispatchIndexed, 4, 4},
+	{"scan_w1_s4", mamut.DispatchScan, 1, 4},
+}
+
+// checkGolden runs newCfg's config under every golden variant, requires
+// the outputs to be byte-identical and to contain marker, and compares
+// them with the committed golden file (or rewrites it under
+// -update-golden).
+func checkGolden(t *testing.T, golden string, newCfg func() mamut.ServeConfig, quantiles bool, marker string) {
+	t.Helper()
+	golden = filepath.Join("testdata", golden)
+	var first []byte
+	for _, variant := range goldenVariants {
+		cfg := newCfg()
+		cfg.Dispatch = variant.dispatch
+		cfg.Workers = variant.workers
+		cfg.Shards = variant.shards
+		var buf bytes.Buffer
+		if err := run(&buf, cfg, runOpts{format: "summary", workers: cfg.Workers, quantiles: quantiles}); err != nil {
+			t.Fatalf("%s: %v", variant.name, err)
+		}
+		if first == nil {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("output of %s differs from %s", variant.name, goldenVariants[0].name)
+		}
+	}
+	if !bytes.Contains(first, []byte(marker)) {
+		t.Fatalf("summary missing %q:\n%s", marker, first)
+	}
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, first, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden written to %s", golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (regenerate with -update-golden): %v", err)
+	}
+	if !bytes.Equal(first, want) {
+		t.Errorf("output diverged from committed golden %s:\n got:\n%s\nwant:\n%s", golden, first, want)
+	}
+}
+
 // TestFleetSmokeGolden pins the mamut-serve summary output for a
 // 64-server fleet under every built-in policy to committed goldens —
 // byte-identical across worker counts and across both dispatcher
+func TestFleetSmokeGolden(t *testing.T) {
+	for _, policy := range mamut.ServePolicyNames() {
+		t.Run(policy, func(t *testing.T) {
+			checkGolden(t, fmt.Sprintf("fleet64_%s.golden", policy),
+				func() mamut.ServeConfig { return fleetSmokeConfig(policy) }, false, "SLO")
+		})
+	}
+}
+
 // implementations.
 // elasticSmokeConfig mirrors the CI elastic smoke step's flags — a
 // diurnal spike whose peak forces scale-out and whose trough forces
@@ -76,59 +148,7 @@ func elasticSmokeConfig() mamut.ServeConfig {
 // counts and both dispatchers: live migration and fleet topology changes
 // preserve the repo's determinism contract.
 func TestElasticFleetGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "elastic32.golden")
-	outputs := map[string][]byte{}
-	for _, variant := range []struct {
-		name     string
-		dispatch mamut.ServeDispatchMode
-		workers  int
-		shards   int
-	}{
-		{"indexed_w1", mamut.DispatchIndexed, 1, 0},
-		{"indexed_w4", mamut.DispatchIndexed, 4, 0},
-		{"scan_w1", mamut.DispatchScan, 1, 0},
-		// Sharded variants assert against the same golden bytes: the
-		// sharded dispatcher's contract is bit-identical output.
-		{"indexed_w1_s4", mamut.DispatchIndexed, 1, 4},
-		{"indexed_w4_s4", mamut.DispatchIndexed, 4, 4},
-		{"scan_w1_s4", mamut.DispatchScan, 1, 4},
-	} {
-		cfg := elasticSmokeConfig()
-		cfg.Dispatch = variant.dispatch
-		cfg.Workers = variant.workers
-		cfg.Shards = variant.shards
-		var buf bytes.Buffer
-		if err := run(&buf, cfg, runOpts{format: "summary", workers: cfg.Workers}); err != nil {
-			t.Fatalf("%s: %v", variant.name, err)
-		}
-		outputs[variant.name] = buf.Bytes()
-	}
-	for name, out := range outputs {
-		if !bytes.Equal(out, outputs["indexed_w1"]) {
-			t.Fatalf("output of %s differs from indexed_w1", name)
-		}
-	}
-	if !bytes.Contains(outputs["indexed_w1"], []byte("elastic: ")) {
-		t.Fatalf("summary missing the elastic line:\n%s", outputs["indexed_w1"])
-	}
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, outputs["indexed_w1"], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden written to %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden (regenerate with -update-golden): %v", err)
-	}
-	if !bytes.Equal(outputs["indexed_w1"], want) {
-		t.Errorf("output diverged from committed golden %s:\n got:\n%s\nwant:\n%s",
-			golden, outputs["indexed_w1"], want)
-	}
+	checkGolden(t, "elastic32.golden", elasticSmokeConfig, false, "elastic: ")
 }
 
 // queuedSmokeConfig mirrors the CI queued smoke step's flags — a tight
@@ -157,60 +177,7 @@ func queuedSmokeConfig() mamut.ServeConfig {
 // both dispatchers and shard counts: the admission pipeline preserves
 // the repo's determinism contract.
 func TestQueuedFleetGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "queue64.golden")
-	outputs := map[string][]byte{}
-	for _, variant := range []struct {
-		name     string
-		dispatch mamut.ServeDispatchMode
-		workers  int
-		shards   int
-	}{
-		{"indexed_w1", mamut.DispatchIndexed, 1, 0},
-		{"indexed_w4", mamut.DispatchIndexed, 4, 0},
-		{"scan_w1", mamut.DispatchScan, 1, 0},
-		// Sharded variants assert against the same golden bytes: queue
-		// admission runs in the serial phase only, so sharding stays
-		// bit-identical with the queue on.
-		{"indexed_w1_s4", mamut.DispatchIndexed, 1, 4},
-		{"indexed_w4_s4", mamut.DispatchIndexed, 4, 4},
-		{"scan_w1_s4", mamut.DispatchScan, 1, 4},
-	} {
-		cfg := queuedSmokeConfig()
-		cfg.Dispatch = variant.dispatch
-		cfg.Workers = variant.workers
-		cfg.Shards = variant.shards
-		var buf bytes.Buffer
-		if err := run(&buf, cfg, runOpts{format: "summary", workers: cfg.Workers}); err != nil {
-			t.Fatalf("%s: %v", variant.name, err)
-		}
-		outputs[variant.name] = buf.Bytes()
-	}
-	for name, out := range outputs {
-		if !bytes.Equal(out, outputs["indexed_w1"]) {
-			t.Fatalf("output of %s differs from indexed_w1", name)
-		}
-	}
-	if !bytes.Contains(outputs["indexed_w1"], []byte("queue: ")) {
-		t.Fatalf("summary missing the queue line:\n%s", outputs["indexed_w1"])
-	}
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, outputs["indexed_w1"], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden written to %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden (regenerate with -update-golden): %v", err)
-	}
-	if !bytes.Equal(outputs["indexed_w1"], want) {
-		t.Errorf("output diverged from committed golden %s:\n got:\n%s\nwant:\n%s",
-			golden, outputs["indexed_w1"], want)
-	}
+	checkGolden(t, "queue64.golden", queuedSmokeConfig, false, "queue: ")
 }
 
 // chaosSmokeConfig mirrors the CI chaos smoke step's flags — a loaded
@@ -245,115 +212,45 @@ func chaosSmokeConfig() mamut.ServeConfig {
 // in the serial control phase, preserving the repo's determinism
 // contract.
 func TestFaultEquivalence(t *testing.T) {
-	golden := filepath.Join("testdata", "chaos32.golden")
-	outputs := map[string][]byte{}
-	for _, variant := range []struct {
-		name     string
-		dispatch mamut.ServeDispatchMode
-		workers  int
-		shards   int
-	}{
-		{"indexed_w1", mamut.DispatchIndexed, 1, 0},
-		{"indexed_w4", mamut.DispatchIndexed, 4, 0},
-		{"scan_w1", mamut.DispatchScan, 1, 0},
-		// Sharded variants assert against the same golden bytes: faults
-		// strike between parallel windows, so sharding stays
-		// bit-identical under chaos.
-		{"indexed_w1_s4", mamut.DispatchIndexed, 1, 4},
-		{"indexed_w4_s4", mamut.DispatchIndexed, 4, 4},
-		{"scan_w1_s4", mamut.DispatchScan, 1, 4},
-	} {
-		cfg := chaosSmokeConfig()
-		cfg.Dispatch = variant.dispatch
-		cfg.Workers = variant.workers
-		cfg.Shards = variant.shards
-		var buf bytes.Buffer
-		if err := run(&buf, cfg, runOpts{format: "summary", workers: cfg.Workers, quantiles: true}); err != nil {
-			t.Fatalf("%s: %v", variant.name, err)
-		}
-		outputs[variant.name] = buf.Bytes()
-	}
-	for name, out := range outputs {
-		if !bytes.Equal(out, outputs["indexed_w1"]) {
-			t.Fatalf("output of %s differs from indexed_w1", name)
-		}
-	}
-	if !bytes.Contains(outputs["indexed_w1"], []byte("faults: ")) {
-		t.Fatalf("summary missing the faults line:\n%s", outputs["indexed_w1"])
-	}
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, outputs["indexed_w1"], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden written to %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden (regenerate with -update-golden): %v", err)
-	}
-	if !bytes.Equal(outputs["indexed_w1"], want) {
-		t.Errorf("output diverged from committed golden %s:\n got:\n%s\nwant:\n%s",
-			golden, outputs["indexed_w1"], want)
-	}
+	checkGolden(t, "chaos32.golden", chaosSmokeConfig, true, "faults: ")
 }
 
-func TestFleetSmokeGolden(t *testing.T) {
-	for _, policy := range mamut.ServePolicyNames() {
-		t.Run(policy, func(t *testing.T) {
-			golden := filepath.Join("testdata", fmt.Sprintf("fleet64_%s.golden", policy))
-			outputs := map[string][]byte{}
-			for _, variant := range []struct {
-				name     string
-				dispatch mamut.ServeDispatchMode
-				workers  int
-				shards   int
-			}{
-				{"indexed_w1", mamut.DispatchIndexed, 1, 0},
-				{"indexed_w4", mamut.DispatchIndexed, 4, 0},
-				{"scan_w1", mamut.DispatchScan, 1, 0},
-				// Sharded variants assert against the same golden bytes:
-				// the sharded dispatcher's contract is bit-identical output.
-				{"indexed_w1_s4", mamut.DispatchIndexed, 1, 4},
-				{"indexed_w4_s4", mamut.DispatchIndexed, 4, 4},
-				{"scan_w1_s4", mamut.DispatchScan, 1, 4},
-			} {
-				cfg := fleetSmokeConfig(policy)
-				cfg.Dispatch = variant.dispatch
-				cfg.Workers = variant.workers
-				cfg.Shards = variant.shards
-				var buf bytes.Buffer
-				if err := run(&buf, cfg, runOpts{format: "summary", workers: cfg.Workers}); err != nil {
-					t.Fatalf("%s: %v", variant.name, err)
-				}
-				outputs[variant.name] = buf.Bytes()
-			}
-			for name, out := range outputs {
-				if !bytes.Equal(out, outputs["indexed_w1"]) {
-					t.Fatalf("output of %s differs from indexed_w1", name)
-				}
-			}
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(golden, outputs["indexed_w1"], 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("golden written to %s", golden)
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("reading golden (regenerate with -update-golden): %v", err)
-			}
-			if !bytes.Equal(outputs["indexed_w1"], want) {
-				t.Errorf("output diverged from committed golden %s:\n got:\n%s\nwant:\n%s",
-					golden, outputs["indexed_w1"], want)
-			}
-		})
+// chaosMAMUTConfig mirrors the CI MAMUT chaos step's flags — MAMUT
+// controllers with knowledge reuse, periodic checkpoints, two crashes
+// whose victims restore from those checkpoints, a degrade window and a
+// rebalance migration:
+//
+//	mamut-serve -servers 16 -admission 4 -arrival-rate 3 -duration 40 \
+//	    -warmup 10 -mean-session 12 -approach mamut -knowledge -seed 7 \
+//	    -queue 32 -faults crash@20:1,crash@28:4,degrade@22-34:2:0.5 \
+//	    -fault-checkpoint 5 -quantiles -rebalance -epoch 5
+func chaosMAMUTConfig() mamut.ServeConfig {
+	cfg := fleetSmokeConfig(mamut.PolicyLeastLoaded)
+	cfg.Servers = 16
+	cfg.MaxSessionsPerServer = 4
+	cfg.Approach = mamut.ApproachMAMUT
+	cfg.KnowledgeReuse = true
+	cfg.Workload.ArrivalRate = 3
+	cfg.Workload.MeanSessionSec = 12
+	cfg.Queue = mamut.ServeQueueConfig{Capacity: 32}
+	cfg.Rebalance = true
+	cfg.EpochSec = 5
+	cfg.Faults = mamut.ServeFaultConfig{
+		Plan: []mamut.ServeFaultEvent{
+			{Kind: mamut.FaultCrash, Server: 1, AtSec: 20},
+			{Kind: mamut.FaultCrash, Server: 4, AtSec: 28},
+			{Kind: mamut.FaultDegrade, Server: 2, AtSec: 22, EndSec: 34, Factor: 0.5},
+		},
+		CheckpointSec: 5,
 	}
+	return cfg
+}
+
+// TestChaosMAMUTGolden pins a chaos run whose sessions are MAMUT
+// controllers, so checkpoints, crash recovery and migration carry the
+// learners' full state through the session codec. The golden was
+// recorded before the codec encoded controller state in one pass, so it
+// also pins that the rewrite changed no result.
+func TestChaosMAMUTGolden(t *testing.T) {
+	checkGolden(t, "chaosmamut16.golden", chaosMAMUTConfig, true, "recovered=8 ")
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,7 +15,7 @@ import (
 type controllerState struct {
 	Settings transcode.Settings `json:"settings"`
 	CurState int                `json:"cur_state"`
-	Agents   [3]json.RawMessage `json:"agents"`
+	Agents   [3]rl.LearnerState `json:"agents"`
 }
 
 // Save serialises the controller's learned state (all three agents'
@@ -28,11 +27,7 @@ type controllerState struct {
 func (c *Controller) Save(w io.Writer) error {
 	st := controllerState{Settings: c.settings, CurState: c.curState}
 	for k := AgentQP; k < numAgents; k++ {
-		var buf bytes.Buffer
-		if err := c.agents[k].learner.Save(&buf); err != nil {
-			return fmt.Errorf("core: save agent %v: %w", k, err)
-		}
-		st.Agents[k] = json.RawMessage(buf.Bytes())
+		st.Agents[k] = c.agents[k].learner.State()
 	}
 	if err := json.NewEncoder(w).Encode(&st); err != nil {
 		return fmt.Errorf("core: save controller: %w", err)
@@ -54,17 +49,9 @@ func (c *Controller) Load(r io.Reader) error {
 	if st.CurState < 0 || st.CurState >= NumStates {
 		return fmt.Errorf("core: load controller: state %d out of range", st.CurState)
 	}
-	var loaded [3]*rl.Learner
-	for k := AgentQP; k < numAgents; k++ {
-		l, err := rl.LoadLearner(bytes.NewReader(st.Agents[k]))
-		if err != nil {
-			return fmt.Errorf("core: load agent %v: %w", k, err)
-		}
-		if l.Config().Actions != c.agents[k].actions() {
-			return fmt.Errorf("core: load agent %v: %d actions saved, controller has %d",
-				k, l.Config().Actions, c.agents[k].actions())
-		}
-		loaded[k] = l
+	loaded, err := c.loadAgents(st.Agents)
+	if err != nil {
+		return fmt.Errorf("core: load %w", err)
 	}
 	for k := AgentQP; k < numAgents; k++ {
 		c.agents[k].learner = loaded[k]
@@ -73,4 +60,24 @@ func (c *Controller) Load(r io.Reader) error {
 	c.curState = st.CurState
 	c.pend = nil
 	return nil
+}
+
+// loadAgents rebuilds the three agents' learners from their exported
+// states, checking each against this controller's action-set sizes. It
+// leaves the controller untouched, so callers install the learners only
+// once every other check has passed.
+func (c *Controller) loadAgents(states [3]rl.LearnerState) ([3]*rl.Learner, error) {
+	var loaded [3]*rl.Learner
+	for k := AgentQP; k < numAgents; k++ {
+		l, err := rl.LearnerFromState(states[k])
+		if err != nil {
+			return loaded, fmt.Errorf("agent %v: %w", k, err)
+		}
+		if l.Config().Actions != c.agents[k].actions() {
+			return loaded, fmt.Errorf("agent %v: %d actions saved, controller has %d",
+				k, l.Config().Actions, c.agents[k].actions())
+		}
+		loaded[k] = l
+	}
+	return loaded, nil
 }

@@ -1,15 +1,13 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"mamut/internal/rl"
 	"mamut/internal/transcode"
 )
 
-// resumeFormatVersion is the current MarshalResumeState payload format.
+// resumeFormatVersion is the current ResumeState payload format.
 // Restorers accept this version and older; newer payloads error cleanly.
 const resumeFormatVersion = 1
 
@@ -29,27 +27,29 @@ type pendingState struct {
 	N          int     `json:"n"`
 }
 
-// resumeState is the complete mid-stream controller state minus the rng,
+// ResumeState is the complete mid-stream controller state minus the rng,
 // whose stream belongs to the caller that built the controller (the serve
-// layer owns it as an xrand.Source and snapshots it alongside).
-type resumeState struct {
+// layer owns it as an xrand.Source and snapshots it alongside). It is a
+// plain JSON-serialisable value: an owner embeds it in its own state and
+// encodes everything in one pass.
+type ResumeState struct {
 	Version  int                `json:"format_version"`
 	Settings transcode.Settings `json:"settings"`
 	CurState int                `json:"cur_state"`
 	Started  bool               `json:"started"`
 	Stats    Stats              `json:"stats"`
 	Pending  *pendingState      `json:"pending,omitempty"`
-	Agents   [3]json.RawMessage `json:"agents"`
+	Agents   [3]rl.LearnerState `json:"agents"`
 }
 
-// MarshalResumeState freezes the controller's complete decision state:
-// knob settings, discretized state, learning telemetry, the in-flight
-// pending update, and all three agents' full learning state. Unlike Save,
-// the payload restores a controller mid-stream with no behavioural fork.
-// The exploration rng is not included; the owner of the *rand.Rand passed
-// to New must snapshot its stream separately.
-func (c *Controller) MarshalResumeState() ([]byte, error) {
-	st := resumeState{
+// ResumeState freezes the controller's complete decision state: knob
+// settings, discretized state, learning telemetry, the in-flight pending
+// update, and all three agents' full learning state. Unlike Save, the
+// state restores a controller mid-stream with no behavioural fork. The
+// exploration rng is not included; the owner of the *rand.Rand passed to
+// New must snapshot its stream separately.
+func (c *Controller) ResumeState() *ResumeState {
+	st := &ResumeState{
 		Version:  resumeFormatVersion,
 		Settings: c.settings,
 		CurState: c.curState,
@@ -64,28 +64,16 @@ func (c *Controller) MarshalResumeState() ([]byte, error) {
 		}
 	}
 	for k := AgentQP; k < numAgents; k++ {
-		var buf bytes.Buffer
-		if err := c.agents[k].learner.Save(&buf); err != nil {
-			return nil, fmt.Errorf("core: resume state: save agent %v: %w", k, err)
-		}
-		st.Agents[k] = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
+		st.Agents[k] = c.agents[k].learner.State()
 	}
-	out, err := json.Marshal(&st)
-	if err != nil {
-		return nil, fmt.Errorf("core: resume state: %w", err)
-	}
-	return out, nil
+	return st
 }
 
-// RestoreResumeState loads a MarshalResumeState payload into this
-// controller, which must have been built with the same configuration
-// (action-set sizes are checked). On success the controller continues the
-// stream exactly where the marshalled one stopped.
-func (c *Controller) RestoreResumeState(data []byte) error {
-	var st resumeState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("core: restore resume state: %w", err)
-	}
+// RestoreResumeState loads a ResumeState into this controller, which
+// must have been built with the same configuration (action-set sizes are
+// checked). On success the controller continues the stream exactly where
+// the frozen one stopped; on error it is unchanged.
+func (c *Controller) RestoreResumeState(st *ResumeState) error {
 	if st.Version < 0 || st.Version > resumeFormatVersion {
 		return fmt.Errorf("core: restore resume state: format version %d not supported (current %d)",
 			st.Version, resumeFormatVersion)
@@ -96,17 +84,9 @@ func (c *Controller) RestoreResumeState(data []byte) error {
 	if st.CurState < 0 || st.CurState >= NumStates {
 		return fmt.Errorf("core: restore resume state: state %d out of range", st.CurState)
 	}
-	var loaded [3]*rl.Learner
-	for k := AgentQP; k < numAgents; k++ {
-		l, err := rl.LoadLearner(bytes.NewReader(st.Agents[k]))
-		if err != nil {
-			return fmt.Errorf("core: restore agent %v: %w", k, err)
-		}
-		if l.Config().Actions != c.agents[k].actions() {
-			return fmt.Errorf("core: restore agent %v: %d actions saved, controller has %d",
-				k, l.Config().Actions, c.agents[k].actions())
-		}
-		loaded[k] = l
+	loaded, err := c.loadAgents(st.Agents)
+	if err != nil {
+		return fmt.Errorf("core: restore %w", err)
 	}
 	var pend *pending
 	if p := st.Pending; p != nil {

@@ -2,6 +2,8 @@ package rl
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -121,5 +123,65 @@ func TestLoadLearnerFormatVersions(t *testing.T) {
 	if _, err := LoadLearner(strings.NewReader(
 		strings.Replace(saved, `"format_version":1`, `"format_version":-1`, 1))); err == nil {
 		t.Error("negative format version accepted")
+	}
+}
+
+// TestLearnerSaveDeterministic: transitions serialise in ascending
+// (state, action, next) order, so saving one learner twice yields the
+// same bytes — map iteration order must not leak into checkpoints.
+func TestLearnerSaveDeterministic(t *testing.T) {
+	l := trainedLearner(t, 3)
+	var a, b bytes.Buffer
+	if err := l.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("two saves of one learner differ")
+	}
+	tr := l.State().Transitions
+	if len(tr) < 2 {
+		t.Fatalf("trained learner has %d transitions; want several", len(tr))
+	}
+	for i := 1; i < len(tr); i++ {
+		p, q := tr[i-1], tr[i]
+		if [3]int{p[0], p[1], p[2]} == [3]int{q[0], q[1], q[2]} ||
+			p[0] > q[0] || (p[0] == q[0] && (p[1] > q[1] || (p[1] == q[1] && p[2] > q[2]))) {
+			t.Fatalf("transitions out of order at %d: %v then %v", i, p, q)
+		}
+	}
+}
+
+// TestLoadLearnerLargeCounts: a transition count is added in one step,
+// not replayed observation by observation, so a huge count loads at once
+// with the right probability; a pair whose total overflows int errors.
+func TestLoadLearnerLargeCounts(t *testing.T) {
+	const head = `{"format_version":1,"config":{"States":2,"Actions":1,"Beta":0.3,"AlphaTh1":0.1,"AlphaTh2":0.05,"Gamma":0.6},` +
+		`"q":[0,0],"visits_sa":[0,0],"visits_action":[0],"transitions":`
+	l, err := LoadLearner(strings.NewReader(head + fmt.Sprintf(`[[0,0,0,1],[0,0,1,%d]]}`, 1<<40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := float64(1<<40) / float64(1<<40+1)
+	if got := l.Trans.Prob(0, 0, 1); got != want {
+		t.Fatalf("P(0,0,1) = %v, want %v", got, want)
+	}
+	var buf bytes.Buffer
+	if err := l.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadLearner(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Trans.Prob(0, 0, 1); got != want {
+		t.Fatalf("round-tripped P(0,0,1) = %v, want %v", got, want)
+	}
+
+	overflow := head + fmt.Sprintf(`[[0,0,0,%d],[0,0,1,1]]}`, math.MaxInt)
+	if _, err := LoadLearner(strings.NewReader(overflow)); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("overflowing transition total: err = %v", err)
 	}
 }

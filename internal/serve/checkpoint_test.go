@@ -1,0 +1,156 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
+	"testing"
+
+	"mamut/internal/core"
+	"mamut/internal/experiments"
+	"mamut/internal/hevc"
+	"mamut/internal/platform"
+	"mamut/internal/transcode"
+	"mamut/internal/video"
+	"mamut/internal/xrand"
+)
+
+// mamutCheckpointEngine builds an engine with one MAMUT session, wrapped
+// as the dispatcher wraps it, and runs it for a minute of simulated time
+// so all three learners hold populated tables. It returns the session id
+// and its controller.
+func mamutCheckpointEngine(tb testing.TB) (*transcode.Engine, int, *statefulMAMUT) {
+	tb.Helper()
+	spec, model := platform.DefaultSpec(), hevc.DefaultModel()
+	eng, err := transcode.NewEngine(spec, model, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seq, err := video.DefaultCatalog().Get("Kimono")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src, err := video.NewStatefulGenerator(seq, 11)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	initial := experiments.InitialSettings(video.HR)
+	ctrlSrc := xrand.NewSource(12)
+	mc, err := core.New(core.DefaultConfig(video.HR, spec, model.MaxUsefulThreads(video.HR)), initial, rand.New(ctrlSrc))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctrl := &statefulMAMUT{Controller: mc, src: ctrlSrc}
+	id, err := eng.AddSession(transcode.SessionConfig{
+		Source: src, Controller: ctrl, Initial: initial, FrameBudget: 1 << 30,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := eng.AdvanceTo(60); err != nil {
+		tb.Fatal(err)
+	}
+	return eng, id, ctrl
+}
+
+// TestMAMUTCheckpointBytesDeterministic: two checkpoints of an untouched
+// MAMUT session are byte-equal — encoding one extracted state twice, and
+// extracting again after the undo re-injection.
+func TestMAMUTCheckpointBytesDeterministic(t *testing.T) {
+	eng, id, _ := mamutCheckpointEngine(t)
+	st, err := eng.ExtractSession(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := transcode.EncodeSessionState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := transcode.EncodeSessionState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatal("two encodings of one extracted MAMUT session differ")
+	}
+	if back, err := eng.InjectSession(nil, nil, st); err != nil || back != id {
+		t.Fatalf("undo re-injection: id %d, err %v", back, err)
+	}
+	st, err = eng.ExtractSession(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := transcode.EncodeSessionState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatal("a second checkpoint of the untouched session differs")
+	}
+}
+
+// TestMAMUTControllerStateWirePin: the typed controller payload is
+// byte-identical to the legacy encoding, which nested the resume state
+// as pre-encoded bytes (core pins the resume state's own legacy form),
+// and it restores a fresh controller to the same state.
+func TestMAMUTControllerStateWirePin(t *testing.T) {
+	_, _, ctrl := mamutCheckpointEngine(t)
+	typed, err := ctrl.ControllerState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume, err := json.Marshal(ctrl.ResumeState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.Marshal(struct {
+		Resume json.RawMessage `json:"resume"`
+		RNG    uint64          `json:"rng"`
+	}{resume, ctrl.src.State()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(typed, legacy) {
+		t.Fatalf("typed controller state differs from the legacy encoding:\n got %.200s\nwant %.200s", typed, legacy)
+	}
+
+	spec, model := platform.DefaultSpec(), hevc.DefaultModel()
+	mc, err := core.New(core.DefaultConfig(video.HR, spec, model.MaxUsefulThreads(video.HR)),
+		experiments.InitialSettings(video.HR), rand.New(xrand.NewSource(99)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := &statefulMAMUT{Controller: mc, src: xrand.NewSource(99)}
+	if err := fresh.RestoreControllerState(legacy); err != nil {
+		t.Fatal(err)
+	}
+	back, err := fresh.ControllerState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, typed) {
+		t.Fatal("restored controller serialises differently")
+	}
+}
+
+// BenchmarkCheckpointSession is the session-codec floor: one periodic
+// checkpoint of one trained MAMUT session — extract, encode, and the
+// same-engine re-inject that takes the undo path — as checkpointFleet
+// runs it per resident session.
+func BenchmarkCheckpointSession(b *testing.B) {
+	eng, id, _ := mamutCheckpointEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := eng.ExtractSession(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := transcode.EncodeSessionState(st); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.InjectSession(nil, nil, st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

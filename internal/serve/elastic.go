@@ -168,19 +168,16 @@ type statefulMAMUT struct {
 	src *xrand.Source
 }
 
-// mamutCtrlState is the wrapper's serialised form.
+// mamutCtrlState is the wrapper's serialised form. The resume state is
+// typed, so ControllerState encodes the learner tables in one pass.
 type mamutCtrlState struct {
-	Resume json.RawMessage `json:"resume"`
-	RNG    uint64          `json:"rng"`
+	Resume *core.ResumeState `json:"resume"`
+	RNG    uint64            `json:"rng"`
 }
 
 // ControllerState implements transcode.StatefulController.
 func (c *statefulMAMUT) ControllerState() ([]byte, error) {
-	resume, err := c.MarshalResumeState()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(mamutCtrlState{Resume: resume, RNG: c.src.State()})
+	return json.Marshal(mamutCtrlState{Resume: c.ResumeState(), RNG: c.src.State()})
 }
 
 // RestoreControllerState implements transcode.StatefulController.
@@ -189,7 +186,7 @@ func (c *statefulMAMUT) RestoreControllerState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("serve: restore mamut controller: %w", err)
 	}
-	if len(st.Resume) == 0 {
+	if st.Resume == nil {
 		return fmt.Errorf("serve: restore mamut controller: missing resume payload")
 	}
 	if err := c.RestoreResumeState(st.Resume); err != nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"mamut/internal/hevc"
 	"mamut/internal/platform"
@@ -211,12 +212,18 @@ func EncodeSessionState(st *SessionState) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transcode: encode session state: %w", err)
 	}
+	// Write the envelope around the already-compact payload: marshalling
+	// a sessionEnvelope would rescan the whole payload as a RawMessage
+	// only to reproduce these exact bytes.
 	sum := sha256.Sum256(payload)
-	return json.Marshal(sessionEnvelope{
-		Version: sessionFormatVersion,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Payload: payload,
-	})
+	out := make([]byte, 0, len(payload)+len(sum)*2+64)
+	out = append(out, `{"format_version":`...)
+	out = strconv.AppendInt(out, sessionFormatVersion, 10)
+	out = append(out, `,"sha256":"`...)
+	out = hex.AppendEncode(out, sum[:])
+	out = append(out, `","payload":`...)
+	out = append(out, payload...)
+	return append(out, '}'), nil
 }
 
 // DecodeSessionState parses an EncodeSessionState artifact, verifying the
@@ -251,7 +258,7 @@ func DecodeSessionState(data []byte) (*SessionState, error) {
 type extractStash struct {
 	gen      uint64 // e.stateGen at extraction; any later mutation invalidates
 	id       int
-	payload  []byte // canonical JSON of the state handed out
+	state    SessionState // deep copy of the state handed out
 	sess     *session
 	sessCopy session
 	ev       event // the removed completion (running) or arrival event
@@ -394,14 +401,8 @@ func (e *Engine) ExtractSession(id int) (*SessionState, error) {
 	e.extracted[id] = true
 	e.stateGen++
 
-	payload, err := json.Marshal(st)
-	if err != nil {
-		// Unreachable for the finite floats the engine produces; leave the
-		// stash valid so the caller can at least re-inject.
-		payload = nil
-	}
 	stash.gen = e.stateGen
-	stash.payload = payload
+	stash.state = st.clone()
 	e.stash = stash
 	return st, nil
 }
@@ -427,11 +428,9 @@ func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionSta
 	if err := st.Validate(); err != nil {
 		return 0, err
 	}
-	if e.stash != nil && e.stash.gen == e.stateGen && e.stash.id == st.ID && len(e.stash.payload) > 0 {
-		if incoming, err := json.Marshal(st); err == nil && bytes.Equal(incoming, e.stash.payload) {
-			e.undoExtract()
-			return st.ID, nil
-		}
+	if e.stash != nil && e.stash.gen == e.stateGen && e.stash.id == st.ID && sameSessionState(st, &e.stash.state) {
+		e.undoExtract()
+		return st.ID, nil
 	}
 	if src == nil {
 		return 0, fmt.Errorf("transcode: InjectSession: nil video source")
@@ -588,3 +587,73 @@ func (e *Engine) undoExtract() {
 	}
 	e.stateGen++
 }
+
+// clone returns a deep copy of st: no slice or pointer is shared with it.
+func (st *SessionState) clone() SessionState {
+	c := *st
+	if st.Preset != nil {
+		p := *st.Preset
+		c.Preset = &p
+	}
+	c.Trace = append([]Observation(nil), st.Trace...)
+	c.Source = append(json.RawMessage(nil), st.Source...)
+	c.Controller = append(json.RawMessage(nil), st.Controller...)
+	return c
+}
+
+// sameSessionState reports whether a and b are bit-identical: floats
+// compare by their bits (so -0 differs from 0, as it does on the wire) and
+// the opaque sub-states byte for byte. It decides whether an injection
+// may take the undo fast path, so it must see every field.
+func sameSessionState(a, b *SessionState) bool {
+	if (a.Preset == nil) != (b.Preset == nil) || (a.Preset != nil && *a.Preset != *b.Preset) {
+		return false
+	}
+	if len(a.Trace) != len(b.Trace) {
+		return false
+	}
+	for i := range a.Trace {
+		if !sameObservation(&a.Trace[i], &b.Trace[i]) {
+			return false
+		}
+	}
+	for i := range a.Durations {
+		if !sameFloat(a.Durations[i], b.Durations[i]) {
+			return false
+		}
+	}
+	return a.Version == b.Version && a.ID == b.ID && a.Res == b.Res &&
+		sameSettings(a.Initial, b.Initial) &&
+		sameFloat(a.BandwidthMbps, b.BandwidthMbps) && sameFloat(a.TargetFPS, b.TargetFPS) &&
+		a.FrameBudget == b.FrameBudget && sameFloat(a.StartAtSec, b.StartAtSec) &&
+		a.CollectTrace == b.CollectTrace && a.Running == b.Running &&
+		sameSettings(a.Settings, b.Settings) && a.FrameIdx == b.FrameIdx &&
+		sameFloat(a.FrameStart, b.FrameStart) &&
+		a.CurFrame.Index == b.CurFrame.Index && sameFloat(a.CurFrame.Complexity, b.CurFrame.Complexity) &&
+		a.CurFrame.SceneChange == b.CurFrame.SceneChange &&
+		sameFloat(a.CurPSNR, b.CurPSNR) && sameFloat(a.CurBits, b.CurBits) &&
+		sameFloat(a.CompletionKey, b.CompletionKey) && sameFloat(a.VNow, b.VNow) &&
+		sameFloat(a.DynEnergyJ, b.DynEnergyJ) && a.Frames == b.Frames && a.Violations == b.Violations &&
+		sameFloat(a.SumFPS, b.SumFPS) && sameFloat(a.SumPSNR, b.SumPSNR) &&
+		sameFloat(a.SumBitrate, b.SumBitrate) && sameFloat(a.SumThreads, b.SumThreads) &&
+		sameFloat(a.SumFreq, b.SumFreq) && sameFloat(a.SumQP, b.SumQP) &&
+		a.FirstAction == b.FirstAction &&
+		bytes.Equal(a.Source, b.Source) && bytes.Equal(a.Controller, b.Controller) &&
+		a.EncoderRNG == b.EncoderRNG && sameFloat(a.StallSec, b.StallSec)
+}
+
+func sameObservation(a, b *Observation) bool {
+	return a.SessionID == b.SessionID && a.FrameIndex == b.FrameIndex &&
+		sameFloat(a.Time, b.Time) && sameFloat(a.DurationSec, b.DurationSec) &&
+		sameFloat(a.FPS, b.FPS) && sameFloat(a.InstFPS, b.InstFPS) &&
+		sameFloat(a.PSNRdB, b.PSNRdB) && sameFloat(a.BitrateMbps, b.BitrateMbps) &&
+		sameFloat(a.PowerW, b.PowerW) && a.OverCap == b.OverCap &&
+		sameSettings(a.Settings, b.Settings) && sameFloat(a.Complexity, b.Complexity) &&
+		a.SceneChange == b.SceneChange && a.SequenceName == b.SequenceName
+}
+
+func sameSettings(a, b Settings) bool {
+	return a.QP == b.QP && a.Threads == b.Threads && sameFloat(a.FreqGHz, b.FreqGHz)
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -2,6 +2,7 @@ package transcode_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -404,4 +405,61 @@ func FuzzSessionStateDecode(f *testing.F) {
 			t.Fatalf("decoder returned invalid state: %v", verr)
 		}
 	})
+}
+
+// TestInjectModifiedStateSkipsUndo: a same-engine re-injection takes the
+// bit-exact undo path only when the state is unchanged. A set stall, one
+// changed controller byte or a 0 turned into -0 must each go through the
+// cross-engine path, which registers the session under a new id.
+func TestInjectModifiedStateSkipsUndo(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(st *transcode.SessionState)
+	}{
+		{"unchanged", func(*transcode.SessionState) {}},
+		{"stall", func(st *transcode.SessionState) { st.StallSec = 0.25 }},
+		{"controller byte", func(st *transcode.SessionState) {
+			// Change the first fractional digit: still valid JSON and a
+			// valid controller state, just a different one.
+			i := bytes.IndexByte(st.Controller, '.') + 1
+			if i == 0 {
+				t.Fatalf("no float in controller state %s", st.Controller)
+			}
+			st.Controller[i] = '0' + (st.Controller[i]-'0'+1)%10
+		}},
+		{"negative zero", func(st *transcode.SessionState) {
+			if st.BandwidthMbps != 0 {
+				t.Fatalf("bandwidth %g, want a zero to negate", st.BandwidthMbps)
+			}
+			st.BandwidthMbps = math.Copysign(0, -1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := migEngine(t, 2, 23)
+			if err := eng.AdvanceTo(1.9); err != nil {
+				t.Fatal(err)
+			}
+			st, err := eng.ExtractSession(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(st)
+			spec := eng.Server().Spec()
+			src, err := video.NewStatefulGenerator(migSequence(st.Res, "mig"), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrl, err := baseline.NewHeuristic(baseline.DefaultHeuristicConfig(st.Res, spec, 6), st.Initial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := eng.InjectSession(src, ctrl, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if undone := id == st.ID; undone != (tc.name == "unchanged") {
+				t.Fatalf("re-injection returned id %d (extracted as %d): undo path taken = %v", id, st.ID, undone)
+			}
+		})
+	}
 }
