@@ -50,7 +50,6 @@ func main() {
 		admission = flag.Int("admission", 8, "per-server admission limit (sessions)")
 		policy    = flag.String("policy", mamut.PolicyLeastLoaded, "placement policy: "+strings.Join(mamut.ServePolicyNames(), "|"))
 		approach  = flag.String("approach", string(mamut.ApproachHeuristic), "per-session controller: mamut|monoagent|heuristic")
-		dispatch  = flag.String("dispatch", string(mamut.DispatchIndexed), "fleet dispatcher: indexed|scan")
 		seed      = flag.Int64("seed", 1, "seed; every cell of one fleet size replays the identical arrival stream")
 		out       = flag.String("out", "", "write the JSON scaling artifact to this file (e.g. BENCH_fleetscale.json)")
 		notes     = flag.String("notes", "", "free-form note recorded in the artifact (host, runner, context)")
@@ -69,8 +68,8 @@ func main() {
 	report := experiments.NewScalingReport("fleetscale")
 	report.Notes = *notes
 
-	fmt.Printf("fleetscale: %s/%s policy, %s dispatch, %.0fs horizon, %g arrivals/s/server (GOMAXPROCS=%d, NumCPU=%d)\n",
-		*policy, *approach, *dispatch, *duration, *perServer, report.GOMAXPROCS, report.NumCPU)
+	fmt.Printf("fleetscale: %s/%s policy, %.0fs horizon, %g arrivals/s/server (GOMAXPROCS=%d, NumCPU=%d)\n",
+		*policy, *approach, *duration, *perServer, report.GOMAXPROCS, report.NumCPU)
 	fmt.Printf("%-14s %10s %14s %10s  %s\n", "cell", "arrivals", "ns/arrival", "speedup", "result check")
 
 	diverged := false
@@ -89,11 +88,10 @@ func main() {
 				},
 				WarmupSec: *duration / 4,
 				Seed:      *seed,
-				// The post-horizon drain pool scales with the shards so
-				// both phases of the run parallelise consistently.
-				Workers:  s,
-				Shards:   s,
-				Dispatch: mamut.ServeDispatchMode(*dispatch),
+				// Every cell drains on the same pool (one worker per
+				// CPU), so the speedup column measures sharding alone.
+				Workers: 0,
+				Shards:  s,
 			}
 			label := fmt.Sprintf("n%d/s%d", n, s)
 			var res *mamut.ServeResult

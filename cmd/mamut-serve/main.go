@@ -9,12 +9,13 @@
 // reflect true occupancy rather than nominal session lengths. Output is
 // byte-identical for a fixed seed, regardless of -workers.
 //
-// Dispatch is indexed by default: a min-heap of engines keyed by next
-// event time advances only the servers with events due before each
-// arrival, and the built-in policies place through incremental fleet
-// indexes, so thousands of servers dispatch in O(log n) per arrival.
-// -dispatch scan selects the O(servers) reference sweep; the two
-// produce byte-identical output. -shards S additionally splits the
+// Dispatch is indexed: a min-heap of engines keyed by next event time
+// advances only the servers with events due before each arrival, and
+// the built-in policies place through incremental fleet indexes, so
+// thousands of servers dispatch in O(log n) per arrival. (An O(servers)
+// scan dispatcher survives only inside internal/serve's tests, as the
+// reference the indexed one must match byte for byte.) -shards S
+// additionally splits the
 // fleet across S dispatcher goroutines that advance their servers'
 // engines in parallel between placements (server i belongs to shard
 // i mod S), reconciling with the coordinator before every decision —
@@ -41,7 +42,7 @@
 // watermarks (-scale-min/-scale-max/-scale-target), and -rebalance
 // migrates sessions away from power-hotspot servers — all on a fixed
 // -epoch schedule, so elastic runs remain byte-identical for any
-// -workers count and both dispatchers. The summary gains an "elastic:"
+// -workers and -shards count. The summary gains an "elastic:"
 // line with migration and scaling counts.
 //
 // With -queue N arrivals that find no capacity wait in a bounded
@@ -64,7 +65,7 @@
 // -fault-deadline bounds; -fault-drop loses them instead, the baseline),
 // restoring from their last -fault-checkpoint snapshot or cold-starting
 // warm-seeded from the knowledge store. Fault runs stay byte-identical
-// for any -workers, both dispatchers and all -shards; with no plan the
+// for any -workers and -shards; with no plan the
 // output byte-matches fault-free builds. The summary gains "faults:" and
 // "recovery:" lines (MTTR, recovery-latency quantiles, lost work,
 // availability).
@@ -154,7 +155,6 @@ func main() {
 		scaleMin   = flag.Int("scale-min", 0, "autoscale: minimum in-service servers (0 = 1)")
 		scaleMax   = flag.Int("scale-max", 0, "autoscale: maximum in-service servers (0 = 4x -servers)")
 		scaleTgt   = flag.Float64("scale-target", 0, "autoscale: target utilization percent scale-outs size for (0 = 70)")
-		dispatch   = flag.String("dispatch", string(mamut.DispatchIndexed), "fleet dispatcher: indexed|scan (byte-identical output)")
 		format     = flag.String("format", "summary", "output format for single runs: summary|csv")
 		policies   = flag.String("policies", "", "grid mode: comma-separated policies (with -rates/-seeds)")
 		rates      = flag.String("rates", "", "grid mode: comma-separated arrival rates")
@@ -234,7 +234,6 @@ func main() {
 		WarmupSec:         *warmup,
 		SLOFPSFactor:      *slo,
 		KnowledgeReuse:    *knowledge || *knowIn != "" || *knowOut != "",
-		Dispatch:          mamut.ServeDispatchMode(*dispatch),
 		Seed:              *seed,
 		Workers:           *workers,
 		Shards:            *shards,

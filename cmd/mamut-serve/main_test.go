@@ -42,22 +42,20 @@ func fleetSmokeConfig(policy string) mamut.ServeConfig {
 	}
 }
 
-// goldenVariants are the dispatcher, worker and shard settings every
-// golden is checked under. The sharded variants assert against the same
-// golden bytes: the sharded dispatcher's contract is bit-identical
-// output.
+// goldenVariants are the worker and shard settings every golden is
+// checked under. The sharded variants assert against the same golden
+// bytes: the sharded dispatcher's contract is bit-identical output.
+// (internal/serve's TestGoldenConfigsMatchReference runs the same
+// configs against the scan reference dispatcher.)
 var goldenVariants = []struct {
-	name     string
-	dispatch mamut.ServeDispatchMode
-	workers  int
-	shards   int
+	name    string
+	workers int
+	shards  int
 }{
-	{"indexed_w1", mamut.DispatchIndexed, 1, 0},
-	{"indexed_w4", mamut.DispatchIndexed, 4, 0},
-	{"scan_w1", mamut.DispatchScan, 1, 0},
-	{"indexed_w1_s4", mamut.DispatchIndexed, 1, 4},
-	{"indexed_w4_s4", mamut.DispatchIndexed, 4, 4},
-	{"scan_w1_s4", mamut.DispatchScan, 1, 4},
+	{"w1_s1", 1, 1},
+	{"w4_s1", 4, 1},
+	{"w1_s4", 1, 4},
+	{"w4_s4", 4, 4},
 }
 
 // checkGolden runs newCfg's config under every golden variant, requires
@@ -70,7 +68,6 @@ func checkGolden(t *testing.T, golden string, newCfg func() mamut.ServeConfig, q
 	var first []byte
 	for _, variant := range goldenVariants {
 		cfg := newCfg()
-		cfg.Dispatch = variant.dispatch
 		cfg.Workers = variant.workers
 		cfg.Shards = variant.shards
 		var buf bytes.Buffer
@@ -107,7 +104,7 @@ func checkGolden(t *testing.T, golden string, newCfg func() mamut.ServeConfig, q
 
 // TestFleetSmokeGolden pins the mamut-serve summary output for a
 // 64-server fleet under every built-in policy to committed goldens —
-// byte-identical across worker counts and across both dispatcher
+// byte-identical across worker and shard counts.
 func TestFleetSmokeGolden(t *testing.T) {
 	for _, policy := range mamut.ServePolicyNames() {
 		t.Run(policy, func(t *testing.T) {
@@ -117,7 +114,6 @@ func TestFleetSmokeGolden(t *testing.T) {
 	}
 }
 
-// implementations.
 // elasticSmokeConfig mirrors the CI elastic smoke step's flags — a
 // diurnal spike whose peak forces scale-out and whose trough forces
 // scale-in, with a scheduled drain and hotspot rebalancing on top:
@@ -145,8 +141,8 @@ func elasticSmokeConfig() mamut.ServeConfig {
 // TestElasticFleetGolden pins the summary output of a 32-server elastic
 // run — diurnal spike, autoscaling, hotspot rebalancing and a scheduled
 // drain all active — to a committed golden, byte-identical across worker
-// counts and both dispatchers: live migration and fleet topology changes
-// preserve the repo's determinism contract.
+// and shard counts: live migration and fleet topology changes preserve
+// the repo's determinism contract.
 func TestElasticFleetGolden(t *testing.T) {
 	checkGolden(t, "elastic32.golden", elasticSmokeConfig, false, "elastic: ")
 }
@@ -173,9 +169,9 @@ func queuedSmokeConfig() mamut.ServeConfig {
 }
 
 // TestQueuedFleetGolden pins the summary output of a queued-admission
-// burst run to a committed golden, byte-identical across worker counts,
-// both dispatchers and shard counts: the admission pipeline preserves
-// the repo's determinism contract.
+// burst run to a committed golden, byte-identical across worker and
+// shard counts: the admission pipeline preserves the repo's determinism
+// contract.
 func TestQueuedFleetGolden(t *testing.T) {
 	checkGolden(t, "queue64.golden", queuedSmokeConfig, false, "queue: ")
 }
@@ -207,10 +203,9 @@ func chaosSmokeConfig() mamut.ServeConfig {
 
 // TestFaultEquivalence pins the summary output of a chaos run — crash,
 // degrade and blip faults with checkpointed queue-based recovery — to a
-// committed golden, byte-identical across worker counts, both
-// dispatchers and shard counts: fault injection and recovery land only
-// in the serial control phase, preserving the repo's determinism
-// contract.
+// committed golden, byte-identical across worker and shard counts:
+// fault injection and recovery land only in the serial control phase,
+// preserving the repo's determinism contract.
 func TestFaultEquivalence(t *testing.T) {
 	checkGolden(t, "chaos32.golden", chaosSmokeConfig, true, "faults: ")
 }

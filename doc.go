@@ -89,8 +89,9 @@
 // its cursor, least-loaded from an occupancy bucket queue, power-aware
 // from a power-headroom heap, each reproducing its O(n) scan — the same
 // comparisons on the same floats, ties to the lowest server index. The
-// scan dispatcher is retained (DispatchScan) as the semantic reference;
-// equivalence tests and a CI golden pin the two paths byte-identical.
+// O(servers) scan dispatcher is test-only now: it survives inside
+// internal/serve as the semantic reference, and equivalence tests run
+// it against the indexed dispatcher on every committed golden config.
 // BenchmarkFleetScale tracks the per-arrival cost: near-flat from 10 to
 // 5000 servers, where the seed's O(servers) sweep grew linearly.
 //
@@ -112,8 +113,8 @@
 // exactly partition the global heap (every engine sees the identical
 // AdvanceTo sequence), departure folds sort by arrival ID (erasing the
 // merge order), and the policy indexes are layout-independent — so
-// Shards=S output is byte-identical to Shards<=1 for every policy, both
-// dispatchers, knowledge reuse and full elasticity (equivalence tests,
+// Shards=S output is byte-identical to Shards<=1 for every policy,
+// knowledge reuse and full elasticity (equivalence tests,
 // race-detector stress and CI goldens pin this). cmd/mamut-fleetbench
 // measures ns/arrival across (fleet size x shard count) and writes a
 // machine-readable artifact stamped with the measuring environment;
@@ -141,9 +142,9 @@
 // Policies can observe the backlog (queue depth, capacity, oldest wait)
 // through the optional ServeBacklogObserver extension. The pipeline
 // runs entirely in the dispatcher's serial phase, so queued runs stay
-// bit-identical across worker counts, both dispatchers and all shard
-// counts — and with the queue off the dispatcher byte-reproduces the
-// pre-queue output. Under a burst workload (ServeWorkload LoadBurst —
+// bit-identical across worker and shard counts — and with the queue off
+// (the empty-queue case of the same pipeline) the dispatcher
+// byte-reproduces the pre-queue output. Under a burst workload (ServeWorkload LoadBurst —
 // a flash-crowd spike window) the deadline-bounded queue strictly beats
 // drop-on-full on completed and SLO-attained sessions at equal fleet
 // size, because capacity that frees after the spike serves arrivals

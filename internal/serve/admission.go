@@ -47,9 +47,9 @@ import (
 // Everything here runs in the serial phase of the dispatcher (between
 // arrivals, at epochs, or before the drain), never during a parallel
 // shard window, so queued runs keep the repo's determinism contract:
-// bit-identical results for any worker count, both dispatchers and all
-// shard counts. With Capacity == 0 no queue state exists and the
-// dispatcher byte-reproduces the pre-queue output.
+// bit-identical results for any worker and shard count. With
+// Capacity == 0 the queue stays empty, every queue step is a no-op, and
+// the dispatcher byte-reproduces the pre-queue output.
 
 // Queued-admission defaults.
 const (
@@ -371,20 +371,7 @@ func (d *dispatcher) admit(req SessionRequest, choice int, startAt float64, meas
 			return err
 		}
 	}
-	// Clone the class's current snapshot: the store keeps merging
-	// afterwards, so the admission needs a frozen copy that serves
-	// both as the controller's seed (via the WarmStart closure) and
-	// as the baseline its departing contribution is measured against.
-	var seedSnap *core.Snapshot
-	if d.store != nil {
-		if s := d.store.Seed(req.Res); s != nil {
-			cp := s.Clone()
-			seedSnap = &cp
-			d.seeded++
-		}
-	}
-	d.pendingSeed = seedSnap
-	if _, err := fs.addSession(req, d.cfg, d.catalog, d.factory, seedSnap, startAt); err != nil {
+	if _, err := fs.addSession(req, d.cfg, d.catalog, d.factory, d.seedAdmission(req.Res), startAt); err != nil {
 		return err
 	}
 	d.admitted++
@@ -409,14 +396,32 @@ func (d *dispatcher) admit(req SessionRequest, choice int, startAt float64, meas
 		so.Measured = measured
 		so.QueueWaitSec = startAt - req.ArriveAtSec
 	}
-	if d.indexed {
-		d.refreshState(choice)
-		// The admission scheduled an arrival event at this very instant
-		// on the server's engine; re-key it so the next sweep steps the
-		// engine through the session start.
-		d.scheduleServer(choice)
-	}
+	d.refreshState(choice)
+	// The admission scheduled an arrival event at this very instant on
+	// the server's engine; re-key it so the next sweep steps the engine
+	// through the session start.
+	d.scheduleServer(choice)
 	return nil
+}
+
+// seedAdmission picks the knowledge seed for one admission of class res
+// and hands it to the controller factory (nil when knowledge reuse is
+// off or the class is still cold). It clones the class's current
+// snapshot: the store keeps merging afterwards, so the admission needs a
+// frozen copy that serves both as the controller's seed (via the
+// WarmStart closure) and as the baseline its departing contribution is
+// measured against.
+func (d *dispatcher) seedAdmission(res video.Resolution) *core.Snapshot {
+	var seed *core.Snapshot
+	if d.store != nil {
+		if s := d.store.Seed(res); s != nil {
+			cp := s.Clone()
+			seed = &cp
+			d.seeded++
+		}
+	}
+	d.pendingSeed = seed
+	return seed
 }
 
 // fleetState snapshots the fleet-level decision context for a

@@ -30,9 +30,9 @@ func queuedEquivConfig() Config {
 // any shard count produce DeepEqual results — the queue decision points
 // all live in the serial phase.
 func TestQueueEquivalence(t *testing.T) {
-	run := func(mode DispatchMode, workers, shards int) *Result {
+	run := func(reference bool, workers, shards int) *Result {
 		cfg := queuedEquivConfig()
-		cfg.Dispatch = mode
+		cfg.reference = reference
 		cfg.Workers = workers
 		cfg.Shards = shards
 		res, err := Run(cfg)
@@ -41,17 +41,17 @@ func TestQueueEquivalence(t *testing.T) {
 		}
 		return res
 	}
-	base := run(DispatchScan, 1, 0)
+	base := run(true, 1, 0)
 	if base.Queued == 0 || base.QueueAdmitted == 0 || base.QueueDropped == 0 || base.Rejected == 0 {
 		t.Fatalf("config not exercising every queue outcome (queued %d, queue-admitted %d, queue-dropped %d, rejected %d)",
 			base.Queued, base.QueueAdmitted, base.QueueDropped, base.Rejected)
 	}
-	for _, mode := range []DispatchMode{DispatchScan, DispatchIndexed} {
+	for _, mode := range dispatchModes {
 		for _, workers := range []int{1, 4} {
 			for _, shards := range []int{0, 4} {
-				if got := run(mode, workers, shards); !reflect.DeepEqual(base, got) {
+				if got := run(mode.reference, workers, shards); !reflect.DeepEqual(base, got) {
 					t.Errorf("queued run (dispatch=%s workers=%d shards=%d) diverged from the scan reference",
-						mode, workers, shards)
+						mode.name, workers, shards)
 				}
 			}
 		}
@@ -82,9 +82,9 @@ func TestQueueEquivalenceElastic(t *testing.T) {
 		Autoscale: AutoscaleConfig{Enabled: true, MaxServers: 4},
 		Queue:     QueueConfig{Capacity: 6, DeadlineSec: 20},
 	}
-	run := func(mode DispatchMode, workers int) *Result {
+	run := func(reference bool, workers int) *Result {
 		cfg := base
-		cfg.Dispatch = mode
+		cfg.reference = reference
 		cfg.Workers = workers
 		res, err := Run(cfg)
 		if err != nil {
@@ -92,7 +92,7 @@ func TestQueueEquivalenceElastic(t *testing.T) {
 		}
 		return res
 	}
-	scan := run(DispatchScan, 1)
+	scan := run(true, 1)
 	if scan.Queued == 0 || scan.QueueAdmitted == 0 {
 		t.Fatalf("config exercised no queue activity (queued %d, queue-admitted %d)",
 			scan.Queued, scan.QueueAdmitted)
@@ -101,7 +101,7 @@ func TestQueueEquivalenceElastic(t *testing.T) {
 		t.Fatalf("config exercised no scale-out (the epoch drain path went untested)")
 	}
 	for _, workers := range []int{1, 4} {
-		if got := run(DispatchIndexed, workers); !reflect.DeepEqual(scan, got) {
+		if got := run(false, workers); !reflect.DeepEqual(scan, got) {
 			t.Errorf("elastic queued run (workers=%d) diverged from the scan reference", workers)
 		}
 	}
@@ -422,5 +422,61 @@ func TestQueueOffFieldsInert(t *testing.T) {
 		res.QueueWaitDist.Count != 0 || res.TTFFDist.Count != 0 ||
 		res.Windowed.QueueDepth != 0 {
 		t.Errorf("queue-off run populated queue fields: %+v", res)
+	}
+}
+
+// placeCounter wraps a policy and counts its Place calls. It hides the
+// wrapped policy's fleet index, so every placement goes through Place.
+type placeCounter struct {
+	Policy
+	calls int
+}
+
+func (p *placeCounter) Place(req SessionRequest, servers []ServerState) int {
+	p.calls++
+	return p.Policy.Place(req, servers)
+}
+
+// TestQueueOffConsultsPolicyOncePerArrival: with the queue off, the
+// dispatcher asks the policy for a placement exactly once per arrival.
+// Queue decision points still run at arrivals, elastic epochs and fault
+// edges, but on the empty waiting room they never reach the policy — so
+// a stateful policy sees the same call sequence it would without them.
+func TestQueueOffConsultsPolicyOncePerArrival(t *testing.T) {
+	var counter *placeCounter
+	cfg := equivConfig("")
+	cfg.Servers = 4
+	cfg.Workload.ArrivalRate = 0.6
+	cfg.PolicyFactory = func() Policy {
+		p, err := NewPolicy(PolicyLeastLoaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter = &placeCounter{Policy: p}
+		return counter
+	}
+	cfg.EpochSec = 15
+	cfg.Rebalance = true
+	cfg.Faults = FaultConfig{
+		Plan: []FaultEvent{
+			{Kind: FaultBlip, Server: 1, AtSec: 40, EndSec: 50},
+			{Kind: FaultDegrade, Server: 2, AtSec: 45, EndSec: 90, Factor: 0.5},
+			{Kind: FaultCrash, Server: 0, AtSec: 70},
+		},
+		Recovery: FaultRecovery{Drop: true},
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FaultsInjected != 3 || res.ServersCrashed != 1 || res.Lost == 0 {
+		t.Fatalf("config not exercising the fault plan (injected %d, crashed %d, lost %d)",
+			res.FaultsInjected, res.ServersCrashed, res.Lost)
+	}
+	if res.Rejected == 0 {
+		t.Fatal("config never filled the fleet")
+	}
+	if counter.calls != res.Offered {
+		t.Errorf("policy consulted %d times for %d arrivals", counter.calls, res.Offered)
 	}
 }

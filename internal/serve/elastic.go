@@ -24,7 +24,7 @@ import (
 // migrations. Everything happens in the sequential phase of the run —
 // never during the concurrent post-horizon drain — and sessions are always
 // selected in arrival-ID order, so results stay bit-identical for any
-// worker count and both dispatcher implementations.
+// worker or shard count.
 //
 // A migration moves the live session — frame cursor, playlist/content
 // process, controller decision state, every rng stream, accumulators — via
@@ -64,9 +64,8 @@ type Move struct {
 
 // Rebalancer plans live session migrations on the dispatcher's epoch
 // schedule. Implementations must be deterministic: the plan may depend
-// only on the arguments (the dispatcher's two implementations and any
-// worker count present identical fleet states, and the results are
-// required to stay byte-identical).
+// only on the arguments (any worker or shard count presents identical
+// fleet states, and the results are required to stay byte-identical).
 type Rebalancer interface {
 	// Name returns the rebalancer's registry name.
 	Name() string
@@ -233,9 +232,9 @@ func (d *dispatcher) epoch(t float64) error {
 	if err := d.syncPoint(t); err != nil {
 		return err
 	}
-	// The scan dispatcher rebuilds states per arrival rather than
+	// The test reference rebuilds states per decision rather than
 	// incrementally; sync them here so epoch decisions read the same
-	// occupancy/power floats the indexed path maintains.
+	// occupancy/power floats the production path maintains.
 	if !d.indexed {
 		for i, fs := range d.servers {
 			if !fs.retired {
@@ -259,14 +258,11 @@ func (d *dispatcher) epoch(t float64) error {
 		}
 	}
 	d.retireEmpty()
-	if d.queueOn {
-		// Epoch boundaries are queue decision points: autoscale may just
-		// have added capacity, and retirement/draining changed the
-		// admittable set (draining servers report Full, so the queue
-		// never lands on them).
-		return d.queueStep(t)
-	}
-	return nil
+	// Epoch boundaries are queue decision points: autoscale may just
+	// have added capacity, and retirement/draining changed the
+	// admittable set (draining servers report Full, so the queue never
+	// lands on them).
+	return d.queueStep(t)
 }
 
 // markDraining decommissions server i: no further admissions (its state
@@ -348,9 +344,7 @@ func (d *dispatcher) addServer() {
 	})
 	d.admitCount = append(d.admitCount, 0)
 	d.busy = append(d.busy, 0)
-	if d.indexed {
-		d.nextEvt = append(d.nextEvt, math.Inf(1))
-	}
+	d.nextEvt = append(d.nextEvt, math.Inf(1))
 	d.liveSrv++
 	if d.liveSrv > d.peakSrv {
 		d.peakSrv = d.liveSrv
@@ -382,11 +376,8 @@ func (d *dispatcher) retireEmpty() {
 // server draining needs no rebuild: its state update invalidates its
 // index entries lazily.
 func (d *dispatcher) rebuildIndex() {
-	if !d.indexed {
-		return
-	}
-	if fi, ok := d.pol.(FleetIndexer); ok {
-		d.idx = fi.NewFleetIndex(d.planStates())
+	if d.idx != nil {
+		d.idx = d.pol.(FleetIndexer).NewFleetIndex(d.planStates())
 	}
 }
 
@@ -484,12 +475,12 @@ func (d *dispatcher) applyMoves(t float64, moves []Move) error {
 }
 
 // migrate moves one live session between servers at time t: extract on
-// the source engine, rebuild its source/controller shells, and inject on
-// the destination with the configured stall penalty. All dispatcher-side
-// bookkeeping (resident maps, class counts, knowledge-harvest identity,
-// incremental states, the engine event heap) moves with it.
+// the source engine and inject on the destination with the configured
+// stall penalty. All dispatcher-side bookkeeping (resident maps, class
+// counts, knowledge-harvest identity, incremental states, the engine
+// event heap) moves with it.
 func (d *dispatcher) migrate(t float64, from, sessID, to int) error {
-	src, dst := d.servers[from], d.servers[to]
+	src := d.servers[from]
 	rec, ok := src.resident[sessID]
 	if !ok {
 		return fmt.Errorf("serve: migrate: server %d has no session %d", from, sessID)
@@ -497,24 +488,52 @@ func (d *dispatcher) migrate(t float64, from, sessID, to int) error {
 	if err := src.eng.AdvanceTo(t); err != nil {
 		return err
 	}
-	if dst.eng == nil {
-		if err := d.createEngine(to); err != nil {
-			return err
-		}
-	}
-	if err := dst.eng.AdvanceTo(t); err != nil {
-		return err
-	}
 	st, err := src.eng.ExtractSession(sessID)
 	if err != nil {
 		return fmt.Errorf("serve: migrate session %d off server %d: %w", sessID, from, err)
 	}
 	st.StallSec = d.cfg.MigrationStallSec
+	// The knowledge-harvest identity moves with the session, keeping the
+	// baseline it was seeded with.
+	var seeded *core.Snapshot
+	if he, ok := src.harvest[sessID]; ok {
+		seeded = he.seeded
+		delete(src.harvest, sessID)
+	}
+	if err := d.injectSession(to, t, rec, st, seeded); err != nil {
+		return fmt.Errorf("serve: migrate session %d to server %d: %w", sessID, to, err)
+	}
+	delete(src.resident, sessID)
+	src.cur--
+	if rec.res == video.HR {
+		src.hr--
+	} else {
+		src.lr--
+	}
+	d.migrations++
+	d.refreshState(from)
+	d.refreshState(to)
+	d.scheduleServer(from)
+	d.scheduleServer(to)
+	return nil
+}
 
-	// Fresh shells for the destination; InjectSession restores their
-	// mid-stream state from the payload, so the construction seeds are
-	// irrelevant — and the warm-start hook must stay out of the way (the
-	// resume payload carries the learner tables in full).
+// injectSession lands an extracted (migration) or decoded (crash
+// restore) session state on server i at time t: the engine is created on
+// first use and advanced to t, fresh source and controller shells take
+// the payload's mid-stream state, and the session is booked resident
+// under rec — with a knowledge-harvest entry carrying seeded, the
+// warm-start baseline its eventual contribution subtracts. The caller
+// refreshes the server's state and event-heap key.
+func (d *dispatcher) injectSession(i int, t float64, rec residentRec, st *transcode.SessionState, seeded *core.Snapshot) error {
+	fs := d.servers[i]
+	if err := d.engineAt(i, t); err != nil {
+		return err
+	}
+	// InjectSession restores the shells' mid-stream state from the
+	// payload, so the construction seeds are irrelevant — and the
+	// warm-start hook must stay out of the way (the resume payload
+	// carries the learner tables in full).
 	seq, err := d.catalog.Get(rec.seq)
 	if err != nil {
 		return err
@@ -530,40 +549,36 @@ func (d *dispatcher) migrate(t float64, from, sessID, to int) error {
 		return err
 	}
 	ctrl = wrapStateful(ctrl, ctrlSrc)
-	newID, err := dst.eng.InjectSession(gsrc, ctrl, st)
+	id, err := fs.eng.InjectSession(gsrc, ctrl, st)
 	if err != nil {
-		return fmt.Errorf("serve: migrate session %d to server %d: %w", sessID, to, err)
+		return err
 	}
-
-	delete(src.resident, sessID)
-	src.cur--
-	dst.resident[newID] = rec
-	dst.cur++
-	if dst.cur > dst.peak {
-		dst.peak = dst.cur
+	fs.resident[id] = rec
+	fs.cur++
+	if fs.cur > fs.peak {
+		fs.peak = fs.cur
 	}
 	if rec.res == video.HR {
-		src.hr--
-		dst.hr++
+		fs.hr++
 	} else {
-		src.lr--
-		dst.lr++
+		fs.lr++
 	}
-	if src.harvest != nil {
-		if he, ok := src.harvest[sessID]; ok {
-			delete(src.harvest, sessID)
-			if mc := mamutController(ctrl); mc != nil {
-				he.ctrl = mc
-				dst.harvest[newID] = he
-			}
+	if fs.harvest != nil {
+		if mc := mamutController(ctrl); mc != nil {
+			fs.harvest[id] = harvestEntry{reqID: rec.reqID, res: rec.res, ctrl: mc, seeded: seeded}
 		}
 	}
-	d.migrations++
-	d.refreshState(from)
-	d.refreshState(to)
-	if d.indexed {
-		d.scheduleServer(from)
-		d.scheduleServer(to)
-	}
 	return nil
+}
+
+// engineAt readies server i's engine for a session landing at t: built
+// on first use, then advanced to t.
+func (d *dispatcher) engineAt(i int, t float64) error {
+	fs := d.servers[i]
+	if fs.eng == nil {
+		if err := d.createEngine(i); err != nil {
+			return err
+		}
+	}
+	return fs.eng.AdvanceTo(t)
 }

@@ -43,7 +43,7 @@ func TestElasticDispatchEquivalence(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
 			scanCfg := elasticConfig(policy)
-			scanCfg.Dispatch = DispatchScan
+			scanCfg.reference = true
 			scan, err := Run(scanCfg)
 			if err != nil {
 				t.Fatal(err)
@@ -57,7 +57,6 @@ func TestElasticDispatchEquivalence(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				cfg := elasticConfig(policy)
-				cfg.Dispatch = DispatchIndexed
 				cfg.Workers = workers
 				got, err := Run(cfg)
 				if err != nil {
@@ -79,9 +78,9 @@ func TestElasticKnowledgeEquivalence(t *testing.T) {
 	base := elasticConfig(PolicyLeastLoaded)
 	base.Approach = experiments.MAMUT
 	base.KnowledgeReuse = true
-	run := func(mode DispatchMode, workers int) *Result {
+	run := func(reference bool, workers int) *Result {
 		cfg := base
-		cfg.Dispatch = mode
+		cfg.reference = reference
 		cfg.Workers = workers
 		res, err := Run(cfg)
 		if err != nil {
@@ -89,13 +88,13 @@ func TestElasticKnowledgeEquivalence(t *testing.T) {
 		}
 		return res
 	}
-	scan := run(DispatchScan, 1)
+	scan := run(true, 1)
 	if scan.Migrations == 0 || scan.KnowledgeContributions == 0 {
 		t.Fatalf("config exercised no migrated knowledge (migrations %d, contributions %d)",
 			scan.Migrations, scan.KnowledgeContributions)
 	}
 	for _, workers := range []int{1, 4} {
-		if got := run(DispatchIndexed, workers); !reflect.DeepEqual(scan, got) {
+		if got := run(false, workers); !reflect.DeepEqual(scan, got) {
 			t.Errorf("indexed elastic knowledge run (workers=%d) diverged from the scan reference", workers)
 		}
 	}

@@ -3,17 +3,14 @@ package serve
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
 
 	"mamut/internal/core"
-	"mamut/internal/experiments"
 	"mamut/internal/platform"
 	"mamut/internal/transcode"
 	"mamut/internal/video"
-	"mamut/internal/xrand"
 )
 
 // Fault injection and session recovery: a deterministic fault plan
@@ -54,9 +51,8 @@ import (
 // Every fault lands at a precomputed control moment of the one merged
 // event order (see controlMoments), strictly in the serial phase, so
 // fault runs keep the repo invariant: byte-identical results across
-// worker counts, both dispatchers and all shard counts — and with no
-// plan configured, no fault code runs and output byte-matches the
-// pre-fault goldens.
+// worker and shard counts — and with no plan configured, no fault code
+// runs and output byte-matches the pre-fault goldens.
 
 // Fault-recovery defaults (applied per resolution class when a plan is
 // configured without Recovery.Drop).
@@ -339,10 +335,15 @@ func (f FaultConfig) validate(servers int, horizon float64, queueCapacity int) e
 	if f.CheckpointSec < 0 {
 		return fmt.Errorf("serve: negative fault checkpoint interval %g", f.CheckpointSec)
 	}
-	for cls, cl := range map[string]FaultRecoveryClass{"HR": f.Recovery.HR, "LR": f.Recovery.LR} {
-		if cl.BackoffSec < 0 || cl.RetryMax < 0 || cl.DeadlineSec < 0 {
+	// A fixed HR-then-LR order, so a config with both classes out of
+	// bounds always reports the same one.
+	for _, c := range []struct {
+		name string
+		cl   FaultRecoveryClass
+	}{{"HR", f.Recovery.HR}, {"LR", f.Recovery.LR}} {
+		if cl := c.cl; cl.BackoffSec < 0 || cl.RetryMax < 0 || cl.DeadlineSec < 0 {
 			return fmt.Errorf("serve: negative %s fault-recovery bound (backoff %g, retries %d, deadline %g)",
-				cls, cl.BackoffSec, cl.RetryMax, cl.DeadlineSec)
+				c.name, cl.BackoffSec, cl.RetryMax, cl.DeadlineSec)
 		}
 	}
 	if f.Recovery.StallSec < 0 {
@@ -543,10 +544,7 @@ func (d *dispatcher) applyFault(m controlMoment) error {
 	if err != nil {
 		return err
 	}
-	if d.queueOn {
-		return d.queueStep(t)
-	}
-	return nil
+	return d.queueStep(t)
 }
 
 // --- crash ------------------------------------------------------------
@@ -562,7 +560,6 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 		return // already out of the fleet (drained empty before the fault)
 	}
 	horizon := d.cfg.Workload.DurationSec
-	drop := d.cfg.Faults.Recovery.Drop || !d.queueOn
 	for _, id := range sessionsByArrival(fs, len(fs.resident)) {
 		rec := fs.resident[id]
 		d.interrupted++
@@ -590,7 +587,9 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 		if d.outcomes != nil {
 			d.outcomes[rec.reqID].Interrupted = true
 		}
-		if drop {
+		// Validate requires a queue for crash recovery, so with the queue
+		// off Drop is set and nothing is enqueued.
+		if d.cfg.Faults.Recovery.Drop {
 			d.lostSess++
 			if d.outcomes != nil {
 				d.outcomes[rec.reqID].Lost = true
@@ -631,12 +630,7 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 	}
 	fs.cur, fs.hr, fs.lr = 0, 0, 0
 	d.active -= victims
-	if fs.eng != nil {
-		fs.eng = nil
-		if fs.sh != nil {
-			fs.sh.engines--
-		}
-	}
+	fs.eng = nil
 	fs.spec = nil
 	fs.budgetW = d.budget
 	if fs.blipped {
@@ -648,9 +642,7 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 	fs.crashed = true
 	d.liveSrv--
 	d.crashedSrv++
-	if d.indexed {
-		d.nextEvt[srv] = math.Inf(1)
-	}
+	d.nextEvt[srv] = math.Inf(1)
 	if t < horizon {
 		d.unavailSec += horizon - t
 	}
@@ -660,7 +652,7 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 	// capacity: drop from the tail of the class-priority order, so the
 	// lowest-priority latest entries go first (Fu & van der Schaar-style
 	// priority shedding when capacity < demand).
-	if over := len(d.queue) - d.cfg.Queue.Capacity; over > 0 && d.queueOn {
+	if over := len(d.queue) - d.cfg.Queue.Capacity; over > 0 {
 		order := d.queueOrder()
 		doomed := make(map[int]bool, over)
 		for k := len(order) - 1; k >= 0 && over > 0; k-- {
@@ -724,7 +716,7 @@ func degradedSpec(spec platform.Spec, factor float64) platform.Spec {
 // the derated cap) and the dispatcher's per-server power budget shrinks,
 // steering power-aware placement and the hotspot rebalancer away. The
 // engine is advanced to the fault instant first so the settlement anchor
-// is identical on both dispatch paths.
+// is the fault instant however lazily the sweep advanced it.
 func (d *dispatcher) degradeStart(t float64, ev FaultEvent) error {
 	fs := d.servers[ev.Server]
 	if fs.retired {
@@ -740,9 +732,7 @@ func (d *dispatcher) degradeStart(t float64, ev FaultEvent) error {
 		if err := fs.eng.Reprofile(dspec); err != nil {
 			return fmt.Errorf("serve: degrade server %d: %w", ev.Server, err)
 		}
-		if d.indexed {
-			d.scheduleServer(ev.Server)
-		}
+		d.scheduleServer(ev.Server)
 	}
 	d.refreshState(ev.Server)
 	return nil
@@ -763,9 +753,7 @@ func (d *dispatcher) degradeEnd(t float64, srv int) error {
 		if err := fs.eng.Reprofile(d.spec); err != nil {
 			return fmt.Errorf("serve: restore server %d spec: %w", srv, err)
 		}
-		if d.indexed {
-			d.scheduleServer(srv)
-		}
+		d.scheduleServer(srv)
 	}
 	d.refreshState(srv)
 	return nil
@@ -789,8 +777,9 @@ func (d *dispatcher) checkpointFleet(t float64) error {
 		if fs.eng == nil || len(fs.resident) == 0 || fs.retired {
 			continue
 		}
-		// Align the engine clock with the checkpoint instant so both
-		// dispatch paths extract from identical settlement anchors.
+		// Align the engine clock with the checkpoint instant so every
+		// extraction starts from the same settlement anchor, however
+		// lazily the sweep advanced the engine.
 		if err := fs.eng.AdvanceTo(t); err != nil {
 			return err
 		}
@@ -811,9 +800,7 @@ func (d *dispatcher) checkpointFleet(t float64) error {
 				d.snaps[rec.reqID] = faultSnap{data: data, at: t}
 			}
 		}
-		if d.indexed {
-			d.scheduleServer(i)
-		}
+		d.scheduleServer(i)
 	}
 	return nil
 }
@@ -827,78 +814,31 @@ func (d *dispatcher) checkpointFleet(t float64) error {
 // and measured at its original admission, so only the recovery counters
 // and the MTTR sketch move here.
 func (d *dispatcher) restoreSession(e *queueEntry, choice int, t float64) error {
-	fs := d.servers[choice]
-	if fs.eng == nil {
-		if err := d.createEngine(choice); err != nil {
-			return err
-		}
-	}
-	if err := fs.eng.AdvanceTo(t); err != nil {
-		return err
-	}
 	rec := e.rec
-	restored := false
+	var st *transcode.SessionState
 	if len(e.snap) > 0 {
-		if st, err := transcode.DecodeSessionState(e.snap); err == nil {
-			st.StallSec = d.cfg.Faults.Recovery.StallSec
-			// Fresh shells, exactly like a migration: InjectSession
-			// restores their mid-stream state from the payload.
-			seq, err := d.catalog.Get(rec.seq)
-			if err != nil {
-				return err
-			}
-			gsrc, err := video.NewStatefulGenerator(seq, 0)
-			if err != nil {
-				return err
-			}
-			ctrlSrc := xrand.NewSource(0)
-			d.pendingSeed = nil
-			ctrl, err := d.factory(rec.res, experiments.InitialSettings(rec.res), rand.New(ctrlSrc))
-			if err != nil {
-				return err
-			}
-			ctrl = wrapStateful(ctrl, ctrlSrc)
-			newID, err := fs.eng.InjectSession(gsrc, ctrl, st)
-			if err != nil {
-				return fmt.Errorf("serve: restore session %d on server %d: %w", rec.reqID, choice, err)
-			}
-			// Busy time restarts here: the pre-crash span was credited
-			// to the crashed server at the crash.
-			rec.startAt = t
-			fs.resident[newID] = rec
-			fs.cur++
-			if fs.cur > fs.peak {
-				fs.peak = fs.cur
-			}
-			if rec.res == video.HR {
-				fs.hr++
-			} else {
-				fs.lr++
-			}
-			if fs.harvest != nil {
-				if mc := mamutController(ctrl); mc != nil {
-					// Keep the original seed baseline: the session's
-					// eventual contribution must subtract what it was
-					// seeded with, not re-donate it.
-					fs.harvest[newID] = harvestEntry{reqID: rec.reqID, res: rec.res, ctrl: mc, seeded: e.seeded}
-				}
-			}
-			restored = true
+		if s, err := transcode.DecodeSessionState(e.snap); err == nil {
+			st = s
 		}
 	}
-	if !restored {
+	if st != nil {
+		st.StallSec = d.cfg.Faults.Recovery.StallSec
+		// Busy time restarts here: the pre-crash span was credited to the
+		// crashed server at the crash. The original seed baseline stays:
+		// the session's eventual contribution must subtract what it was
+		// seeded with, not re-donate it.
+		rec.startAt = t
+		if err := d.injectSession(choice, t, rec, st, e.seeded); err != nil {
+			return fmt.Errorf("serve: restore session %d on server %d: %w", rec.reqID, choice, err)
+		}
+	} else {
 		// Cold restart: a fresh admission under the original arrival
 		// identity, warm-seeded from the knowledge store when on.
-		var seedSnap *core.Snapshot
-		if d.store != nil {
-			if s := d.store.Seed(rec.res); s != nil {
-				cp := s.Clone()
-				seedSnap = &cp
-				d.seeded++
-			}
+		if err := d.engineAt(choice, t); err != nil {
+			return err
 		}
-		d.pendingSeed = seedSnap
-		id, err := fs.addSession(e.req, d.cfg, d.catalog, d.factory, seedSnap, t)
+		fs := d.servers[choice]
+		id, err := fs.addSession(e.req, d.cfg, d.catalog, d.factory, d.seedAdmission(rec.res), t)
 		if err != nil {
 			return err
 		}
@@ -918,9 +858,7 @@ func (d *dispatcher) restoreSession(e *queueEntry, choice int, t float64) error 
 		so.Recovered = true
 		so.Server = choice
 	}
-	if d.indexed {
-		d.refreshState(choice)
-		d.scheduleServer(choice)
-	}
+	d.refreshState(choice)
+	d.scheduleServer(choice)
 	return nil
 }

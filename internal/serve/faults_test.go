@@ -438,9 +438,9 @@ func chaosEquivConfig() Config {
 // shard counts. (The TestShard prefix puts it under CI's -race stress
 // of the sharded path.)
 func TestShardFaultChaosEquivalence(t *testing.T) {
-	run := func(mode DispatchMode, workers, shards int) *Result {
+	run := func(reference bool, workers, shards int) *Result {
 		cfg := chaosEquivConfig()
-		cfg.Dispatch = mode
+		cfg.reference = reference
 		cfg.Workers = workers
 		cfg.Shards = shards
 		res, err := Run(cfg)
@@ -449,7 +449,7 @@ func TestShardFaultChaosEquivalence(t *testing.T) {
 		}
 		return res
 	}
-	base := run(DispatchScan, 1, 0)
+	base := run(true, 1, 0)
 	if base.FaultsInjected != 3 || base.ServersCrashed != 1 {
 		t.Fatalf("chaos config not injecting the plan (injected %d, crashed %d)",
 			base.FaultsInjected, base.ServersCrashed)
@@ -458,12 +458,12 @@ func TestShardFaultChaosEquivalence(t *testing.T) {
 		t.Fatalf("chaos config not exercising recovery (interrupted %d, recovered %d)",
 			base.Interrupted, base.Recovered)
 	}
-	for _, mode := range []DispatchMode{DispatchScan, DispatchIndexed} {
+	for _, mode := range dispatchModes {
 		for _, workers := range []int{1, 4} {
 			for _, shards := range []int{0, 4} {
-				if got := run(mode, workers, shards); !reflect.DeepEqual(base, got) {
+				if got := run(mode.reference, workers, shards); !reflect.DeepEqual(base, got) {
 					t.Errorf("chaos run (dispatch=%s workers=%d shards=%d) diverged from the scan reference",
-						mode, workers, shards)
+						mode.name, workers, shards)
 				}
 			}
 		}
@@ -484,5 +484,33 @@ func TestFaultsOffFieldsInert(t *testing.T) {
 		res.Recovered != 0 || res.Lost != 0 || res.LostWorkSec != 0 ||
 		res.MTTRSec != 0 || res.AvailabilityPct != 0 || res.Windowed.AvailabilityPct != 0 {
 		t.Errorf("fault-free run reported fault activity: %+v", res)
+	}
+}
+
+// TestFaultConfigValidateClassOrder: with both recovery classes out of
+// bounds, Validate names the same class — HR, checked first — on every
+// call.
+func TestFaultConfigValidateClassOrder(t *testing.T) {
+	cfg := Config{
+		Servers:  4,
+		Approach: "heuristic",
+		Workload: Workload{ArrivalRate: 0.2, DurationSec: 100, MeanSessionSec: 10},
+		Queue:    QueueConfig{Capacity: 8},
+		Faults: FaultConfig{
+			Plan: []FaultEvent{{Kind: FaultCrash, Server: 0, AtSec: 20}},
+			Recovery: FaultRecovery{
+				HR: FaultRecoveryClass{BackoffSec: -1},
+				LR: FaultRecoveryClass{RetryMax: -1},
+			},
+		},
+	}
+	first := cfg.Validate()
+	if first == nil || !strings.Contains(first.Error(), "negative HR fault-recovery bound") {
+		t.Fatalf("Validate = %v, want the HR bound reported", first)
+	}
+	for i := 0; i < 20; i++ {
+		if err := cfg.Validate(); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: Validate = %v, want %q", i, err, first)
+		}
 	}
 }

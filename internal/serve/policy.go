@@ -76,8 +76,8 @@ type FleetState struct {
 // BacklogObserver is an optional extension a Policy may implement to see
 // fleet-level backlog state. When the admission queue is enabled the
 // dispatcher calls ObserveFleet immediately before every Place decision
-// (on both dispatch paths — for indexed placement the observation goes
-// to the policy value backing the index); with queueing off it is never
+// (for indexed placement the observation goes to the policy value
+// backing the index); with queueing off it is never
 // called. Observations arrive in decision order, so a deterministic
 // policy stays deterministic.
 type BacklogObserver interface {

@@ -92,15 +92,18 @@ type Config struct {
 	// parallel phase of every dispatcher step, reconciling with the
 	// coordinator at a barrier before any placement or epoch decision —
 	// see shard.go. Results are bit-identical to Shards <= 1 (the
-	// single-goroutine dispatcher) for every policy, both dispatchers,
-	// knowledge reuse and the elastic features; shards only buy wall
-	// clock on multi-core hosts once fleets are large enough that
-	// advancing engines dominates placement. 0 or 1 = unsharded.
+	// single-goroutine dispatcher) for every policy, knowledge reuse and
+	// the elastic features; shards only buy wall clock on multi-core
+	// hosts once fleets are large enough that advancing engines
+	// dominates placement. 0 or 1 = unsharded.
 	Shards int
-	// Dispatch selects the dispatcher implementation: DispatchIndexed
-	// (default) or DispatchScan. The two produce bit-identical results;
-	// the scan path is the O(servers)-per-arrival reference.
-	Dispatch DispatchMode
+	// reference selects the O(servers)-per-arrival scan dispatcher the
+	// equivalence tests compare the production dispatcher against:
+	// every live engine is advanced to each decision instant, the full
+	// state slice is rebuilt before every placement and epoch, and the
+	// policy scans it. Its results are bit-identical to the default
+	// path; it is reachable from this package's tests only.
+	reference bool
 	// RetainSessions keeps the per-arrival SessionOutcome log in
 	// Result.Sessions. Off by default: every aggregate is folded
 	// streamingly at each session's departure event, so the default path
@@ -115,8 +118,7 @@ type Config struct {
 	// on the one merged clock (an epoch due at an arrival's instant runs
 	// before the arrival) and continue to the workload horizon, so every
 	// elasticity decision lands at a deterministic point of the event
-	// order and results stay bit-identical for any Workers count and
-	// both dispatchers.
+	// order and results stay bit-identical for any Workers count.
 	EpochSec float64
 	// Rebalance enables the built-in power-hotspot rebalancer (see
 	// RebalancerPowerHotspot): each epoch it live-migrates sessions away
@@ -162,30 +164,6 @@ type Config struct {
 	// Progress observes completed per-server simulations.
 	Progress experiments.ProgressFunc
 }
-
-// DispatchMode selects the dispatcher implementation.
-type DispatchMode string
-
-const (
-	// DispatchIndexed is the default fleet dispatcher: a min-heap of
-	// engines keyed by next event time advances only the servers with
-	// events due before the arrival instant (idle engines are never
-	// touched), server states are maintained incrementally on admission
-	// and departure, and the built-in policies place through their fleet
-	// index — so an arrival costs O(k log servers) for the k servers
-	// with pending events instead of O(servers).
-	DispatchIndexed DispatchMode = "indexed"
-	// DispatchScan is the O(servers)-per-arrival reference dispatcher:
-	// every live engine is advanced to each arrival instant, the full
-	// state slice is rebuilt and the policy scans it. It produces
-	// byte-identical results to DispatchIndexed (equivalence tests pin
-	// this); it is retained as the semantic reference and for
-	// benchmarking the sweep it replaced.
-	DispatchScan DispatchMode = "scan"
-)
-
-// DispatchModes lists the dispatcher implementations.
-func DispatchModes() []DispatchMode { return []DispatchMode{DispatchIndexed, DispatchScan} }
 
 // SessionOutcome is the service-level record of one arrival.
 type SessionOutcome struct {
@@ -264,7 +242,7 @@ type ClassStats struct {
 // QuantileSummary reports streaming quantile estimates over one metric
 // of the measured sessions, read from a fixed-bin histogram sketch
 // (deterministic and order-independent, so results stay bit-identical
-// across dispatchers and worker counts).
+// across worker and shard counts).
 type QuantileSummary struct {
 	// Count is the number of sessions folded into the sketch.
 	Count int
@@ -442,9 +420,6 @@ func (c Config) withDefaults() Config {
 	if c.SLOFPSFactor == 0 {
 		c.SLOFPSFactor = DefaultSLOFPSFactor
 	}
-	if c.Dispatch == "" {
-		c.Dispatch = DispatchIndexed
-	}
 	if c.Elastic() {
 		if c.EpochSec == 0 {
 			c.EpochSec = DefaultEpochSec
@@ -520,11 +495,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("serve: shards %d < 0", c.Shards)
-	}
-	switch c.Dispatch {
-	case DispatchIndexed, DispatchScan:
-	default:
-		return fmt.Errorf("serve: unknown dispatch mode %q (have %v)", c.Dispatch, DispatchModes())
 	}
 	if c.Spec != nil {
 		// A malformed custom spec is a config error; surfacing it here
@@ -792,16 +762,14 @@ func (fs *fleetServer) addSession(req SessionRequest, cfg Config, catalog *video
 // one merged clock. Before each placement decision the fleet is stepped
 // to the arrival instant, so departures at or before it — at their
 // *actual*, contention-stretched times — have already freed their slots,
-// and the policy decides from true occupancy. The default indexed
-// dispatcher does this in O(k log servers) per arrival: a min-heap keyed
-// by each engine's next event time pops only the k servers with events
-// due (idle engines are never touched), server states update
-// incrementally on admission/departure, and the built-in policies place
-// through their fleet index. DispatchScan selects the O(servers)
-// reference sweep instead; the two produce bit-identical results. After
-// the last arrival the engines have no further interaction and drain to
-// completion across the worker pool; results are bit-identical for any
-// worker count.
+// and the policy decides from true occupancy. The dispatcher does this
+// in O(k log servers) per arrival: a min-heap keyed by each engine's
+// next event time pops only the k servers with events due (idle engines
+// are never touched), server states update incrementally on
+// admission/departure, and the built-in policies place through their
+// fleet index. After the last arrival the engines have no further
+// interaction and drain to completion across the worker pool; results
+// are bit-identical for any worker count.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -898,8 +866,9 @@ type dispatcher struct {
 	pol     Policy
 
 	// indexed selects the event-heap sweep and incremental server
-	// states (Config.Dispatch != DispatchScan); idx is additionally
-	// non-nil when the policy places through a fleet index.
+	// states (false only for the test reference, Config.reference); idx
+	// is additionally non-nil when the policy places through a fleet
+	// index.
 	indexed bool
 	idx     FleetIndex
 
@@ -1148,15 +1117,13 @@ func (d *dispatcher) init(arrivals int) error {
 	if cfg.RetainSessions {
 		d.outcomes = make([]SessionOutcome, arrivals)
 	}
-	d.indexed = cfg.Dispatch != DispatchScan
-	if d.indexed {
-		d.nextEvt = make([]float64, cfg.Servers)
-		for i := range d.nextEvt {
-			d.nextEvt[i] = math.Inf(1)
-		}
-		if fi, ok := d.pol.(FleetIndexer); ok {
-			d.idx = fi.NewFleetIndex(d.states)
-		}
+	d.indexed = !cfg.reference
+	d.nextEvt = make([]float64, cfg.Servers)
+	for i := range d.nextEvt {
+		d.nextEvt[i] = math.Inf(1)
+	}
+	if fi, ok := d.pol.(FleetIndexer); ok && d.indexed {
+		d.idx = fi.NewFleetIndex(d.states)
 	}
 	d.initShards()
 	return nil
@@ -1171,15 +1138,14 @@ func (d *dispatcher) place(req SessionRequest) error {
 	if err := d.syncPoint(t); err != nil {
 		return err
 	}
-	if d.queueOn {
-		// Waiting entries get first claim on the capacity this sweep's
-		// departures freed — the arrival may not overtake them.
-		if err := d.queueStep(t); err != nil {
-			return err
-		}
+	// Waiting entries get first claim on the capacity this sweep's
+	// departures freed — the arrival may not overtake them. With the
+	// queue off the queue is always empty and this is a no-op.
+	if err := d.queueStep(t); err != nil {
+		return err
 	}
 	choice := -1
-	if !d.queueOn || len(d.queue) == 0 {
+	if len(d.queue) == 0 {
 		// A non-empty queue means its head just failed to place at this
 		// very instant: the arrival goes behind it, no placement attempt.
 		var err error
@@ -1197,7 +1163,7 @@ func (d *dispatcher) place(req SessionRequest) error {
 		if err := d.admit(req, choice, t, measured); err != nil {
 			return err
 		}
-	case d.queueOn && len(d.queue) < d.cfg.Queue.Capacity:
+	case len(d.queue) < d.cfg.Queue.Capacity:
 		d.enqueue(req, measured)
 	default:
 		d.rejected++
@@ -1324,8 +1290,8 @@ func (d *dispatcher) foldDepart(r departRec, t float64) {
 // for the k servers with events. Advancing an engine lazily is exact:
 // the transcode engine settles its energy/thermal/virtual-clock
 // integration at events, never at parks, so skipped parks cannot shift
-// any result (see transcode.Engine.AdvanceTo). The scan path advances
-// every live engine, as the reference dispatcher did.
+// any result (see transcode.Engine.AdvanceTo). The test reference
+// advances every live engine instead.
 func (d *dispatcher) sweepTo(t float64) error {
 	if d.shards != nil {
 		return d.sweepShards(t)
@@ -1356,7 +1322,11 @@ func (d *dispatcher) sweepTo(t float64) error {
 // scheduleServer re-keys one engine in the event heap from its next
 // pending event; idle engines (+Inf) leave the heap entirely. Old heap
 // entries are invalidated by the key change and discarded when popped.
+// The reference sweep keeps no heap, so there it does nothing.
 func (d *dispatcher) scheduleServer(i int) {
+	if !d.indexed {
+		return
+	}
 	next := d.servers[i].eng.NextEventTime()
 	d.nextEvt[i] = next
 	if math.IsInf(next, 1) {
@@ -1372,9 +1342,11 @@ func (d *dispatcher) scheduleServer(i int) {
 }
 
 // refreshState rebuilds one server's incrementally maintained state from
-// its resident counts — evaluating the same expression the scan path
-// uses, so both paths compare identical floats — and forwards it to the
-// policy's fleet index.
+// its resident counts — evaluating the same expression the reference
+// rebuild uses, so both paths compare identical floats — and forwards it
+// to the policy's fleet index. The reference dispatcher rebuilds every
+// state before any placement or epoch reads one, so calling this there
+// cannot change a decision.
 func (d *dispatcher) refreshState(i int) {
 	fs := d.servers[i]
 	s := &d.states[i]
@@ -1392,13 +1364,12 @@ func (d *dispatcher) refreshState(i int) {
 }
 
 // refreshScanStates prepares the state slice a scanning policy places
-// from. In scan mode the slice is rebuilt from the resident counts per
-// arrival (the reference behaviour); in indexed mode occupancy and
-// power are already current and only the arrival's class-specific
-// EstArrivalW needs stamping. Once the fleet has retired servers the
-// policy receives the in-service view only (matching what the fleet
-// indexes are rebuilt from), so e.g. round-robin's modulus cycles over
-// the same servers on both dispatch paths.
+// from. Occupancy and power are already current, so only the arrival's
+// class-specific EstArrivalW needs stamping; the test reference instead
+// rebuilds the slice from the resident counts per placement. Once the
+// fleet has retired servers the policy receives the in-service view
+// only (matching what the fleet indexes are rebuilt from), so e.g.
+// round-robin's modulus cycles over the same servers on both paths.
 func (d *dispatcher) refreshScanStates(req SessionRequest) []ServerState {
 	aw := d.estW[req.Res]
 	if d.indexed {
@@ -1457,9 +1428,6 @@ func (d *dispatcher) createEngine(i int) error {
 		return err
 	}
 	fs.eng = eng
-	if fs.sh != nil {
-		fs.sh.engines++ // scan-mode shard wake filter; only a crash fault tears an engine down
-	}
 	fs.power = metrics.NewPowerIntegrator(d.cfg.WarmupSec, d.cfg.Workload.DurationSec)
 	eng.DiscardDeparted(true)
 	eng.OnFrame(func(obs transcode.Observation) {
@@ -1547,9 +1515,9 @@ func (d *dispatcher) createEngine(i int) error {
 }
 
 // applyDeparture applies one departure's global side to the dispatcher:
-// the active count, the stats batch and (indexed) the server's dispatch
-// state. Shared by the inline OnSessionEnd path and the shard serial-
-// phase reconciliation — both must fold a departure identically.
+// the active count, the stats batch and the server's dispatch state.
+// Shared by the inline OnSessionEnd path and the shard serial-phase
+// reconciliation — both must fold a departure identically.
 func (d *dispatcher) applyDeparture(dr departRec) {
 	d.active--
 	d.pendingStats = append(d.pendingStats, dr)
@@ -1557,18 +1525,16 @@ func (d *dispatcher) applyDeparture(dr departRec) {
 		// The session completed; its crash checkpoint is dead weight.
 		delete(d.snaps, dr.reqID)
 	}
-	if d.indexed {
-		d.refreshState(dr.server)
-	}
+	d.refreshState(dr.server)
 }
 
 // foldDepartures folds every departure the fleet has surfaced since the
 // last fold into the knowledge store, in arrival-ID order across all
 // servers. The fixed order pins the floating-point fold sequence, so the
 // store contents — and every snapshot later admissions are seeded from —
-// depend only on the workload and seed. (Both dispatch paths surface the
-// same departures before an arrival — a departure is an engine event —
-// so the folded batches are identical.)
+// depend only on the workload and seed. (The production sweep and the
+// test reference surface the same departures before an arrival — a
+// departure is an engine event — so the folded batches are identical.)
 func (d *dispatcher) foldDepartures() error {
 	if len(d.pending) == 0 {
 		return nil

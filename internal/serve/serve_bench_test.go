@@ -68,11 +68,11 @@ func BenchmarkFleetScale(b *testing.B) {
 // as the reference): the gap is pure dispatch overhead, since both paths
 // simulate identical events and produce bit-identical results.
 func BenchmarkFleetScaleDispatch(b *testing.B) {
-	for _, mode := range DispatchModes() {
+	for _, mode := range dispatchModes {
 		for _, servers := range []int{100, 1000} {
-			b.Run(fmt.Sprintf("%s/%dservers", mode, servers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%dservers", mode.name, servers), func(b *testing.B) {
 				cfg := fleetScaleConfig(servers, PolicyRoundRobin)
-				cfg.Dispatch = mode
+				cfg.reference = mode.reference
 				arrivals := 0
 				for i := 0; i < b.N; i++ {
 					res, err := Run(cfg)

@@ -27,6 +27,14 @@ func equivConfig(policy string) Config {
 	}
 }
 
+// dispatchModes are the two dispatchers the equivalence tests compare:
+// the production dispatcher and the O(servers) scan reference
+// (Config.reference).
+var dispatchModes = []struct {
+	name      string
+	reference bool
+}{{"indexed", false}, {"scan", true}}
+
 // TestDispatchEquivalence pins the tentpole guarantee: the indexed
 // dispatcher (engine event heap, incremental states, policy fleet
 // indexes) reproduces the O(servers) scan reference bit for bit — same
@@ -36,14 +44,12 @@ func TestDispatchEquivalence(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
 			scanCfg := equivConfig(policy)
-			scanCfg.Dispatch = DispatchScan
+			scanCfg.reference = true
 			scan, err := Run(scanCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			idxCfg := equivConfig(policy)
-			idxCfg.Dispatch = DispatchIndexed
-			idx, err := Run(idxCfg)
+			idx, err := Run(equivConfig(policy))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,9 +82,9 @@ func TestDispatchEquivalenceKnowledge(t *testing.T) {
 		WarmupSec: 30,
 		Seed:      7,
 	}
-	run := func(mode DispatchMode, workers int) *Result {
+	run := func(reference bool, workers int) *Result {
 		cfg := base
-		cfg.Dispatch = mode
+		cfg.reference = reference
 		cfg.Workers = workers
 		res, err := Run(cfg)
 		if err != nil {
@@ -86,13 +92,13 @@ func TestDispatchEquivalenceKnowledge(t *testing.T) {
 		}
 		return res
 	}
-	scan := run(DispatchScan, 1)
+	scan := run(true, 1)
 	if scan.KnowledgeContributions == 0 || scan.KnowledgeSeeded == 0 {
 		t.Fatalf("config exercised no knowledge activity (contributions %d, seeded %d)",
 			scan.KnowledgeContributions, scan.KnowledgeSeeded)
 	}
 	for _, workers := range []int{1, 4} {
-		if got := run(DispatchIndexed, workers); !reflect.DeepEqual(scan, got) {
+		if got := run(false, workers); !reflect.DeepEqual(scan, got) {
 			t.Errorf("indexed knowledge run (workers=%d) diverged from the scan reference", workers)
 		}
 	}
@@ -108,14 +114,13 @@ func TestDispatchEquivalenceCustomPolicy(t *testing.T) {
 	factory := func() Policy { return mostLoaded{} }
 	scanCfg := equivConfig("")
 	scanCfg.PolicyFactory = factory
-	scanCfg.Dispatch = DispatchScan
+	scanCfg.reference = true
 	scan, err := Run(scanCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	idxCfg := equivConfig("")
 	idxCfg.PolicyFactory = factory
-	idxCfg.Dispatch = DispatchIndexed
 	idx, err := Run(idxCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,8 @@ import (
 // counts, and the policy indexes validate entry freshness on Place, so
 // index-internal layout differences cannot change a placement. Hence
 // `-shards S` output is bit-identical to `-shards 1` for every policy
-// (including custom ones), both dispatchers, knowledge reuse, and the
-// elastic features — the equivalence tests and CI goldens pin this.
+// (including custom ones), knowledge reuse, and the elastic features —
+// the equivalence tests and CI goldens pin this.
 //
 // Elastic epochs need no special casing: drains, autoscaling and
 // migrations already run in the serial phase, where the hook behaves
@@ -56,9 +56,6 @@ type shard struct {
 	// ascending order; appended to by the coordinator when the fleet
 	// scales out (serial phase only).
 	srv []int
-	// engines counts owned servers with a live engine — the scan-mode
-	// wake filter (the indexed filter is the heap head).
-	engines int
 	// evts is the shard's partition of the engine event heap: exactly
 	// the global heap's entries for owned servers.
 	evts heaps.Heap[fleetEvent]
@@ -75,14 +72,6 @@ type shard struct {
 type shardAck struct {
 	id  int
 	err error
-}
-
-// due reports whether the shard has work before or at t.
-func (sh *shard) due(t float64, indexed bool) bool {
-	if indexed {
-		return sh.evts.Len() > 0 && sh.evts.Peek().key <= t
-	}
-	return sh.engines > 0
 }
 
 // initShards partitions the fleet and spawns the shard goroutines. With
@@ -138,9 +127,9 @@ func (d *dispatcher) shardLoop(sh *shard) {
 }
 
 // advanceShard advances the shard's engines to t — the shard-owned slice
-// of exactly what the unsharded sweepTo does. Indexed mode pops only the
-// owned engines with due events; scan mode advances every owned live
-// engine. Runs on the shard goroutine during the barrier window; all
+// of exactly what the unsharded sweepTo does. The production sweep pops
+// only the owned engines with due events; the test reference advances
+// every owned live engine. Runs on the shard goroutine during the barrier window; all
 // state touched (engines, the shard heap, the owned nextEvt entries, and
 // — through the hooks — per-server counters and the shard buffers) is
 // owned by this shard.
@@ -177,7 +166,9 @@ func (d *dispatcher) sweepShards(t float64) error {
 	d.parallel = true
 	woken := 0
 	for _, sh := range d.shards {
-		if sh.due(t, d.indexed) {
+		// Wake only shards with an event due by t; the reference sweep
+		// wakes every shard (each owns at least one server).
+		if !d.indexed || sh.evts.Len() > 0 && sh.evts.Peek().key <= t {
 			sh.cmd <- t
 			woken++
 		}

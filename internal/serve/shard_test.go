@@ -42,9 +42,9 @@ func shardConfig(policy string) Config {
 func TestShardEquivalence(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
-			for _, dispatch := range DispatchModes() {
+			for _, mode := range dispatchModes {
 				base := shardConfig(policy)
-				base.Dispatch = dispatch
+				base.reference = mode.reference
 				want, err := Run(base)
 				if err != nil {
 					t.Fatal(err)
@@ -55,14 +55,14 @@ func TestShardEquivalence(t *testing.T) {
 				}
 				for _, shards := range []int{1, 2, 3, 16} {
 					cfg := shardConfig(policy)
-					cfg.Dispatch = dispatch
+					cfg.reference = mode.reference
 					cfg.Shards = shards
 					got, err := Run(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s shards=%d diverged from the unsharded reference", dispatch, shards)
+						t.Errorf("%s shards=%d diverged from the unsharded reference", mode.name, shards)
 					}
 				}
 			}
@@ -109,9 +109,9 @@ func TestShardEquivalenceKnowledge(t *testing.T) {
 // mid-epoch engine advances all run in the serial phase — the sharded
 // run must still match bit for bit on both dispatch paths.
 func TestShardEquivalenceElastic(t *testing.T) {
-	for _, dispatch := range DispatchModes() {
+	for _, mode := range dispatchModes {
 		base := elasticConfig(PolicyLeastLoaded)
-		base.Dispatch = dispatch
+		base.reference = mode.reference
 		want, err := Run(base)
 		if err != nil {
 			t.Fatal(err)
@@ -122,14 +122,14 @@ func TestShardEquivalenceElastic(t *testing.T) {
 		}
 		for _, shards := range []int{2, 3} {
 			cfg := elasticConfig(PolicyLeastLoaded)
-			cfg.Dispatch = dispatch
+			cfg.reference = mode.reference
 			cfg.Shards = shards
 			got, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s shards=%d elastic run diverged from the unsharded reference", dispatch, shards)
+				t.Errorf("%s shards=%d elastic run diverged from the unsharded reference", mode.name, shards)
 			}
 		}
 	}
@@ -162,7 +162,7 @@ func TestShardEquivalenceCustomPolicy(t *testing.T) {
 // from the race detector (CI runs the package under -race): every
 // barrier window in the run is checked for an unhappens-before access.
 func TestShardedRaceStress(t *testing.T) {
-	for _, dispatch := range DispatchModes() {
+	for _, mode := range dispatchModes {
 		cfg := Config{
 			Servers:              12,
 			MaxSessionsPerServer: 4,
@@ -178,7 +178,7 @@ func TestShardedRaceStress(t *testing.T) {
 			Seed:           3,
 			Workers:        4,
 			Shards:         4,
-			Dispatch:       dispatch,
+			reference:      mode.reference,
 			RetainSessions: true,
 			EpochSec:       10,
 			Rebalance:      true,
@@ -188,7 +188,7 @@ func TestShardedRaceStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Admitted == 0 {
-			t.Fatalf("%s: stress run admitted nothing", dispatch)
+			t.Fatalf("%s: stress run admitted nothing", mode.name)
 		}
 	}
 }

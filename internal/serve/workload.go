@@ -54,7 +54,7 @@
 // Every migration charges Config.MigrationStallSec to the moved
 // session's in-flight frame. Epoch decisions run in the sequential
 // phase and pick sessions in arrival-ID order, so elastic runs stay
-// byte-identical across worker counts and both dispatchers; with every
+// byte-identical across worker and shard counts; with every
 // elastic feature off the dispatcher is byte-identical to the
 // fixed-fleet implementation it grew from (CI-pinned goldens).
 //

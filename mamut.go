@@ -365,8 +365,6 @@ type (
 	PlacementFleetIndex = serve.FleetIndex
 	// ServerState is the dispatcher's view a policy decides from.
 	ServerState = serve.ServerState
-	// ServeDispatchMode selects the fleet dispatcher implementation.
-	ServeDispatchMode = serve.DispatchMode
 	// ServeGridSpec spans a (policy x arrival-rate x seed) grid.
 	ServeGridSpec = serve.GridSpec
 	// ServeGridCell couples one grid coordinate with its result.
@@ -449,16 +447,6 @@ const (
 	PolicyRoundRobin  = serve.PolicyRoundRobin
 	PolicyLeastLoaded = serve.PolicyLeastLoaded
 	PolicyPowerAware  = serve.PolicyPowerAware
-)
-
-// Fleet dispatcher implementations. DispatchIndexed (the default)
-// advances only servers with events due before each arrival via an
-// engine event heap and places through the policies' fleet indexes, so
-// dispatch costs O(log n) in the fleet size; DispatchScan is the
-// O(servers) reference sweep. Both produce bit-identical results.
-const (
-	DispatchIndexed = serve.DispatchIndexed
-	DispatchScan    = serve.DispatchScan
 )
 
 // Load curves for ServeWorkload.
