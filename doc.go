@@ -99,14 +99,18 @@
 //
 // Indexing removes the O(servers) placement cost; what remains serial
 // is advancing the engine simulations themselves, and that
-// parallelises. ServeConfig.Shards splits the fleet across per-shard
-// dispatcher goroutines (server i belongs to shard i mod S) in a phased
-// design: each shard exclusively owns its servers' engines, its
-// partition of the engine event heap, and buffers for departures and
-// knowledge harvests; the coordinator runs the arrival/epoch clock
-// serially and, at each sweep, opens a barrier under which due shards
-// advance their disjoint engines concurrently, then reconciles the
-// buffers in shard-ID order before any placement decision. Shared state
+// parallelises. ServeConfig.Shards splits the fleet into shards (server
+// i belongs to shard i mod S) in a phased design; an unsharded run is one
+// inline shard. Each shard exclusively owns its servers' engines, its
+// partition of the engine event heap, and a departure buffer (each record
+// carries its knowledge harvest). The coordinator steps through the run's
+// one timeline — arrivals, epochs, checkpoints, fault edges and the
+// queue's horizon pass are its moments — serially and, at each sweep,
+// opens a barrier under which due shards advance their disjoint engines
+// concurrently (the coordinator advances shard 0 itself, shards 1..S-1
+// run on their own goroutines), then reconciles the buffers in shard-ID
+// order before any decision. Departures are always buffered and
+// reconciled, also from the serial-phase engine steps. Shared state
 // — the KnowledgeStore, global accounting, streaming aggregates, policy
 // fleet indexes — is only ever touched in the serial phase, so no locks
 // exist anywhere. Determinism is by construction: the shard heaps

@@ -9,7 +9,7 @@ import (
 
 // Queued admission: the arrival path is an explicit pipeline instead of
 // the monolithic place-or-reject decision the serving layer grew up
-// with. Every arrival flows
+// with. Every arrival moment of the run's timeline flows
 //
 //	arrival ──► syncPoint ──► queueStep ──► placement attempt
 //	                                            │
@@ -29,14 +29,15 @@ import (
 //	               │   deadline-dropped
 //
 // syncPoint steps the fleet to the decision instant and folds every
-// departure that surfaced on the way (knowledge store first, then the
-// streaming aggregates, both in arrival-ID order); queueStep then drops
-// queue entries whose deadline passed and re-attempts admission for the
-// waiting entries against the freed capacity. Decision points are the
-// instants the fleet state can have changed: every arrival (departures
-// at or before it have freed slots), every elastic epoch (autoscale
-// scale-out adds admittable servers, retirement removes them), and one
-// final pass at the workload horizon before the post-arrival drain.
+// departure that surfaced on the way (per record in arrival-ID order:
+// knowledge contribution, then the streaming aggregates); queueStep then
+// drops queue entries whose deadline passed and re-attempts admission
+// for the waiting entries against the freed capacity. Decision points
+// are the timeline moments at which the fleet state can have changed:
+// every arrival (departures at or before it have freed slots), every
+// elastic epoch (autoscale scale-out adds admittable servers, retirement
+// removes them), every fault edge, and the horizon moment — a final pass
+// at the workload horizon before the post-arrival drain.
 //
 // The outcome taxonomy is therefore queued / admitted /
 // deadline-dropped / rejected: Rejected keeps meaning capacity-rejected
@@ -44,9 +45,9 @@ import (
 // counted admitted or dropped — never rejected — and
 // Offered == Admitted + Rejected + QueueDropped always holds.
 //
-// Everything here runs in the serial phase of the dispatcher (between
-// arrivals, at epochs, or before the drain), never during a parallel
-// shard window, so queued runs keep the repo's determinism contract:
+// Everything here runs in the serial phase of the dispatcher (at a
+// timeline moment), never during a parallel shard window, so queued
+// runs keep the repo's determinism contract:
 // bit-identical results for any worker and shard count. With
 // Capacity == 0 the queue stays empty, every queue step is a no-op, and
 // the dispatcher byte-reproduces the pre-queue output.
@@ -135,37 +136,28 @@ type queueEntry struct {
 	settled  bool // scratch flag for the current attempt round (admitted, restored or dropped)
 
 	// Recovery fields (crash recovery only; see faults.go). rec is the
-	// victim's resident bookkeeping at the crash, snap its last
-	// checkpoint payload (nil = cold restart), seeded its warm-start
-	// baseline carried across the restore, attempt/eligibleAt the
-	// retry-with-backoff state, and crashAt the instant the MTTR clock
-	// started.
+	// victim's resident bookkeeping at the crash (its warm-start baseline
+	// included), snap its last checkpoint payload (nil = cold restart),
+	// attempt/eligibleAt the retry-with-backoff state, and crashAt the
+	// instant the MTTR clock started.
 	recovery   bool
 	rec        residentRec
 	snap       []byte
-	seeded     *core.Snapshot
 	attempt    int
 	eligibleAt float64
 	crashAt    float64
 }
 
-// syncPoint steps the fleet to the decision instant t and folds every
-// departure surfaced on the way — knowledge store first, then the
-// streaming aggregates, both in arrival-ID order. Shared by the arrival
-// path, the epoch path and the final horizon pass, so every decision
-// (placement, queue admission, scaling) reads the same post-departure
-// fleet state discipline.
+// syncPoint steps the fleet to the decision instant t and folds the
+// one batch of departures surfaced on the way, in arrival-ID order.
+// Shared by every timeline moment that decides, so every decision
+// (placement, queue admission, scaling, faults) reads the same
+// post-departure fleet state discipline.
 func (d *dispatcher) syncPoint(t float64) error {
 	if err := d.sweepTo(t); err != nil {
 		return err
 	}
-	if d.store != nil {
-		if err := d.foldDepartures(); err != nil {
-			return err
-		}
-	}
-	d.foldStats(t)
-	return nil
+	return d.foldBatch(t)
 }
 
 // queueStep runs one queue decision point at time t: expired entries

@@ -15,16 +15,16 @@ import (
 )
 
 // Fleet elasticity: live session migration, server drain/decommission and
-// autoscaling. The dispatcher runs a fixed epoch schedule interleaved with
-// the arrival stream (an epoch due at an arrival's instant fires before
-// the arrival, and epochs continue past the last arrival to the workload
-// horizon); at each epoch it steps the fleet to the epoch instant, applies
-// scheduled drains and the autoscaler's watermark decisions, migrates
-// sessions off draining servers, and lets the Rebalancer plan hotspot
-// migrations. Everything happens in the sequential phase of the run —
-// never during the concurrent post-horizon drain — and sessions are always
-// selected in arrival-ID order, so results stay bit-identical for any
-// worker or shard count.
+// autoscaling. The dispatcher's timeline carries a fixed epoch schedule
+// interleaved with the arrivals (an epoch due at an arrival's instant
+// fires before the arrival, and epochs continue past the last arrival to
+// the workload horizon); at each epoch it steps the fleet to the epoch
+// instant, applies scheduled drains and the autoscaler's watermark
+// decisions, migrates sessions off draining servers, and lets the
+// Rebalancer plan hotspot migrations. Everything happens in the
+// sequential phase of the run — never during the concurrent post-horizon
+// drain — and sessions are always selected in arrival-ID order, so
+// results stay bit-identical for any worker or shard count.
 //
 // A migration moves the live session — frame cursor, playlist/content
 // process, controller decision state, every rng stream, accumulators — via
@@ -224,10 +224,9 @@ func mamutController(ctrl transcode.Controller) *core.Controller {
 // --- epoch machinery --------------------------------------------------
 
 // epoch runs one control step at time t: step the fleet there, fold what
-// departed, then drain/scale/migrate. Called only in the sequential phase
-// (between arrivals, or between the last arrival and the horizon), so
-// every decision and migration lands at a deterministic point of the one
-// merged event order.
+// departed, then drain/scale/migrate. It is a timeline moment, run in the
+// sequential phase, so every decision and migration lands at a
+// deterministic point of the one merged event order.
 func (d *dispatcher) epoch(t float64) error {
 	if err := d.syncPoint(t); err != nil {
 		return err
@@ -236,11 +235,7 @@ func (d *dispatcher) epoch(t float64) error {
 	// incrementally; sync them here so epoch decisions read the same
 	// occupancy/power floats the production path maintains.
 	if !d.indexed {
-		for i, fs := range d.servers {
-			if !fs.retired {
-				d.refreshState(i)
-			}
-		}
+		d.refreshLive()
 	}
 	for len(d.drainQueue) > 0 && d.drainQueue[0].AtSec <= t {
 		d.markDraining(d.drainQueue[0].Server)
@@ -325,16 +320,9 @@ func (d *dispatcher) autoscale() {
 func (d *dispatcher) addServer() {
 	i := len(d.servers)
 	fs := &fleetServer{resident: make(map[int]residentRec), budgetW: d.budget}
-	if d.store != nil {
-		fs.harvest = make(map[int]harvestEntry)
-	}
-	if d.shards != nil {
-		// Scaled-out servers join shards on the same index-mod rule as
-		// the initial fleet (runs in the serial phase; shards are idle).
-		sh := d.shards[i%len(d.shards)]
-		fs.sh = sh
-		sh.srv = append(sh.srv, i)
-	}
+	// Scaled-out servers join shards on the same index-mod rule as the
+	// initial fleet (runs in the serial phase; shards are idle).
+	d.joinShard(i, fs)
 	d.servers = append(d.servers, fs)
 	d.states = append(d.states, ServerState{
 		Index:        i,
@@ -355,11 +343,17 @@ func (d *dispatcher) addServer() {
 
 // retireEmpty removes emptied draining servers from the fleet. Their
 // accumulated results (admissions, power window, peak) stay in the final
-// report; their indexes are never reused.
+// report; their indexes are never reused. A server retiring inside a
+// blip window leaves the blipped count — it is out of the fleet, not out
+// of service — and its window end then finds nothing to restore.
 func (d *dispatcher) retireEmpty() {
 	changed := false
 	for _, fs := range d.servers {
 		if fs.decom && !fs.retired && fs.cur == 0 {
+			if fs.blipped {
+				fs.blipped = false
+				d.blippedCnt--
+			}
 			fs.retired = true
 			d.liveSrv--
 			d.removedSrv++
@@ -485,7 +479,7 @@ func (d *dispatcher) migrate(t float64, from, sessID, to int) error {
 	if !ok {
 		return fmt.Errorf("serve: migrate: server %d has no session %d", from, sessID)
 	}
-	if err := src.eng.AdvanceTo(t); err != nil {
+	if err := d.advance(from, t); err != nil {
 		return err
 	}
 	st, err := src.eng.ExtractSession(sessID)
@@ -493,14 +487,9 @@ func (d *dispatcher) migrate(t float64, from, sessID, to int) error {
 		return fmt.Errorf("serve: migrate session %d off server %d: %w", sessID, from, err)
 	}
 	st.StallSec = d.cfg.MigrationStallSec
-	// The knowledge-harvest identity moves with the session, keeping the
-	// baseline it was seeded with.
-	var seeded *core.Snapshot
-	if he, ok := src.harvest[sessID]; ok {
-		seeded = he.seeded
-		delete(src.harvest, sessID)
-	}
-	if err := d.injectSession(to, t, rec, st, seeded); err != nil {
+	// The record carries the knowledge-harvest identity across, keeping
+	// the baseline the session was seeded with.
+	if err := d.injectSession(to, t, rec, st); err != nil {
 		return fmt.Errorf("serve: migrate session %d to server %d: %w", sessID, to, err)
 	}
 	delete(src.resident, sessID)
@@ -522,10 +511,10 @@ func (d *dispatcher) migrate(t float64, from, sessID, to int) error {
 // restore) session state on server i at time t: the engine is created on
 // first use and advanced to t, fresh source and controller shells take
 // the payload's mid-stream state, and the session is booked resident
-// under rec — with a knowledge-harvest entry carrying seeded, the
-// warm-start baseline its eventual contribution subtracts. The caller
-// refreshes the server's state and event-heap key.
-func (d *dispatcher) injectSession(i int, t float64, rec residentRec, st *transcode.SessionState, seeded *core.Snapshot) error {
+// under rec — whose seeded snapshot stays the warm-start baseline its
+// eventual contribution subtracts. The caller refreshes the server's
+// state and event-heap key.
+func (d *dispatcher) injectSession(i int, t float64, rec residentRec, st *transcode.SessionState) error {
 	fs := d.servers[i]
 	if err := d.engineAt(i, t); err != nil {
 		return err
@@ -553,21 +542,7 @@ func (d *dispatcher) injectSession(i int, t float64, rec residentRec, st *transc
 	if err != nil {
 		return err
 	}
-	fs.resident[id] = rec
-	fs.cur++
-	if fs.cur > fs.peak {
-		fs.peak = fs.cur
-	}
-	if rec.res == video.HR {
-		fs.hr++
-	} else {
-		fs.lr++
-	}
-	if fs.harvest != nil {
-		if mc := mamutController(ctrl); mc != nil {
-			fs.harvest[id] = harvestEntry{reqID: rec.reqID, res: rec.res, ctrl: mc, seeded: seeded}
-		}
-	}
+	fs.book(id, rec, ctrl, d.store != nil)
 	return nil
 }
 
@@ -580,5 +555,5 @@ func (d *dispatcher) engineAt(i int, t float64) error {
 			return err
 		}
 	}
-	return fs.eng.AdvanceTo(t)
+	return d.advance(i, t)
 }

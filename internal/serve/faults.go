@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"mamut/internal/core"
 	"mamut/internal/platform"
 	"mamut/internal/transcode"
 	"mamut/internal/video"
@@ -48,8 +47,8 @@ import (
 // waiting room sheds from the tail of the class-priority order, so
 // low-priority recoveries are lost before high-priority ones.
 //
-// Every fault lands at a precomputed control moment of the one merged
-// event order (see controlMoments), strictly in the serial phase, so
+// Every fault edge is a precomputed moment of the run's one timeline
+// (see dispatcher.timeline), run strictly in the serial phase, so
 // fault runs keep the repo invariant: byte-identical results across
 // worker and shard counts — and with no plan configured, no fault code
 // runs and output byte-matches the pre-fault goldens.
@@ -424,103 +423,11 @@ func (d *dispatcher) recoveryClass(res video.Resolution) FaultRecoveryClass {
 	return d.cfg.Faults.Recovery.LR
 }
 
-// --- control timeline -------------------------------------------------
-
-// momentKind orders control moments landing at the same instant: epochs
-// first (topology decisions precede faults, matching the pre-fault epoch
-// loop exactly when no faults are scheduled), then checkpoints (a
-// snapshot taken at the instant of a crash is taken *before* it — the
-// operator scheduling both deserves the save), then faults.
-type momentKind int
-
-const (
-	momentEpoch momentKind = iota
-	momentCheckpoint
-	momentFault
-)
-
-// controlMoment is one precomputed entry of the run's control timeline:
-// an elastic epoch, a periodic checkpoint pass, or a fault event edge
-// (start, or the end of a degrade/blip window).
-type controlMoment struct {
-	at    float64
-	kind  momentKind
-	ev    FaultEvent // momentFault only
-	start bool       // fault window start (crash counts as a start)
-}
-
-// controlMoments precomputes the run's whole control timeline: every
-// epoch instant (exactly the floats the retired epoch loop generated),
-// every checkpoint instant, and both edges of every fault window, sorted
-// by time with a fixed tie order. Run consumes the timeline interleaved
-// with the arrival stream — a moment due at an arrival's instant runs
-// before the arrival — so every control action lands at a deterministic
-// point of the one merged event order. An empty timeline reduces Run to
-// the plain arrival loop.
-func (d *dispatcher) controlMoments() []controlMoment {
-	var ms []controlMoment
-	horizon := d.cfg.Workload.DurationSec
-	if d.epochSec > 0 {
-		for k := 1; ; k++ {
-			t := float64(k) * d.epochSec
-			if t > horizon {
-				break
-			}
-			ms = append(ms, controlMoment{at: t, kind: momentEpoch})
-		}
-	}
-	if d.faultsOn {
-		if cp := d.cfg.Faults.CheckpointSec; cp > 0 {
-			for k := 1; ; k++ {
-				t := float64(k) * cp
-				if t > horizon {
-					break
-				}
-				ms = append(ms, controlMoment{at: t, kind: momentCheckpoint})
-			}
-		}
-		for _, ev := range d.cfg.Faults.Plan {
-			ms = append(ms, controlMoment{at: ev.AtSec, kind: momentFault, ev: ev, start: true})
-			if ev.Kind != FaultCrash {
-				ms = append(ms, controlMoment{at: ev.EndSec, kind: momentFault, ev: ev})
-			}
-		}
-	}
-	sort.SliceStable(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.start != b.start {
-			// A window ending exactly where another starts on the same
-			// server releases it first.
-			return !a.start
-		}
-		return a.ev.Server < b.ev.Server
-	})
-	return ms
-}
-
-// control executes one timeline moment.
-func (d *dispatcher) control(m controlMoment) error {
-	switch m.kind {
-	case momentEpoch:
-		return d.epoch(m.at)
-	case momentCheckpoint:
-		return d.checkpointFleet(m.at)
-	default:
-		return d.applyFault(m)
-	}
-}
-
 // applyFault executes one fault edge: sync the fleet to the instant,
 // apply the fault, then run a queue decision point — a crash just
 // enqueued recovery entries that want the surviving capacity, and a
 // window end just returned some.
-func (d *dispatcher) applyFault(m controlMoment) error {
+func (d *dispatcher) applyFault(m moment) error {
 	t := m.at
 	if err := d.syncPoint(t); err != nil {
 		return err
@@ -535,9 +442,9 @@ func (d *dispatcher) applyFault(m controlMoment) error {
 	case m.ev.Kind == FaultBlip && m.start:
 		d.blipStart(m.ev.Server)
 	case m.ev.Kind == FaultBlip:
-		d.blipEnd(m.ev)
+		d.blipEnd(*m.ev)
 	case m.start:
-		err = d.degradeStart(t, m.ev)
+		err = d.degradeStart(t, *m.ev)
 	default:
 		err = d.degradeEnd(t, m.ev.Server)
 	}
@@ -559,22 +466,12 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 	if fs.retired {
 		return // already out of the fleet (drained empty before the fault)
 	}
-	horizon := d.cfg.Workload.DurationSec
 	for _, id := range sessionsByArrival(fs, len(fs.resident)) {
 		rec := fs.resident[id]
 		d.interrupted++
 		// The span served before the crash is real busy time on this
 		// server; the restored remainder accrues on the new server.
-		lo, hi := rec.startAt, t
-		if lo < d.cfg.WarmupSec {
-			lo = d.cfg.WarmupSec
-		}
-		if hi > horizon {
-			hi = horizon
-		}
-		if hi > lo {
-			d.busy[srv] += hi - lo
-		}
+		d.chargeBusy(srv, rec.startAt, t)
 		snap, hasSnap := d.snaps[rec.reqID]
 		snapAt := rec.startAt
 		if hasSnap {
@@ -597,12 +494,6 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 			continue
 		}
 		cl := d.recoveryClass(rec.res)
-		var seeded *core.Snapshot
-		if fs.harvest != nil {
-			if he, ok := fs.harvest[id]; ok {
-				seeded = he.seeded
-			}
-		}
 		// The recovery entry joins the waiting room at the crash instant
 		// — behind the arrivals already waiting in its class, ahead of
 		// later ones — eligible immediately (backoff starts only after a
@@ -614,7 +505,6 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 			recovery:   true,
 			rec:        rec,
 			snap:       snap.data,
-			seeded:     seeded,
 			eligibleAt: t,
 			crashAt:    t,
 		})
@@ -625,9 +515,6 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 	// report. Crashes are reported separately from drain decommissions.
 	victims := fs.cur
 	fs.resident = make(map[int]residentRec)
-	if fs.harvest != nil {
-		fs.harvest = make(map[int]harvestEntry)
-	}
 	fs.cur, fs.hr, fs.lr = 0, 0, 0
 	d.active -= victims
 	fs.eng = nil
@@ -643,7 +530,7 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 	d.liveSrv--
 	d.crashedSrv++
 	d.nextEvt[srv] = math.Inf(1)
-	if t < horizon {
+	if horizon := d.cfg.Workload.DurationSec; t < horizon {
 		d.unavailSec += horizon - t
 	}
 	d.refreshState(srv)
@@ -726,7 +613,7 @@ func (d *dispatcher) degradeStart(t float64, ev FaultEvent) error {
 	fs.spec = &dspec
 	fs.budgetW = powerBudgetW(dspec)
 	if fs.eng != nil {
-		if err := fs.eng.AdvanceTo(t); err != nil {
+		if err := d.advance(ev.Server, t); err != nil {
 			return err
 		}
 		if err := fs.eng.Reprofile(dspec); err != nil {
@@ -747,7 +634,7 @@ func (d *dispatcher) degradeEnd(t float64, srv int) error {
 	fs.spec = nil
 	fs.budgetW = d.budget
 	if fs.eng != nil && !fs.retired {
-		if err := fs.eng.AdvanceTo(t); err != nil {
+		if err := d.advance(srv, t); err != nil {
 			return err
 		}
 		if err := fs.eng.Reprofile(d.spec); err != nil {
@@ -780,7 +667,7 @@ func (d *dispatcher) checkpointFleet(t float64) error {
 		// Align the engine clock with the checkpoint instant so every
 		// extraction starts from the same settlement anchor, however
 		// lazily the sweep advanced the engine.
-		if err := fs.eng.AdvanceTo(t); err != nil {
+		if err := d.advance(i, t); err != nil {
 			return err
 		}
 		for _, id := range sessionsByArrival(fs, len(fs.resident)) {
@@ -828,7 +715,7 @@ func (d *dispatcher) restoreSession(e *queueEntry, choice int, t float64) error 
 		// the session's eventual contribution must subtract what it was
 		// seeded with, not re-donate it.
 		rec.startAt = t
-		if err := d.injectSession(choice, t, rec, st, e.seeded); err != nil {
+		if err := d.injectSession(choice, t, rec, st); err != nil {
 			return fmt.Errorf("serve: restore session %d on server %d: %w", rec.reqID, choice, err)
 		}
 	} else {

@@ -14,10 +14,10 @@ import (
 // instead of re-exploring a platform the service has already learned.
 //
 // Determinism is the design centerpiece. Contributions fold into the
-// store in a fixed order: at each event-interleaved arrival instant the
-// dispatcher collects the departures every engine surfaced while being
-// stepped to that instant, sorts them by arrival ID and folds them
-// before the placement decision, so the snapshot a new session is seeded
+// store in a fixed order: at each decision instant of the run's timeline
+// the dispatcher collects the departures every engine surfaced while
+// being stepped to that instant, sorts them by arrival ID and folds them
+// before the decision, so the snapshot a new session is seeded
 // from depends only on (workload, seed) — never on server iteration
 // order or the worker pool. Departures during the post-arrival drain
 // phase are deliberately not folded: no admission can observe them, and

@@ -1,16 +1,17 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
 	"mamut/internal/core"
 	"mamut/internal/experiments"
-	"mamut/internal/heaps"
 	"mamut/internal/hevc"
 	"mamut/internal/metrics"
 	"mamut/internal/platform"
@@ -86,16 +87,19 @@ type Config struct {
 	// (0 = one per CPU, 1 = serial). Results are bit-identical for any
 	// worker count.
 	Workers int
-	// Shards splits the fleet across per-shard dispatcher goroutines:
-	// server i belongs to shard i mod Shards, and each shard advances
-	// its own engines (with its own slice of the event heap) in the
-	// parallel phase of every dispatcher step, reconciling with the
-	// coordinator at a barrier before any placement or epoch decision —
-	// see shard.go. Results are bit-identical to Shards <= 1 (the
-	// single-goroutine dispatcher) for every policy, knowledge reuse and
-	// the elastic features; shards only buy wall clock on multi-core
-	// hosts once fleets are large enough that advancing engines
-	// dominates placement. 0 or 1 = unsharded.
+	// Shards splits the fleet into shards: server i belongs to shard
+	// i mod Shards, and each shard advances its own engines (with its
+	// own slice of the event heap) in the parallel phase of every
+	// dispatcher step, reconciling with the coordinator at a barrier
+	// before any placement, epoch or fault decision — see shard.go. The
+	// coordinator advances shard 0 itself and every other shard runs on
+	// its own goroutine, so 0 or 1 (unsharded) is the one-shard case of
+	// the same code: one inline shard. Departures are always buffered
+	// and reconciled by the coordinator. Results are bit-identical for
+	// every shard count, policy, knowledge reuse and the elastic
+	// features; shards only buy wall clock on multi-core hosts once
+	// fleets are large enough that advancing engines dominates
+	// placement.
 	Shards int
 	// reference selects the O(servers)-per-arrival scan dispatcher the
 	// equivalence tests compare the production dispatcher against:
@@ -560,12 +564,12 @@ func (c Config) Validate() error {
 }
 
 // departRec is the dispatcher's record of one completed session — the
-// only per-session state that survives a departure. It is queued by the
-// engine's OnSessionEnd hook and folded into the streaming aggregates in
-// arrival-ID order (at the next arrival instant, or at finish for the
-// drain phase), so the fold sequence — and therefore every accumulated
-// float — depends only on the workload and seed, never on server
-// iteration order, dispatcher implementation or the worker pool.
+// only per-session state that survives a departure. It is buffered by the
+// engine's OnSessionEnd hook and folded — knowledge contribution, then
+// streaming aggregates — in arrival-ID order (at the next sync point, or
+// at finish for the drain phase), so the fold sequence — and therefore
+// every accumulated float — depends only on the workload and seed, never
+// on server iteration order, shard count or the worker pool.
 type departRec struct {
 	reqID                                     int
 	server                                    int
@@ -577,6 +581,10 @@ type departRec struct {
 	measured                                  bool
 	frames                                    int
 	violationPct, avgFPS, avgPSNR, avgBitrate float64
+	// ctrl and seeded are the session's knowledge harvest (nil unless
+	// knowledge reuse is on and the session departed before the drain).
+	ctrl   *core.Controller
+	seeded *core.Snapshot
 }
 
 // fleetServer is the dispatcher's live view of one server: its engine
@@ -603,18 +611,11 @@ type fleetServer struct {
 	power *metrics.PowerIntegrator
 	// drained collects departure records from the post-arrival drain.
 	// The drain runs engines concurrently, so each engine appends only
-	// to its own server's slice; finish merges and sorts them.
-	drained []departRec
-
-	// Knowledge harvest (knowledge reuse only). harvest maps the engine
-	// session id of every resident MAMUT session to its contribution
-	// identity; the departure hook moves entries to the dispatcher's
-	// pending batch, which folds into the store — sorted by arrival ID
-	// across the whole fleet — at the next arrival instant. draining is
-	// set before the post-arrival drain: drain departures are not
-	// harvested (no admission can observe them), which keeps the drained
-	// engines independent and the output identical for any worker count.
-	harvest  map[int]harvestEntry
+	// to its own server's slice; finish merges and sorts them. draining
+	// is set before the drain: drain departures are not harvested (no
+	// admission can observe them), which keeps the drained engines
+	// independent and the output identical for any worker count.
+	drained  []departRec
 	draining bool
 
 	// decom marks the server decommissioning (no admissions; evacuated by
@@ -637,10 +638,9 @@ type fleetServer struct {
 	spec    *platform.Spec
 	budgetW float64
 
-	// sh is the shard owning this server (nil when the run is unsharded).
-	// During the parallel sweep window only the owning shard's goroutine
-	// touches this server; the departure hook buffers into sh instead of
-	// the dispatcher (see shard.go).
+	// sh is the shard owning this server. During the parallel sweep
+	// window only the owning shard touches this server; the departure
+	// hook buffers into sh, never into the dispatcher (see shard.go).
 	sh *shard
 }
 
@@ -663,17 +663,13 @@ type residentRec struct {
 	// crash victim re-enters the admission queue as a recovery entry and
 	// needs the full request to re-place (and possibly cold-restart).
 	req SessionRequest
-}
-
-// harvestEntry identifies one future knowledge contribution. seeded is
-// the snapshot the session was warm-started from (nil for a cold
-// start): at harvest time its counts are subtracted from the departing
-// snapshot so the session contributes only its own experience —
-// re-contributing seeded mass would compound the pool exponentially
-// across generations of warm starts.
-type harvestEntry struct {
-	reqID  int
-	res    video.Resolution
+	// Knowledge harvest identity (knowledge reuse only): ctrl is the
+	// session's learner, seeded the snapshot it was warm-started from
+	// (nil for a cold start). At harvest the seed's counts are
+	// subtracted from the departing snapshot so the session contributes
+	// only its own experience — re-contributing seeded mass would
+	// compound the pool exponentially across generations of warm starts.
+	// Both move with the session through migrations and restores.
 	ctrl   *core.Controller
 	seeded *core.Snapshot
 }
@@ -733,43 +729,52 @@ func (fs *fleetServer) addSession(req SessionRequest, cfg Config, catalog *video
 		// Measurement keys off the arrival, not the admission: a session
 		// that arrived in-window is measured however long it queued.
 		measured: req.ArriveAtSec >= cfg.WarmupSec,
+		seeded:   seeded,
 	}
 	if cfg.Faults.Enabled() {
 		// Keep the full request only when a crash could force this
 		// session back through the admission queue.
 		rec.req = req
 	}
+	fs.book(id, rec, ctrl, cfg.KnowledgeReuse)
+	return id, nil
+}
+
+// book registers engine session id as resident under rec: the class
+// counts, the peak counter, and — when harvest is on — the session's
+// learner as its knowledge-harvest identity. Shared by fresh admissions
+// and injected (migrated or restored) sessions.
+func (fs *fleetServer) book(id int, rec residentRec, ctrl transcode.Controller, harvest bool) {
+	if harvest {
+		rec.ctrl = mamutController(ctrl)
+	}
 	fs.resident[id] = rec
 	fs.cur++
 	if fs.cur > fs.peak {
 		fs.peak = fs.cur
 	}
-	if fs.harvest != nil {
-		if mc := mamutController(ctrl); mc != nil {
-			fs.harvest[id] = harvestEntry{reqID: req.ID, res: req.Res, ctrl: mc, seeded: seeded}
-		}
-	}
-	if req.Res == video.HR {
+	if rec.res == video.HR {
 		fs.hr++
 	} else {
 		fs.lr++
 	}
-	return id, nil
 }
 
 // Run executes one service simulation as a single event-interleaved fleet:
 // the arrival process and every server's frame-level simulation advance on
-// one merged clock. Before each placement decision the fleet is stepped
-// to the arrival instant, so departures at or before it — at their
-// *actual*, contention-stretched times — have already freed their slots,
-// and the policy decides from true occupancy. The dispatcher does this
-// in O(k log servers) per arrival: a min-heap keyed by each engine's
-// next event time pops only the k servers with events due (idle engines
-// are never touched), server states update incrementally on
-// admission/departure, and the built-in policies place through their
-// fleet index. After the last arrival the engines have no further
-// interaction and drain to completion across the worker pool; results
-// are bit-identical for any worker count.
+// one merged clock. Every dispatcher step — an arrival, an elastic epoch,
+// a checkpoint pass, a fault edge, the horizon pass — is a moment of one
+// precomputed timeline, and Run steps through it in order. Before each
+// decision the fleet is stepped to the moment's instant, so departures at
+// or before it — at their *actual*, contention-stretched times — have
+// already freed their slots, and the policy decides from true occupancy.
+// The dispatcher does this in O(k log servers) per arrival: a min-heap
+// keyed by each engine's next event time pops only the k servers with
+// events due (idle engines are never touched), server states update
+// incrementally on admission/departure, and the built-in policies place
+// through their fleet index. After the timeline the engines have no
+// further interaction and drain to completion across the worker pool;
+// results are bit-identical for any worker count.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -824,39 +829,141 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	// Join the shard goroutines however the run ends (including mid-run
-	// errors); no-op for unsharded runs.
+	// errors).
 	defer d.stopShards()
-	// Interleave the control timeline — elastic epochs, periodic fault
-	// checkpoints, fault events — with the arrivals on the one merged
-	// clock. A moment due exactly at an arrival's instant runs before the
-	// arrival (drain/scale/fault effects apply to it), and the timeline
-	// continues past the last arrival to the horizon. With no elasticity
-	// and no faults the timeline is empty and this is the plain arrival
-	// loop.
-	moments := d.controlMoments()
-	mi := 0
-	for _, req := range arrivals {
-		for mi < len(moments) && moments[mi].at <= req.ArriveAtSec {
-			if err := d.control(moments[mi]); err != nil {
-				return nil, err
-			}
-			mi++
-		}
-		if err := d.place(req); err != nil {
-			return nil, err
-		}
-	}
-	for ; mi < len(moments); mi++ {
-		if err := d.control(moments[mi]); err != nil {
+	for _, m := range d.timeline(arrivals) {
+		if err := d.step(m); err != nil {
 			return nil, err
 		}
 	}
 	return d.finish()
 }
 
+// momentKind orders timeline moments landing at the same instant: epochs
+// first (topology decisions precede faults), then checkpoints (a snapshot
+// taken at the instant of a crash is taken *before* it — the operator
+// scheduling both deserves the save), then faults, then arrivals (drain,
+// scale and fault effects apply to an arrival at their instant), and the
+// horizon pass last.
+type momentKind uint8
+
+const (
+	momentEpoch momentKind = iota
+	momentCheckpoint
+	momentFault
+	momentArrival
+	momentHorizon
+)
+
+// moment is one precomputed entry of the run's timeline: an elastic
+// epoch, a periodic checkpoint pass, a fault event edge (start, or the
+// end of a degrade/blip window), an arrival, or the queue's horizon pass.
+type moment struct {
+	at    float64
+	ev    *FaultEvent     // momentFault only
+	req   *SessionRequest // momentArrival only
+	kind  momentKind
+	start bool // fault window start (crash counts as a start)
+}
+
+// timeline precomputes the run's whole timeline: every epoch instant,
+// every checkpoint instant and both edges of every fault window, sorted
+// by time with the fixed kind order (fault edges at one instant: window
+// ends first, then by server), merged with the arrivals — already in
+// time order, ties in ID order — and closed by the horizon pass. The
+// horizon pass is a queue decision point, emitted only when the queue is
+// configured: on a queue-off run it would split the final fold batch and
+// add knowledge contributions.
+func (d *dispatcher) timeline(arrivals []SessionRequest) []moment {
+	var ctl []moment
+	horizon := d.cfg.Workload.DurationSec
+	if d.epochSec > 0 {
+		for k := 1; ; k++ {
+			t := float64(k) * d.epochSec
+			if t > horizon {
+				break
+			}
+			ctl = append(ctl, moment{at: t, kind: momentEpoch})
+		}
+	}
+	if d.faultsOn {
+		if cp := d.cfg.Faults.CheckpointSec; cp > 0 {
+			for k := 1; ; k++ {
+				t := float64(k) * cp
+				if t > horizon {
+					break
+				}
+				ctl = append(ctl, moment{at: t, kind: momentCheckpoint})
+			}
+		}
+		for i := range d.cfg.Faults.Plan {
+			ev := &d.cfg.Faults.Plan[i]
+			ctl = append(ctl, moment{at: ev.AtSec, kind: momentFault, ev: ev, start: true})
+			if ev.Kind != FaultCrash {
+				ctl = append(ctl, moment{at: ev.EndSec, kind: momentFault, ev: ev})
+			}
+		}
+	}
+	sort.SliceStable(ctl, func(i, j int) bool {
+		a, b := ctl[i], ctl[j]
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.kind != b.kind || a.kind != momentFault {
+			return a.kind < b.kind
+		}
+		if a.start != b.start {
+			// A window ending exactly where another starts on the same
+			// server releases it first.
+			return !a.start
+		}
+		return a.ev.Server < b.ev.Server
+	})
+	ms := make([]moment, 0, len(ctl)+len(arrivals)+1)
+	for i := range arrivals {
+		at := arrivals[i].ArriveAtSec
+		for len(ctl) > 0 && ctl[0].at <= at {
+			ms, ctl = append(ms, ctl[0]), ctl[1:]
+		}
+		ms = append(ms, moment{at: at, kind: momentArrival, req: &arrivals[i]})
+	}
+	ms = append(ms, ctl...)
+	if d.queueOn {
+		ms = append(ms, moment{at: horizon, kind: momentHorizon})
+	}
+	return ms
+}
+
+// step executes one timeline moment.
+func (d *dispatcher) step(m moment) error {
+	switch m.kind {
+	case momentEpoch:
+		return d.epoch(m.at)
+	case momentCheckpoint:
+		return d.checkpointFleet(m.at)
+	case momentFault:
+		return d.applyFault(m)
+	case momentArrival:
+		return d.place(*m.req)
+	default: // momentHorizon
+		// Departures between the last arrival and the end of the run
+		// free capacity the queue is still entitled to. Whatever cannot
+		// admit here drops — nothing runs the pipeline after the
+		// horizon. (Park-invariance makes the extra sweep exact.)
+		if err := d.syncPoint(m.at); err != nil {
+			return err
+		}
+		if err := d.queueStep(m.at); err != nil {
+			return err
+		}
+		d.flushQueue()
+		return nil
+	}
+}
+
 // dispatcher is the live state of one service run's interleaved phase:
-// the fleet, the policy (with its optional index), the engine event heap
-// and the knowledge-harvest pipeline.
+// the fleet, the policy (with its optional index), the sharded engine
+// event heap and the departure pipeline.
 type dispatcher struct {
 	cfg     Config
 	spec    platform.Spec
@@ -877,24 +984,20 @@ type dispatcher struct {
 
 	servers []*fleetServer
 	states  []ServerState
-	evts    heaps.Heap[fleetEvent]
 	nextEvt []float64 // current heap key per server (+Inf = idle, not in heap)
 
-	// Sharded sweep (cfg.Shards > 1 only; see shard.go): the fleet
-	// partitions, the barrier acknowledgement channel, the goroutine
-	// join, and the flag marking the parallel window — the departure
-	// hook buffers shard-locally exactly while it is up.
+	// Sharded sweep (see shard.go): the fleet partitions (at least one),
+	// the barrier acknowledgement channel, the goroutine join, and the
+	// pprof label context shard 0's inline advance runs under.
 	shards    []*shard
 	shardAcks chan shardAck
 	shardWG   sync.WaitGroup
-	parallel  bool
+	shard0Ctx context.Context
 
 	// Knowledge reuse: the store, the seed snapshot the WarmStart
-	// closure hands the next controller, the cross-fleet departure batch
-	// awaiting its fold, and the warm-start count.
+	// closure hands the next controller, and the warm-start count.
 	store       *KnowledgeStore
 	pendingSeed *core.Snapshot
-	pending     []harvestEntry
 	seeded      int
 
 	// Elasticity (epochSec > 0 only): the rebalancer, the scheduled
@@ -913,9 +1016,9 @@ type dispatcher struct {
 	scratch    []ServerState
 
 	// Streaming aggregation state. Sessions fold in at their departure
-	// events (pendingStats, sorted by arrival ID per fold batch); the
-	// scalar counters update at placement time. Nothing here grows with
-	// the number of sessions served.
+	// events (departs, sorted by arrival ID per fold batch); the scalar
+	// counters update at placement time. Nothing here grows with the
+	// number of sessions served.
 	sloFPS       float64 // SLO threshold: SLOFPSFactor * target FPS
 	active       int     // fleet-wide resident sessions
 	offered      int
@@ -932,7 +1035,7 @@ type dispatcher struct {
 	sloWin       *metrics.DecayedMean
 	rejWin       *metrics.DecayedMean
 	utilWin      *metrics.DecayedMean
-	pendingStats []departRec
+	departs      []departRec
 	outcomes     []SessionOutcome // only when cfg.RetainSessions
 
 	// Queued admission (cfg.Queue.Capacity > 0 only; see admission.go):
@@ -1007,9 +1110,6 @@ func (d *dispatcher) init(arrivals int) error {
 	d.servers = make([]*fleetServer, cfg.Servers)
 	for i := range d.servers {
 		d.servers[i] = &fleetServer{resident: make(map[int]residentRec), budgetW: d.budget}
-		if d.store != nil {
-			d.servers[i].harvest = make(map[int]harvestEntry)
-		}
 	}
 	d.states = make([]ServerState, cfg.Servers)
 	for i := range d.states {
@@ -1129,10 +1229,11 @@ func (d *dispatcher) init(arrivals int) error {
 	return nil
 }
 
-// place runs the admission pipeline for one arrival: sync the fleet to
-// the arrival instant, run a queue decision point against the freed
-// capacity, then dispatch the arrival itself — admit, queue, or reject
-// (see admission.go for the pipeline and the outcome taxonomy).
+// place is the arrival moment's step, the admission pipeline for one
+// arrival: sync the fleet to the arrival instant, run a queue decision
+// point against the freed capacity, then dispatch the arrival itself —
+// admit, queue, or reject (see admission.go for the pipeline and the
+// outcome taxonomy).
 func (d *dispatcher) place(req SessionRequest) error {
 	t := req.ArriveAtSec
 	if err := d.syncPoint(t); err != nil {
@@ -1209,19 +1310,53 @@ func (d *dispatcher) sampleWindows(t float64, rejected bool) {
 	}
 }
 
-// foldStats folds every departure surfaced since the last fold into the
-// streaming aggregates, in arrival-ID order. t is the fold instant (the
-// arrival being placed, or the horizon for the drain batch), used as the
-// decay timestamp of the windowed views.
-func (d *dispatcher) foldStats(t float64) {
-	if len(d.pendingStats) == 0 {
-		return
+// foldBatch folds every departure surfaced since the last fold, in
+// arrival-ID order across the whole fleet: each record contributes its
+// knowledge harvest to the store, then folds into the streaming
+// aggregates. The fixed order pins the floating-point fold sequence, so
+// the store contents — and every snapshot later admissions are seeded
+// from — and every aggregate depend only on the workload and seed. t is
+// the fold instant (the sync point, or the horizon for the drain batch),
+// used as the decay timestamp of the windowed views.
+func (d *dispatcher) foldBatch(t float64) error {
+	if len(d.departs) == 0 {
+		return nil
 	}
-	sort.Slice(d.pendingStats, func(i, j int) bool { return d.pendingStats[i].reqID < d.pendingStats[j].reqID })
-	for _, r := range d.pendingStats {
+	sort.Slice(d.departs, func(i, j int) bool { return d.departs[i].reqID < d.departs[j].reqID })
+	for _, r := range d.departs {
+		if r.ctrl != nil {
+			snap := r.ctrl.Snapshot()
+			if r.seeded != nil {
+				// Contribute the session's own experience only: keep its
+				// final Q estimates but weight them by the visits it made
+				// itself, not by the recycled seed mass.
+				if err := snap.SubtractCounts(*r.seeded); err != nil {
+					return err
+				}
+			}
+			if err := d.store.Contribute(r.res, snap); err != nil {
+				return err
+			}
+		}
 		d.foldDepart(r, t)
 	}
-	d.pendingStats = d.pendingStats[:0]
+	clear(d.departs) // release the folded learners
+	d.departs = d.departs[:0]
+	return nil
+}
+
+// chargeBusy credits server srv with the part of its residency [lo, hi)
+// inside the measurement window.
+func (d *dispatcher) chargeBusy(srv int, lo, hi float64) {
+	if lo < d.cfg.WarmupSec {
+		lo = d.cfg.WarmupSec
+	}
+	if hi > d.cfg.Workload.DurationSec {
+		hi = d.cfg.Workload.DurationSec
+	}
+	if hi > lo {
+		d.busy[srv] += hi - lo
+	}
 }
 
 // foldDepart folds one completed session into the streaming aggregates:
@@ -1232,16 +1367,7 @@ func (d *dispatcher) foldDepart(r departRec, t float64) {
 	// Busy time starts at admission (startAt), not arrival: a queued
 	// session occupied no server while it waited. With queueing off the
 	// two instants coincide.
-	lo, hi := r.startAt, r.endAt
-	if lo < d.cfg.WarmupSec {
-		lo = d.cfg.WarmupSec
-	}
-	if hi > d.cfg.Workload.DurationSec {
-		hi = d.cfg.Workload.DurationSec
-	}
-	if hi > lo {
-		d.busy[r.server] += hi - lo
-	}
+	d.chargeBusy(r.server, r.startAt, r.endAt)
 	if d.outcomes != nil {
 		so := &d.outcomes[r.reqID]
 		so.Frames = r.frames
@@ -1284,69 +1410,28 @@ func (d *dispatcher) foldDepart(r departRec, t float64) {
 	}
 }
 
-// sweepTo advances the fleet to the arrival instant. The indexed path
-// pops only engines whose next event is due at or before it — idle or
-// empty engines are never touched — so the sweep costs O(k log servers)
-// for the k servers with events. Advancing an engine lazily is exact:
-// the transcode engine settles its energy/thermal/virtual-clock
-// integration at events, never at parks, so skipped parks cannot shift
-// any result (see transcode.Engine.AdvanceTo). The test reference
-// advances every live engine instead.
-func (d *dispatcher) sweepTo(t float64) error {
-	if d.shards != nil {
-		return d.sweepShards(t)
-	}
-	if !d.indexed {
-		for _, fs := range d.servers {
-			if fs.eng != nil {
-				if err := fs.eng.AdvanceTo(t); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for d.evts.Len() > 0 && d.evts.Peek().key <= t {
-		ent := d.evts.Pop()
-		if ent.key != d.nextEvt[ent.id] {
-			continue // stale: the engine was re-keyed after this push
-		}
-		if err := d.servers[ent.id].eng.AdvanceTo(t); err != nil {
-			return err
-		}
-		d.scheduleServer(ent.id)
-	}
-	return nil
-}
-
 // scheduleServer re-keys one engine in the event heap from its next
 // pending event; idle engines (+Inf) leave the heap entirely. Old heap
 // entries are invalidated by the key change and discarded when popped.
-// The reference sweep keeps no heap, so there it does nothing.
+// The engine is keyed into its owning shard's partition of the heap. The
+// reference sweep keeps no heap, so there it does nothing.
 func (d *dispatcher) scheduleServer(i int) {
 	if !d.indexed {
 		return
 	}
 	next := d.servers[i].eng.NextEventTime()
 	d.nextEvt[i] = next
-	if math.IsInf(next, 1) {
-		return
+	if !math.IsInf(next, 1) {
+		d.servers[i].sh.evts.Push(fleetEvent{key: next, id: i})
 	}
-	// A sharded run keys the event into the owning shard's partition of
-	// the heap; the partitions' union is exactly the unsharded heap.
-	if sh := d.servers[i].sh; sh != nil {
-		sh.evts.Push(fleetEvent{key: next, id: i})
-		return
-	}
-	d.evts.Push(fleetEvent{key: next, id: i})
 }
 
 // refreshState rebuilds one server's incrementally maintained state from
-// its resident counts — evaluating the same expression the reference
-// rebuild uses, so both paths compare identical floats — and forwards it
-// to the policy's fleet index. The reference dispatcher rebuilds every
-// state before any placement or epoch reads one, so calling this there
-// cannot change a decision.
+// its resident counts and forwards it to the policy's fleet index —
+// unless the server is retired: the index is rebuilt without it, and a
+// fault window closing on it must not reach the index. The test
+// reference rebuilds every live state with it before any placement or
+// epoch reads one (refreshLive), so both paths compare identical floats.
 func (d *dispatcher) refreshState(i int) {
 	fs := d.servers[i]
 	s := &d.states[i]
@@ -1358,8 +1443,18 @@ func (d *dispatcher) refreshState(i int) {
 	// rebalancing skip it for the window without a dedicated state bit.
 	s.Draining = fs.decom || fs.blipped
 	s.PowerBudgetW = fs.budgetW
-	if d.idx != nil {
+	if d.idx != nil && !fs.retired {
 		d.idx.Update(*s)
+	}
+}
+
+// refreshLive is the test reference's per-decision rebuild: every
+// in-service server's state from its resident counts.
+func (d *dispatcher) refreshLive() {
+	for i, fs := range d.servers {
+		if !fs.retired {
+			d.refreshState(i)
+		}
 	}
 }
 
@@ -1371,28 +1466,12 @@ func (d *dispatcher) refreshState(i int) {
 // only (matching what the fleet indexes are rebuilt from), so e.g.
 // round-robin's modulus cycles over the same servers on both paths.
 func (d *dispatcher) refreshScanStates(req SessionRequest) []ServerState {
+	if !d.indexed {
+		d.refreshLive()
+	}
 	aw := d.estW[req.Res]
-	if d.indexed {
-		for i := range d.states {
-			d.states[i].EstArrivalW = aw
-		}
-	} else {
-		for i, fs := range d.servers {
-			if fs.retired {
-				continue
-			}
-			d.states[i] = ServerState{
-				Index:        i,
-				Active:       fs.hr + fs.lr,
-				HRActive:     fs.hr,
-				LRActive:     fs.lr,
-				MaxSessions:  d.cfg.MaxSessionsPerServer,
-				EstPowerW:    d.spec.IdlePowerW + float64(fs.hr)*d.estW[video.HR] + float64(fs.lr)*d.estW[video.LR],
-				EstArrivalW:  aw,
-				Draining:     fs.decom || fs.blipped,
-				PowerBudgetW: fs.budgetW,
-			}
-		}
+	for i := range d.states {
+		d.states[i].EstArrivalW = aw
 	}
 	if d.removedSrv+d.crashedSrv == 0 {
 		return d.states
@@ -1408,12 +1487,13 @@ func (d *dispatcher) refreshScanStates(req SessionRequest) []ServerState {
 }
 
 // createEngine builds server i's engine on first admission and installs
-// the streaming hooks: the departure hook releases slots, queues the
-// session's departure record and knowledge harvest, and refreshes the
-// incremental state; the frame hook feeds the server's window-power
-// integrator. The engine discards departed sessions — the departure
-// record carries everything the aggregates need — so server memory
-// stays O(resident sessions) over any horizon.
+// the streaming hooks: the departure hook releases the server's slot and
+// buffers the session's departure record — knowledge harvest included —
+// in the owning shard for the coordinator to reconcile; the frame hook
+// feeds the server's window-power integrator. The engine discards
+// departed sessions — the departure record carries everything the
+// aggregates need — so server memory stays O(resident sessions) over any
+// horizon.
 func (d *dispatcher) createEngine(i int) error {
 	fs := d.servers[i]
 	spec := d.spec
@@ -1478,83 +1558,18 @@ func (d *dispatcher) createEngine(i int) error {
 		}
 		if fs.draining {
 			// No placement can observe drain departures, and the drain
-			// runs engines concurrently: shared dispatcher state (the
-			// state slice, the policy index, the pending batches) must
-			// not be touched from here — the record goes to the server's
-			// own drained slice and folds, sorted, at finish.
+			// runs engines concurrently: nothing shared may be touched
+			// from here, and the record is not harvested — it goes to the
+			// server's own drained slice and folds, sorted, at finish.
 			fs.drained = append(fs.drained, dr)
 			return
 		}
-		if d.parallel {
-			// Parallel sweep window of a sharded run: the hook is on the
-			// owning shard's goroutine, so only shard-local state may be
-			// touched. The global side — the active count, the stats
-			// batch, the state/index refresh, the harvest hand-off — is
-			// applied by the coordinator at the barrier close in shard-ID
-			// order; the folds sort by arrival ID, so nothing downstream
-			// can tell the difference from the inline path below.
-			sh := fs.sh
-			sh.departs = append(sh.departs, dr)
-			if fs.harvest != nil {
-				if entry, ok := fs.harvest[end.SessionID]; ok {
-					sh.harvest = append(sh.harvest, entry)
-					delete(fs.harvest, end.SessionID)
-				}
-			}
-			return
-		}
-		d.applyDeparture(dr)
-		if fs.harvest != nil {
-			if entry, ok := fs.harvest[end.SessionID]; ok {
-				d.pending = append(d.pending, entry)
-				delete(fs.harvest, end.SessionID)
-			}
-		}
+		// The hook may run on the owning shard's goroutine, so only
+		// shard-local state is touched; the coordinator applies the
+		// global side when it reconciles the shard.
+		dr.ctrl, dr.seeded = rec.ctrl, rec.seeded
+		fs.sh.departs = append(fs.sh.departs, dr)
 	})
-	return nil
-}
-
-// applyDeparture applies one departure's global side to the dispatcher:
-// the active count, the stats batch and the server's dispatch state.
-// Shared by the inline OnSessionEnd path and the shard serial-phase
-// reconciliation — both must fold a departure identically.
-func (d *dispatcher) applyDeparture(dr departRec) {
-	d.active--
-	d.pendingStats = append(d.pendingStats, dr)
-	if d.snaps != nil {
-		// The session completed; its crash checkpoint is dead weight.
-		delete(d.snaps, dr.reqID)
-	}
-	d.refreshState(dr.server)
-}
-
-// foldDepartures folds every departure the fleet has surfaced since the
-// last fold into the knowledge store, in arrival-ID order across all
-// servers. The fixed order pins the floating-point fold sequence, so the
-// store contents — and every snapshot later admissions are seeded from —
-// depend only on the workload and seed. (The production sweep and the
-// test reference surface the same departures before an arrival — a
-// departure is an engine event — so the folded batches are identical.)
-func (d *dispatcher) foldDepartures() error {
-	if len(d.pending) == 0 {
-		return nil
-	}
-	sort.Slice(d.pending, func(i, j int) bool { return d.pending[i].reqID < d.pending[j].reqID })
-	for _, e := range d.pending {
-		snap := e.ctrl.Snapshot()
-		if e.seeded != nil {
-			// Contribute the session's own experience only: keep its
-			// final Q estimates but weight them by the visits it made
-			// itself, not by the recycled seed mass.
-			if err := snap.SubtractCounts(*e.seeded); err != nil {
-				return err
-			}
-		}
-		if err := d.store.Contribute(e.res, snap); err != nil {
-			return err
-		}
-	}
-	d.pending = d.pending[:0]
 	return nil
 }
 
@@ -1566,22 +1581,6 @@ func (d *dispatcher) foldDepartures() error {
 // engines free of shared state.
 func (d *dispatcher) finish() (*Result, error) {
 	cfg := d.cfg
-	if d.queueOn {
-		// Final decision point at the horizon: departures between the
-		// last arrival and the end of the run free capacity the queue is
-		// still entitled to. Whatever cannot admit here drops — nothing
-		// runs the pipeline after the horizon. (Park-invariance makes the
-		// extra sweep exact, and only queued runs take this pass, so the
-		// queue-off byte-identity is untouched.)
-		horizon := cfg.Workload.DurationSec
-		if err := d.syncPoint(horizon); err != nil {
-			return nil, err
-		}
-		if err := d.queueStep(horizon); err != nil {
-			return nil, err
-		}
-		d.flushQueue()
-	}
 	for _, fs := range d.servers {
 		fs.draining = true
 	}
@@ -1601,14 +1600,23 @@ func (d *dispatcher) finish() (*Result, error) {
 	if _, err := experiments.RunUnits(cfg.Workers, units, cfg.Progress); err != nil {
 		return nil, err
 	}
-	// Merge the per-server drain batches and fold them in arrival-ID
-	// order at the horizon — the same deterministic fold discipline as
-	// the arrival phase, independent of the worker pool.
+	// Merge the per-server drain batches — into one allocation: the
+	// batch holds every session still resident after the timeline — and
+	// fold them in arrival-ID order at the horizon, the same
+	// deterministic fold discipline as the timeline, independent of the
+	// worker pool.
+	n := 0
 	for _, fs := range d.servers {
-		d.pendingStats = append(d.pendingStats, fs.drained...)
+		n += len(fs.drained)
+	}
+	d.departs = slices.Grow(d.departs, n)
+	for _, fs := range d.servers {
+		d.departs = append(d.departs, fs.drained...)
 		fs.drained = nil
 	}
-	d.foldStats(cfg.Workload.DurationSec)
+	if err := d.foldBatch(cfg.Workload.DurationSec); err != nil {
+		return nil, err
+	}
 	return d.buildResult()
 }
 

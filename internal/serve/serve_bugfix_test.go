@@ -122,3 +122,52 @@ func TestIdlePowerFallback(t *testing.T) {
 		t.Errorf("loaded server power %g not above idle %g", got, spec.IdlePowerW)
 	}
 }
+
+// TestFaultWindowOnRetiredServer: a blip or degrade window that outlives
+// its server — scale-in drains and retires it mid-window — must close
+// quietly. The window end used to push the retired server's state into
+// the fleet index rebuilt without it (an index-out-of-range panic for
+// indexed policies), and a server retiring while blipped stayed in the
+// blipped count, so windowed availability read the one live server as
+// out of service.
+func TestFaultWindowOnRetiredServer(t *testing.T) {
+	for _, policy := range []string{PolicyLeastLoaded, PolicyPowerAware, PolicyRoundRobin} {
+		for _, spec := range []string{"blip@1-39:3", "degrade@1-39:3:0.5"} {
+			t.Run(policy+"/"+spec, func(t *testing.T) {
+				plan, err := ParseFaultPlan(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := Config{
+					Servers:  4,
+					Policy:   policy,
+					Approach: experiments.Heuristic,
+					// An idle fleet scales in one server per epoch,
+					// highest index first: server 3 retires at t=5,
+					// inside its fault window, and the fleet is down to
+					// its one-server minimum by t=15 — before any arrival
+					// samples availability.
+					Autoscale: AutoscaleConfig{Enabled: true, MinServers: 1},
+					EpochSec:  5,
+					Workload: Workload{Trace: []SessionRequest{
+						{ArriveAtSec: 20, Frames: 48},
+						{ArriveAtSec: 25, Frames: 48},
+						{ArriveAtSec: 30, Frames: 48},
+					}, DurationSec: 40},
+					Faults: FaultConfig{Plan: plan},
+					Seed:   1,
+				}
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.ServersRemoved != 3 {
+					t.Fatalf("want the fleet scaled in to one server, removed %d", res.ServersRemoved)
+				}
+				if res.Windowed.AvailabilityPct <= 0 {
+					t.Errorf("windowed availability %g%%: the retired server still counts as blipped", res.Windowed.AvailabilityPct)
+				}
+			})
+		}
+	}
+}

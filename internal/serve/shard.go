@@ -9,33 +9,39 @@ import (
 )
 
 // Sharded fleet dispatch: the expensive half of every dispatcher step —
-// advancing the frame-level engine simulations to the next arrival or
-// epoch instant — parallelises across per-shard goroutines, while every
-// decision that reads shared state stays on the coordinator. Config.Shards
-// splits the fleet by server index (server i belongs to shard i mod S;
-// autoscaled servers join on the same rule), and each shard owns, for its
-// servers only, the engines, the resident bookkeeping, its slice of the
-// engine event heap, and two reconciliation buffers.
+// advancing the frame-level engine simulations to the next decision
+// instant — parallelises across shards, while every decision that reads
+// shared state stays on the coordinator. Every run has at least one
+// shard: Config.Shards splits the fleet by server index (server i
+// belongs to shard i mod S; autoscaled servers join on the same rule),
+// and an unsharded run is the one-shard case of the same code. Each
+// shard owns, for its servers only, the engines, the resident
+// bookkeeping, its slice of the engine event heap, and a departure
+// buffer. The coordinator advances shard 0 itself; shards 1..S-1 each
+// run on a goroutine of their own.
 //
 // The run phases strictly:
 //
-//   - Advance (parallel): the coordinator opens a barrier and commands
-//     every shard with due work to advance its engines to the target
-//     instant. Shards touch disjoint state — their own engines, heaps,
-//     per-server counters and buffers — so no lock is needed anywhere.
-//     Departures surfaced here are buffered shard-locally by the
-//     OnSessionEnd hook instead of touching the dispatcher.
+//   - Advance (parallel): the coordinator opens a barrier, commands
+//     every other shard with due work to advance its engines to the
+//     target instant, and advances shard 0 inline meanwhile. Shards touch
+//     disjoint state — their own engines, heaps, per-server counters and
+//     buffers — so no lock is needed anywhere.
 //   - Reconcile (serial): after every shard acknowledges, the coordinator
 //     drains the buffers in shard-ID order, applying the global side of
-//     each departure (active count, stats batch, incremental state and
-//     policy-index refresh, knowledge-harvest hand-off), then proceeds
-//     with placement, knowledge folds, streaming aggregation, and any
-//     elastic epoch work — exactly the single-goroutine code.
+//     each departure (active count, the departure batch, incremental
+//     state and policy-index refresh), then proceeds with placement, the
+//     batch fold, and any elastic or fault work.
+//
+// Departures are always buffered by the OnSessionEnd hook and
+// reconciled by the coordinator: at the barrier close for a sweep, and
+// on return from advance for the serial-phase engine steps (migrations,
+// degrade edges, checkpoints, engines readied for an injected session).
 //
 // Determinism is by construction, not by tolerance: each engine receives
-// the identical AdvanceTo sequence it would unsharded (the shard heaps
-// are an exact partition of the global heap, and engines are advanced to
-// the same instants); the departure batches are sorted by arrival ID
+// the identical AdvanceTo sequence for any shard count (the shard heaps
+// are an exact partition of one fleet heap, and engines are advanced to
+// the same instants); the departure batch is sorted by arrival ID
 // before folding, which erases the buffer merge order; the coalesced
 // refreshState calls rebuild states idempotently from final per-server
 // counts, and the policy indexes validate entry freshness on Place, so
@@ -43,29 +49,24 @@ import (
 // `-shards S` output is bit-identical to `-shards 1` for every policy
 // (including custom ones), knowledge reuse, and the elastic features —
 // the equivalence tests and CI goldens pin this.
-//
-// Elastic epochs need no special casing: drains, autoscaling and
-// migrations already run in the serial phase, where the hook behaves
-// inline (the parallel-window flag is down), so a migration's mid-epoch
-// AdvanceTo surfaces departures with immediately visible effects.
 
-// shard is one fleet partition and the channel endpoint of its goroutine.
+// shard is one fleet partition and, for shards 1..S-1, the channel
+// endpoint of its goroutine.
 type shard struct {
 	id int
 	// srv lists the owned server indexes (i mod shard count == id), in
 	// ascending order; appended to by the coordinator when the fleet
 	// scales out (serial phase only).
 	srv []int
-	// evts is the shard's partition of the engine event heap: exactly
-	// the global heap's entries for owned servers.
+	// evts is the shard's partition of the engine event heap: the
+	// entries of owned servers.
 	evts heaps.Heap[fleetEvent]
 	// cmd carries "advance to t" barrier commands; closing it stops the
-	// goroutine.
+	// goroutine. Nil for shard 0, which the coordinator advances.
 	cmd chan float64
-	// departs and harvest buffer the parallel window's hook output until
-	// the coordinator drains them at the barrier close.
+	// departs buffers the hook's departure records until the
+	// coordinator reconciles them.
 	departs []departRec
-	harvest []harvestEntry
 }
 
 // shardAck is one shard's barrier acknowledgement.
@@ -74,44 +75,43 @@ type shardAck struct {
 	err error
 }
 
-// initShards partitions the fleet and spawns the shard goroutines. With
-// Shards <= 1 (or a fleet smaller than the shard count rounding down to
-// one) the dispatcher stays single-goroutine and this is a no-op.
+// initShards partitions the fleet into max(1, min(Shards, servers))
+// shards and spawns the goroutines of shards 1..S-1.
 func (d *dispatcher) initShards() {
-	n := d.cfg.Shards
-	if n > len(d.servers) {
-		n = len(d.servers)
-	}
-	if n <= 1 {
-		return
-	}
+	n := max(1, min(d.cfg.Shards, len(d.servers)))
 	d.shards = make([]*shard, n)
-	d.shardAcks = make(chan shardAck, n)
+	d.shardAcks = make(chan shardAck, n-1) // one slot per shard goroutine
 	for s := range d.shards {
-		d.shards[s] = &shard{id: s, cmd: make(chan float64, 1)}
+		d.shards[s] = &shard{id: s}
 	}
 	for i, fs := range d.servers {
-		sh := d.shards[i%n]
-		fs.sh = sh
-		sh.srv = append(sh.srv, i)
+		d.joinShard(i, fs)
 	}
-	d.shardWG.Add(n)
-	for _, sh := range d.shards {
+	// Shard 0's engine time carries the same pprof label as a shard
+	// goroutine's; the context is built once so the sweep allocates
+	// nothing to set it.
+	d.shard0Ctx = pprof.WithLabels(context.Background(), pprof.Labels("mamut_shard", "0"))
+	d.shardWG.Add(n - 1)
+	for _, sh := range d.shards[1:] {
+		sh.cmd = make(chan float64, 1)
 		go d.shardLoop(sh)
 	}
 }
 
+// joinShard assigns server i to shard i mod S (serial phase only).
+func (d *dispatcher) joinShard(i int, fs *fleetServer) {
+	sh := d.shards[i%len(d.shards)]
+	fs.sh = sh
+	sh.srv = append(sh.srv, i)
+}
+
 // stopShards closes the barrier channels and joins the goroutines. Safe
-// to call on an unsharded dispatcher and after a mid-run error.
+// to call after a mid-run error.
 func (d *dispatcher) stopShards() {
-	if d.shards == nil {
-		return
-	}
-	for _, sh := range d.shards {
+	for _, sh := range d.shards[1:] {
 		close(sh.cmd)
 	}
 	d.shardWG.Wait()
-	d.shards = nil
 }
 
 // shardLoop is one shard goroutine: it advances the shard on each
@@ -126,13 +126,23 @@ func (d *dispatcher) shardLoop(sh *shard) {
 	})
 }
 
-// advanceShard advances the shard's engines to t — the shard-owned slice
-// of exactly what the unsharded sweepTo does. The production sweep pops
-// only the owned engines with due events; the test reference advances
-// every owned live engine. Runs on the shard goroutine during the barrier window; all
-// state touched (engines, the shard heap, the owned nextEvt entries, and
-// — through the hooks — per-server counters and the shard buffers) is
-// owned by this shard.
+// due reports whether the sweep to t has work for the shard: an owned
+// engine event at or before t, or — for the test reference, which
+// advances every live engine — always.
+func (d *dispatcher) due(sh *shard, t float64) bool {
+	return !d.indexed || sh.evts.Len() > 0 && sh.evts.Peek().key <= t
+}
+
+// advanceShard advances the shard's engines to t. The production sweep
+// pops only the owned engines with due events — idle or empty engines
+// are never touched — so it costs O(k log servers) for the k servers
+// with events. Advancing an engine lazily is exact: the transcode engine
+// settles its energy/thermal/virtual-clock integration at events, never
+// at parks, so skipped parks cannot shift any result (see
+// transcode.Engine.AdvanceTo). The test reference advances every owned
+// live engine instead. All state touched (engines, the shard heap, the
+// owned nextEvt entries, and — through the hooks — per-server counters
+// and the shard buffer) is owned by this shard.
 func (d *dispatcher) advanceShard(sh *shard, t float64) error {
 	if !d.indexed {
 		for _, i := range sh.srv {
@@ -157,24 +167,25 @@ func (d *dispatcher) advanceShard(sh *shard, t float64) error {
 	return nil
 }
 
-// sweepShards is the sharded sweepTo: advance in parallel, reconcile in
-// shard-ID order.
-func (d *dispatcher) sweepShards(t float64) error {
-	// Open the barrier window. The flag flips only here, on the
-	// coordinator, with happens-before to every shard through the cmd
-	// send and back through the ack receive.
-	d.parallel = true
+// sweepTo advances the fleet to the decision instant t: advance in
+// parallel, reconcile in shard-ID order.
+func (d *dispatcher) sweepTo(t float64) error {
 	woken := 0
-	for _, sh := range d.shards {
-		// Wake only shards with an event due by t; the reference sweep
-		// wakes every shard (each owns at least one server).
-		if !d.indexed || sh.evts.Len() > 0 && sh.evts.Peek().key <= t {
+	for _, sh := range d.shards[1:] {
+		if d.due(sh, t) {
 			sh.cmd <- t
 			woken++
 		}
 	}
 	var firstErr error
 	errShard := -1
+	if d.due(d.shards[0], t) {
+		pprof.SetGoroutineLabels(d.shard0Ctx)
+		if err := d.advanceShard(d.shards[0], t); err != nil {
+			firstErr, errShard = err, 0
+		}
+		pprof.SetGoroutineLabels(context.Background())
+	}
 	for ; woken > 0; woken-- {
 		// Drain every ack even after an error — the barrier must close
 		// with all shards quiescent — and keep the lowest-shard error so
@@ -183,23 +194,44 @@ func (d *dispatcher) sweepShards(t float64) error {
 			firstErr, errShard = ack.err, ack.id
 		}
 	}
-	d.parallel = false
 	if firstErr != nil {
 		return firstErr
 	}
-	// Reconcile: apply the global side of every buffered departure. The
-	// shard-ID merge order is fixed, and the downstream folds sort by
-	// arrival ID anyway; refreshState is idempotent over the final
-	// counts, so coalescing the per-departure refreshes is invisible.
 	for _, sh := range d.shards {
-		for _, dr := range sh.departs {
-			d.applyDeparture(dr)
-		}
-		sh.departs = sh.departs[:0]
-		if len(sh.harvest) > 0 {
-			d.pending = append(d.pending, sh.harvest...)
-			sh.harvest = sh.harvest[:0]
-		}
+		d.reconcile(sh)
 	}
 	return nil
+}
+
+// advance steps server i's engine to t in the serial phase and
+// reconciles the departures that surfaced, so they are applied on
+// return exactly as at a sweep's barrier close.
+func (d *dispatcher) advance(i int, t float64) error {
+	fs := d.servers[i]
+	if err := fs.eng.AdvanceTo(t); err != nil {
+		return err
+	}
+	d.reconcile(fs.sh)
+	return nil
+}
+
+// reconcile applies the global side of every departure the shard
+// buffered: the active count, the departure batch (folded, sorted by
+// arrival ID, at the next sync point), the dead checkpoint, and the
+// server's dispatch state. refreshState is idempotent over the final
+// counts, so coalescing the per-departure refreshes is invisible.
+func (d *dispatcher) reconcile(sh *shard) {
+	for _, dr := range sh.departs {
+		d.active--
+		d.departs = append(d.departs, dr)
+		if d.snaps != nil {
+			// The session completed; its crash checkpoint is dead weight.
+			delete(d.snaps, dr.reqID)
+		}
+		d.refreshState(dr.server)
+	}
+	// Drop the buffered harvest pointers so departed learners can be
+	// collected before the buffer slots are reused.
+	clear(sh.departs)
+	sh.departs = sh.departs[:0]
 }

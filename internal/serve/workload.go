@@ -72,10 +72,11 @@
 // cold-restarting, warm-seeded from the KnowledgeStore when enabled —
 // on the next server with capacity, and shedding by class priority when
 // recovery demand exceeds queue capacity. Fault edges, checkpoints and
-// elastic epochs merge into one deterministic control timeline
-// (controlMoments), so chaos runs stay byte-identical across worker
-// counts, dispatchers and shard counts; with no plan configured the
-// subsystem is inert and output byte-matches the pre-fault goldens.
+// elastic epochs merge with the arrivals into one deterministic
+// timeline (dispatcher.timeline), so chaos runs stay byte-identical
+// across worker counts, dispatchers and shard counts; with no plan
+// configured the subsystem is inert and output byte-matches the
+// pre-fault goldens.
 // MTTR, recovery-latency quantiles, lost work and fleet availability are
 // first-class result fields.
 //
