@@ -36,10 +36,10 @@
 //
 // The fleet is elastic: sessions migrate live between servers (frozen
 // mid-frame with learner state, rng cursors and energy accumulators,
-// resumed elsewhere under a -migration-stall handoff penalty). -drain
-// at:server schedules server drains (evacuate, then decommission),
-// -autoscale grows and shrinks the fleet against target-utilization
-// watermarks (-scale-min/-scale-max/-scale-target), and -rebalance
+// resumed elsewhere under a short handoff stall). -drain at:server
+// schedules server drains (evacuate, then decommission), -autoscale
+// grows and shrinks the fleet against target-utilization watermarks
+// (capped at -scale-max servers), and -rebalance
 // migrates sessions away from power-hotspot servers — all on a fixed
 // -epoch schedule, so elastic runs remain byte-identical for any
 // -workers and -shards count. The summary gains an "elastic:"
@@ -61,8 +61,8 @@
 // degrade@A-B:SRV:F cuts its power cap to F of nominal for the window,
 // and blip@A-B:SRV takes it out of service for the window with sessions
 // intact. Crash-interrupted sessions re-enter the -queue waiting room as
-// recovery entries (per-class -fault-backoff/-fault-retries/
-// -fault-deadline bounds; -fault-drop loses them instead, the baseline),
+// recovery entries under the library's default retry, backoff and
+// deadline bounds (-fault-drop loses them instead, the baseline),
 // restoring from their last -fault-checkpoint snapshot or cold-starting
 // warm-seeded from the knowledge store. Fault runs stay byte-identical
 // for any -workers and -shards; with no plan the
@@ -106,13 +106,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"mamut"
 	"mamut/internal/cliutil"
+	"mamut/internal/serve"
 )
 
 func main() {
@@ -124,14 +127,12 @@ func main() {
 		seed       = flag.Int64("seed", 1, "seed; equal seeds give byte-identical output")
 		workers    = flag.Int("workers", 0, "parallel worker goroutines (0 = one per CPU); output is identical for any value")
 		shards     = flag.Int("shards", 0, "fleet shards advancing engines in parallel (0/1 = unsharded); output is identical for any value")
-		mix        = flag.Float64("mix", 0.4, "fraction of arrivals requesting HR (the rest are LR)")
 		meanSess   = flag.Float64("mean-session", 60, "mean session length (seconds, exponential)")
 		admission  = flag.Int("admission", 8, "per-server admission limit (sessions)")
 		warmup     = flag.Float64("warmup", -1, "measurement-window start (seconds; -1 = duration/4)")
 		approach   = flag.String("approach", string(mamut.ApproachMAMUT), "per-session controller: mamut|monoagent|heuristic")
 		curve      = flag.String("curve", string(mamut.LoadConstant), "load curve: constant|diurnal|ramp|burst")
 		amplitude  = flag.Float64("amplitude", 0.5, "diurnal modulation depth in [0,1)")
-		rampTo     = flag.Float64("ramp-factor", 2, "ramp: final/base arrival-rate ratio")
 		burstTo    = flag.Float64("burst-factor", 0, "burst: spike/base arrival-rate ratio (0 = default 3)")
 		burstFrom  = flag.Float64("burst-start", 0, "burst: spike window start (seconds; with -burst-end 0, defaults to duration/4)")
 		burstUntil = flag.Float64("burst-end", 0, "burst: spike window end (seconds; with -burst-start 0, defaults to duration/2)")
@@ -141,21 +142,13 @@ func main() {
 		faults     = flag.String("faults", "", "fault plan: comma-separated crash@T:SRV, degrade@A-B:SRV:FACTOR, blip@A-B:SRV events")
 		faultCkpt  = flag.Float64("fault-checkpoint", 0, "periodic session-checkpoint interval for crash recovery (seconds; 0 = no checkpoints)")
 		faultDrop  = flag.Bool("fault-drop", false, "drop crash-interrupted sessions instead of recovering them (the baseline)")
-		faultBack  = flag.Float64("fault-backoff", 0, "recovery retry backoff, both classes (seconds; 0 = default 2)")
-		faultRetry = flag.Int("fault-retries", 0, "recovery placement attempts per session, both classes (0 = default 5)")
-		faultDL    = flag.Float64("fault-deadline", 0, "recovery deadline from crash to restore, both classes (seconds; 0 = default 30)")
-		faultStall = flag.Float64("fault-stall", 0, "restore stall charged to a recovered session's interrupted frame (seconds; 0 = default 0.5)")
-		slo        = flag.Float64("slo", 0.95, "session SLO: required avg FPS as a fraction of the target")
 		knowledge  = flag.Bool("knowledge", false, "share learned knowledge across sessions (KaaS-style warm starts; mamut approach only)")
 		rebalance  = flag.Bool("rebalance", false, "live-migrate sessions away from power hotspots every epoch")
 		autoscale  = flag.Bool("autoscale", false, "scale the fleet to target utilization (watermark scale-out, drain-based scale-in)")
 		drain      = flag.String("drain", "", "scheduled decommissions as at:server pairs, e.g. 120:0,300:3 (live-migrates sessions off)")
 		epoch      = flag.Float64("epoch", 0, "control-epoch interval for rebalance/autoscale/drain (seconds; 0 = default 30)")
-		migStall   = flag.Float64("migration-stall", 0, "per-migration stall penalty charged to the moved session (seconds; 0 = default 0.25)")
-		scaleMin   = flag.Int("scale-min", 0, "autoscale: minimum in-service servers (0 = 1)")
 		scaleMax   = flag.Int("scale-max", 0, "autoscale: maximum in-service servers (0 = 4x -servers)")
-		scaleTgt   = flag.Float64("scale-target", 0, "autoscale: target utilization percent scale-outs size for (0 = 70)")
-		format     = flag.String("format", "summary", "output format for single runs: summary|csv")
+		format     = flag.String("format", "", "output format for single runs: summary|csv (empty = summary)")
 		policies   = flag.String("policies", "", "grid mode: comma-separated policies (with -rates/-seeds)")
 		rates      = flag.String("rates", "", "grid mode: comma-separated arrival rates")
 		seeds      = flag.String("seeds", "", "grid mode: comma-separated seeds")
@@ -177,14 +170,8 @@ func main() {
 	// default.
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if setFlags["mix"] && *mix == 0 {
-		*mix = -1 // negative forces a pure-LR workload
-	}
 	if setFlags["amplitude"] && *amplitude == 0 {
 		*amplitude = 1e-9 // effectively unmodulated diurnal curve
-	}
-	if setFlags["slo"] && *slo == 0 {
-		*slo = 1e-9 // effectively no FPS requirement: every session passes
 	}
 	if setFlags["admission"] && *admission <= 0 {
 		fatal(fmt.Errorf("-admission %d must be >= 1", *admission))
@@ -206,9 +193,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *faults == "" && (setFlags["fault-checkpoint"] || setFlags["fault-drop"] || setFlags["fault-backoff"] ||
-		setFlags["fault-retries"] || setFlags["fault-deadline"] || setFlags["fault-stall"]) {
-		fatal(fmt.Errorf("-fault-* flags require a -faults plan"))
+	if *faults == "" && (setFlags["fault-checkpoint"] || setFlags["fault-drop"]) {
+		fatal(fmt.Errorf("-fault-checkpoint/-fault-drop require a -faults plan"))
 	}
 	faultPlan, err := mamut.ParseServeFaultPlan(*faults)
 	if err != nil {
@@ -222,30 +208,24 @@ func main() {
 		Workload: mamut.ServeWorkload{
 			ArrivalRate:    *rate,
 			DurationSec:    *duration,
-			HRFraction:     *mix,
 			MeanSessionSec: *meanSess,
 			Curve:          mamut.ServeLoadCurve(*curve),
 			CurveAmplitude: *amplitude,
-			RampEndFactor:  *rampTo,
 			BurstFactor:    *burstTo,
 			BurstStartSec:  *burstFrom,
 			BurstEndSec:    *burstUntil,
 		},
-		WarmupSec:         *warmup,
-		SLOFPSFactor:      *slo,
-		KnowledgeReuse:    *knowledge || *knowIn != "" || *knowOut != "",
-		Seed:              *seed,
-		Workers:           *workers,
-		Shards:            *shards,
-		EpochSec:          *epoch,
-		Rebalance:         *rebalance,
-		MigrationStallSec: *migStall,
-		Drain:             drainEvents,
+		WarmupSec:      *warmup,
+		KnowledgeReuse: *knowledge || *knowIn != "" || *knowOut != "",
+		Seed:           *seed,
+		Workers:        *workers,
+		Shards:         *shards,
+		EpochSec:       *epoch,
+		Rebalance:      *rebalance,
+		Drain:          drainEvents,
 		Autoscale: mamut.ServeAutoscale{
-			Enabled:       *autoscale,
-			MinServers:    *scaleMin,
-			MaxServers:    *scaleMax,
-			TargetUtilPct: *scaleTgt,
+			Enabled:    *autoscale,
+			MaxServers: *scaleMax,
 		},
 		Queue: mamut.ServeQueueConfig{
 			Capacity:    *queueCap,
@@ -255,12 +235,7 @@ func main() {
 		Faults: mamut.ServeFaultConfig{
 			Plan:          faultPlan,
 			CheckpointSec: *faultCkpt,
-			Recovery: mamut.ServeFaultRecovery{
-				Drop:     *faultDrop,
-				HR:       mamut.ServeFaultRecoveryClass{BackoffSec: *faultBack, RetryMax: *faultRetry, DeadlineSec: *faultDL},
-				LR:       mamut.ServeFaultRecoveryClass{BackoffSec: *faultBack, RetryMax: *faultRetry, DeadlineSec: *faultDL},
-				StallSec: *faultStall,
-			},
+			Recovery:      mamut.ServeFaultRecovery{Drop: *faultDrop},
 		},
 	}
 	opts := runOpts{
@@ -318,9 +293,20 @@ func parseDrain(s string) ([]mamut.ServeDrainEvent, error) {
 	}
 	var events []mamut.ServeDrainEvent
 	for _, part := range strings.Split(s, ",") {
+		at, srv, ok := strings.Cut(strings.TrimSpace(part), ":")
+		if !ok {
+			return nil, fmt.Errorf("-drain entry %q: want at:server (e.g. 120:0)", part)
+		}
 		var ev mamut.ServeDrainEvent
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%f:%d", &ev.AtSec, &ev.Server); err != nil {
-			return nil, fmt.Errorf("-drain entry %q: want at:server (e.g. 120:0): %v", part, err)
+		var err error
+		if ev.AtSec, err = strconv.ParseFloat(at, 64); err != nil {
+			return nil, fmt.Errorf("-drain entry %q: time %q: %v", part, at, err)
+		}
+		if math.IsNaN(ev.AtSec) || math.IsInf(ev.AtSec, 0) {
+			return nil, fmt.Errorf("-drain entry %q: time %q is not finite", part, at)
+		}
+		if ev.Server, err = strconv.Atoi(srv); err != nil {
+			return nil, fmt.Errorf("-drain entry %q: server index %q: %v", part, srv, err)
 		}
 		events = append(events, ev)
 	}
@@ -346,10 +332,22 @@ func run(w io.Writer, cfg mamut.ServeConfig, opts runOpts) error {
 		if opts.knowledgeIn != "" || opts.knowledgeOut != "" {
 			return fmt.Errorf("-knowledge-in/-knowledge-out apply to single runs, not grids")
 		}
+		if opts.format != "" || opts.quantiles {
+			return fmt.Errorf("-format/-quantiles apply to single runs; grid mode always prints CSV")
+		}
 		return runGrid(w, cfg, opts)
 	}
 	if opts.checkpoint != "" {
 		return fmt.Errorf("-checkpoint applies to grid mode (-policies/-rates/-seeds)")
+	}
+	switch opts.format {
+	case "", "summary":
+	case "csv":
+		if opts.quantiles {
+			return fmt.Errorf("-quantiles applies to the summary format, not -format csv")
+		}
+	default:
+		return fmt.Errorf("unknown format %q (summary|csv)", opts.format)
 	}
 	if opts.knowledgeIn != "" {
 		f, err := os.Open(opts.knowledgeIn)
@@ -367,16 +365,13 @@ func run(w io.Writer, cfg mamut.ServeConfig, opts runOpts) error {
 	if err != nil {
 		return err
 	}
-	switch opts.format {
-	case "summary":
+	if opts.format == "csv" {
+		printCSV(w, res)
+	} else {
 		printSummary(w, cfg, res)
 		if opts.quantiles {
 			printQuantiles(w, cfg, res)
 		}
-	case "csv":
-		printCSV(w, res)
-	default:
-		return fmt.Errorf("unknown format %q (summary|csv)", opts.format)
 	}
 	if opts.knowledgeOut != "" {
 		if res.Knowledge == nil {
@@ -445,9 +440,18 @@ func runGrid(w io.Writer, base mamut.ServeConfig, opts runOpts) error {
 func printSummary(w io.Writer, cfg mamut.ServeConfig, r *mamut.ServeResult) {
 	fmt.Fprintf(w, "mamut-serve: policy=%s servers=%d admission=%d approach=%s seed=%d\n",
 		r.Policy, cfg.Servers, cfg.MaxSessionsPerServer, cfg.Approach, cfg.Seed)
+	// Print the effective mix and SLO: the CLI leaves both fields zero,
+	// which the library resolves to its defaults.
 	mix := cfg.Workload.HRFraction
-	if mix < 0 {
+	switch {
+	case mix == 0:
+		mix = serve.DefaultHRFraction
+	case mix < 0:
 		mix = 0
+	}
+	slo := cfg.SLOFPSFactor
+	if slo == 0 {
+		slo = serve.DefaultSLOFPSFactor
 	}
 	fmt.Fprintf(w, "workload: rate=%g/s curve=%s mix=%.0f%%HR mean-session=%gs horizon=%gs warmup=%gs\n",
 		cfg.Workload.ArrivalRate, cfg.Workload.Curve, 100*mix,
@@ -472,7 +476,7 @@ func printSummary(w io.Writer, cfg mamut.ServeConfig, r *mamut.ServeResult) {
 			r.Queued, r.QueueAdmitted, r.QueueDropped, r.QueueDroppedPct, r.AvgQueueWaitSec)
 	}
 	fmt.Fprintf(w, "SLO (avg FPS >= %.0f%% of target): %.1f%% of %d measured sessions\n",
-		100*cfg.SLOFPSFactor, r.SLOAttainedPct, r.Measured)
+		100*slo, r.SLOAttainedPct, r.Measured)
 	if cfg.KnowledgeReuse {
 		fmt.Fprintf(w, "knowledge: %d departed sessions contributed, %d admissions warm-started\n",
 			r.KnowledgeContributions, r.KnowledgeSeeded)

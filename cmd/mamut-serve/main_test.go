@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mamut"
@@ -248,4 +249,51 @@ func chaosMAMUTConfig() mamut.ServeConfig {
 // also pins that the rewrite changed no result.
 func TestChaosMAMUTGolden(t *testing.T) {
 	checkGolden(t, "chaosmamut16.golden", chaosMAMUTConfig, true, "recovered=8 ")
+}
+
+// TestParseDrain: -drain takes comma-separated at:server pairs and
+// rejects trailing input, a missing server and non-finite times instead
+// of silently truncating them.
+func TestParseDrain(t *testing.T) {
+	got, err := parseDrain("120:1, 300.5:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []mamut.ServeDrainEvent{{AtSec: 120, Server: 1}, {AtSec: 300.5, Server: 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("parseDrain = %+v, want %+v", got, want)
+	}
+	for _, in := range []string{"120:1.5", "5:0x", "NaN:0", "Inf:0", "120", "x:1", "120:"} {
+		if evs, err := parseDrain(in); err == nil {
+			t.Errorf("-drain %q accepted as %+v", in, evs)
+		}
+	}
+}
+
+// TestRunRejectsFlagsOutsideTheirMode: a report flag the chosen mode does
+// not read is an error, not silently ignored. Every row fails before any
+// simulation runs.
+func TestRunRejectsFlagsOutsideTheirMode(t *testing.T) {
+	cfg := fleetSmokeConfig(mamut.PolicyLeastLoaded)
+	rows := []struct {
+		name string
+		opts runOpts
+	}{
+		{"grid -format csv", runOpts{policies: "power", format: "csv"}},
+		{"grid -format bogus", runOpts{policies: "power", format: "bogus"}},
+		{"grid -quantiles", runOpts{seeds: "1,2", quantiles: true}},
+		{"-format csv -quantiles", runOpts{format: "csv", quantiles: true}},
+		{"-format bogus", runOpts{format: "bogus"}},
+		{"-checkpoint outside grid", runOpts{checkpoint: "grid.ckpt"}},
+		{"grid -knowledge-out", runOpts{rates: "0.5", knowledgeOut: "kb.json"}},
+	}
+	for _, row := range rows {
+		var buf bytes.Buffer
+		if err := run(&buf, cfg, row.opts); err == nil {
+			t.Errorf("%s: accepted", row.name)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: printed output before rejecting:\n%s", row.name, buf.String())
+		}
+	}
 }

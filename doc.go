@@ -17,9 +17,14 @@
 // controllers themselves - MAMUT and both baselines - are implemented
 // exactly as the paper describes.
 //
-// This package is the public facade. It re-exports the key types and
-// provides convenience constructors; the implementation lives under
-// internal/:
+// This package is the public facade, cut to what the repository's
+// commands and examples use. NewSimulation runs managed streams on one
+// simulated server; RunService, RunServiceGrid, ServeArrivals,
+// SplitServeArrivals, ImportKnowledge, OpenServeCheckpoint and
+// ParseServeFaultPlan drive the serving layer, configured through the
+// Serve* type aliases and the policy, load-curve, queue-priority and
+// fault-kind constants. The paper's experiments run from
+// cmd/mamut-experiments. The implementation lives under internal/:
 //
 //   - internal/core: the MAMUT controller (agents, schedule, rewards,
 //     Algorithm 1 cooperative exploitation)
@@ -46,11 +51,10 @@
 // O(log n) in the number of active sessions; aggregate contention state
 // and package power are maintained incrementally (platform.LoadAccount),
 // and per-session dynamic energy integrates lazily against the virtual
-// clock. Sessions have a live lifecycle: Simulation.AddStream works
-// mid-run, Simulation.AdvanceTo steps the simulation to an absolute time
-// for interleaving with outer event loops, and Simulation.OnStreamEnd
-// delivers explicit departure notifications (a hook may add new streams,
-// modelling continuous churn).
+// clock. Sessions have a live lifecycle: the engine's AddSession works
+// mid-run, AdvanceTo steps it to an absolute time for interleaving with
+// outer event loops (the serving layer's dispatcher is one), and
+// OnSessionEnd delivers explicit departure notifications.
 //
 // # Serving layer
 //
@@ -85,7 +89,7 @@
 // never touched — and per-server dispatch state (occupancy, estimated
 // power) is maintained incrementally on admission and departure instead
 // of being rebuilt per arrival. The built-in policies place through
-// incremental fleet indexes (PlacementFleetIndexer): round-robin from
+// incremental fleet indexes (serve.FleetIndexer): round-robin from
 // its cursor, least-loaded from an occupancy bucket queue, power-aware
 // from a power-headroom heap, each reproducing its O(n) scan — the same
 // comparisons on the same floats, ties to the lowest server index. The
@@ -143,8 +147,9 @@
 // latency becomes a first-class metric: queue-wait and
 // time-to-first-frame p50/p95/p99 stream through the same fixed-bin
 // sketches as FPS, with a time-decayed recent-backlog view alongside.
-// Policies can observe the backlog (queue depth, capacity, oldest wait)
-// through the optional ServeBacklogObserver extension. The pipeline
+// Policies written inside this module can observe the backlog (queue
+// depth, capacity, oldest wait) through the optional
+// serve.BacklogObserver extension. The pipeline
 // runs entirely in the dispatcher's serial phase, so queued runs stay
 // bit-identical across worker and shard counts — and with the queue off
 // (the empty-queue case of the same pipeline) the dispatcher

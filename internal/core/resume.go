@@ -12,10 +12,9 @@ import (
 const resumeFormatVersion = 1
 
 // pendingState serialises the in-flight Q-update: the action awaiting its
-// next-state observation plus the NULL-slot metric accumulators. Save/Load
-// deliberately drop this (persisting a trained table between runs), but a
-// live migration must carry it — losing it would skip one Q-update and
-// fork the learning trajectory from the non-migrated baseline.
+// next-state observation plus the NULL-slot metric accumulators. A live
+// migration must carry it — losing it would skip one Q-update and fork
+// the learning trajectory from the non-migrated baseline.
 type pendingState struct {
 	Agent      int     `json:"agent"`
 	State      int     `json:"state"`
@@ -44,9 +43,8 @@ type ResumeState struct {
 
 // ResumeState freezes the controller's complete decision state: knob
 // settings, discretized state, learning telemetry, the in-flight pending
-// update, and all three agents' full learning state. Unlike Save, the
-// state restores a controller mid-stream with no behavioural fork. The
-// exploration rng is not included; the owner of the *rand.Rand passed to
+// update, and all three agents' full learning state, so it restores a
+// controller mid-stream with no behavioural fork. The exploration rng is not included; the owner of the *rand.Rand passed to
 // New must snapshot its stream separately.
 func (c *Controller) ResumeState() *ResumeState {
 	st := &ResumeState{
@@ -117,4 +115,24 @@ func (c *Controller) RestoreResumeState(st *ResumeState) error {
 	c.stats = st.Stats
 	c.pend = pend
 	return nil
+}
+
+// loadAgents rebuilds the three agents' learners from their exported
+// states, checking each against this controller's action-set sizes. It
+// leaves the controller untouched, so callers install the learners only
+// once every other check has passed.
+func (c *Controller) loadAgents(states [3]rl.LearnerState) ([3]*rl.Learner, error) {
+	var loaded [3]*rl.Learner
+	for k := AgentQP; k < numAgents; k++ {
+		l, err := rl.LearnerFromState(states[k])
+		if err != nil {
+			return loaded, fmt.Errorf("agent %v: %w", k, err)
+		}
+		if l.Config().Actions != c.agents[k].actions() {
+			return loaded, fmt.Errorf("agent %v: %d actions saved, controller has %d",
+				k, l.Config().Actions, c.agents[k].actions())
+		}
+		loaded[k] = l
+	}
+	return loaded, nil
 }

@@ -1,9 +1,7 @@
 package rl
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -109,26 +107,4 @@ func LearnerFromState(st LearnerState) (*Learner, error) {
 		tr.totals[i] += count
 	}
 	return l, nil
-}
-
-// Save serialises the learner's complete learning state (Q-table, visit
-// counts, transition model) as JSON. A trained controller can thus be
-// persisted and redeployed — the paper's evaluation relies on tables that
-// persist across repetitions of the transcoding process (SV-A).
-func (l *Learner) Save(w io.Writer) error {
-	st := l.State()
-	if err := json.NewEncoder(w).Encode(&st); err != nil {
-		return fmt.Errorf("rl: save learner: %w", err)
-	}
-	return nil
-}
-
-// LoadLearner deserialises a learner saved with Save. The restored
-// learner is behaviourally identical to the saved one.
-func LoadLearner(r io.Reader) (*Learner, error) {
-	var st LearnerState
-	if err := json.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("rl: load learner: %w", err)
-	}
-	return LearnerFromState(st)
 }

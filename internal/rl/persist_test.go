@@ -2,12 +2,33 @@ package rl
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
+
+// saveLearner and loadLearner are the JSON round trip the session codec
+// puts every learner through: State then json.Marshal, and
+// json.Unmarshal then LearnerFromState.
+func saveLearner(t *testing.T, l *Learner) []byte {
+	t.Helper()
+	data, err := json.Marshal(l.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func loadLearner(data string) (*Learner, error) {
+	var st LearnerState
+	if err := json.Unmarshal([]byte(data), &st); err != nil {
+		return nil, err
+	}
+	return LearnerFromState(st)
+}
 
 func trainedLearner(t *testing.T, seed int64) *Learner {
 	t.Helper()
@@ -24,11 +45,7 @@ func trainedLearner(t *testing.T, seed int64) *Learner {
 
 func TestLearnerSaveLoadRoundTrip(t *testing.T) {
 	l := trainedLearner(t, 1)
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadLearner(&buf)
+	got, err := loadLearner(string(saveLearner(t, l)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,21 +81,19 @@ func TestLearnerSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadLearnerRejectsGarbage(t *testing.T) {
-	if _, err := LoadLearner(strings.NewReader("not json")); err == nil {
+	if _, err := loadLearner("not json"); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := LoadLearner(strings.NewReader(`{"config":{"States":0}}`)); err == nil {
+	if _, err := loadLearner(`{"config":{"States":0}}`); err == nil {
 		t.Error("invalid config accepted")
 	}
 	// Mismatched table sizes.
-	if _, err := LoadLearner(strings.NewReader(
-		`{"config":{"States":2,"Actions":2,"Beta":0.3,"AlphaTh1":0.1,"AlphaTh2":0.05,"Gamma":0.6},"q":[1],"visits_sa":[0,0,0,0],"visits_action":[0,0]}`)); err == nil {
+	if _, err := loadLearner(`{"config":{"States":2,"Actions":2,"Beta":0.3,"AlphaTh1":0.1,"AlphaTh2":0.05,"Gamma":0.6},"q":[1],"visits_sa":[0,0,0,0],"visits_action":[0,0]}`); err == nil {
 		t.Error("short Q table accepted")
 	}
 	// Invalid transition tuple.
-	if _, err := LoadLearner(strings.NewReader(
-		`{"config":{"States":2,"Actions":2,"Beta":0.3,"AlphaTh1":0.1,"AlphaTh2":0.05,"Gamma":0.6},` +
-			`"q":[0,0,0,0],"visits_sa":[0,0,0,0],"visits_action":[0,0],"transitions":[[5,0,0,1]]}`)); err == nil {
+	if _, err := loadLearner(`{"config":{"States":2,"Actions":2,"Beta":0.3,"AlphaTh1":0.1,"AlphaTh2":0.05,"Gamma":0.6},` +
+		`"q":[0,0,0,0],"visits_sa":[0,0,0,0],"visits_action":[0,0],"transitions":[[5,0,0,1]]}`); err == nil {
 		t.Error("out-of-range transition accepted")
 	}
 }
@@ -88,11 +103,7 @@ func TestLoadLearnerRejectsGarbage(t *testing.T) {
 // future writer are refused instead of being misread.
 func TestLoadLearnerFormatVersions(t *testing.T) {
 	l := trainedLearner(t, 2)
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	saved := buf.String()
+	saved := string(saveLearner(t, l))
 	if !strings.Contains(saved, `"format_version":1`) {
 		t.Fatalf("saved payload carries no current version stamp: %s", saved[:60])
 	}
@@ -103,7 +114,7 @@ func TestLoadLearnerFormatVersions(t *testing.T) {
 	if legacy == saved {
 		t.Fatal("version field not removed")
 	}
-	got, err := LoadLearner(strings.NewReader(legacy))
+	got, err := loadLearner(legacy)
 	if err != nil {
 		t.Fatalf("legacy unversioned payload rejected: %v", err)
 	}
@@ -113,15 +124,14 @@ func TestLoadLearnerFormatVersions(t *testing.T) {
 
 	// A future writer's payload must error cleanly.
 	future := strings.Replace(saved, `"format_version":1`, `"format_version":2`, 1)
-	if _, err := LoadLearner(strings.NewReader(future)); err == nil {
+	if _, err := loadLearner(future); err == nil {
 		t.Error("future format version accepted")
 	} else if !strings.Contains(err.Error(), "format version 2 not supported") {
 		t.Errorf("unexpected version error: %v", err)
 	}
 
 	// Negative versions are nonsense, not legacy.
-	if _, err := LoadLearner(strings.NewReader(
-		strings.Replace(saved, `"format_version":1`, `"format_version":-1`, 1))); err == nil {
+	if _, err := loadLearner(strings.Replace(saved, `"format_version":1`, `"format_version":-1`, 1)); err == nil {
 		t.Error("negative format version accepted")
 	}
 }
@@ -131,14 +141,7 @@ func TestLoadLearnerFormatVersions(t *testing.T) {
 // same bytes — map iteration order must not leak into checkpoints.
 func TestLearnerSaveDeterministic(t *testing.T) {
 	l := trainedLearner(t, 3)
-	var a, b bytes.Buffer
-	if err := l.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if a, b := saveLearner(t, l), saveLearner(t, l); !bytes.Equal(a, b) {
 		t.Fatal("two saves of one learner differ")
 	}
 	tr := l.State().Transitions
@@ -160,7 +163,7 @@ func TestLearnerSaveDeterministic(t *testing.T) {
 func TestLoadLearnerLargeCounts(t *testing.T) {
 	const head = `{"format_version":1,"config":{"States":2,"Actions":1,"Beta":0.3,"AlphaTh1":0.1,"AlphaTh2":0.05,"Gamma":0.6},` +
 		`"q":[0,0],"visits_sa":[0,0],"visits_action":[0],"transitions":`
-	l, err := LoadLearner(strings.NewReader(head + fmt.Sprintf(`[[0,0,0,1],[0,0,1,%d]]}`, 1<<40)))
+	l, err := loadLearner(head + fmt.Sprintf(`[[0,0,0,1],[0,0,1,%d]]}`, 1<<40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +171,7 @@ func TestLoadLearnerLargeCounts(t *testing.T) {
 	if got := l.Trans.Prob(0, 0, 1); got != want {
 		t.Fatalf("P(0,0,1) = %v, want %v", got, want)
 	}
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadLearner(&buf)
+	back, err := loadLearner(string(saveLearner(t, l)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func TestLoadLearnerLargeCounts(t *testing.T) {
 	}
 
 	overflow := head + fmt.Sprintf(`[[0,0,0,%d],[0,0,1,1]]}`, math.MaxInt)
-	if _, err := LoadLearner(strings.NewReader(overflow)); err == nil || !strings.Contains(err.Error(), "overflows") {
+	if _, err := loadLearner(overflow); err == nil || !strings.Contains(err.Error(), "overflows") {
 		t.Fatalf("overflowing transition total: err = %v", err)
 	}
 }

@@ -103,6 +103,9 @@ type QueueConfig struct {
 
 // validate rejects unusable queue configs (after defaults).
 func (q QueueConfig) validate() error {
+	if err := checkFinite([]namedValue{{"queue deadline", q.DeadlineSec}}); err != nil {
+		return err
+	}
 	if q.Capacity < 0 {
 		return fmt.Errorf("serve: negative queue capacity %d", q.Capacity)
 	}

@@ -325,6 +325,21 @@ func (f FaultConfig) withDefaults() FaultConfig {
 // in bounds, no overlapping windows or post-crash events per server, and
 // a recovery path that can actually run.
 func (f FaultConfig) validate(servers int, horizon float64, queueCapacity int) error {
+	if err := checkFinite([]namedValue{
+		{"fault checkpoint interval", f.CheckpointSec},
+		{"fault restore stall", f.Recovery.StallSec},
+		{"HR fault-recovery backoff", f.Recovery.HR.BackoffSec},
+		{"HR fault-recovery deadline", f.Recovery.HR.DeadlineSec},
+		{"LR fault-recovery backoff", f.Recovery.LR.BackoffSec},
+		{"LR fault-recovery deadline", f.Recovery.LR.DeadlineSec},
+	}); err != nil {
+		return err
+	}
+	for i, ev := range f.Plan {
+		if !isFinite(ev.AtSec) || !isFinite(ev.EndSec) || !isFinite(ev.Factor) {
+			return fmt.Errorf("serve: fault %d: time %g, window end %g or factor %g is not finite", i, ev.AtSec, ev.EndSec, ev.Factor)
+		}
+	}
 	if !f.Enabled() {
 		if f.CheckpointSec != 0 || f.Recovery != (FaultRecovery{}) {
 			return fmt.Errorf("serve: fault checkpoint/recovery set but no fault plan (fault injection disabled)")

@@ -462,6 +462,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// namedValue is one float config field and the name a validation error
+// reports it under.
+type namedValue struct {
+	name string
+	v    float64
+}
+
+// checkFinite rejects the first NaN or ±Inf value, naming its field.
+// Validators call it before their range checks: every comparison with
+// NaN is false, so a NaN would slip past all of them.
+func checkFinite(vals []namedValue) error {
+	for _, nv := range vals {
+		if !isFinite(nv.v) {
+			return fmt.Errorf("serve: %s %g is not finite", nv.name, nv.v)
+		}
+	}
+	return nil
+}
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // Validate reports whether the config is usable (after defaults).
 func (c Config) Validate() error {
 	c = c.withDefaults()
@@ -478,6 +499,22 @@ func (c Config) Validate() error {
 	}
 	if err := c.Workload.Validate(); err != nil {
 		return err
+	}
+	if err := checkFinite([]namedValue{
+		{"warm-up", c.WarmupSec},
+		{"SLO factor", c.SLOFPSFactor},
+		{"epoch interval", c.EpochSec},
+		{"migration stall", c.MigrationStallSec},
+		{"autoscale target utilization", c.Autoscale.TargetUtilPct},
+		{"autoscale high watermark", c.Autoscale.HighPct},
+		{"autoscale low watermark", c.Autoscale.LowPct},
+	}); err != nil {
+		return err
+	}
+	for i, ev := range c.Drain {
+		if !isFinite(ev.AtSec) {
+			return fmt.Errorf("serve: drain event %d time %g is not finite", i, ev.AtSec)
+		}
 	}
 	if c.WarmupSec < 0 {
 		return fmt.Errorf("serve: negative warm-up %g", c.WarmupSec)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -169,5 +170,70 @@ func TestFaultWindowOnRetiredServer(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestValidateRejectsNonFinite: every range check is false for NaN, so
+// without an explicit finiteness check a NaN or ±Inf float slipped past
+// Validate and hung, exhausted memory or silently misreported at run
+// time. Each row sets one field of an otherwise valid config (with the
+// feature that reads the field switched on) and only calls Validate.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	base := func() Config {
+		return Config{
+			Servers:  4,
+			Approach: experiments.Heuristic,
+			Workload: Workload{ArrivalRate: 1, DurationSec: 100},
+		}
+	}
+	elastic := func(c *Config) {
+		c.Rebalance = true
+		c.Autoscale = AutoscaleConfig{Enabled: true}
+	}
+	faults := func(c *Config) {
+		c.Queue.Capacity = 8
+		c.Faults.Plan = []FaultEvent{{Kind: FaultCrash, Server: 1, AtSec: 50}}
+	}
+	rows := []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"arrival rate", func(c *Config) { c.Workload.ArrivalRate = nan }},
+		{"arrival rate", func(c *Config) { c.Workload.ArrivalRate = inf }},
+		{"duration", func(c *Config) { c.Workload.DurationSec = nan }},
+		{"mean session length", func(c *Config) { c.Workload.MeanSessionSec = nan }},
+		{"HR fraction", func(c *Config) { c.Workload.HRFraction = nan }},
+		{"diurnal amplitude", func(c *Config) { c.Workload.Curve = LoadDiurnal; c.Workload.CurveAmplitude = nan }},
+		{"ramp end factor", func(c *Config) { c.Workload.Curve = LoadRamp; c.Workload.RampEndFactor = nan }},
+		{"burst factor", func(c *Config) { c.Workload.Curve = LoadBurst; c.Workload.BurstFactor = nan }},
+		{"trace entry 1: arrival", func(c *Config) {
+			c.Workload.Trace = []SessionRequest{{ArriveAtSec: 0, Frames: 24}, {ArriveAtSec: nan, Frames: 24}}
+		}},
+		{"warm-up", func(c *Config) { c.WarmupSec = nan }},
+		{"SLO factor", func(c *Config) { c.SLOFPSFactor = nan }},
+		{"epoch interval", func(c *Config) { elastic(c); c.EpochSec = nan }},
+		{"migration stall", func(c *Config) { elastic(c); c.MigrationStallSec = nan }},
+		{"drain event 0 time", func(c *Config) { elastic(c); c.Drain = []DrainEvent{{AtSec: nan, Server: 0}} }},
+		{"autoscale target utilization", func(c *Config) { elastic(c); c.Autoscale.TargetUtilPct = nan }},
+		{"queue deadline", func(c *Config) { c.Queue = QueueConfig{Capacity: 8, DeadlineSec: nan} }},
+		{"fault checkpoint interval", func(c *Config) { faults(c); c.Faults.CheckpointSec = nan }},
+		{"fault restore stall", func(c *Config) { faults(c); c.Faults.Recovery.StallSec = nan }},
+		{"fault 0: time", func(c *Config) { faults(c); c.Faults.Plan[0].AtSec = nan }},
+	}
+	for _, row := range rows {
+		cfg := base()
+		row.set(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: non-finite value accepted", row.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), row.field) || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("%s: error %q does not name the non-finite field", row.field, err)
+		}
+	}
+	if err := base().Validate(); err != nil {
+		t.Fatalf("base config invalid: %v", err)
 	}
 }

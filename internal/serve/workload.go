@@ -254,8 +254,27 @@ func (w Workload) withDefaults() Workload {
 // Validate reports whether the workload is usable (after defaults).
 func (w Workload) Validate() error {
 	w = w.withDefaults()
+	if err := checkFinite([]namedValue{
+		{"arrival rate", w.ArrivalRate},
+		{"duration", w.DurationSec},
+		{"HR fraction", w.HRFraction},
+		{"mean session length", w.MeanSessionSec},
+		{"min session length", w.MinSessionSec},
+		{"target FPS", w.TargetFPS},
+		{"diurnal amplitude", w.CurveAmplitude},
+		{"diurnal period", w.CurvePeriodSec},
+		{"ramp end factor", w.RampEndFactor},
+		{"burst factor", w.BurstFactor},
+		{"burst start", w.BurstStartSec},
+		{"burst end", w.BurstEndSec},
+	}); err != nil {
+		return err
+	}
 	if len(w.Trace) > 0 {
 		for i, r := range w.Trace {
+			if !isFinite(r.ArriveAtSec) || !isFinite(r.BandwidthMbps) {
+				return fmt.Errorf("serve: trace entry %d: arrival %g or bandwidth %g is not finite", i, r.ArriveAtSec, r.BandwidthMbps)
+			}
 			if r.ArriveAtSec < 0 {
 				return fmt.Errorf("serve: trace entry %d: negative arrival %g", i, r.ArriveAtSec)
 			}

@@ -1,5 +1,5 @@
-// Package tables renders small result tables as aligned plain text, CSV or
-// Markdown. The experiment commands use it to print the reproduction of
+// Package tables renders small result tables as aligned plain text or
+// CSV. The experiment commands use it to print the reproduction of
 // the paper's Tables I and II and the Fig. 4 data series.
 package tables
 
@@ -98,25 +98,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteMarkdown writes the table as a GitHub-flavoured Markdown table.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "### %s\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	seps := make([]string, len(t.Headers))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	b.WriteString("| " + strings.Join(seps, " | ") + " |\n")
-	for _, row := range t.rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // F formats a float with the given number of decimals; the standard cell

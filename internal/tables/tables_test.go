@@ -57,19 +57,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tb := New("T", "a", "b")
-	tb.MustAddRow("1", "2")
-	var buf bytes.Buffer
-	if err := tb.WriteMarkdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "### T") || !strings.Contains(out, "| a | b |") || !strings.Contains(out, "| --- | --- |") {
-		t.Errorf("markdown = %q", out)
-	}
-}
-
 func TestF(t *testing.T) {
 	if F(3.14159, 2) != "3.14" {
 		t.Error("F formatting wrong")
