@@ -271,23 +271,41 @@ func TestParseDrain(t *testing.T) {
 }
 
 // TestRunRejectsFlagsOutsideTheirMode: a report flag the chosen mode does
-// not read is an error, not silently ignored. Every row fails before any
-// simulation runs.
+// not read is an error, not silently ignored, and so is a periodic
+// interval too small to schedule over the horizon (-epoch 1e-9
+// -rebalance, -fault-checkpoint 1e-9), which would otherwise exhaust
+// memory. Every row fails before any simulation runs.
 func TestRunRejectsFlagsOutsideTheirMode(t *testing.T) {
-	cfg := fleetSmokeConfig(mamut.PolicyLeastLoaded)
+	crash, err := mamut.ParseServeFaultPlan("crash@20:1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := []struct {
 		name string
 		opts runOpts
+		cfg  func(*mamut.ServeConfig)
 	}{
-		{"grid -format csv", runOpts{policies: "power", format: "csv"}},
-		{"grid -format bogus", runOpts{policies: "power", format: "bogus"}},
-		{"grid -quantiles", runOpts{seeds: "1,2", quantiles: true}},
-		{"-format csv -quantiles", runOpts{format: "csv", quantiles: true}},
-		{"-format bogus", runOpts{format: "bogus"}},
-		{"-checkpoint outside grid", runOpts{checkpoint: "grid.ckpt"}},
-		{"grid -knowledge-out", runOpts{rates: "0.5", knowledgeOut: "kb.json"}},
+		{"grid -format csv", runOpts{policies: "power", format: "csv"}, nil},
+		{"grid -format bogus", runOpts{policies: "power", format: "bogus"}, nil},
+		{"grid -quantiles", runOpts{seeds: "1,2", quantiles: true}, nil},
+		{"-format csv -quantiles", runOpts{format: "csv", quantiles: true}, nil},
+		{"-format bogus", runOpts{format: "bogus"}, nil},
+		{"-checkpoint outside grid", runOpts{checkpoint: "grid.ckpt"}, nil},
+		{"grid -knowledge-out", runOpts{rates: "0.5", knowledgeOut: "kb.json"}, nil},
+		{"-epoch 1e-9 -rebalance", runOpts{}, func(c *mamut.ServeConfig) {
+			c.Rebalance = true
+			c.EpochSec = 1e-9
+		}},
+		{"-faults crash@20:1 -queue 8 -fault-checkpoint 1e-9", runOpts{}, func(c *mamut.ServeConfig) {
+			c.Queue = mamut.ServeQueueConfig{Capacity: 8}
+			c.Faults = mamut.ServeFaultConfig{Plan: crash, CheckpointSec: 1e-9}
+		}},
 	}
 	for _, row := range rows {
+		cfg := fleetSmokeConfig(mamut.PolicyLeastLoaded)
+		if row.cfg != nil {
+			row.cfg(&cfg)
+		}
 		var buf bytes.Buffer
 		if err := run(&buf, cfg, row.opts); err == nil {
 			t.Errorf("%s: accepted", row.name)

@@ -204,13 +204,13 @@ type heuristicState struct {
 // ControllerState implements transcode.StatefulController: the complete
 // decision state (current settings, window accumulators, effectiveness
 // check memory), so a migrated session's rule firing is unchanged.
-func (h *Heuristic) ControllerState() ([]byte, error) {
-	return json.Marshal(heuristicState{
+func (h *Heuristic) ControllerState() any {
+	return heuristicState{
 		Settings: h.settings, N: h.n,
 		SumFPS: h.sumFPS, SumPSNR: h.sumPSNR,
 		SumPower: h.sumPower, SumBitrate: h.sumBitrate,
 		LastFPS: h.lastFPS, GrewThreads: h.grewThreads,
-	})
+	}
 }
 
 // RestoreControllerState implements transcode.StatefulController.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mamut/internal/core"
+	"mamut/internal/transcode"
 	"mamut/internal/video"
 )
 
@@ -140,12 +141,12 @@ type queueEntry struct {
 
 	// Recovery fields (crash recovery only; see faults.go). rec is the
 	// victim's resident bookkeeping at the crash (its warm-start baseline
-	// included), snap its last checkpoint payload (nil = cold restart),
+	// included), snap its last checkpoint (nil = cold restart),
 	// attempt/eligibleAt the retry-with-backoff state, and crashAt the
 	// instant the MTTR clock started.
 	recovery   bool
 	rec        residentRec
-	snap       []byte
+	snap       *transcode.SessionSnapshot
 	attempt    int
 	eligibleAt float64
 	crashAt    float64
@@ -399,19 +400,38 @@ func (d *dispatcher) admit(req SessionRequest, choice int, startAt float64, meas
 	return nil
 }
 
+// sharedSeed is the read-only seed copy a class's admissions share, and
+// the class's contribution count it was cloned at.
+type sharedSeed struct {
+	snap    *core.Snapshot
+	version int
+}
+
 // seedAdmission picks the knowledge seed for one admission of class res
 // and hands it to the controller factory (nil when knowledge reuse is
-// off or the class is still cold). It clones the class's current
-// snapshot: the store keeps merging afterwards, so the admission needs a
-// frozen copy that serves both as the controller's seed (via the
-// WarmStart closure) and as the baseline its departing contribution is
-// measured against.
+// off or the class is still cold). The store keeps merging afterwards,
+// so the admission needs a frozen copy of the class's current snapshot,
+// which serves both as the controller's seed (via the WarmStart
+// closure) and as the baseline its departing contribution is measured
+// against.
+//
+// The copy is shared: every admission of the class until its next
+// contribution gets the same one, instead of holding a clone each. The
+// class's contribution count versions it, and sessions seeded before a
+// contribution keep the old copy, which nothing mutates (core.NewWarm
+// and SubtractCounts only read their seed).
 func (d *dispatcher) seedAdmission(res video.Resolution) *core.Snapshot {
 	var seed *core.Snapshot
 	if d.store != nil {
-		if s := d.store.Seed(res); s != nil {
-			cp := s.Clone()
-			seed = &cp
+		if cur := d.store.Seed(res); cur != nil {
+			version := d.store.Contributions(res)
+			if sh, ok := d.seeds[res]; ok && sh.version == version {
+				seed = sh.snap
+			} else {
+				cp := cur.Clone()
+				seed = &cp
+				d.seeds[res] = sharedSeed{snap: seed, version: version}
+			}
 			d.seeded++
 		}
 	}

@@ -89,13 +89,13 @@ func TestMAMUTCheckpointBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestMAMUTControllerStateWirePin: the typed controller payload is
-// byte-identical to the legacy encoding, which nested the resume state
+// TestMAMUTControllerStateWirePin: the typed controller state marshals
+// byte-identically to the legacy encoding, which nested the resume state
 // as pre-encoded bytes (core pins the resume state's own legacy form),
 // and it restores a fresh controller to the same state.
 func TestMAMUTControllerStateWirePin(t *testing.T) {
 	_, _, ctrl := mamutCheckpointEngine(t)
-	typed, err := ctrl.ControllerState()
+	typed, err := json.Marshal(ctrl.ControllerState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestMAMUTControllerStateWirePin(t *testing.T) {
 	if err := fresh.RestoreControllerState(legacy); err != nil {
 		t.Fatal(err)
 	}
-	back, err := fresh.ControllerState()
+	back, err := json.Marshal(fresh.ControllerState())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,24 +133,72 @@ func TestMAMUTControllerStateWirePin(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpointSession is the session-codec floor: one periodic
-// checkpoint of one trained MAMUT session — extract, encode, and the
-// same-engine re-inject that takes the undo path — as checkpointFleet
-// runs it per resident session.
+// TestMAMUTSnapshotDoesNotAlias: a checkpoint snapshot of a trained
+// MAMUT session shares no memory with the live controller. Encoding it
+// after the engine has run on for another minute of learning gives the
+// bytes it encoded to at the snapshot instant.
+func TestMAMUTSnapshotDoesNotAlias(t *testing.T) {
+	eng, id, _ := mamutCheckpointEngine(t)
+	snap, err := eng.SnapshotSession(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AdvanceTo(120); err != nil {
+		t.Fatal(err)
+	}
+	later, err := eng.SnapshotSession(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err := later.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(moved, want) {
+		t.Fatal("the session did not change in a minute of learning; the test proves nothing")
+	}
+	got, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a snapshot's encoding changed while its session ran on")
+	}
+}
+
+// BenchmarkCheckpointSession is the session-codec floor of crash
+// recovery for one trained MAMUT session. snapshot times what
+// checkpointFleet runs per resident session at every checkpoint: the
+// typed snapshot. restore times what restoreSession adds for a crash
+// victim before injection: the wire encode and the verified decode.
 func BenchmarkCheckpointSession(b *testing.B) {
 	eng, id, _ := mamutCheckpointEngine(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := eng.ExtractSession(id)
+	b.Run("snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := eng.SnapshotSession(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		snap, err := eng.SnapshotSession(id)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := transcode.EncodeSessionState(st); err != nil {
-			b.Fatal(err)
+		b.ReportAllocs()
+		for b.Loop() {
+			data, err := snap.Encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := transcode.DecodeSessionState(data); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if _, err := eng.InjectSession(nil, nil, st); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }

@@ -167,16 +167,17 @@ type statefulMAMUT struct {
 	src *xrand.Source
 }
 
-// mamutCtrlState is the wrapper's serialised form. The resume state is
-// typed, so ControllerState encodes the learner tables in one pass.
+// mamutCtrlState is the wrapper's typed state: the resume state is
+// already a deep copy, so a checkpoint holds it as is and the wire codec
+// encodes the learner tables in one pass only when it is needed.
 type mamutCtrlState struct {
 	Resume *core.ResumeState `json:"resume"`
 	RNG    uint64            `json:"rng"`
 }
 
 // ControllerState implements transcode.StatefulController.
-func (c *statefulMAMUT) ControllerState() ([]byte, error) {
-	return json.Marshal(mamutCtrlState{Resume: c.ResumeState(), RNG: c.src.State()})
+func (c *statefulMAMUT) ControllerState() any {
+	return mamutCtrlState{Resume: c.ResumeState(), RNG: c.src.State()}
 }
 
 // RestoreControllerState implements transcode.StatefulController.

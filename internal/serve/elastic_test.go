@@ -228,6 +228,7 @@ func TestElasticValidate(t *testing.T) {
 	}{
 		{"monoagent", func(c *Config) { c.Approach = experiments.MonoAgent; c.Rebalance = true }, "not migratable"},
 		{"negative epoch", func(c *Config) { c.Rebalance = true; c.EpochSec = -1 }, "negative epoch"},
+		{"tiny epoch", func(c *Config) { c.Rebalance = true; c.EpochSec = 1e-9 }, "epoch interval 1e-09"},
 		{"negative stall", func(c *Config) { c.Rebalance = true; c.MigrationStallSec = -0.5 }, "negative migration stall"},
 		{"drain out of range", func(c *Config) { c.Drain = []DrainEvent{{AtSec: 10, Server: 2}} }, "outside initial fleet"},
 		{"drain negative time", func(c *Config) { c.Drain = []DrainEvent{{AtSec: -1, Server: 0}} }, "negative time"},

@@ -276,10 +276,13 @@ type FaultConfig struct {
 	// syntax). Empty disables fault injection.
 	Plan []FaultEvent
 	// CheckpointSec periodically freezes every resident session's state
-	// (transcode.EncodeSessionState) so crash victims restore from their
-	// last snapshot instead of restarting cold. 0 disables checkpoints:
-	// crash victims restart from scratch, warm-seeded from the knowledge
-	// store when Config.KnowledgeReuse is on.
+	// (transcode.Engine.SnapshotSession, a typed in-memory copy) so crash
+	// victims restore from their last snapshot instead of restarting
+	// cold; only a restored snapshot goes through the wire codec. 0
+	// disables checkpoints: crash victims restart from scratch,
+	// warm-seeded from the knowledge store when Config.KnowledgeReuse is
+	// on. An interval that would put more than 2^20 checkpoint passes on
+	// the horizon is rejected.
 	CheckpointSec float64
 	// Recovery configures the crash-recovery pipeline.
 	Recovery FaultRecovery
@@ -348,6 +351,9 @@ func (f FaultConfig) validate(servers int, horizon float64, queueCapacity int) e
 	}
 	if f.CheckpointSec < 0 {
 		return fmt.Errorf("serve: negative fault checkpoint interval %g", f.CheckpointSec)
+	}
+	if err := checkPeriod("fault checkpoint interval", f.CheckpointSec, horizon); err != nil {
+		return err
 	}
 	// A fixed HR-then-LR order, so a config with both classes out of
 	// bounds always reports the same one.
@@ -423,10 +429,11 @@ func (f FaultConfig) validate(servers int, horizon float64, queueCapacity int) e
 }
 
 // faultSnap is one session's last periodic checkpoint, keyed by arrival
-// ID in dispatcher.snaps; at holds the checkpoint instant for the
-// lost-work accounting.
+// ID in dispatcher.snaps: the typed in-memory snapshot, which only a
+// crash victim's restore ever encodes, and the checkpoint instant for
+// the lost-work accounting.
 type faultSnap struct {
-	data []byte
+	snap *transcode.SessionSnapshot
 	at   float64
 }
 
@@ -519,7 +526,7 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 			deadline:   t + cl.DeadlineSec,
 			recovery:   true,
 			rec:        rec,
-			snap:       snap.data,
+			snap:       snap.snap,
 			eligibleAt: t,
 			crashAt:    t,
 		})
@@ -663,14 +670,13 @@ func (d *dispatcher) degradeEnd(t float64, srv int) error {
 
 // --- checkpoint & restore ---------------------------------------------
 
-// checkpointFleet freezes every resident session's state at time t and
-// stores the encoded snapshot for crash recovery. Each session is
-// extracted, encoded, and injected straight back: the same-engine
-// round-trip takes the engine's undo fast path, so the engine state
-// after the pass is bit-identical to never having checkpointed — the
-// snapshot is a pure read. Sessions whose state cannot be extracted are
-// skipped (they simply have no snapshot to restore from); a failed
-// re-inject would leave the engine inconsistent and fails the run.
+// checkpointFleet freezes every resident session's state at time t for
+// crash recovery. Each session's snapshot is a typed in-memory copy
+// (transcode.Engine.SnapshotSession): the engine extracts the state and
+// reverts through its undo path, so the engine after the pass is
+// bit-identical to never having checkpointed, and no codec runs until a
+// crash victim is restored. A session whose state cannot be snapshotted
+// (or could not be encoded) keeps its previous checkpoint, if any.
 func (d *dispatcher) checkpointFleet(t float64) error {
 	if err := d.syncPoint(t); err != nil {
 		return err
@@ -690,16 +696,8 @@ func (d *dispatcher) checkpointFleet(t float64) error {
 			if !ok {
 				continue // departed during the AdvanceTo above
 			}
-			st, err := fs.eng.ExtractSession(id)
-			if err != nil {
-				continue
-			}
-			data, encErr := transcode.EncodeSessionState(st)
-			if _, err := fs.eng.InjectSession(nil, nil, st); err != nil {
-				return fmt.Errorf("serve: checkpoint server %d session %d: %w", i, id, err)
-			}
-			if encErr == nil {
-				d.snaps[rec.reqID] = faultSnap{data: data, at: t}
+			if snap, err := fs.eng.SnapshotSession(id); err == nil {
+				d.snaps[rec.reqID] = faultSnap{snap: snap, at: t}
 			}
 		}
 		d.scheduleServer(i)
@@ -711,16 +709,22 @@ func (d *dispatcher) checkpointFleet(t float64) error {
 // t: from its checkpoint snapshot when it has one (the session resumes
 // mid-stream, charged Recovery.StallSec on the interrupted frame), or
 // from scratch otherwise (warm-seeded from the knowledge store like any
-// fresh admission, keeping its original arrival identity). Recovery is
+// fresh admission, keeping its original arrival identity). The snapshot
+// goes through the wire codec here, and only here: it is encoded, then
+// decoded and verified, and a snapshot that fails the round trip is a
+// cold restart. So every restore resumes from the same artifact an
+// encode-at-checkpoint design would have stored. Recovery is
 // migration-like on the books: the session was already counted admitted
 // and measured at its original admission, so only the recovery counters
 // and the MTTR sketch move here.
 func (d *dispatcher) restoreSession(e *queueEntry, choice int, t float64) error {
 	rec := e.rec
 	var st *transcode.SessionState
-	if len(e.snap) > 0 {
-		if s, err := transcode.DecodeSessionState(e.snap); err == nil {
-			st = s
+	if e.snap != nil {
+		if data, err := e.snap.Encode(); err == nil {
+			if s, err := transcode.DecodeSessionState(data); err == nil {
+				st = s
+			}
 		}
 	}
 	if st != nil {

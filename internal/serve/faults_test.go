@@ -157,6 +157,12 @@ func TestFaultConfigValidate(t *testing.T) {
 		{"negative checkpoint", func(c *Config) {
 			c.Faults = FaultConfig{Plan: plan("blip@10-20:0"), CheckpointSec: -1}
 		}, "checkpoint"},
+		{"tiny checkpoint interval", func(c *Config) {
+			c.Faults = FaultConfig{Plan: plan("blip@10-20:0"), CheckpointSec: 1e-9}
+		}, "fault checkpoint interval 1e-09"},
+		{"checkpoint interval at the moment bound ok", func(c *Config) {
+			c.Faults = FaultConfig{Plan: plan("blip@10-20:0"), CheckpointSec: 100.0 / maxPeriodicMoments}
+		}, ""},
 		{"checkpoint without plan", func(c *Config) {
 			c.Faults = FaultConfig{CheckpointSec: 10}
 		}, "no fault plan"},

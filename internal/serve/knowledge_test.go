@@ -9,6 +9,7 @@ import (
 	"mamut/internal/experiments"
 	"mamut/internal/hevc"
 	"mamut/internal/platform"
+	"mamut/internal/transcode"
 	"mamut/internal/video"
 )
 
@@ -188,5 +189,91 @@ func TestKnowledgeStorePoolsPerClass(t *testing.T) {
 	}
 	if got := ks.Contributions(video.HR); got != 2 {
 		t.Errorf("failed contribution counted: HR contributions = %d, want 2", got)
+	}
+}
+
+// warmMAMUT builds an HR MAMUT controller warm-started from seed (nil =
+// cold), as the serve controller factory does, and runs it for 30 s of
+// simulated time on an engine of its own so its learners gather their
+// own experience on top of the seed.
+func warmMAMUT(t *testing.T, seed *core.Snapshot, rngSeed int64) *core.Controller {
+	t.Helper()
+	spec, model := platform.DefaultSpec(), hevc.DefaultModel()
+	eng, err := transcode.NewEngine(spec, model, rngSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := video.DefaultCatalog().Get("Kimono")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := video.NewStatefulGenerator(seq, rngSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := experiments.InitialSettings(video.HR)
+	c, err := core.NewWarm(core.DefaultConfig(video.HR, spec, model.MaxUsefulThreads(video.HR)),
+		initial, rand.New(rand.NewSource(rngSeed)), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.AddSession(transcode.SessionConfig{
+		Source: src, Controller: c, Initial: initial, FrameBudget: 1 << 30,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AdvanceTo(30); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestSeedAdmissionSharesSeedUntilFold: admissions of a class with no
+// fold between them share one seed copy, a fold makes the next admission
+// clone a fresh one, and a shared seed is unchanged after every session
+// seeded from it has departed and been folded into the store.
+func TestSeedAdmissionSharesSeedUntilFold(t *testing.T) {
+	d := &dispatcher{
+		store: NewKnowledgeStore(),
+		seeds: make(map[video.Resolution]sharedSeed),
+		busy:  make([]float64, 1),
+	}
+	depart := func(c *core.Controller, seeded *core.Snapshot) {
+		t.Helper()
+		d.departs = append(d.departs, departRec{reqID: d.seeded, res: video.HR, ctrl: c, seeded: seeded})
+		if err := d.foldBatch(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.seedAdmission(video.HR) != nil {
+		t.Fatal("a cold class handed out a seed")
+	}
+	depart(warmMAMUT(t, nil, 1), nil)
+
+	a, b := d.seedAdmission(video.HR), d.seedAdmission(video.HR)
+	if a == nil || a != b {
+		t.Fatalf("two admissions with no fold between them got seeds %p and %p, want one shared seed", a, b)
+	}
+	if d.seedAdmission(video.LR) != nil {
+		t.Fatal("an HR contribution warmed the LR class")
+	}
+	want := a.Clone()
+	ca, cb := warmMAMUT(t, a, 2), warmMAMUT(t, b, 3)
+
+	depart(ca, a)
+	c := d.seedAdmission(video.HR)
+	if c == a {
+		t.Fatal("an admission after a fold got the retired seed")
+	}
+	if !reflect.DeepEqual(*c, *d.store.Seed(video.HR)) || reflect.DeepEqual(*c, want) {
+		t.Fatal("the seed cloned after a fold does not hold the folded knowledge")
+	}
+
+	depart(cb, b)
+	if !reflect.DeepEqual(*a, want) {
+		t.Fatal("a shared seed changed while the sessions seeded from it ran and departed")
+	}
+	if d.seeded != 3 {
+		t.Errorf("seeded count %d, want 3", d.seeded)
 	}
 }

@@ -122,7 +122,9 @@ type Config struct {
 	// on the one merged clock (an epoch due at an arrival's instant runs
 	// before the arrival) and continue to the workload horizon, so every
 	// elasticity decision lands at a deterministic point of the event
-	// order and results stay bit-identical for any Workers count.
+	// order and results stay bit-identical for any Workers count. An
+	// interval that would put more than 2^20 epochs on the horizon is
+	// rejected.
 	EpochSec float64
 	// Rebalance enables the built-in power-hotspot rebalancer (see
 	// RebalancerPowerHotspot): each epoch it live-migrates sessions away
@@ -483,6 +485,21 @@ func checkFinite(vals []namedValue) error {
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
+// maxPeriodicMoments bounds the moments one periodic schedule (control
+// epochs, checkpoint passes) may put on a run's timeline. The timeline
+// holds every moment up front, so an interval tiny against the horizon
+// would exhaust memory before the run began.
+const maxPeriodicMoments = 1 << 20
+
+// checkPeriod rejects a positive interval whose schedule over horizon
+// exceeds maxPeriodicMoments, naming its field.
+func checkPeriod(name string, interval, horizon float64) error {
+	if n := horizon / interval; interval > 0 && n > maxPeriodicMoments {
+		return fmt.Errorf("serve: %s %g puts %.3g moments on the %gs horizon, more than %d", name, interval, n, horizon, maxPeriodicMoments)
+	}
+	return nil
+}
+
 // Validate reports whether the config is usable (after defaults).
 func (c Config) Validate() error {
 	c = c.withDefaults()
@@ -570,6 +587,9 @@ func (c Config) Validate() error {
 		}
 		if c.EpochSec < 0 {
 			return fmt.Errorf("serve: negative epoch interval %g", c.EpochSec)
+		}
+		if err := checkPeriod("epoch interval", c.EpochSec, c.Workload.withDefaults().DurationSec); err != nil {
+			return err
 		}
 		if c.MigrationStallSec < 0 {
 			return fmt.Errorf("serve: negative migration stall %g", c.MigrationStallSec)
@@ -837,6 +857,7 @@ func Run(cfg Config) (*Result, error) {
 		} else {
 			d.store = NewKnowledgeStore()
 		}
+		d.seeds = make(map[video.Resolution]sharedSeed)
 		// The factory seeds from the exact snapshot the dispatcher
 		// records as the admission's subtraction baseline (set right
 		// before each addSession), so baseline == seed by construction —
@@ -1032,10 +1053,12 @@ type dispatcher struct {
 	shard0Ctx context.Context
 
 	// Knowledge reuse: the store, the seed snapshot the WarmStart
-	// closure hands the next controller, and the warm-start count.
+	// closure hands the next controller, the warm-start count, and each
+	// class's shared seed copy (seedAdmission).
 	store       *KnowledgeStore
 	pendingSeed *core.Snapshot
 	seeded      int
+	seeds       map[video.Resolution]sharedSeed
 
 	// Elasticity (epochSec > 0 only): the rebalancer, the scheduled
 	// decommissions still to apply, the in-service (non-retired) server

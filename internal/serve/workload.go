@@ -66,7 +66,8 @@
 // re-profile) and blip (an unavailability window during which the server
 // admits nothing but its sessions keep running). Periodic checkpoints
 // (Config.Faults.CheckpointSec) snapshot live sessions via the same
-// extract/encode path migration uses; crash-interrupted sessions re-enter
+// extraction migration uses, kept as typed in-memory copies that only a
+// restore encodes; crash-interrupted sessions re-enter
 // the admission queue as recovery entries with per-class backoff, retry
 // and deadline budgets, restoring from their last snapshot — or
 // cold-restarting, warm-seeded from the KnowledgeStore when enabled —

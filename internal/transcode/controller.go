@@ -118,7 +118,7 @@ func (s *Static) OnFrameDone(Observation) {}
 
 // ControllerState implements StatefulController (migrate.go): a static
 // controller's whole state is its settings.
-func (s *Static) ControllerState() ([]byte, error) { return json.Marshal(s.S) }
+func (s *Static) ControllerState() any { return s.S }
 
 // RestoreControllerState implements StatefulController.
 func (s *Static) RestoreControllerState(data []byte) error {

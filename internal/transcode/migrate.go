@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 
 	"mamut/internal/hevc"
@@ -32,16 +33,29 @@ import (
 // the destination's accounting is exact for its own timeline, but a
 // migrated fleet is a different physical scenario than an unmigrated one,
 // so its floats legitimately differ.
+//
+// SnapshotSession is the read-only variant for checkpoints: it extracts
+// and immediately undoes, keeping the state in memory as a
+// SessionSnapshot. The controller's part of it is the typed deep copy
+// StatefulController.ControllerState returns, so a snapshot costs one
+// copy of the decision state, and no encode; SessionSnapshot.Encode
+// produces the wire bytes when the state is actually needed, identical
+// to ExtractSession's followed by EncodeSessionState.
 
 // StatefulController is a Controller whose decision state can be frozen
-// and restored, which is what makes its session migratable. The payload
+// and restored, which is what makes its session migratable. The state
 // is opaque to the engine; RestoreControllerState is called on a
 // freshly built controller of the same configuration.
 type StatefulController interface {
 	Controller
-	// ControllerState freezes the complete decision state.
-	ControllerState() ([]byte, error)
-	// RestoreControllerState resumes from a ControllerState payload.
+	// ControllerState freezes the complete decision state as a typed
+	// deep copy that encoding/json marshals: it shares no memory with
+	// the controller, so it stays valid while the controller runs on.
+	// The engine marshals it only when the state leaves the process
+	// (ExtractSession, SessionSnapshot.Encode).
+	ControllerState() any
+	// RestoreControllerState resumes from the JSON encoding of a
+	// ControllerState value.
 	RestoreControllerState(data []byte) error
 }
 
@@ -115,6 +129,18 @@ type SessionState struct {
 // InjectSession and DecodeSessionState, so a corrupted or hand-rolled
 // payload fails loudly instead of desynchronising an engine.
 func (st *SessionState) Validate() error {
+	if err := st.validateStream(); err != nil {
+		return err
+	}
+	if len(st.Controller) == 0 {
+		return fmt.Errorf("transcode: session state: missing controller state")
+	}
+	return nil
+}
+
+// validateStream is Validate minus the controller payload, which a
+// SessionSnapshot holds typed until it is encoded.
+func (st *SessionState) validateStream() error {
 	if st.Version < 0 || st.Version > sessionFormatVersion {
 		return fmt.Errorf("transcode: session state: format version %d not supported (current %d)", st.Version, sessionFormatVersion)
 	}
@@ -182,9 +208,6 @@ func (st *SessionState) Validate() error {
 	}
 	if len(st.Source) == 0 {
 		return fmt.Errorf("transcode: session state: missing source state")
-	}
-	if len(st.Controller) == 0 {
-		return fmt.Errorf("transcode: session state: missing controller state")
 	}
 	return nil
 }
@@ -282,38 +305,97 @@ type extractStash struct {
 // contributed power and contention up to this instant, and the remaining
 // sessions' accounting must reflect that.
 func (e *Engine) ExtractSession(id int) (*SessionState, error) {
+	st, ctrl, err := e.extract("ExtractSession", id)
+	if err != nil {
+		return nil, err
+	}
+	if st.Controller, err = json.Marshal(ctrl); err != nil {
+		e.undoExtract()
+		return nil, fmt.Errorf("transcode: ExtractSession(%d): %w", id, err)
+	}
+	e.stash.state = st.clone()
+	return st, nil
+}
+
+// SessionSnapshot is one session's state frozen in memory at
+// SnapshotSession: the SessionState without its controller payload, plus
+// the controller's typed ControllerState copy. Taking one runs no codec;
+// Encode produces the wire artifact when the state is actually needed.
+type SessionSnapshot struct {
+	st   SessionState // Controller is empty; ctrl holds it typed
+	ctrl any
+}
+
+// SnapshotSession freezes one live session without removing it: it
+// extracts the state exactly as ExtractSession does, then reverts the
+// engine through the undo path, so the engine is bit-identical to never
+// having been snapshotted. It fails with ExtractSession's errors, and
+// also when the state could not be encoded (Validate fails, or a float
+// is NaN or infinite), so a snapshot that exists always encodes. Like
+// any engine call between an ExtractSession and its re-injection, it
+// makes that re-injection take the cross-engine path.
+func (e *Engine) SnapshotSession(id int) (*SessionSnapshot, error) {
+	st, ctrl, err := e.extract("SnapshotSession", id)
+	if err != nil {
+		return nil, err
+	}
+	e.undoExtract()
+	if err := st.validateStream(); err != nil {
+		return nil, err
+	}
+	if !finiteJSON(reflect.ValueOf(st)) || !finiteJSON(reflect.ValueOf(ctrl)) {
+		return nil, fmt.Errorf("transcode: SnapshotSession(%d): state holds a non-finite float", id)
+	}
+	// The session keeps appending to its trace after the undo.
+	st.Trace = append([]Observation(nil), st.Trace...)
+	return &SessionSnapshot{st: *st, ctrl: ctrl}, nil
+}
+
+// Encode serialises the snapshot with EncodeSessionState. The bytes are
+// exactly those of EncodeSessionState(ExtractSession(id)) at the
+// snapshot instant.
+func (sn *SessionSnapshot) Encode() ([]byte, error) {
+	st := sn.st
+	var err error
+	if st.Controller, err = json.Marshal(sn.ctrl); err != nil {
+		return nil, fmt.Errorf("transcode: encode session snapshot: %w", err)
+	}
+	return EncodeSessionState(&st)
+}
+
+// extract is ExtractSession up to the controller payload, which it
+// returns typed: it removes the session, records the undo stash (all but
+// its state copy) and names op in its errors.
+func (e *Engine) extract(op string, id int) (*SessionState, any, error) {
 	if e.finished {
-		return nil, fmt.Errorf("transcode: ExtractSession(%d): sessions are frozen mid-frame in the terminal state and cannot be exported: %w", id, errFinished)
+		return nil, nil, fmt.Errorf("transcode: %s(%d): sessions are frozen mid-frame in the terminal state and cannot be exported: %w", op, id, errFinished)
 	}
 	if id < 0 || id >= len(e.sessions) {
-		return nil, fmt.Errorf("transcode: ExtractSession(%d): no such session", id)
+		return nil, nil, fmt.Errorf("transcode: %s(%d): no such session", op, id)
 	}
 	s := e.sessions[id]
 	if s == nil {
 		if e.extracted[id] {
-			return nil, fmt.Errorf("transcode: ExtractSession(%d): session already extracted", id)
+			return nil, nil, fmt.Errorf("transcode: %s(%d): session already extracted", op, id)
 		}
-		return nil, fmt.Errorf("transcode: ExtractSession(%d): session departed and was discarded", id)
+		return nil, nil, fmt.Errorf("transcode: %s(%d): session departed and was discarded", op, id)
 	}
 	if s.done {
-		return nil, fmt.Errorf("transcode: ExtractSession(%d): session already departed", id)
+		return nil, nil, fmt.Errorf("transcode: %s(%d): session already departed", op, id)
 	}
 	src, ok := s.cfg.Source.(video.StatefulSource)
 	if !ok {
-		return nil, fmt.Errorf("transcode: ExtractSession(%d): video source %T does not support state snapshots", id, s.cfg.Source)
+		return nil, nil, fmt.Errorf("transcode: %s(%d): video source %T does not support state snapshots", op, id, s.cfg.Source)
 	}
 	ctrl, ok := s.cfg.Controller.(StatefulController)
 	if !ok {
-		return nil, fmt.Errorf("transcode: ExtractSession(%d): controller %q does not support migration", id, s.cfg.Controller.Name())
+		return nil, nil, fmt.Errorf("transcode: %s(%d): controller %q does not support migration", op, id, s.cfg.Controller.Name())
 	}
 	srcState, err := src.SourceState()
 	if err != nil {
-		return nil, fmt.Errorf("transcode: ExtractSession(%d): %w", id, err)
+		return nil, nil, fmt.Errorf("transcode: %s(%d): %w", op, id, err)
 	}
-	ctrlState, err := ctrl.ControllerState()
-	if err != nil {
-		return nil, fmt.Errorf("transcode: ExtractSession(%d): %w", id, err)
-	}
+	ctrlState := ctrl.ControllerState()
 
 	stash := &extractStash{
 		id: id, sess: s, sessCopy: *s, running: s.running,
@@ -352,7 +434,6 @@ func (e *Engine) ExtractSession(id int) (*SessionState, error) {
 		FirstAction:   s.firstAction,
 		Trace:         s.trace,
 		Source:        srcState,
-		Controller:    ctrlState,
 		EncoderRNG:    s.encSrc.State(),
 	}
 	if s.cfg.Preset != nil {
@@ -370,14 +451,14 @@ func (e *Engine) ExtractSession(id int) (*SessionState, error) {
 		ev, ok := e.compl.removeByID(id)
 		if !ok {
 			// Unreachable: a running session always has a pending completion.
-			return nil, fmt.Errorf("transcode: ExtractSession(%d): no pending completion", id)
+			return nil, nil, fmt.Errorf("transcode: %s(%d): no pending completion", op, id)
 		}
 		stash.ev = ev
 		if err := e.acct.Remove(s.load); err != nil {
 			// Put the completion back: the engine is still consistent and
 			// the caller sees the accounting mismatch as a plain error.
 			e.compl.push(ev)
-			return nil, fmt.Errorf("transcode: ExtractSession(%d): %w", id, err)
+			return nil, nil, fmt.Errorf("transcode: %s(%d): %w", op, id, err)
 		}
 		st.Running = true
 		st.CompletionKey = ev.key
@@ -386,7 +467,7 @@ func (e *Engine) ExtractSession(id int) (*SessionState, error) {
 	} else {
 		ev, ok := e.arrivals.removeByID(id)
 		if !ok {
-			return nil, fmt.Errorf("transcode: ExtractSession(%d): no pending arrival", id)
+			return nil, nil, fmt.Errorf("transcode: %s(%d): no pending arrival", op, id)
 		}
 		stash.ev = ev
 		st.StartAtSec = ev.key
@@ -402,9 +483,8 @@ func (e *Engine) ExtractSession(id int) (*SessionState, error) {
 	e.stateGen++
 
 	stash.gen = e.stateGen
-	stash.state = st.clone()
 	e.stash = stash
-	return st, nil
+	return st, ctrlState, nil
 }
 
 // InjectSession resumes an extracted session on this engine. src and ctrl
@@ -657,3 +737,72 @@ func sameSettings(a, b Settings) bool {
 }
 
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// finiteJSON reports whether v holds no NaN or infinite float where
+// encoding/json would meet it — the one marshal failure the states
+// ControllerState returns can hit. It walks what json.Marshal walks:
+// exported and embedded struct fields, pointers, interfaces, slices,
+// arrays and map values, skipping containers that cannot hold a float.
+func finiteJSON(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		f := v.Float()
+		return !math.IsNaN(f) && !math.IsInf(f, 0)
+	case reflect.Pointer, reflect.Interface:
+		return v.IsNil() || finiteJSON(v.Elem())
+	case reflect.Struct:
+		t := v.Type()
+		for i := 0; i < v.NumField(); i++ {
+			f := t.Field(i)
+			if (!f.IsExported() && !f.Anonymous) || f.Tag.Get("json") == "-" {
+				continue
+			}
+			if !finiteJSON(v.Field(i)) {
+				return false
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if floatFree(v.Type().Elem()) {
+			return true
+		}
+		if v.Kind() == reflect.Slice && v.CanInterface() {
+			if fs, ok := v.Interface().([]float64); ok { // Q-tables: skip per-element reflection
+				for _, f := range fs {
+					if math.IsNaN(f) || math.IsInf(f, 0) {
+						return false
+					}
+				}
+				return true
+			}
+		}
+		for i := 0; i < v.Len(); i++ {
+			if !finiteJSON(v.Index(i)) {
+				return false
+			}
+		}
+	case reflect.Map:
+		if floatFree(v.Type().Elem()) {
+			return true
+		}
+		for it := v.MapRange(); it.Next(); {
+			if !finiteJSON(it.Value()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// floatFree reports whether every value of type t is a non-float scalar
+// or an array of them, such as a transition tuple.
+func floatFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return true
+	case reflect.Array:
+		return floatFree(t.Elem())
+	}
+	return false
+}
