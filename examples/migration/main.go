@@ -11,11 +11,11 @@
 // session still transcodes its full frame budget — the stall is the only
 // price of the move.
 //
-// The migration API is exact: the transcode package's tests pin that an
-// extract/inject round-trip on the same server is bit-identical to never
-// migrating at all. The serve package builds on this primitive for fleet
-// drains, hotspot rebalancing and autoscaling (see ServeConfig.Rebalance,
-// .Autoscale and .Drain).
+// The migration API is exact: the transcode package's tests pin that a
+// resumed session continues the same stream where it stopped, and that
+// its state survives the wire codec unchanged. The serve package builds
+// on this primitive for fleet drains, hotspot rebalancing and
+// autoscaling (see ServeConfig.Rebalance, .Autoscale and .Drain).
 package main
 
 import (

@@ -672,11 +672,12 @@ func (d *dispatcher) degradeEnd(t float64, srv int) error {
 
 // checkpointFleet freezes every resident session's state at time t for
 // crash recovery. Each session's snapshot is a typed in-memory copy
-// (transcode.Engine.SnapshotSession): the engine extracts the state and
-// reverts through its undo path, so the engine after the pass is
-// bit-identical to never having checkpointed, and no codec runs until a
-// crash victim is restored. A session whose state cannot be snapshotted
-// (or could not be encoded) keeps its previous checkpoint, if any.
+// (transcode.Engine.SnapshotSession), a pure read of the engine, so the
+// engine after the pass is bit-identical to never having checkpointed,
+// and no codec runs until a crash victim is restored; the snapshot then
+// encodes to the bytes ExtractSession would have produced. A session
+// whose state cannot be snapshotted (or could not be encoded) keeps its
+// previous checkpoint, if any.
 func (d *dispatcher) checkpointFleet(t float64) error {
 	if err := d.syncPoint(t); err != nil {
 		return err
@@ -686,8 +687,8 @@ func (d *dispatcher) checkpointFleet(t float64) error {
 			continue
 		}
 		// Align the engine clock with the checkpoint instant so every
-		// extraction starts from the same settlement anchor, however
-		// lazily the sweep advanced the engine.
+		// snapshot freezes the state at t, however lazily the sweep
+		// advanced the engine.
 		if err := d.advance(i, t); err != nil {
 			return err
 		}

@@ -65,8 +65,8 @@
 // window, applied live through the platform spec and an engine
 // re-profile) and blip (an unavailability window during which the server
 // admits nothing but its sessions keep running). Periodic checkpoints
-// (Config.Faults.CheckpointSec) snapshot live sessions via the same
-// extraction migration uses, kept as typed in-memory copies that only a
+// (Config.Faults.CheckpointSec) snapshot live sessions with the same
+// state read migration uses, kept as typed in-memory copies that only a
 // restore encodes; crash-interrupted sessions re-enter
 // the admission queue as recovery entries with per-class backoff, retry
 // and deadline budgets, restoring from their last snapshot — or

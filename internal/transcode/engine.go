@@ -186,11 +186,9 @@ type Engine struct {
 	events      int
 	finished    bool // RunUntilAll completed; the live lifecycle is closed
 
-	// Migration state (see migrate.go). stateGen counts engine state
-	// mutations; the extraction stash is valid only while it is unchanged.
-	stateGen  uint64
-	stash     *extractStash
-	extracted map[int]bool // ids removed by ExtractSession (vs discarded)
+	// Migration state (see migrate.go): ids removed by ExtractSession, to
+	// tell them apart from discarded departures in error messages.
+	extracted map[int]bool
 
 	batch []*session // scratch for completion batches
 }
@@ -242,7 +240,6 @@ func (e *Engine) Reprofile(spec platform.Spec) error {
 	if err := e.server.SetSpec(spec); err != nil {
 		return fmt.Errorf("transcode: Reprofile: %w", err)
 	}
-	e.stateGen++
 	return nil
 }
 
@@ -332,7 +329,6 @@ func (e *Engine) AddSession(cfg SessionConfig) (int, error) {
 	})
 	e.arrivals.push(event{key: cfg.StartAtSec, id: id})
 	e.totalBudget += cfg.FrameBudget
-	e.stateGen++
 	return id, nil
 }
 
@@ -484,7 +480,6 @@ func (e *Engine) advance(limit float64, untilAll bool) error {
 		}
 
 		e.events++
-		e.stateGen++
 		if e.events > maxEventsPerFrame*(e.framesDone+e.totalBudget+len(e.sessions)+1) {
 			return fmt.Errorf("transcode: event budget exhausted (%d events for %d frames)", e.events, e.framesDone)
 		}

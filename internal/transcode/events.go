@@ -55,27 +55,35 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// removeByID deletes the pending event of one session and returns it.
+// find returns the pending event of one session without removing it.
 // Session migration is the only caller: the scan is O(n) but runs once
-// per extraction, never on the per-frame path. Heap pop order depends
-// only on the (key, id) total order, not on the array layout, so a
-// removal (or a removal followed by re-pushing the same event) leaves
-// the future event sequence unchanged.
-func (h *eventHeap) removeByID(id int) (event, bool) {
+// per snapshot or extraction, never on the per-frame path.
+func (h eventHeap) find(id int) (event, bool) {
+	for _, ev := range h {
+		if ev.id == id {
+			return ev, true
+		}
+	}
+	return event{}, false
+}
+
+// removeByID deletes the pending event of one session, if any. Like
+// find, it is migration-only. Heap pop order depends only on the
+// (key, id) total order, not on the array layout, so a removal leaves
+// the remaining events' sequence unchanged.
+func (h *eventHeap) removeByID(id int) {
 	for i := range *h {
 		if (*h)[i].id != id {
 			continue
 		}
-		ev := (*h)[i]
 		last := len(*h) - 1
 		(*h)[i] = (*h)[last]
 		*h = (*h)[:last]
 		if i < last {
 			h.fix(i)
 		}
-		return ev, true
+		return
 	}
-	return event{}, false
 }
 
 // fix restores the heap property around index i after its element was

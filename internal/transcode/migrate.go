@@ -1,7 +1,6 @@
 package transcode
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -18,25 +17,24 @@ import (
 )
 
 // Live session migration: ExtractSession freezes one session into a
-// serializable SessionState; InjectSession resumes it mid-stream on
-// another engine (or the same one). The state is complete — frame cursor,
-// playlist/content process, per-session energy and duration accumulators,
-// every rng stream, the controller's decision state, and the in-flight
-// frame's completion anchor — so a migrated session continues as the same
-// logical stream, deterministically.
+// serializable SessionState and removes it; InjectSession resumes it
+// mid-stream on another engine (or the same one, under a new id). The
+// state is complete — frame cursor, playlist/content process,
+// per-session energy and duration accumulators, every rng stream, the
+// controller's decision state, and the in-flight frame's completion
+// anchor — so a migrated session continues as the same logical stream,
+// deterministically. Injection pays the honest settlement: the
+// destination's accounting is exact for its own timeline, but a migrated
+// fleet is a different physical scenario than an unmigrated one, so its
+// floats legitimately differ.
 //
-// Extract immediately followed by Inject on the same engine is bit-exact
-// to never migrating: extraction stashes the engine anchors it had to
-// disturb (the lazy-settlement segment, the LoadAccount aggregates, the
-// heap event), and re-injection of the unmodified state restores them
-// verbatim. Cross-engine injection pays the honest settlement instead:
-// the destination's accounting is exact for its own timeline, but a
-// migrated fleet is a different physical scenario than an unmigrated one,
-// so its floats legitimately differ.
-//
-// SnapshotSession is the read-only variant for checkpoints: it extracts
-// and immediately undoes, keeping the state in memory as a
-// SessionSnapshot. The controller's part of it is the typed deep copy
+// Both build on freeze, a pure read of one session's state: it computes
+// the running segment's settlement without applying it, so the frozen
+// floats are bit-identical to the ones an applied settlement would
+// leave. ExtractSession is freeze followed by the removal.
+// SnapshotSession is freeze alone, for checkpoints: the engine is left
+// untouched, and the state stays in memory as a SessionSnapshot. The
+// controller's part of it is the typed deep copy
 // StatefulController.ControllerState returns, so a snapshot costs one
 // copy of the decision state, and no encode; SessionSnapshot.Encode
 // produces the wire bytes when the state is actually needed, identical
@@ -273,47 +271,45 @@ func DecodeSessionState(data []byte) (*SessionState, error) {
 	return st, nil
 }
 
-// extractStash holds everything ExtractSession disturbed, so an immediate
-// re-injection of the unmodified state on the same engine can restore the
-// exact pre-extraction floats (settling a segment in two steps is not
-// bitwise the same as settling it in one; removing and re-adding a load
-// does not restore the LoadAccount's running sums exactly).
-type extractStash struct {
-	gen      uint64 // e.stateGen at extraction; any later mutation invalidates
-	id       int
-	state    SessionState // deep copy of the state handed out
-	sess     *session
-	sessCopy session
-	ev       event // the removed completion (running) or arrival event
-	running  bool
-
-	vnow, segStart, energy float64
-	acct                   platform.LoadAccount
-	thermal                platform.ThermalState
-	hadThermal             bool
-	totalBudget            int
-}
-
 // ExtractSession removes one live session from the engine and returns its
 // frozen state. The session's resources are released (its load leaves the
 // contention pool, its pending event is unscheduled) and its id is
 // retired — ids are never reused, so event determinism is unaffected. The
 // session's source and controller must support state snapshots
-// (video.StatefulSource, StatefulController).
+// (video.StatefulSource, StatefulController). The state is frozen and
+// marshalled before anything is removed, so a rejected extraction leaves
+// the engine untouched.
 //
 // Extraction settles the running segment first: the departing load
 // contributed power and contention up to this instant, and the remaining
 // sessions' accounting must reflect that.
 func (e *Engine) ExtractSession(id int) (*SessionState, error) {
-	st, ctrl, err := e.extract("ExtractSession", id)
+	st, ctrl, err := e.freeze("ExtractSession", id)
 	if err != nil {
 		return nil, err
 	}
 	if st.Controller, err = json.Marshal(ctrl); err != nil {
-		e.undoExtract()
 		return nil, fmt.Errorf("transcode: ExtractSession(%d): %w", id, err)
 	}
-	e.stash.state = st.clone()
+	s := e.sessions[id]
+	if s.running {
+		// Settle energy/thermal/virtual clock to now at the pre-removal
+		// rates: the same settlement freeze computed.
+		powerIdeal, speed := e.segRates()
+		e.settle(e.now, powerIdeal, speed)
+		if err := e.acct.Remove(s.load); err != nil {
+			return nil, fmt.Errorf("transcode: ExtractSession(%d): %w", id, err)
+		}
+		e.compl.removeByID(id)
+	} else {
+		e.arrivals.removeByID(id)
+	}
+	e.totalBudget -= s.cfg.FrameBudget - s.frames
+	e.sessions[id] = nil
+	if e.extracted == nil {
+		e.extracted = make(map[int]bool)
+	}
+	e.extracted[id] = true
 	return st, nil
 }
 
@@ -326,27 +322,23 @@ type SessionSnapshot struct {
 	ctrl any
 }
 
-// SnapshotSession freezes one live session without removing it: it
-// extracts the state exactly as ExtractSession does, then reverts the
-// engine through the undo path, so the engine is bit-identical to never
-// having been snapshotted. It fails with ExtractSession's errors, and
-// also when the state could not be encoded (Validate fails, or a float
-// is NaN or infinite), so a snapshot that exists always encodes. Like
-// any engine call between an ExtractSession and its re-injection, it
-// makes that re-injection take the cross-engine path.
+// SnapshotSession freezes one live session without removing it. It is a
+// pure read: the engine is left exactly as it was. It fails with
+// ExtractSession's errors, and also when the state could not be encoded
+// (Validate fails, or a float is NaN or infinite), so a snapshot that
+// exists always encodes.
 func (e *Engine) SnapshotSession(id int) (*SessionSnapshot, error) {
-	st, ctrl, err := e.extract("SnapshotSession", id)
+	st, ctrl, err := e.freeze("SnapshotSession", id)
 	if err != nil {
 		return nil, err
 	}
-	e.undoExtract()
 	if err := st.validateStream(); err != nil {
 		return nil, err
 	}
 	if !finiteJSON(reflect.ValueOf(st)) || !finiteJSON(reflect.ValueOf(ctrl)) {
 		return nil, fmt.Errorf("transcode: SnapshotSession(%d): state holds a non-finite float", id)
 	}
-	// The session keeps appending to its trace after the undo.
+	// The session keeps appending to its trace.
 	st.Trace = append([]Observation(nil), st.Trace...)
 	return &SessionSnapshot{st: *st, ctrl: ctrl}, nil
 }
@@ -363,10 +355,13 @@ func (sn *SessionSnapshot) Encode() ([]byte, error) {
 	return EncodeSessionState(&st)
 }
 
-// extract is ExtractSession up to the controller payload, which it
-// returns typed: it removes the session, records the undo stash (all but
-// its state copy) and names op in its errors.
-func (e *Engine) extract(op string, id int) (*SessionState, any, error) {
+// freeze reads one session's state without touching the engine: the
+// SessionState minus its controller payload, which it returns typed. A
+// running session's state is taken as if the running segment were
+// settled to now; freeze computes that settlement with the float
+// operations settle performs, so the values are bit-identical to those
+// ExtractSession leaves behind. op names the caller in errors.
+func (e *Engine) freeze(op string, id int) (*SessionState, any, error) {
 	if e.finished {
 		return nil, nil, fmt.Errorf("transcode: %s(%d): sessions are frozen mid-frame in the terminal state and cannot be exported: %w", op, id, errFinished)
 	}
@@ -395,17 +390,6 @@ func (e *Engine) extract(op string, id int) (*SessionState, any, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("transcode: %s(%d): %w", op, id, err)
 	}
-	ctrlState := ctrl.ControllerState()
-
-	stash := &extractStash{
-		id: id, sess: s, sessCopy: *s, running: s.running,
-		vnow: e.vnow, segStart: e.segStart, energy: e.energy,
-		acct: *e.acct, totalBudget: e.totalBudget,
-	}
-	if e.thermal != nil {
-		stash.thermal = *e.thermal
-		stash.hadThermal = true
-	}
 
 	st := &SessionState{
 		Version:       sessionFormatVersion,
@@ -423,6 +407,7 @@ func (e *Engine) extract(op string, id int) (*SessionState, any, error) {
 		CurPSNR:       s.curPSNR,
 		CurBits:       s.curBits,
 		Durations:     s.durations,
+		DynEnergyJ:    s.dynEnergyJ,
 		Frames:        s.frames,
 		Violations:    s.violations,
 		SumFPS:        s.sumFPS,
@@ -442,62 +427,42 @@ func (e *Engine) extract(op string, id int) (*SessionState, any, error) {
 	}
 
 	if s.running {
-		// Settle energy/thermal/virtual clock to now at the pre-removal
-		// rates, then settle the session's own dynamic-energy integral.
-		powerIdeal, speed := e.segRates()
-		e.settle(e.now, powerIdeal, speed)
-		s.dynEnergyJ += s.dynCoef * (e.vnow - s.vMark)
-		s.vMark = e.vnow
-		ev, ok := e.compl.removeByID(id)
+		ev, ok := e.compl.find(id)
 		if !ok {
 			// Unreachable: a running session always has a pending completion.
 			return nil, nil, fmt.Errorf("transcode: %s(%d): no pending completion", op, id)
 		}
-		stash.ev = ev
-		if err := e.acct.Remove(s.load); err != nil {
-			// Put the completion back: the engine is still consistent and
-			// the caller sees the accounting mismatch as a plain error.
-			e.compl.push(ev)
-			return nil, nil, fmt.Errorf("transcode: %s(%d): %w", op, id, err)
+		// settle's virtual-clock step to now (the completion heap holds
+		// ev, so it is not empty), then the session's own dynamic-energy
+		// integral up to it.
+		_, speed := e.segRates()
+		vnow := e.vnow
+		if dt := e.now - e.segStart; dt > 0 {
+			vnow += speed * dt
 		}
 		st.Running = true
 		st.CompletionKey = ev.key
-		st.VNow = e.vnow
+		st.VNow = vnow
 		st.FrameStart = s.frameStart
+		st.DynEnergyJ += s.dynCoef * (vnow - s.vMark)
 	} else {
-		ev, ok := e.arrivals.removeByID(id)
+		ev, ok := e.arrivals.find(id)
 		if !ok {
 			return nil, nil, fmt.Errorf("transcode: %s(%d): no pending arrival", op, id)
 		}
-		stash.ev = ev
 		st.StartAtSec = ev.key
 	}
-	st.DynEnergyJ = s.dynEnergyJ
-
-	e.totalBudget -= s.cfg.FrameBudget - s.frames
-	e.sessions[id] = nil
-	if e.extracted == nil {
-		e.extracted = make(map[int]bool)
-	}
-	e.extracted[id] = true
-	e.stateGen++
-
-	stash.gen = e.stateGen
-	e.stash = stash
-	return st, ctrlState, nil
+	return st, ctrl.ControllerState(), nil
 }
 
 // InjectSession resumes an extracted session on this engine. src and ctrl
 // are freshly built counterparts of the originals (same sequence, same
 // controller configuration); their mid-stream state is restored from the
-// payload. The returned id is the session's id on this engine.
-//
-// When the state is injected back into the engine it was just extracted
-// from — nothing having happened in between and the state unmodified —
-// the engine restores its pre-extraction anchors verbatim, making the
-// round-trip bit-identical to never migrating. Otherwise the in-flight
-// frame's completion is re-anchored on this engine's virtual clock, plus
-// StallSec of migration stall converted at the current clock speed.
+// payload. The returned id is the session's id on this engine; ids are
+// never reused, so it is a new one even on the source engine. The
+// in-flight frame's completion is re-anchored on this engine's virtual
+// clock, plus StallSec of migration stall converted at the current clock
+// speed.
 func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionState) (int, error) {
 	if e.finished {
 		return 0, fmt.Errorf("transcode: InjectSession: %w", errFinished)
@@ -507,10 +472,6 @@ func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionSta
 	}
 	if err := st.Validate(); err != nil {
 		return 0, err
-	}
-	if e.stash != nil && e.stash.gen == e.stateGen && e.stash.id == st.ID && sameSessionState(st, &e.stash.state) {
-		e.undoExtract()
-		return st.ID, nil
 	}
 	if src == nil {
 		return 0, fmt.Errorf("transcode: InjectSession: nil video source")
@@ -596,7 +557,6 @@ func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionSta
 		e.sessions = append(e.sessions, s)
 		e.arrivals.push(event{key: at, id: id})
 		e.totalBudget += st.FrameBudget - st.Frames
-		e.stateGen++
 		return id, nil
 	}
 
@@ -635,108 +595,8 @@ func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionSta
 	e.sessions = append(e.sessions, s)
 	e.compl.push(event{key: key, id: id})
 	e.totalBudget += st.FrameBudget - st.Frames
-	e.stateGen++
 	return id, nil
 }
-
-// undoExtract reverts the engine to its exact pre-extraction state: the
-// fast path for a same-engine extract→inject round-trip with nothing in
-// between. Settlement anchors, account aggregates, the thermal state and
-// the removed heap event are restored verbatim, so every future float is
-// bit-identical to a run that never migrated. The clock (e.now) is left
-// alone: parking it settles nothing, so a park between extract and inject
-// is harmless.
-func (e *Engine) undoExtract() {
-	stash := e.stash
-	e.stash = nil
-	*stash.sess = stash.sessCopy
-	e.sessions[stash.id] = stash.sess
-	delete(e.extracted, stash.id)
-	e.vnow = stash.vnow
-	e.segStart = stash.segStart
-	e.energy = stash.energy
-	if stash.hadThermal {
-		*e.thermal = stash.thermal
-	}
-	*e.acct = stash.acct
-	e.totalBudget = stash.totalBudget
-	if stash.running {
-		e.compl.push(stash.ev)
-	} else {
-		e.arrivals.push(stash.ev)
-	}
-	e.stateGen++
-}
-
-// clone returns a deep copy of st: no slice or pointer is shared with it.
-func (st *SessionState) clone() SessionState {
-	c := *st
-	if st.Preset != nil {
-		p := *st.Preset
-		c.Preset = &p
-	}
-	c.Trace = append([]Observation(nil), st.Trace...)
-	c.Source = append(json.RawMessage(nil), st.Source...)
-	c.Controller = append(json.RawMessage(nil), st.Controller...)
-	return c
-}
-
-// sameSessionState reports whether a and b are bit-identical: floats
-// compare by their bits (so -0 differs from 0, as it does on the wire) and
-// the opaque sub-states byte for byte. It decides whether an injection
-// may take the undo fast path, so it must see every field.
-func sameSessionState(a, b *SessionState) bool {
-	if (a.Preset == nil) != (b.Preset == nil) || (a.Preset != nil && *a.Preset != *b.Preset) {
-		return false
-	}
-	if len(a.Trace) != len(b.Trace) {
-		return false
-	}
-	for i := range a.Trace {
-		if !sameObservation(&a.Trace[i], &b.Trace[i]) {
-			return false
-		}
-	}
-	for i := range a.Durations {
-		if !sameFloat(a.Durations[i], b.Durations[i]) {
-			return false
-		}
-	}
-	return a.Version == b.Version && a.ID == b.ID && a.Res == b.Res &&
-		sameSettings(a.Initial, b.Initial) &&
-		sameFloat(a.BandwidthMbps, b.BandwidthMbps) && sameFloat(a.TargetFPS, b.TargetFPS) &&
-		a.FrameBudget == b.FrameBudget && sameFloat(a.StartAtSec, b.StartAtSec) &&
-		a.CollectTrace == b.CollectTrace && a.Running == b.Running &&
-		sameSettings(a.Settings, b.Settings) && a.FrameIdx == b.FrameIdx &&
-		sameFloat(a.FrameStart, b.FrameStart) &&
-		a.CurFrame.Index == b.CurFrame.Index && sameFloat(a.CurFrame.Complexity, b.CurFrame.Complexity) &&
-		a.CurFrame.SceneChange == b.CurFrame.SceneChange &&
-		sameFloat(a.CurPSNR, b.CurPSNR) && sameFloat(a.CurBits, b.CurBits) &&
-		sameFloat(a.CompletionKey, b.CompletionKey) && sameFloat(a.VNow, b.VNow) &&
-		sameFloat(a.DynEnergyJ, b.DynEnergyJ) && a.Frames == b.Frames && a.Violations == b.Violations &&
-		sameFloat(a.SumFPS, b.SumFPS) && sameFloat(a.SumPSNR, b.SumPSNR) &&
-		sameFloat(a.SumBitrate, b.SumBitrate) && sameFloat(a.SumThreads, b.SumThreads) &&
-		sameFloat(a.SumFreq, b.SumFreq) && sameFloat(a.SumQP, b.SumQP) &&
-		a.FirstAction == b.FirstAction &&
-		bytes.Equal(a.Source, b.Source) && bytes.Equal(a.Controller, b.Controller) &&
-		a.EncoderRNG == b.EncoderRNG && sameFloat(a.StallSec, b.StallSec)
-}
-
-func sameObservation(a, b *Observation) bool {
-	return a.SessionID == b.SessionID && a.FrameIndex == b.FrameIndex &&
-		sameFloat(a.Time, b.Time) && sameFloat(a.DurationSec, b.DurationSec) &&
-		sameFloat(a.FPS, b.FPS) && sameFloat(a.InstFPS, b.InstFPS) &&
-		sameFloat(a.PSNRdB, b.PSNRdB) && sameFloat(a.BitrateMbps, b.BitrateMbps) &&
-		sameFloat(a.PowerW, b.PowerW) && a.OverCap == b.OverCap &&
-		sameSettings(a.Settings, b.Settings) && sameFloat(a.Complexity, b.Complexity) &&
-		a.SceneChange == b.SceneChange && a.SequenceName == b.SequenceName
-}
-
-func sameSettings(a, b Settings) bool {
-	return a.QP == b.QP && a.Threads == b.Threads && sameFloat(a.FreqGHz, b.FreqGHz)
-}
-
-func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // finiteJSON reports whether v holds no NaN or infinite float where
 // encoding/json would meet it — the one marshal failure the states

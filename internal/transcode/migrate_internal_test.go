@@ -5,9 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"mamut/internal/hevc"
@@ -80,80 +78,60 @@ func TestEncodeSessionStateMatchesEnvelopeMarshal(t *testing.T) {
 	}
 }
 
-// TestSameSessionStateSeesEveryField changes each scalar reachable from a
-// SessionState in turn — every field, array and trace element, preset
-// and payload byte — and checks the undo fast path's comparison notices.
-// A field added to SessionState without a comparison fails here.
-func TestSameSessionStateSeesEveryField(t *testing.T) {
-	base := sampleState(t)
-	same := base.clone()
-	if !sameSessionState(base, &same) {
-		t.Fatal("a clone compares unequal")
-	}
-	leaves := 0
-	for n := 0; ; n++ {
-		c := base.clone()
-		k := n
-		name := mutateLeaf(t, reflect.ValueOf(&c).Elem(), &k, "SessionState")
-		if name == "" {
-			break
+// TestFreezeMatchesAppliedSettlement: freeze reads a running session as
+// if the segment were settled to now, without settling it. Its VNow and
+// DynEnergyJ are bit-identical to applying the settlement and folding
+// the session's in-flight dynamic energy as a Result does. The sessions
+// oversubscribe the machine, so the virtual clock runs slower than real
+// time.
+func TestFreezeMatchesAppliedSettlement(t *testing.T) {
+	for _, at := range []float64{0.37, 1.23, 2.39} {
+		eng, err := NewEngine(platform.DefaultSpec(), hevc.DefaultModel(), 19)
+		if err != nil {
+			t.Fatal(err)
 		}
-		leaves++
-		if sameSessionState(base, &c) {
-			t.Fatalf("changing %s went unnoticed", name)
-		}
-	}
-	if leaves < 60 {
-		t.Fatalf("only %d leaves visited", leaves)
-	}
-	noPreset := base.clone()
-	noPreset.Preset = nil
-	if sameSessionState(base, &noPreset) {
-		t.Fatal("dropping the preset went unnoticed")
-	}
-}
-
-// mutateLeaf changes the n-th scalar reachable from v, depth first, and
-// returns its path; it returns "" when v holds fewer than n+1 scalars.
-func mutateLeaf(t *testing.T, v reflect.Value, n *int, path string) string {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if p := mutateLeaf(t, v.Field(i), n, path+"."+v.Type().Field(i).Name); p != "" {
-				return p
+		spec := eng.Server().Spec()
+		set := Settings{QP: 32, Threads: spec.LogicalCPUs(), FreqGHz: spec.MaxGHz()}
+		for i := 0; i < 8; i++ {
+			src, err := video.NewStatefulGenerator(&video.Sequence{
+				Name: "settle", Res: video.HR, Frames: 600, FrameRate: 24,
+				BaseComplexity: 1.0, Dynamism: 0.5, MeanSceneLen: 48,
+			}, int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.AddSession(SessionConfig{
+				Source: src, Controller: &Static{S: set}, Initial: set,
+				FrameBudget: 200, StartAtSec: 0.03 * float64(i),
+			}); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return ""
-	case reflect.Array, reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			if p := mutateLeaf(t, v.Index(i), n, fmt.Sprintf("%s[%d]", path, i)); p != "" {
-				return p
+		if err := eng.AdvanceTo(at); err != nil {
+			t.Fatal(err)
+		}
+		if _, speed := eng.segRates(); speed >= 1 || eng.now == eng.segStart {
+			t.Fatalf("t=%g: speed %g, segment [%g,%g]: want an oversubscribed, unsettled segment", at, speed, eng.segStart, eng.now)
+		}
+		frozen := make([]*SessionState, len(eng.sessions))
+		for id := range eng.sessions {
+			if frozen[id], _, err = eng.freeze("freeze", id); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return ""
-	case reflect.Pointer:
-		if v.IsNil() {
-			return ""
+		powerIdeal, speed := eng.segRates()
+		eng.settle(eng.now, powerIdeal, speed)
+		for id, s := range eng.sessions {
+			st := frozen[id]
+			if !st.Running {
+				t.Fatalf("t=%g session %d not running", at, id)
+			}
+			if math.Float64bits(st.VNow) != math.Float64bits(eng.vnow) {
+				t.Errorf("t=%g session %d: frozen vnow %v, settled %v", at, id, st.VNow, eng.vnow)
+			}
+			if want := s.result(eng.vnow).DynEnergyJ; math.Float64bits(st.DynEnergyJ) != math.Float64bits(want) {
+				t.Errorf("t=%g session %d: frozen dynamic energy %v, settled %v", at, id, st.DynEnergyJ, want)
+			}
 		}
-		return mutateLeaf(t, v.Elem(), n, path)
 	}
-	if *n > 0 {
-		*n--
-		return ""
-	}
-	switch v.Kind() {
-	case reflect.Int, reflect.Int64:
-		v.SetInt(v.Int() + 1)
-	case reflect.Uint8, reflect.Uint64:
-		v.SetUint(v.Uint() ^ 1)
-	case reflect.Float64:
-		v.SetFloat(math.Nextafter(v.Float(), math.Inf(1)))
-	case reflect.Bool:
-		v.SetBool(!v.Bool())
-	case reflect.String:
-		v.SetString(v.String() + "x")
-	default:
-		t.Fatalf("%s: unhandled kind %v", path, v.Kind())
-	}
-	return path
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mamut/internal/platform"
 	"mamut/internal/transcode"
 	"mamut/internal/video"
 )
@@ -15,16 +16,15 @@ import (
 // TestSnapshotSessionEncodesLikeExtract: a snapshot encodes to exactly
 // the bytes of extracting the session and encoding that state, for
 // running sessions and for a session whose arrival is still pending.
-// The extraction runs on a twin engine and is undone by re-injection, so
-// the twin stays in step with the snapshotted engine.
+// Each extraction runs on a fresh twin engine advanced to the snapshot
+// instant, so the snapshotted engine and the twin start in step.
 func TestSnapshotSessionEncodesLikeExtract(t *testing.T) {
 	const seed = 31
-	eng, twin := migEngine(t, 3, seed), migEngine(t, 3, seed)
-	for _, at := range []float64{0.5, 2.1} {
-		for _, e := range []*transcode.Engine{eng, twin} {
-			if err := e.AdvanceTo(at); err != nil {
-				t.Fatal(err)
-			}
+	eng := migEngine(t, 3, seed)
+	instants := []float64{0.5, 2.1}
+	for i, at := range instants {
+		if err := eng.AdvanceTo(at); err != nil {
+			t.Fatal(err)
 		}
 		running := 0
 		for id := 0; id < 3; id++ {
@@ -36,15 +36,18 @@ func TestSnapshotSessionEncodesLikeExtract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			twin := migEngine(t, 3, seed)
+			for _, step := range instants[:i+1] {
+				if err := twin.AdvanceTo(step); err != nil {
+					t.Fatal(err)
+				}
+			}
 			st, err := twin.ExtractSession(id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, err := transcode.EncodeSessionState(st)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := twin.InjectSession(nil, nil, st); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
@@ -64,32 +67,38 @@ func TestSnapshotSessionEncodesLikeExtract(t *testing.T) {
 // TestSnapshotSessionLeavesEngineBitIdentical: snapshotting is a pure
 // read. An engine whose live sessions are snapshotted over and over —
 // before and after arrivals, mid-frame — finishes with a Result
-// DeepEqual to an untouched twin's.
+// DeepEqual to an untouched twin's, with and without the thermal model.
 func TestSnapshotSessionLeavesEngineBitIdentical(t *testing.T) {
 	const seed = 37
-	base, snapped := migEngine(t, 3, seed), migEngine(t, 3, seed)
-	for _, at := range []float64{0, 0.3, 0.5, 1.7, 3.3, 4.9} {
-		for _, e := range []*transcode.Engine{base, snapped} {
-			if err := e.AdvanceTo(at); err != nil {
+	thermal := platform.DefaultSpec()
+	thermal.Thermal = transcode.DefaultThermalForTest()
+	for name, spec := range map[string]platform.Spec{"default": platform.DefaultSpec(), "thermal": thermal} {
+		t.Run(name, func(t *testing.T) {
+			base, snapped := migEngineOn(t, spec, 3, seed), migEngineOn(t, spec, 3, seed)
+			for _, at := range []float64{0, 0.3, 0.5, 1.7, 3.3, 4.9} {
+				for _, e := range []*transcode.Engine{base, snapped} {
+					if err := e.AdvanceTo(at); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for id := 0; id < 3; id++ {
+					if _, err := snapped.SnapshotSession(id); err != nil {
+						t.Fatalf("t=%g session %d: %v", at, id, err)
+					}
+				}
+			}
+			want, err := base.Run()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for id := 0; id < 3; id++ {
-			if _, err := snapped.SnapshotSession(id); err != nil {
-				t.Fatalf("t=%g session %d: %v", at, id, err)
+			got, err := snapped.Run()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	want, err := base.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := snapped.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapshotted engine's result differs from the untouched twin's:\n got %+v\nwant %+v", got, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("snapshotted engine's result differs from the untouched twin's:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -192,4 +201,63 @@ func TestSnapshotSessionErrorsMatchExtract(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("finished engine", 0, "terminal")
+}
+
+// TestFailedExtractionLeavesEngineBitIdentical: an extraction that fails
+// to marshal the controller state mutates nothing. It is attempted
+// mid-segment at several instants on an oversubscribed engine, where
+// even an applied settlement (the first step of a successful extraction)
+// would change later floats; the engine still finishes with a Result
+// DeepEqual to an untouched twin's.
+func TestFailedExtractionLeavesEngineBitIdentical(t *testing.T) {
+	const seed = 43
+	build := func() (*transcode.Engine, int) {
+		eng := migEngine(t, 2, seed)
+		spec := eng.Server().Spec()
+		// Sessions on every hardware thread oversubscribe the machine, so
+		// the virtual clock runs slower than real time.
+		set := transcode.Settings{QP: 32, Threads: spec.LogicalCPUs(), FreqGHz: spec.MaxGHz()}
+		id := -1
+		for i := int64(0); i < 6; i++ {
+			src, err := video.NewStatefulGenerator(migSequence(video.HR, "mig"), seed+i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ctrl transcode.Controller = &transcode.Static{S: set}
+			if i == 0 {
+				ctrl = &nanController{transcode.Static{S: set}}
+			}
+			sid, err := eng.AddSession(transcode.SessionConfig{Source: src, Controller: ctrl, Initial: set, FrameBudget: 120})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				id = sid
+			}
+		}
+		return eng, id
+	}
+	base, _ := build()
+	failed, nan := build()
+	for _, at := range []float64{0.37, 0.81, 1.23, 1.71, 2.39, 3.07, 3.53, 4.11} {
+		for _, e := range []*transcode.Engine{base, failed} {
+			if err := e.AdvanceTo(at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := failed.ExtractSession(nan); err == nil {
+			t.Fatalf("t=%g: extraction of a NaN controller state succeeded", at)
+		}
+	}
+	want, err := base.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := failed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine after failed extractions differs from the untouched twin:\n got %+v\nwant %+v", got, want)
+	}
 }
