@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 
-	"mamut/internal/core"
+	"mamut/internal/metrics"
 	"mamut/internal/transcode"
 	"mamut/internal/video"
 )
@@ -127,6 +127,113 @@ func (q QueueConfig) validate() error {
 	return nil
 }
 
+// queue is the admission waiting room (queued admission only): the
+// entries in arrival order, the order scratch, the outcome counters, the
+// queue-wait and time-to-first-frame sketches, the decayed backlog view,
+// and the backlog-observing side of the policy. With queueing off the
+// entries stay empty and the sketches nil.
+type queue struct {
+	entries []queueEntry
+	order   []int // scratch for queueOrder
+	// settled counts the entries marked settled since the last compact.
+	settled                   int
+	queued, admitted, dropped int
+	waitSum                   float64
+	waitH, ttffH              *metrics.Histogram
+	depthWin                  *metrics.DecayedMean
+	observer                  BacklogObserver
+}
+
+// newQueue builds the waiting room for cfg (empty and inert when
+// Capacity is 0); tau is the decay constant of the backlog view.
+func newQueue(cfg QueueConfig, tau float64, pol Policy) (queue, error) {
+	var q queue
+	if cfg.Capacity == 0 {
+		return q, nil
+	}
+	q.entries = make([]queueEntry, 0, cfg.Capacity)
+	var err error
+	// Queue wait is bounded by the deadline; time-to-first-frame adds
+	// the first frame's contention-stretched service time on top, so
+	// its range doubles the deadline (the tails clamp).
+	if q.waitH, err = metrics.NewHistogram(0, cfg.DeadlineSec, 256); err != nil {
+		return q, err
+	}
+	if q.ttffH, err = metrics.NewHistogram(0, 2*(cfg.DeadlineSec+1), 512); err != nil {
+		return q, err
+	}
+	if q.depthWin, err = metrics.NewDecayedMean(tau); err != nil {
+		return q, err
+	}
+	// Backlog observation is a queued-admission feature: with the queue
+	// off the pipeline never consults the fleet state, keeping the
+	// pre-queue arrival path untouched.
+	q.observer, _ = pol.(BacklogObserver)
+	return q, nil
+}
+
+// report fills the result's queue accounting (queueing on only).
+func (q *queue) report(res *Result) {
+	if q.waitH == nil {
+		return
+	}
+	res.Queued, res.QueueAdmitted, res.QueueDropped = q.queued, q.admitted, q.dropped
+	if res.Offered > 0 {
+		res.QueueDroppedPct = 100 * float64(res.QueueDropped) / float64(res.Offered)
+	}
+	if res.Measured > 0 {
+		res.AvgQueueWaitSec = q.waitSum / float64(res.Measured)
+	}
+	res.QueueWaitDist = quantiles(q.waitH)
+	res.TTFFDist = quantiles(q.ttffH)
+	res.Windowed.QueueDepth = q.depthWin.Value()
+}
+
+// sample feeds the decayed backlog view at an arrival decision.
+func (q *queue) sample(t float64) {
+	if q.depthWin != nil {
+		q.depthWin.Add(t, float64(len(q.entries)))
+	}
+}
+
+// foldTTFF folds a measured departure's time-to-first-frame: from the
+// user's arrival (not admission) to the first frame completion; a
+// session that never completed a frame is charged its whole span.
+func (q *queue) foldTTFF(r departRec) {
+	if q.ttffH == nil {
+		return
+	}
+	ttff := r.endAt - r.arriveAt
+	if r.firstFrameAt > 0 {
+		ttff = r.firstFrameAt - r.arriveAt
+	}
+	q.ttffH.Add(ttff)
+}
+
+// settle marks an entry admitted, restored or dropped; the next compact
+// removes it.
+func (q *queue) settle(e *queueEntry) {
+	e.settled = true
+	q.settled++
+}
+
+// compact removes the settled entries, preserving the arrival order of
+// the survivors — the one filter every path that settles entries ends
+// with. It does nothing when no entry settled.
+func (q *queue) compact() {
+	if q.settled == 0 {
+		return
+	}
+	kept := q.entries[:0]
+	for _, e := range q.entries {
+		if !e.settled {
+			kept = append(kept, e)
+		}
+	}
+	q.entries = kept
+	q.settled = 0
+}
+
 // queueEntry is one arrival waiting for capacity — or, under fault
 // injection, a crash-interrupted session waiting to be restored. The
 // queue slice keeps entry order (ascending arrival IDs for ordinary
@@ -137,7 +244,7 @@ type queueEntry struct {
 	req      SessionRequest
 	measured bool
 	deadline float64
-	settled  bool // scratch flag for the current attempt round (admitted, restored or dropped)
+	settled  bool // admitted, restored or dropped; removed at the next compact
 
 	// Recovery fields (crash recovery only; see faults.go). rec is the
 	// victim's resident bookkeeping at the crash (its warm-start baseline
@@ -169,42 +276,31 @@ func (d *dispatcher) syncPoint(t float64) error {
 // capacity the departures (or topology changes) since the last point
 // freed. Caller must have synced the fleet to t first.
 func (d *dispatcher) queueStep(t float64) error {
-	d.dropExpired(t)
+	// An entry is still admittable at its deadline instant.
+	for i := range d.queue.entries {
+		if e := &d.queue.entries[i]; e.deadline < t {
+			d.dropEntry(e)
+		}
+	}
+	d.queue.compact()
 	return d.admitQueued(t)
 }
 
-// dropExpired drops every entry whose deadline has passed (strictly
-// before t: an entry is still admittable at its deadline instant),
-// preserving the arrival order of the survivors.
-func (d *dispatcher) dropExpired(t float64) {
-	if len(d.queue) == 0 {
-		return
-	}
-	kept := d.queue[:0]
-	for _, e := range d.queue {
-		if e.deadline < t {
-			d.dropEntry(e)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	d.queue = kept
-}
-
-// dropEntry accounts one queue entry leaving without a server: an
+// dropEntry settles one queue entry leaving without a server: an
 // ordinary arrival is queue-dropped; a recovery entry is a lost session
 // (it was admitted long ago — the crash, not the waiting room, took it).
-func (d *dispatcher) dropEntry(e queueEntry) {
+func (d *dispatcher) dropEntry(e *queueEntry) {
+	d.queue.settle(e)
 	if e.recovery {
-		d.lostSess++
-		if d.outcomes != nil {
-			d.outcomes[e.req.ID].Lost = true
+		d.faults.lost++
+		if d.stats.outcomes != nil {
+			d.stats.outcomes[e.req.ID].Lost = true
 		}
 		return
 	}
-	d.queueDropped++
-	if d.outcomes != nil {
-		d.outcomes[e.req.ID].Dropped = true
+	d.queue.dropped++
+	if d.stats.outcomes != nil {
+		d.stats.outcomes[e.req.ID].Dropped = true
 	}
 }
 
@@ -220,12 +316,11 @@ func (d *dispatcher) dropEntry(e queueEntry) {
 // Draining servers admit nothing (their states report Full), and with
 // the whole fleet decommissioned there is nothing to consult.
 func (d *dispatcher) admitQueued(t float64) error {
-	if len(d.queue) == 0 || d.liveSrv == 0 {
+	if len(d.queue.entries) == 0 || d.liveSrv == 0 {
 		return nil
 	}
-	settled := 0
 	for _, qi := range d.queueOrder() {
-		e := &d.queue[qi]
+		e := &d.queue.entries[qi]
 		if e.recovery && e.eligibleAt > t {
 			continue
 		}
@@ -238,9 +333,7 @@ func (d *dispatcher) admitQueued(t float64) error {
 				e.attempt++
 				cl := d.recoveryClass(e.req.Res)
 				if e.attempt >= cl.RetryMax {
-					d.dropEntry(*e)
-					e.settled = true
-					settled++
+					d.dropEntry(e)
 					continue
 				}
 				e.eligibleAt = t + cl.BackoffSec
@@ -255,20 +348,11 @@ func (d *dispatcher) admitQueued(t float64) error {
 			if err := d.admit(e.req, choice, t, e.measured); err != nil {
 				return err
 			}
-			d.queueAdmitted++
+			d.queue.admitted++
 		}
-		e.settled = true
-		settled++
+		d.queue.settle(e)
 	}
-	if settled > 0 {
-		kept := d.queue[:0]
-		for _, e := range d.queue {
-			if !e.settled {
-				kept = append(kept, e)
-			}
-		}
-		d.queue = kept
-	}
+	d.queue.compact()
 	return nil
 }
 
@@ -277,17 +361,18 @@ func (d *dispatcher) admitQueued(t float64) error {
 // class's (or plain arrival order for QueuePrioFIFO). The queue slice
 // itself is already arrival-ordered.
 func (d *dispatcher) queueOrder() []int {
-	order := d.qOrder[:0]
+	q := &d.queue
+	order := q.order[:0]
 	appendClass := func(hr bool) {
-		for i := range d.queue {
-			if (d.queue[i].req.Res == video.HR) == hr {
+		for i := range q.entries {
+			if (q.entries[i].req.Res == video.HR) == hr {
 				order = append(order, i)
 			}
 		}
 	}
 	switch d.cfg.Queue.Priority {
 	case QueuePrioFIFO:
-		for i := range d.queue {
+		for i := range q.entries {
 			order = append(order, i)
 		}
 	case QueuePrioLRFirst:
@@ -297,30 +382,30 @@ func (d *dispatcher) queueOrder() []int {
 		appendClass(true)
 		appendClass(false)
 	}
-	d.qOrder = order
+	q.order = order
 	return order
 }
 
 // enqueue parks an arrival in the waiting room.
 func (d *dispatcher) enqueue(req SessionRequest, measured bool) {
-	d.queue = append(d.queue, queueEntry{
+	d.queue.entries = append(d.queue.entries, queueEntry{
 		req:      req,
 		measured: measured,
 		deadline: req.ArriveAtSec + d.cfg.Queue.DeadlineSec,
 	})
-	d.queuedTotal++
-	if d.outcomes != nil {
-		d.outcomes[req.ID] = SessionOutcome{Req: req, Server: -1, Measured: measured, Queued: true}
+	d.queue.queued++
+	if d.stats.outcomes != nil {
+		d.stats.outcomes[req.ID] = SessionOutcome{Req: req, Server: -1, Measured: measured, Queued: true}
 	}
 }
 
 // flushQueue drops every entry still waiting — the run ended and no
 // capacity will ever free up for them.
 func (d *dispatcher) flushQueue() {
-	for _, e := range d.queue {
-		d.dropEntry(e)
+	for i := range d.queue.entries {
+		d.dropEntry(&d.queue.entries[i])
 	}
-	d.queue = d.queue[:0]
+	d.queue.compact()
 }
 
 // choose asks the policy for req's server at decision instant now. A
@@ -334,8 +419,8 @@ func (d *dispatcher) choose(req SessionRequest, now float64) (int, error) {
 		// With the whole fleet decommissioned (drain events can do that)
 		// there is nothing to consult — and the round-robin modulus would
 		// see an empty live view.
-		if d.backlogObs != nil {
-			d.backlogObs.ObserveFleet(d.fleetState(now))
+		if d.queue.observer != nil {
+			d.queue.observer.ObserveFleet(d.fleetState(now))
 		}
 		if d.idx != nil {
 			choice = d.idx.Place(req)
@@ -361,32 +446,32 @@ func (d *dispatcher) choose(req SessionRequest, now float64) (int, error) {
 // engine-side session starts then, while SLO measurement keeps keying
 // off the arrival time).
 func (d *dispatcher) admit(req SessionRequest, choice int, startAt float64, measured bool) error {
-	fs := d.servers[choice]
-	if fs.eng == nil {
+	if d.servers[choice].eng == nil {
 		if err := d.createEngine(choice); err != nil {
 			return err
 		}
 	}
-	if _, err := fs.addSession(req, d.cfg, d.catalog, d.factory, d.seedAdmission(req.Res), startAt); err != nil {
+	if _, err := d.addSession(choice, req, d.knowledge.seed(req.Res), startAt); err != nil {
 		return err
 	}
-	d.admitted++
+	st := &d.stats
+	st.admitted++
 	if measured {
-		d.measured++
+		st.measured++
 	}
-	d.admitCount[choice]++
+	st.admitCount[choice]++
 	d.active++
-	if d.queueOn && measured {
+	if q := &d.queue; q.waitH != nil && measured {
 		// Queue wait folds at admission (0 for direct admissions), so the
 		// sketch and the mean cover every measured admitted session.
 		wait := startAt - req.ArriveAtSec
-		d.qwSum += wait
-		d.qwH.Add(wait)
+		q.waitSum += wait
+		q.waitH.Add(wait)
 	}
-	if d.outcomes != nil {
+	if st.outcomes != nil {
 		// Field-wise: a queued arrival's entry already carries Queued.
 		// The departure fold completes it (frames, averages, SLO).
-		so := &d.outcomes[req.ID]
+		so := &st.outcomes[req.ID]
 		so.Req = req
 		so.Server = choice
 		so.Measured = measured
@@ -400,56 +485,17 @@ func (d *dispatcher) admit(req SessionRequest, choice int, startAt float64, meas
 	return nil
 }
 
-// sharedSeed is the read-only seed copy a class's admissions share, and
-// the class's contribution count it was cloned at.
-type sharedSeed struct {
-	snap    *core.Snapshot
-	version int
-}
-
-// seedAdmission picks the knowledge seed for one admission of class res
-// and hands it to the controller factory (nil when knowledge reuse is
-// off or the class is still cold). The store keeps merging afterwards,
-// so the admission needs a frozen copy of the class's current snapshot,
-// which serves both as the controller's seed (via the WarmStart
-// closure) and as the baseline its departing contribution is measured
-// against.
-//
-// The copy is shared: every admission of the class until its next
-// contribution gets the same one, instead of holding a clone each. The
-// class's contribution count versions it, and sessions seeded before a
-// contribution keep the old copy, which nothing mutates (core.NewWarm
-// and SubtractCounts only read their seed).
-func (d *dispatcher) seedAdmission(res video.Resolution) *core.Snapshot {
-	var seed *core.Snapshot
-	if d.store != nil {
-		if cur := d.store.Seed(res); cur != nil {
-			version := d.store.Contributions(res)
-			if sh, ok := d.seeds[res]; ok && sh.version == version {
-				seed = sh.snap
-			} else {
-				cp := cur.Clone()
-				seed = &cp
-				d.seeds[res] = sharedSeed{snap: seed, version: version}
-			}
-			d.seeded++
-		}
-	}
-	d.pendingSeed = seed
-	return seed
-}
-
 // fleetState snapshots the fleet-level decision context for a
 // backlog-observing policy. The queue slice is arrival-ordered, so its
 // head is the oldest waiting entry.
 func (d *dispatcher) fleetState(now float64) FleetState {
 	st := FleetState{
 		Now:           now,
-		QueueDepth:    len(d.queue),
+		QueueDepth:    len(d.queue.entries),
 		QueueCapacity: d.cfg.Queue.Capacity,
 	}
-	if len(d.queue) > 0 {
-		st.QueueOldestWaitSec = now - d.queue[0].req.ArriveAtSec
+	if len(d.queue.entries) > 0 {
+		st.QueueOldestWaitSec = now - d.queue.entries[0].req.ArriveAtSec
 	}
 	return st
 }

@@ -4,13 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 	"sort"
 
 	"mamut/internal/core"
-	"mamut/internal/experiments"
 	"mamut/internal/transcode"
-	"mamut/internal/video"
 	"mamut/internal/xrand"
 )
 
@@ -20,11 +18,11 @@ import (
 // fires before the arrival, and epochs continue past the last arrival to
 // the workload horizon); at each epoch it steps the fleet to the epoch
 // instant, applies scheduled drains and the autoscaler's watermark
-// decisions, migrates sessions off draining servers, and lets the
-// Rebalancer plan hotspot migrations. Everything happens in the
-// sequential phase of the run — never during the concurrent post-horizon
-// drain — and sessions are always selected in arrival-ID order, so
-// results stay bit-identical for any worker or shard count.
+// decisions, migrates sessions off draining servers, and plans hotspot
+// migrations. Everything happens in the sequential phase of the run —
+// never during the concurrent post-horizon drain — and sessions are
+// always selected in arrival-ID order, so results stay bit-identical for
+// any worker or shard count.
 //
 // A migration moves the live session — frame cursor, playlist/content
 // process, controller decision state, every rng stream, accumulators — via
@@ -46,55 +44,27 @@ const (
 	DefaultMigrationStallSec = 0.25
 )
 
-// RebalancerPowerHotspot names the built-in rebalancer Config.Rebalance
-// enables: every epoch it plans one migration away from each server whose
-// estimated package power exceeds its power budget, onto the server with
-// the most power headroom.
-const RebalancerPowerHotspot = "power-hotspot"
+// move is one rebalancing step: migrate one session from server from to
+// server to.
+type move struct{ from, to int }
 
-// Move directs one rebalancing step: migrate Sessions resident sessions
-// from server From to server To. The dispatcher executes moves in plan
-// order, picks the sessions with the lowest arrival IDs, and caps each
-// move at the destination's free capacity; moves onto full or draining
-// servers are skipped, not errors (the plan may be deliberately greedy).
-type Move struct {
-	From, To int
-	Sessions int
-}
-
-// Rebalancer plans live session migrations on the dispatcher's epoch
-// schedule. Implementations must be deterministic: the plan may depend
-// only on the arguments (any worker or shard count presents identical
-// fleet states, and the results are required to stay byte-identical).
-type Rebalancer interface {
-	// Name returns the rebalancer's registry name.
-	Name() string
-	// Plan inspects the in-service fleet (ordered by Index; draining
-	// servers included with Draining set, decommissioned servers absent)
-	// and returns the migrations to perform at this epoch.
-	Plan(now float64, servers []ServerState) []Move
-}
-
-// powerHotspot is the built-in Rebalancer: one session per epoch away
-// from each over-budget server, onto the coolest server with room —
-// mirroring the power-aware placement policy's ranking quantity so the
-// two pull the fleet toward the same equilibrium.
-type powerHotspot struct{}
-
-// Name implements Rebalancer.
-func (powerHotspot) Name() string { return RebalancerPowerHotspot }
-
-// Plan implements Rebalancer.
-func (powerHotspot) Plan(_ float64, servers []ServerState) []Move {
-	var moves []Move
-	for _, s := range servers {
+// hotspotMoves plans one migration away from each server whose estimated
+// package power exceeds its power budget, onto the coolest server with
+// room — mirroring the power-aware placement policy's ranking quantity
+// so the two pull the fleet toward the same equilibrium. states is the
+// in-service fleet, ordered by index (draining servers included with
+// Draining set). The plan depends only on states, so it is identical for
+// any worker or shard count.
+func hotspotMoves(states []ServerState) []move {
+	var moves []move
+	for _, s := range states {
 		if s.Draining || s.Active == 0 || s.EstPowerW <= s.PowerBudgetW {
 			continue
 		}
 		// Coolest target with room, lowest index among ties (the
 		// power-aware scan's argmax-with-first-wins discipline).
 		best, bestHead := -1, 0.0
-		for _, t := range servers {
+		for _, t := range states {
 			if t.Full() || t.Index == s.Index {
 				continue
 			}
@@ -107,7 +77,7 @@ func (powerHotspot) Plan(_ float64, servers []ServerState) []Move {
 		if best == -1 || bestHead <= s.PowerBudgetW-s.EstPowerW {
 			continue
 		}
-		moves = append(moves, Move{From: s.Index, To: best, Sessions: 1})
+		moves = append(moves, move{from: s.Index, to: best})
 	}
 	return moves
 }
@@ -150,7 +120,37 @@ type DrainEvent struct {
 // (rebalancing, autoscaling or scheduled drains) — and therefore the
 // epoch schedule that drives them.
 func (c Config) Elastic() bool {
-	return c.Rebalance || c.RebalancerFactory != nil || c.Autoscale.Enabled || len(c.Drain) > 0
+	return c.Rebalance || c.Autoscale.Enabled || len(c.Drain) > 0
+}
+
+// elastic is a run's elasticity state: the scheduled decommissions
+// still to apply, in (AtSec, Server) order, the peak in-service fleet
+// size, and the topology and migration counters.
+type elastic struct {
+	drains                           []DrainEvent
+	peak, added, removed, migrations int
+}
+
+// newElastic schedules cfg's drain events; the peak starts at the
+// initial fleet.
+func newElastic(cfg Config) elastic {
+	e := elastic{peak: cfg.Servers, drains: slices.Clone(cfg.Drain)}
+	sort.Slice(e.drains, func(i, j int) bool {
+		if e.drains[i].AtSec != e.drains[j].AtSec {
+			return e.drains[i].AtSec < e.drains[j].AtSec
+		}
+		return e.drains[i].Server < e.drains[j].Server
+	})
+	return e
+}
+
+// report fills the result's elastic fields. With no elasticity feature
+// enabled the counters are zero and the peak is the configured fleet.
+func (e *elastic) report(res *Result) {
+	res.Migrations = e.migrations
+	res.ServersAdded = e.added
+	res.ServersRemoved = e.removed
+	res.PeakServers = e.peak
 }
 
 // --- stateful controller wrapper -------------------------------------
@@ -238,9 +238,8 @@ func (d *dispatcher) epoch(t float64) error {
 	if !d.indexed {
 		d.refreshLive()
 	}
-	for len(d.drainQueue) > 0 && d.drainQueue[0].AtSec <= t {
-		d.markDraining(d.drainQueue[0].Server)
-		d.drainQueue = d.drainQueue[1:]
+	for el := &d.elastic; len(el.drains) > 0 && el.drains[0].AtSec <= t; el.drains = el.drains[1:] {
+		d.markDraining(el.drains[0].Server)
 	}
 	if d.cfg.Autoscale.Enabled {
 		d.autoscale()
@@ -248,8 +247,8 @@ func (d *dispatcher) epoch(t float64) error {
 	if err := d.evacuate(t); err != nil {
 		return err
 	}
-	if d.reb != nil {
-		if err := d.applyMoves(t, d.reb.Plan(t, d.planStates())); err != nil {
+	if d.cfg.Rebalance {
+		if err := d.rebalance(t); err != nil {
 			return err
 		}
 	}
@@ -331,39 +330,45 @@ func (d *dispatcher) addServer() {
 		EstPowerW:    d.spec.IdlePowerW,
 		PowerBudgetW: d.budget,
 	})
-	d.admitCount = append(d.admitCount, 0)
-	d.busy = append(d.busy, 0)
+	d.stats.admitCount = append(d.stats.admitCount, 0)
+	d.stats.busy = append(d.stats.busy, 0)
 	d.nextEvt = append(d.nextEvt, math.Inf(1))
 	d.liveSrv++
-	if d.liveSrv > d.peakSrv {
-		d.peakSrv = d.liveSrv
-	}
-	d.addedSrv++
+	d.elastic.peak = max(d.elastic.peak, d.liveSrv)
+	d.elastic.added++
 	d.rebuildIndex()
 }
 
-// retireEmpty removes emptied draining servers from the fleet. Their
-// accumulated results (admissions, power window, peak) stay in the final
-// report; their indexes are never reused. A server retiring inside a
-// blip window leaves the blipped count — it is out of the fleet, not out
-// of service — and its window end then finds nothing to restore.
+// retireEmpty removes emptied draining servers from the fleet.
 func (d *dispatcher) retireEmpty() {
 	changed := false
-	for _, fs := range d.servers {
-		if fs.decom && !fs.retired && fs.cur == 0 {
-			if fs.blipped {
-				fs.blipped = false
-				d.blippedCnt--
-			}
-			fs.retired = true
-			d.liveSrv--
-			d.removedSrv++
+	for i, fs := range d.servers {
+		if fs.decom && !fs.retired && fs.active() == 0 {
+			d.retire(i)
+			d.elastic.removed++
 			changed = true
 		}
 	}
 	if changed {
 		d.rebuildIndex()
 	}
+}
+
+// retire takes server i out of the fleet for good — emptied by a drain,
+// or crashed. Its accumulated results (admissions, power window, peak)
+// stay in the final report; its index is never reused. A server retiring
+// inside a blip window leaves the blipped count — it is out of the
+// fleet, not out of service — and its window end then finds nothing to
+// restore. The caller rebuilds the policy index.
+func (d *dispatcher) retire(i int) {
+	fs := d.servers[i]
+	if fs.blipped {
+		fs.blipped = false
+		d.faults.blipped--
+	}
+	fs.decom, fs.retired = true, true
+	d.liveSrv--
+	d.refreshState(i)
 }
 
 // rebuildIndex rebuilds the policy's fleet index over the in-service
@@ -377,7 +382,8 @@ func (d *dispatcher) rebuildIndex() {
 }
 
 // planStates snapshots the in-service fleet's states, ordered by index —
-// what rebalancers plan from and rebuilt indexes initialise from.
+// what the hotspot planner plans from and rebuilt indexes initialise
+// from.
 func (d *dispatcher) planStates() []ServerState {
 	out := make([]ServerState, 0, d.liveSrv)
 	for i, fs := range d.servers {
@@ -389,15 +395,16 @@ func (d *dispatcher) planStates() []ServerState {
 }
 
 // evacuate migrates sessions off every draining server, lowest arrival
-// ID first, onto the least-loaded admittable server. Sessions that do
-// not fit anywhere stay and are retried at the next epoch.
+// ID first, onto the least-loaded admittable server (lowest index among
+// ties; draining and retired servers report Full). Sessions that do not
+// fit anywhere stay and are retried at the next epoch.
 func (d *dispatcher) evacuate(t float64) error {
 	for i, fs := range d.servers {
-		if !fs.decom || fs.retired || fs.cur == 0 {
+		if !fs.decom || fs.retired || fs.active() == 0 {
 			continue
 		}
 		for _, id := range sessionsByArrival(fs, len(fs.resident)) {
-			to := d.evacTarget()
+			to := leastLoaded{}.Place(SessionRequest{}, d.states)
 			if to < 0 {
 				break
 			}
@@ -407,22 +414,6 @@ func (d *dispatcher) evacuate(t float64) error {
 		}
 	}
 	return nil
-}
-
-// evacTarget picks the least-loaded admittable server (lowest index
-// among ties), or -1 when the whole fleet is full.
-func (d *dispatcher) evacTarget() int {
-	best, bestActive := -1, 0
-	for i := range d.states {
-		s := &d.states[i]
-		if s.Full() {
-			continue
-		}
-		if best == -1 || s.Active < bestActive {
-			best, bestActive = i, s.Active
-		}
-	}
-	return best
 }
 
 // sessionsByArrival returns up to n of the server's resident session ids,
@@ -439,29 +430,16 @@ func sessionsByArrival(fs *fleetServer, n int) []int {
 	return ids
 }
 
-// applyMoves executes a rebalancing plan. Out-of-range endpoints are a
-// contract violation (a buggy rebalancer must fail loudly); infeasible
-// moves — draining or full destinations, emptied sources, counts beyond
-// capacity — are capped or skipped, because a plan is allowed to be
-// greedy about a fleet whose earlier moves already changed it.
-func (d *dispatcher) applyMoves(t float64, moves []Move) error {
-	for _, m := range moves {
-		if m.From < 0 || m.From >= len(d.servers) || m.To < 0 || m.To >= len(d.servers) || m.Sessions < 0 {
-			return fmt.Errorf("serve: rebalancer %q violated the plan contract: move %+v outside fleet of %d servers",
-				d.reb.Name(), m, len(d.servers))
-		}
-		if m.From == m.To {
-			continue
-		}
-		src, dst := d.servers[m.From], d.servers[m.To]
-		if src.retired || dst.retired || dst.decom {
-			continue
-		}
-		for _, id := range sessionsByArrival(src, m.Sessions) {
-			if d.states[m.To].Full() {
+// rebalance executes the hotspot plan over the in-service fleet, in
+// plan order: each move migrates the source's lowest-arrival-ID session,
+// and is skipped once earlier moves have filled its destination.
+func (d *dispatcher) rebalance(t float64) error {
+	for _, m := range hotspotMoves(d.planStates()) {
+		for _, id := range sessionsByArrival(d.servers[m.from], 1) {
+			if d.states[m.to].Full() {
 				break
 			}
-			if err := d.migrate(t, m.From, id, m.To); err != nil {
+			if err := d.migrate(t, m.from, id, m.to); err != nil {
 				return err
 			}
 		}
@@ -494,13 +472,8 @@ func (d *dispatcher) migrate(t float64, from, sessID, to int) error {
 		return fmt.Errorf("serve: migrate session %d to server %d: %w", sessID, to, err)
 	}
 	delete(src.resident, sessID)
-	src.cur--
-	if rec.res == video.HR {
-		src.hr--
-	} else {
-		src.lr--
-	}
-	d.migrations++
+	src.n[rec.res]--
+	d.elastic.migrations++
 	d.refreshState(from)
 	d.refreshState(to)
 	d.scheduleServer(from)
@@ -516,34 +489,19 @@ func (d *dispatcher) migrate(t float64, from, sessID, to int) error {
 // eventual contribution subtracts. The caller refreshes the server's
 // state and event-heap key.
 func (d *dispatcher) injectSession(i int, t float64, rec residentRec, st *transcode.SessionState) error {
-	fs := d.servers[i]
 	if err := d.engineAt(i, t); err != nil {
 		return err
 	}
-	// InjectSession restores the shells' mid-stream state from the
-	// payload, so the construction seeds are irrelevant — and the
-	// warm-start hook must stay out of the way (the resume payload
-	// carries the learner tables in full).
-	seq, err := d.catalog.Get(rec.seq)
+	src, ctrl, err := d.shell(rec.seq, rec.res, 0, 0, nil)
 	if err != nil {
 		return err
 	}
-	gsrc, err := video.NewStatefulGenerator(seq, 0)
+	fs := d.servers[i]
+	id, err := fs.eng.InjectSession(src, ctrl, st)
 	if err != nil {
 		return err
 	}
-	ctrlSrc := xrand.NewSource(0)
-	d.pendingSeed = nil
-	ctrl, err := d.factory(rec.res, experiments.InitialSettings(rec.res), rand.New(ctrlSrc))
-	if err != nil {
-		return err
-	}
-	ctrl = wrapStateful(ctrl, ctrlSrc)
-	id, err := fs.eng.InjectSession(gsrc, ctrl, st)
-	if err != nil {
-		return err
-	}
-	fs.book(id, rec, ctrl, d.store != nil)
+	fs.book(id, rec, ctrl, d.knowledge != nil)
 	return nil
 }
 

@@ -3,10 +3,12 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"mamut/internal/metrics"
 	"mamut/internal/platform"
 	"mamut/internal/transcode"
 	"mamut/internal/video"
@@ -291,16 +293,6 @@ type FaultConfig struct {
 // Enabled reports whether any fault is scheduled.
 func (f FaultConfig) Enabled() bool { return len(f.Plan) > 0 }
 
-// hasCrash reports whether the plan schedules at least one crash.
-func (f FaultConfig) hasCrash() bool {
-	for _, ev := range f.Plan {
-		if ev.Kind == FaultCrash {
-			return true
-		}
-	}
-	return false
-}
-
 // withDefaults resolves the zero recovery fields (plan configured only).
 func (f FaultConfig) withDefaults() FaultConfig {
 	if !f.Enabled() || f.Recovery.Drop {
@@ -422,16 +414,88 @@ func (f FaultConfig) validate(servers int, horizon float64, queueCapacity int) e
 			}
 		}
 	}
-	if f.hasCrash() && !f.Recovery.Drop && queueCapacity <= 0 {
+	crash := slices.ContainsFunc(f.Plan, func(ev FaultEvent) bool { return ev.Kind == FaultCrash })
+	if crash && !f.Recovery.Drop && queueCapacity <= 0 {
 		return fmt.Errorf("serve: crash recovery re-enters sessions through the admission queue; set Queue.Capacity (or Recovery.Drop to lose interrupted sessions)")
 	}
 	return nil
 }
 
+// faults is a run's fault-injection state (nil without a plan): the
+// per-session checkpoint snapshots, the fault and outage counters, and
+// the recovery-latency sketch and decayed availability view.
+type faults struct {
+	snaps map[int]faultSnap // keyed by arrival ID
+	// injected counts the fault events that struck, crashes the servers
+	// they took out for good, and blipped the servers now inside a blip
+	// window.
+	injected, crashes, blipped   int
+	interrupted, recovered, lost int
+	lostWorkSec, unavailSec      float64
+	mttrSum                      float64
+	recH                         *metrics.Histogram
+	availWin                     *metrics.DecayedMean
+}
+
+// newFaults builds the fault state for cfg (nil when no plan is set);
+// tau is the decay constant of the availability view.
+func newFaults(cfg FaultConfig, tau float64) (*faults, error) {
+	if !cfg.Enabled() {
+		return nil, nil
+	}
+	f := &faults{snaps: make(map[int]faultSnap)}
+	// Recovery latency is bounded by the slower class deadline (the
+	// default even under Recovery.Drop, where nothing recovers and the
+	// sketch stays empty).
+	bound := max(DefaultFaultDeadlineSec, cfg.Recovery.HR.DeadlineSec, cfg.Recovery.LR.DeadlineSec)
+	var err error
+	if f.recH, err = metrics.NewHistogram(0, bound, 256); err != nil {
+		return nil, err
+	}
+	if f.availWin, err = metrics.NewDecayedMean(tau); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// sample feeds the decayed availability view at an arrival decision,
+// over the servers faults can touch: the live fleet plus what crashed
+// out of it, so elastic scale-in does not read as an outage.
+func (f *faults) sample(t float64, live int) {
+	if f == nil {
+		return
+	}
+	if denom := live + f.crashes; denom > 0 {
+		f.availWin.Add(t, 100*float64(live-f.blipped)/float64(denom))
+	}
+}
+
+// report fills the result's fault block (a plan configured only);
+// servers is the initial fleet size availability is normalised by.
+func (f *faults) report(res *Result, servers int) {
+	if f == nil {
+		return
+	}
+	res.FaultsInjected = f.injected
+	res.ServersCrashed = f.crashes
+	res.Interrupted = f.interrupted
+	res.Recovered = f.recovered
+	res.Lost = f.lost
+	res.LostWorkSec = f.lostWorkSec
+	if f.recovered > 0 {
+		res.MTTRSec = f.mttrSum / float64(f.recovered)
+	}
+	res.RecoveryLatency = quantiles(f.recH)
+	if denom := res.DurationSec * float64(servers); denom > 0 {
+		res.AvailabilityPct = max(0, 100*(1-f.unavailSec/denom))
+	}
+	res.Windowed.AvailabilityPct = f.availWin.Value()
+}
+
 // faultSnap is one session's last periodic checkpoint, keyed by arrival
-// ID in dispatcher.snaps: the typed in-memory snapshot, which only a
-// crash victim's restore ever encodes, and the checkpoint instant for
-// the lost-work accounting.
+// ID in faults.snaps: the typed in-memory snapshot, which only a crash
+// victim's restore ever encodes, and the checkpoint instant for the
+// lost-work accounting.
 type faultSnap struct {
 	snap *transcode.SessionSnapshot
 	at   float64
@@ -455,7 +519,7 @@ func (d *dispatcher) applyFault(m moment) error {
 		return err
 	}
 	if m.start {
-		d.faultCount++
+		d.faults.injected++
 	}
 	var err error
 	switch {
@@ -488,30 +552,31 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 	if fs.retired {
 		return // already out of the fleet (drained empty before the fault)
 	}
+	f := d.faults
 	for _, id := range sessionsByArrival(fs, len(fs.resident)) {
 		rec := fs.resident[id]
-		d.interrupted++
+		f.interrupted++
 		// The span served before the crash is real busy time on this
 		// server; the restored remainder accrues on the new server.
 		d.chargeBusy(srv, rec.startAt, t)
-		snap, hasSnap := d.snaps[rec.reqID]
+		snap, hasSnap := f.snaps[rec.reqID]
 		snapAt := rec.startAt
 		if hasSnap {
 			snapAt = snap.at
-			delete(d.snaps, rec.reqID)
+			delete(f.snaps, rec.reqID)
 		}
 		if t > snapAt {
-			d.lostWorkSec += t - snapAt
+			f.lostWorkSec += t - snapAt
 		}
-		if d.outcomes != nil {
-			d.outcomes[rec.reqID].Interrupted = true
+		if d.stats.outcomes != nil {
+			d.stats.outcomes[rec.reqID].Interrupted = true
 		}
 		// Validate requires a queue for crash recovery, so with the queue
 		// off Drop is set and nothing is enqueued.
 		if d.cfg.Faults.Recovery.Drop {
-			d.lostSess++
-			if d.outcomes != nil {
-				d.outcomes[rec.reqID].Lost = true
+			f.lost++
+			if d.stats.outcomes != nil {
+				d.stats.outcomes[rec.reqID].Lost = true
 			}
 			continue
 		}
@@ -520,7 +585,7 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 		// — behind the arrivals already waiting in its class, ahead of
 		// later ones — eligible immediately (backoff starts only after a
 		// failed attempt) and bounded by the class recovery deadline.
-		d.queue = append(d.queue, queueEntry{
+		d.queue.entries = append(d.queue.entries, queueEntry{
 			req:        rec.req,
 			measured:   rec.measured,
 			deadline:   t + cl.DeadlineSec,
@@ -535,48 +600,29 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 	// entries go stale through the +Inf key and are discarded on pop);
 	// the power integrator and counters keep their history for the final
 	// report. Crashes are reported separately from drain decommissions.
-	victims := fs.cur
+	d.active -= fs.active()
 	fs.resident = make(map[int]residentRec)
-	fs.cur, fs.hr, fs.lr = 0, 0, 0
-	d.active -= victims
+	fs.n = [2]int{}
 	fs.eng = nil
 	fs.spec = nil
 	fs.budgetW = d.budget
-	if fs.blipped {
-		fs.blipped = false
-		d.blippedCnt--
-	}
-	fs.decom = true
-	fs.retired = true
-	fs.crashed = true
-	d.liveSrv--
-	d.crashedSrv++
 	d.nextEvt[srv] = math.Inf(1)
+	d.retire(srv)
+	f.crashes++
 	if horizon := d.cfg.Workload.DurationSec; t < horizon {
-		d.unavailSec += horizon - t
+		f.unavailSec += horizon - t
 	}
-	d.refreshState(srv)
 	d.rebuildIndex()
 	// Shed if the recovery entries pushed the waiting room over
 	// capacity: drop from the tail of the class-priority order, so the
 	// lowest-priority latest entries go first (Fu & van der Schaar-style
 	// priority shedding when capacity < demand).
-	if over := len(d.queue) - d.cfg.Queue.Capacity; over > 0 {
+	if over := len(d.queue.entries) - d.cfg.Queue.Capacity; over > 0 {
 		order := d.queueOrder()
-		doomed := make(map[int]bool, over)
-		for k := len(order) - 1; k >= 0 && over > 0; k-- {
-			doomed[order[k]] = true
-			over--
+		for _, qi := range order[len(order)-over:] {
+			d.dropEntry(&d.queue.entries[qi])
 		}
-		kept := d.queue[:0]
-		for qi := range d.queue {
-			if doomed[qi] {
-				d.dropEntry(d.queue[qi])
-			} else {
-				kept = append(kept, d.queue[qi])
-			}
-		}
-		d.queue = kept
+		d.queue.compact()
 	}
 }
 
@@ -591,7 +637,7 @@ func (d *dispatcher) blipStart(srv int) {
 		return
 	}
 	fs.blipped = true
-	d.blippedCnt++
+	d.faults.blipped++
 	d.refreshState(srv)
 }
 
@@ -603,8 +649,8 @@ func (d *dispatcher) blipEnd(ev FaultEvent) {
 		return // retired (or crashed) while blipped; nothing to restore
 	}
 	fs.blipped = false
-	d.blippedCnt--
-	d.unavailSec += ev.EndSec - ev.AtSec
+	d.faults.blipped--
+	d.faults.unavailSec += ev.EndSec - ev.AtSec
 	d.refreshState(ev.Server)
 }
 
@@ -623,44 +669,40 @@ func degradedSpec(spec platform.Spec, factor float64) platform.Spec {
 // degradeStart cuts the server's power cap for the window: the engine's
 // platform spec is swapped live (future frame completions meter against
 // the derated cap) and the dispatcher's per-server power budget shrinks,
-// steering power-aware placement and the hotspot rebalancer away. The
-// engine is advanced to the fault instant first so the settlement anchor
-// is the fault instant however lazily the sweep advanced it.
+// steering power-aware placement and the hotspot rebalancer away.
 func (d *dispatcher) degradeStart(t float64, ev FaultEvent) error {
-	fs := d.servers[ev.Server]
-	if fs.retired {
+	if d.servers[ev.Server].retired {
 		return nil
 	}
 	dspec := degradedSpec(d.spec, ev.Factor)
-	fs.spec = &dspec
-	fs.budgetW = powerBudgetW(dspec)
-	if fs.eng != nil {
-		if err := d.advance(ev.Server, t); err != nil {
-			return err
-		}
-		if err := fs.eng.Reprofile(dspec); err != nil {
-			return fmt.Errorf("serve: degrade server %d: %w", ev.Server, err)
-		}
-		d.scheduleServer(ev.Server)
-	}
-	d.refreshState(ev.Server)
-	return nil
+	return d.reprofile(t, ev.Server, &dspec)
 }
 
 // degradeEnd restores the nominal spec and budget at the window close.
 func (d *dispatcher) degradeEnd(t float64, srv int) error {
-	fs := d.servers[srv]
-	if fs.spec == nil {
-		return nil // retired while degraded, or the start never applied
+	if d.servers[srv].spec == nil {
+		return nil // crashed while degraded, or the start never applied
 	}
-	fs.spec = nil
-	fs.budgetW = d.budget
+	return d.reprofile(t, srv, nil)
+}
+
+// reprofile sets server srv's platform spec (nil = nominal) and the
+// power budget derived from it. A live engine is advanced to t first,
+// so the settlement anchor is t however lazily the sweep advanced it.
+func (d *dispatcher) reprofile(t float64, srv int, spec *platform.Spec) error {
+	fs := d.servers[srv]
+	fs.spec = spec
+	eff := d.spec
+	if spec != nil {
+		eff = *spec
+	}
+	fs.budgetW = powerBudgetW(eff)
 	if fs.eng != nil && !fs.retired {
 		if err := d.advance(srv, t); err != nil {
 			return err
 		}
-		if err := fs.eng.Reprofile(d.spec); err != nil {
-			return fmt.Errorf("serve: restore server %d spec: %w", srv, err)
+		if err := fs.eng.Reprofile(eff); err != nil {
+			return fmt.Errorf("serve: reprofile server %d: %w", srv, err)
 		}
 		d.scheduleServer(srv)
 	}
@@ -698,7 +740,7 @@ func (d *dispatcher) checkpointFleet(t float64) error {
 				continue // departed during the AdvanceTo above
 			}
 			if snap, err := fs.eng.SnapshotSession(id); err == nil {
-				d.snaps[rec.reqID] = faultSnap{snap: snap, at: t}
+				d.faults.snaps[rec.reqID] = faultSnap{snap: snap, at: t}
 			}
 		}
 		d.scheduleServer(i)
@@ -744,11 +786,11 @@ func (d *dispatcher) restoreSession(e *queueEntry, choice int, t float64) error 
 		if err := d.engineAt(choice, t); err != nil {
 			return err
 		}
-		fs := d.servers[choice]
-		id, err := fs.addSession(e.req, d.cfg, d.catalog, d.factory, d.seedAdmission(rec.res), t)
+		id, err := d.addSession(choice, e.req, d.knowledge.seed(rec.res), t)
 		if err != nil {
 			return err
 		}
+		fs := d.servers[choice]
 		// Keep the original first-frame stamp: time-to-first-frame is a
 		// user-facing latency and the user saw their first frame before
 		// the crash.
@@ -757,11 +799,12 @@ func (d *dispatcher) restoreSession(e *queueEntry, choice int, t float64) error 
 		fs.resident[id] = r
 	}
 	d.active++
-	d.recovered++
-	d.mttrSum += t - e.crashAt
-	d.recH.Add(t - e.crashAt)
-	if d.outcomes != nil {
-		so := &d.outcomes[rec.reqID]
+	f := d.faults
+	f.recovered++
+	f.mttrSum += t - e.crashAt
+	f.recH.Add(t - e.crashAt)
+	if d.stats.outcomes != nil {
+		so := &d.stats.outcomes[rec.reqID]
 		so.Recovered = true
 		so.Server = choice
 	}

@@ -520,3 +520,134 @@ func TestFaultConfigValidateClassOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryLossPaths pins every way a recovery entry can be lost
+// from the waiting room (Recovery.Drop loses sessions with the server
+// instead, and is covered elsewhere): shed when a crash overflows the
+// queue, out of retries, past its deadline, and flushed at the end of
+// the run. Each case checks the per-session Lost flags and the
+// Interrupted == Recovered + Lost identity.
+func TestRecoveryLossPaths(t *testing.T) {
+	// holders fills server 0 (even IDs) and server 1 (odd IDs) of a
+	// least-loaded fleet: victims gives the classes of the long server-0
+	// sessions in arrival order, and the server-1 sessions are LR with
+	// frame budget s1Frames.
+	holders := func(perServer, s1Frames int, victims ...video.Resolution) []SessionRequest {
+		var tr []SessionRequest
+		for i := 0; i < 2*perServer; i++ {
+			req := SessionRequest{ID: i, ArriveAtSec: 0.1 * float64(i), Res: video.LR, Frames: s1Frames}
+			if i%2 == 0 {
+				req.Res, req.Frames = victims[i/2], 2400
+			}
+			tr = append(tr, req)
+		}
+		return tr
+	}
+	// arrivals appends later arrivals — decision points — at the given
+	// instants.
+	arrivals := func(tr []SessionRequest, at ...float64) []SessionRequest {
+		for _, a := range at {
+			tr = append(tr, SessionRequest{ID: len(tr), ArriveAtSec: a, Res: video.LR, Frames: 48})
+		}
+		return tr
+	}
+	for _, tc := range []struct {
+		name       string
+		perServer  int
+		trace      []SessionRequest
+		queueCap   int
+		class      FaultRecoveryClass
+		durationS  float64
+		wantLost   []int
+		wantRecov  []int
+		wantInterr int
+	}{
+		{
+			// Four victims into a one-slot queue: hr-first keeps the HR
+			// victim at the head and sheds the three LR ones from the
+			// tail; server 1 empties and the survivor recovers at t=40.
+			name:      "crash overflow sheds the priority tail",
+			perServer: 4,
+			trace:     arrivals(holders(4, 120, video.LR, video.HR, video.LR, video.LR), 40),
+			queueCap:  1,
+			class:     FaultRecoveryClass{BackoffSec: 1, RetryMax: 5, DeadlineSec: 100},
+			durationS: 60,
+			wantLost:  []int{0, 4, 6}, wantRecov: []int{2}, wantInterr: 4,
+		},
+		{
+			// The attempts at the crash and at t=10 find server 1 full
+			// and exhaust RetryMax 2; server 1 frees up around t=15, so
+			// an entry still waiting would recover at t=20.
+			name:      "retries exhausted",
+			perServer: 1,
+			trace:     arrivals(holders(1, 360, video.LR), 10, 20),
+			queueCap:  1,
+			class:     FaultRecoveryClass{BackoffSec: 1, RetryMax: 2, DeadlineSec: 100},
+			durationS: 30,
+			wantLost:  []int{0}, wantInterr: 1,
+		},
+		{
+			// The t=10 attempt fails; at t=20 server 1 is free again,
+			// but the deadline (5+8) has passed and the entry drops
+			// before it is attempted.
+			name:      "deadline passed",
+			perServer: 1,
+			trace:     arrivals(holders(1, 360, video.LR), 10, 20),
+			queueCap:  1,
+			class:     FaultRecoveryClass{BackoffSec: 1, RetryMax: 10, DeadlineSec: 8},
+			durationS: 30,
+			wantLost:  []int{0}, wantInterr: 1,
+		},
+		{
+			// Retries and deadline both outlast the run: the entry is
+			// still waiting at the horizon and the final flush loses it.
+			name:      "flushed at the horizon",
+			perServer: 1,
+			trace:     arrivals(holders(1, 2400, video.HR), 10, 20),
+			queueCap:  1,
+			class:     FaultRecoveryClass{BackoffSec: 1, RetryMax: 10, DeadlineSec: 100},
+			durationS: 30,
+			wantLost:  []int{0}, wantInterr: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(Config{
+				Servers:              2,
+				MaxSessionsPerServer: tc.perServer,
+				Policy:               PolicyLeastLoaded,
+				Approach:             "heuristic",
+				Workload:             Workload{Trace: tc.trace, DurationSec: tc.durationS},
+				RetainSessions:       true,
+				Seed:                 3,
+				Workers:              1,
+				Queue:                QueueConfig{Capacity: tc.queueCap, DeadlineSec: 100},
+				Faults: FaultConfig{
+					Plan:     []FaultEvent{{Kind: FaultCrash, Server: 0, AtSec: 5}},
+					Recovery: FaultRecovery{HR: tc.class, LR: tc.class},
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Interrupted != tc.wantInterr || res.Interrupted != res.Recovered+res.Lost {
+				t.Fatalf("interrupted %d recovered %d lost %d, want interrupted %d == recovered + lost",
+					res.Interrupted, res.Recovered, res.Lost, tc.wantInterr)
+			}
+			var lost, recov []int
+			for _, so := range res.Sessions {
+				if so.Lost {
+					lost = append(lost, so.Req.ID)
+				}
+				if so.Recovered {
+					recov = append(recov, so.Req.ID)
+				}
+				if (so.Lost || so.Recovered) && !so.Interrupted {
+					t.Errorf("session %d lost or recovered without an interruption: %+v", so.Req.ID, so)
+				}
+			}
+			if !reflect.DeepEqual(lost, tc.wantLost) || !reflect.DeepEqual(recov, tc.wantRecov) {
+				t.Errorf("lost %v recovered %v, want lost %v recovered %v", lost, recov, tc.wantLost, tc.wantRecov)
+			}
+		})
+	}
+}

@@ -22,8 +22,6 @@ type GridSpec struct {
 	Seeds        []int64
 	// Workers sizes the grid's worker pool (0 = one per CPU).
 	Workers int
-	// Progress observes completed cells.
-	Progress experiments.ProgressFunc
 	// Checkpoint, when non-nil, streams each cell's result as it
 	// completes and lets an interrupted grid resume: cells already on
 	// file are restored bit-identically instead of recomputed.
@@ -84,7 +82,6 @@ func RunGrid(spec GridSpec) ([]GridCell, error) {
 				cfg.Workload.ArrivalRate = r
 				cfg.Seed = s
 				cfg.Workers = 1
-				cfg.Progress = nil
 				cells = append(cells, GridCell{Policy: p, ArrivalRate: r, Seed: s})
 				units = append(units, experiments.Unit[*Result]{
 					Label: fmt.Sprintf("%s rate=%g seed=%d", p, r, s),
@@ -93,7 +90,7 @@ func RunGrid(spec GridSpec) ([]GridCell, error) {
 			}
 		}
 	}
-	outs, _, err := experiments.RunUnitsCheckpointed(spec.Workers, units, spec.Progress, spec.Checkpoint)
+	outs, _, err := experiments.RunUnitsCheckpointed(spec.Workers, units, nil, spec.Checkpoint)
 	if err != nil {
 		return nil, err
 	}

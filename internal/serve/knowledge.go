@@ -78,3 +78,89 @@ func (ks *KnowledgeStore) Seed(res video.Resolution) *core.Snapshot {
 func (ks *KnowledgeStore) Contributions(res video.Resolution) int {
 	return ks.contributions[res]
 }
+
+// knowledge is a run's knowledge-reuse state (nil when reuse is off):
+// the store, the seed the controller factory's WarmStart hook hands the
+// next controller, the warm-start count, and each resolution class's
+// shared seed copy.
+type knowledge struct {
+	store   *KnowledgeStore
+	pending *core.Snapshot
+	seeded  int
+	seeds   [2]sharedSeed
+}
+
+// newKnowledge starts a run's knowledge state from a copy of the
+// imported store (nil = empty). The copy keeps the run from mutating the
+// caller's store; the run's final store is handed back via
+// Result.Knowledge.
+func newKnowledge(imported *KnowledgeStore) *knowledge {
+	if imported != nil {
+		return &knowledge{store: imported.clone()}
+	}
+	return &knowledge{store: NewKnowledgeStore()}
+}
+
+// sharedSeed is the read-only seed copy a class's admissions share, and
+// the class's contribution count it was cloned at.
+type sharedSeed struct {
+	snap    *core.Snapshot
+	version int
+}
+
+// seed picks the knowledge seed for one admission of class res (nil when
+// knowledge reuse is off or the class is still cold). The store keeps
+// merging afterwards, so the admission needs a frozen copy of the class's
+// current snapshot, which serves both as the controller's seed (via the
+// WarmStart hook) and as the baseline its departing contribution is
+// measured against.
+//
+// The copy is shared: every admission of the class until its next
+// contribution gets the same one, instead of holding a clone each. The
+// class's contribution count versions it, and sessions seeded before a
+// contribution keep the old copy, which nothing mutates (core.NewWarm
+// and SubtractCounts only read their seed).
+func (k *knowledge) seed(res video.Resolution) *core.Snapshot {
+	if k == nil {
+		return nil
+	}
+	cur := k.store.Seed(res)
+	if cur == nil {
+		return nil
+	}
+	k.seeded++
+	version := k.store.Contributions(res)
+	if sh := k.seeds[res]; sh.snap != nil && sh.version == version {
+		return sh.snap
+	}
+	cp := cur.Clone()
+	k.seeds[res] = sharedSeed{snap: &cp, version: version}
+	return &cp
+}
+
+// harvest contributes a departed session's learned state to the store
+// (a no-op for sessions without a harvest identity): its final Q
+// estimates, weighted by the visits it made itself, not by the recycled
+// seed mass.
+func (k *knowledge) harvest(rec residentRec) error {
+	if rec.ctrl == nil {
+		return nil
+	}
+	snap := rec.ctrl.Snapshot()
+	if rec.seeded != nil {
+		if err := snap.SubtractCounts(*rec.seeded); err != nil {
+			return err
+		}
+	}
+	return k.store.Contribute(rec.res, snap)
+}
+
+// report fills the result's knowledge fields (reuse on only).
+func (k *knowledge) report(res *Result) {
+	if k == nil {
+		return
+	}
+	res.KnowledgeContributions = k.store.Contributions(video.HR) + k.store.Contributions(video.LR)
+	res.KnowledgeSeeded = k.seeded
+	res.Knowledge = k.store
+}

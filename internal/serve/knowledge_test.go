@@ -233,39 +233,36 @@ func warmMAMUT(t *testing.T, seed *core.Snapshot, rngSeed int64) *core.Controlle
 // clone a fresh one, and a shared seed is unchanged after every session
 // seeded from it has departed and been folded into the store.
 func TestSeedAdmissionSharesSeedUntilFold(t *testing.T) {
-	d := &dispatcher{
-		store: NewKnowledgeStore(),
-		seeds: make(map[video.Resolution]sharedSeed),
-		busy:  make([]float64, 1),
-	}
+	kn := newKnowledge(nil)
+	d := &dispatcher{knowledge: kn, stats: stats{busy: make([]float64, 1)}}
 	depart := func(c *core.Controller, seeded *core.Snapshot) {
 		t.Helper()
-		d.departs = append(d.departs, departRec{reqID: d.seeded, res: video.HR, ctrl: c, seeded: seeded})
+		d.departs = append(d.departs, departRec{residentRec: residentRec{reqID: kn.seeded, res: video.HR, ctrl: c, seeded: seeded}})
 		if err := d.foldBatch(0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d.seedAdmission(video.HR) != nil {
+	if kn.seed(video.HR) != nil {
 		t.Fatal("a cold class handed out a seed")
 	}
 	depart(warmMAMUT(t, nil, 1), nil)
 
-	a, b := d.seedAdmission(video.HR), d.seedAdmission(video.HR)
+	a, b := kn.seed(video.HR), kn.seed(video.HR)
 	if a == nil || a != b {
 		t.Fatalf("two admissions with no fold between them got seeds %p and %p, want one shared seed", a, b)
 	}
-	if d.seedAdmission(video.LR) != nil {
+	if kn.seed(video.LR) != nil {
 		t.Fatal("an HR contribution warmed the LR class")
 	}
 	want := a.Clone()
 	ca, cb := warmMAMUT(t, a, 2), warmMAMUT(t, b, 3)
 
 	depart(ca, a)
-	c := d.seedAdmission(video.HR)
+	c := kn.seed(video.HR)
 	if c == a {
 		t.Fatal("an admission after a fold got the retired seed")
 	}
-	if !reflect.DeepEqual(*c, *d.store.Seed(video.HR)) || reflect.DeepEqual(*c, want) {
+	if !reflect.DeepEqual(*c, *kn.store.Seed(video.HR)) || reflect.DeepEqual(*c, want) {
 		t.Fatal("the seed cloned after a fold does not hold the folded knowledge")
 	}
 
@@ -273,7 +270,7 @@ func TestSeedAdmissionSharesSeedUntilFold(t *testing.T) {
 	if !reflect.DeepEqual(*a, want) {
 		t.Fatal("a shared seed changed while the sessions seeded from it ran and departed")
 	}
-	if d.seeded != 3 {
-		t.Errorf("seeded count %d, want 3", d.seeded)
+	if kn.seeded != 3 {
+		t.Errorf("seeded count %d, want 3", kn.seeded)
 	}
 }

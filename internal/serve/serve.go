@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 
 	"mamut/internal/core"
 	"mamut/internal/experiments"
@@ -77,9 +75,8 @@ type Config struct {
 	// SLOFPSFactor is the session SLO threshold as a fraction of the
 	// target frame rate. DefaultSLOFPSFactor when 0.
 	SLOFPSFactor float64
-	// Spec, Model and Catalog override the simulated substrate.
+	// Spec and Catalog override the simulated substrate.
 	Spec    *platform.Spec
-	Model   *hevc.Model
 	Catalog *video.Catalog
 	// Seed drives all randomness; equal seeds give identical results.
 	Seed int64
@@ -126,17 +123,12 @@ type Config struct {
 	// interval that would put more than 2^20 epochs on the horizon is
 	// rejected.
 	EpochSec float64
-	// Rebalance enables the built-in power-hotspot rebalancer (see
-	// RebalancerPowerHotspot): each epoch it live-migrates sessions away
-	// from servers whose estimated package power exceeds their power
-	// budget. Elasticity requires migratable sessions, so the MonoAgent
+	// Rebalance enables hotspot rebalancing: each epoch one session is
+	// live-migrated away from every server whose estimated package power
+	// exceeds its power budget, onto the server with the most power
+	// headroom. Elasticity requires migratable sessions, so the MonoAgent
 	// approach is rejected.
 	Rebalance bool
-	// RebalancerFactory overrides Rebalance with a custom Rebalancer
-	// constructor (a fresh instance is requested per run). The
-	// implementation must be deterministic — plan only from the fleet
-	// states it is handed.
-	RebalancerFactory func() Rebalancer
 	// MigrationStallSec is the stall each live migration charges the
 	// moved session: its in-flight frame is delayed this many real
 	// seconds, counting against throughput — and therefore the SLO —
@@ -167,8 +159,6 @@ type Config struct {
 	// crash-interrupted sessions back. The zero value disables fault
 	// code entirely and keeps byte-identical output.
 	Faults FaultConfig
-	// Progress observes completed per-server simulations.
-	Progress experiments.ProgressFunc
 }
 
 // SessionOutcome is the service-level record of one arrival.
@@ -621,27 +611,21 @@ func (c Config) Validate() error {
 }
 
 // departRec is the dispatcher's record of one completed session — the
-// only per-session state that survives a departure. It is buffered by the
-// engine's OnSessionEnd hook and folded — knowledge contribution, then
-// streaming aggregates — in arrival-ID order (at the next sync point, or
-// at finish for the drain phase), so the fold sequence — and therefore
-// every accumulated float — depends only on the workload and seed, never
-// on server iteration order, shard count or the worker pool.
+// only per-session state that survives a departure: the resident record
+// it departed under plus what the engine reports for it. It is buffered
+// by the engine's OnSessionEnd hook and folded — knowledge contribution,
+// then streaming aggregates — in arrival-ID order (at the next sync
+// point, or at finish for the drain phase), so the fold sequence — and
+// therefore every accumulated float — depends only on the workload and
+// seed, never on server iteration order, shard count or the worker pool.
+// The embedded record's knowledge harvest (ctrl, seeded) is cleared for
+// drain departures, which are never harvested.
 type departRec struct {
-	reqID                                     int
+	residentRec
 	server                                    int
-	res                                       video.Resolution
-	arriveAt                                  float64
-	startAt                                   float64 // admission time (== arriveAt unless queued)
-	firstFrameAt                              float64 // first frame completion (0 = none observed; queueing only)
 	endAt                                     float64 // actual, contention-stretched departure time
-	measured                                  bool
 	frames                                    int
 	violationPct, avgFPS, avgPSNR, avgBitrate float64
-	// ctrl and seeded are the session's knowledge harvest (nil unless
-	// knowledge reuse is on and the session departed before the drain).
-	ctrl   *core.Controller
-	seeded *core.Snapshot
 }
 
 // fleetServer is the dispatcher's live view of one server: its engine
@@ -650,48 +634,47 @@ type departRec struct {
 // so the dispatcher sees contention-stretched lifetimes, not the nominal
 // arrival + Frames/TargetFPS approximation.
 type fleetServer struct {
-	eng    *transcode.Engine
-	hr, lr int
+	eng *transcode.Engine
+	// n counts the resident sessions per resolution class.
+	n [2]int
 
 	// resident maps engine session ids to the arrival bookkeeping the
 	// departure record needs; entries live exactly as long as the
 	// session does.
 	resident map[int]residentRec
-	// cur/peak maintain PeakActive online: departures at or before an
+	// peak maintains PeakActive online: departures at or before an
 	// arrival instant are processed before its admission, so the counter
 	// reproduces the close-before-open convention of the retired
 	// end-of-run interval event-sort.
-	cur, peak int
+	peak int
 	// power integrates this server's package-power readings over the
 	// measurement window as they are emitted (engine OnFrame hook) —
 	// streaming replacement for the end-of-run trace replay.
 	power *metrics.PowerIntegrator
-	// drained collects departure records from the post-arrival drain.
-	// The drain runs engines concurrently, so each engine appends only
-	// to its own server's slice; finish merges and sorts them. draining
-	// is set before the drain: drain departures are not harvested (no
-	// admission can observe them), which keeps the drained engines
-	// independent and the output identical for any worker count.
+	// drained collects departure records from the post-arrival drain:
+	// the server's own window of the dispatcher's departure batch. The
+	// drain runs engines concurrently, so each engine appends only to
+	// its own window, and finish sorts the whole batch. draining is set
+	// before the drain: drain departures are not harvested (no admission
+	// can observe them), which keeps the drained engines independent and
+	// the output identical for any worker count.
 	drained  []departRec
 	draining bool
 
 	// decom marks the server decommissioning (no admissions; evacuated by
-	// migration at epochs); retired marks it emptied and out of the fleet.
-	// Retired servers keep their accumulated results and their index — it
-	// is never reused.
+	// migration at epochs); retired marks it out of the fleet — emptied
+	// after a drain, or crashed. Retired servers keep their accumulated
+	// results and their index — it is never reused.
 	decom   bool
 	retired bool
 
 	// Fault state (fault injection only). blipped marks the server
 	// unavailable for a blip window (its state reports Draining, so
-	// placement and rebalancing skip it while its engine keeps running);
-	// crashed marks it killed by a crash fault — retired with its
-	// sessions interrupted rather than drained. spec is the degraded
-	// platform spec while a degrade window is open (nil = nominal), and
-	// budgetW the per-server power budget placement reads — d.budget
-	// except inside a degrade window.
+	// placement and rebalancing skip it while its engine keeps running).
+	// spec is the degraded platform spec while a degrade window is open
+	// (nil = nominal), and budgetW the per-server power budget placement
+	// reads — d.budget except inside a degrade window.
 	blipped bool
-	crashed bool
 	spec    *platform.Spec
 	budgetW float64
 
@@ -700,6 +683,9 @@ type fleetServer struct {
 	// hook buffers into sh, never into the dispatcher (see shard.go).
 	sh *shard
 }
+
+// active is the number of sessions resident on the server.
+func (fs *fleetServer) active() int { return fs.n[video.HR] + fs.n[video.LR] }
 
 // residentRec is the arrival-side half of a future departRec. seq is the
 // catalog sequence the session plays — needed to rebuild its content
@@ -731,18 +717,17 @@ type residentRec struct {
 	seeded *core.Snapshot
 }
 
-// addSession builds the arrival's source and controller from its fixed
-// per-session seeds and registers it on the server's engine as a live
-// arrival at its admission time startAt (the arrival instant, unless
-// the session waited in the admission queue first). seeded is the
-// knowledge snapshot the controller factory warm-starts from (nil when
-// knowledge reuse is off or the class is still cold), recorded for
-// delta harvesting. Returns the engine session id.
-func (fs *fleetServer) addSession(req SessionRequest, cfg Config, catalog *video.Catalog,
-	factory experiments.ControllerFactory, seeded *core.Snapshot, startAt float64) (int, error) {
-	seq, err := catalog.Get(req.Sequence)
+// shell builds a session's content source and controller: the catalog
+// sequence's stateful generator, and the approach's controller over an
+// explicit rng source, wrapped so live migration can carry both rng
+// states. seed is the knowledge snapshot the controller factory
+// warm-starts from (nil when knowledge reuse is off or the class is
+// still cold). An injected session takes its shells' mid-stream state
+// from its payload, so it builds them from zero seeds and no warm start.
+func (d *dispatcher) shell(seqName string, res video.Resolution, srcSeed, ctrlSeed int64, seed *core.Snapshot) (video.Source, transcode.Controller, error) {
+	seq, err := d.catalog.Get(seqName)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	// Session rngs are xrand (splitmix64) streams: seeding a stdlib rand
 	// source costs a ~600-word table initialisation, which profiled as
@@ -750,23 +735,43 @@ func (fs *fleetServer) addSession(req SessionRequest, cfg Config, catalog *video
 	// generator and the explicit source construction draw the identical
 	// streams the plain xrand.New forms would — they additionally expose
 	// the rng state live migration carries across servers.
-	src, err := video.NewStatefulGenerator(seq, req.SourceSeed)
+	src, err := video.NewStatefulGenerator(seq, srcSeed)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctrlSrc := xrand.NewSource(ctrlSeed)
+	if d.knowledge != nil {
+		// The factory seeds from the exact snapshot the admission records
+		// as its subtraction baseline, so baseline == seed by
+		// construction — delta harvesting cannot drift from what the
+		// controller actually absorbed, even if fold points move.
+		d.knowledge.pending = seed
+	}
+	ctrl, err := d.factory(res, experiments.InitialSettings(res), rand.New(ctrlSrc))
+	if err != nil {
+		return nil, nil, err
+	}
+	return src, wrapStateful(ctrl, ctrlSrc), nil
+}
+
+// addSession builds the arrival's source and controller from its fixed
+// per-session seeds and registers it on server i's engine as a live
+// arrival at its admission time startAt (the arrival instant, unless
+// the session waited in the admission queue first). seed is the
+// knowledge snapshot the controller warm-starts from, recorded for
+// delta harvesting. Returns the engine session id.
+func (d *dispatcher) addSession(i int, req SessionRequest, seed *core.Snapshot, startAt float64) (int, error) {
+	src, ctrl, err := d.shell(req.Sequence, req.Res, req.SourceSeed, req.ControllerSeed, seed)
 	if err != nil {
 		return 0, err
 	}
-	initial := experiments.InitialSettings(req.Res)
-	ctrlSrc := xrand.NewSource(req.ControllerSeed)
-	ctrl, err := factory(req.Res, initial, rand.New(ctrlSrc))
-	if err != nil {
-		return 0, err
-	}
-	ctrl = wrapStateful(ctrl, ctrlSrc)
+	fs := d.servers[i]
 	id, err := fs.eng.AddSession(transcode.SessionConfig{
 		Source:        src,
 		Controller:    ctrl,
-		Initial:       initial,
+		Initial:       experiments.InitialSettings(req.Res),
 		BandwidthMbps: req.BandwidthMbps,
-		TargetFPS:     cfg.Workload.TargetFPS,
+		TargetFPS:     d.cfg.Workload.TargetFPS,
 		FrameBudget:   req.Frames,
 		StartAtSec:    startAt,
 		// No trace retention: every aggregate folds streamingly at the
@@ -785,15 +790,15 @@ func (fs *fleetServer) addSession(req SessionRequest, cfg Config, catalog *video
 		startAt:  startAt,
 		// Measurement keys off the arrival, not the admission: a session
 		// that arrived in-window is measured however long it queued.
-		measured: req.ArriveAtSec >= cfg.WarmupSec,
-		seeded:   seeded,
+		measured: req.ArriveAtSec >= d.cfg.WarmupSec,
+		seeded:   seed,
 	}
-	if cfg.Faults.Enabled() {
+	if d.faults != nil {
 		// Keep the full request only when a crash could force this
 		// session back through the admission queue.
 		rec.req = req
 	}
-	fs.book(id, rec, ctrl, cfg.KnowledgeReuse)
+	fs.book(id, rec, ctrl, d.knowledge != nil)
 	return id, nil
 }
 
@@ -806,14 +811,9 @@ func (fs *fleetServer) book(id int, rec residentRec, ctrl transcode.Controller, 
 		rec.ctrl = mamutController(ctrl)
 	}
 	fs.resident[id] = rec
-	fs.cur++
-	if fs.cur > fs.peak {
-		fs.peak = fs.cur
-	}
-	if rec.res == video.HR {
-		fs.hr++
-	} else {
-		fs.lr++
+	fs.n[rec.res]++
+	if a := fs.active(); a > fs.peak {
+		fs.peak = a
 	}
 }
 
@@ -837,33 +837,17 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &dispatcher{cfg: cfg, spec: platform.DefaultSpec(), model: hevc.DefaultModel(), catalog: cfg.Catalog}
+	d := &dispatcher{cfg: cfg, spec: platform.DefaultSpec(), catalog: cfg.Catalog}
 	if cfg.Spec != nil {
 		d.spec = *cfg.Spec
-	}
-	if cfg.Model != nil {
-		d.model = *cfg.Model
 	}
 	if d.catalog == nil {
 		d.catalog = video.DefaultCatalog()
 	}
-	exOpts := experiments.Options{Spec: d.spec, Model: d.model}
+	exOpts := experiments.Options{Spec: d.spec, Model: hevc.DefaultModel()}
 	if cfg.KnowledgeReuse {
-		if cfg.Knowledge != nil {
-			// Warm-start the whole run from imported knowledge. The copy
-			// keeps the run from mutating the caller's store; the run's
-			// final store is handed back via Result.Knowledge.
-			d.store = cfg.Knowledge.clone()
-		} else {
-			d.store = NewKnowledgeStore()
-		}
-		d.seeds = make(map[video.Resolution]sharedSeed)
-		// The factory seeds from the exact snapshot the dispatcher
-		// records as the admission's subtraction baseline (set right
-		// before each addSession), so baseline == seed by construction —
-		// delta harvesting cannot drift from what the controller
-		// actually absorbed, even if fold points move.
-		exOpts.WarmStart = func(video.Resolution) *core.Snapshot { return d.pendingSeed }
+		d.knowledge = newKnowledge(cfg.Knowledge)
+		exOpts.WarmStart = func(video.Resolution) *core.Snapshot { return d.knowledge.pending }
 	}
 	factory, err := experiments.Factory(cfg.Approach, exOpts)
 	if err != nil {
@@ -935,27 +919,25 @@ type moment struct {
 func (d *dispatcher) timeline(arrivals []SessionRequest) []moment {
 	var ctl []moment
 	horizon := d.cfg.Workload.DurationSec
-	if d.epochSec > 0 {
+	periodic := func(interval float64, kind momentKind) {
 		for k := 1; ; k++ {
-			t := float64(k) * d.epochSec
+			t := float64(k) * interval
 			if t > horizon {
-				break
+				return
 			}
-			ctl = append(ctl, moment{at: t, kind: momentEpoch})
+			ctl = append(ctl, moment{at: t, kind: kind})
 		}
 	}
-	if d.faultsOn {
-		if cp := d.cfg.Faults.CheckpointSec; cp > 0 {
-			for k := 1; ; k++ {
-				t := float64(k) * cp
-				if t > horizon {
-					break
-				}
-				ctl = append(ctl, moment{at: t, kind: momentCheckpoint})
-			}
+	if d.cfg.Elastic() {
+		// Validate guarantees a positive interval here.
+		periodic(d.cfg.EpochSec, momentEpoch)
+	}
+	if f := d.cfg.Faults; f.Enabled() {
+		if f.CheckpointSec > 0 {
+			periodic(f.CheckpointSec, momentCheckpoint)
 		}
-		for i := range d.cfg.Faults.Plan {
-			ev := &d.cfg.Faults.Plan[i]
+		for i := range f.Plan {
+			ev := &f.Plan[i]
 			ctl = append(ctl, moment{at: ev.AtSec, kind: momentFault, ev: ev, start: true})
 			if ev.Kind != FaultCrash {
 				ctl = append(ctl, moment{at: ev.EndSec, kind: momentFault, ev: ev})
@@ -986,7 +968,7 @@ func (d *dispatcher) timeline(arrivals []SessionRequest) []moment {
 		ms = append(ms, moment{at: at, kind: momentArrival, req: &arrivals[i]})
 	}
 	ms = append(ms, ctl...)
-	if d.queueOn {
+	if d.cfg.Queue.Capacity > 0 {
 		ms = append(ms, moment{at: horizon, kind: momentHorizon})
 	}
 	return ms
@@ -1020,12 +1002,13 @@ func (d *dispatcher) step(m moment) error {
 }
 
 // dispatcher is the live state of one service run's interleaved phase:
-// the fleet, the policy (with its optional index), the sharded engine
-// event heap and the departure pipeline.
+// the fleet and its placement core — the policy (with its optional
+// index), the incrementally maintained server states, the sharded engine
+// event heap and the departure batch — plus one owned block per feature,
+// each declared, built and reported in its feature's file.
 type dispatcher struct {
 	cfg     Config
 	spec    platform.Spec
-	model   hevc.Model
 	catalog *video.Catalog
 	factory experiments.ControllerFactory
 	pol     Policy
@@ -1037,100 +1020,107 @@ type dispatcher struct {
 	indexed bool
 	idx     FleetIndex
 
-	estW   map[video.Resolution]float64
+	// estW is the per-session power estimate of each resolution class,
+	// budget the nominal per-server power budget.
+	estW   [2]float64
 	budget float64
 
 	servers []*fleetServer
 	states  []ServerState
 	nextEvt []float64 // current heap key per server (+Inf = idle, not in heap)
+	active  int       // fleet-wide resident sessions
+	liveSrv int       // in-service (non-retired) servers
+	// departs is the departure batch: every record reconciled since the
+	// last fold, folded sorted by arrival ID at the next sync point.
+	departs []departRec
+	// scratch backs the live-states view scan-mode policies place from
+	// once the fleet has retired servers.
+	scratch []ServerState
 
-	// Sharded sweep (see shard.go): the fleet partitions (at least one),
-	// the barrier acknowledgement channel, the goroutine join, and the
-	// pprof label context shard 0's inline advance runs under.
-	shards    []*shard
-	shardAcks chan shardAck
-	shardWG   sync.WaitGroup
-	shard0Ctx context.Context
+	shards    shards     // the fleet partitions (shard.go)
+	stats     stats      // streaming aggregates (below)
+	queue     queue      // the admission waiting room (admission.go)
+	elastic   elastic    // drain schedule and topology counters (elastic.go)
+	faults    *faults    // nil without a fault plan (faults.go)
+	knowledge *knowledge // nil without knowledge reuse (knowledge.go)
+}
 
-	// Knowledge reuse: the store, the seed snapshot the WarmStart
-	// closure hands the next controller, the warm-start count, and each
-	// class's shared seed copy (seedAdmission).
-	store       *KnowledgeStore
-	pendingSeed *core.Snapshot
-	seeded      int
-	seeds       map[video.Resolution]sharedSeed
+// stats is the run's streaming aggregation state. Sessions fold in at
+// their departure events (the dispatcher's departure batch, sorted by
+// arrival ID per fold batch); the scalar counters update at placement
+// time. Nothing here grows with the number of sessions served, except
+// the outcome log Config.RetainSessions asks for.
+type stats struct {
+	sloFPS                              float64 // SLO threshold: SLOFPSFactor * target FPS
+	offered, admitted, rejected         int
+	measOffered, measRejected, measured int
+	admitCount                          []int     // per-server admissions
+	busy                                []float64 // per-server in-window residency seconds
+	// agg, fps and dur are indexed by resolution class: the session sums
+	// and the FPS and residency-time sketches.
+	agg                     [2]classAgg
+	fps, dur                [2]*metrics.Histogram
+	sloWin, rejWin, utilWin *metrics.DecayedMean
+	outcomes                []SessionOutcome // only when cfg.RetainSessions
+}
 
-	// Elasticity (epochSec > 0 only): the rebalancer, the scheduled
-	// decommissions still to apply, the in-service (non-retired) server
-	// count with its peak, the event counters, and a scratch slice for
-	// the live-states view scan-mode policies place from once the fleet
-	// has retired servers.
-	reb        Rebalancer
-	epochSec   float64
-	drainQueue []DrainEvent
-	liveSrv    int
-	peakSrv    int
-	migrations int
-	addedSrv   int
-	removedSrv int
-	scratch    []ServerState
+// newStats builds the aggregates for a run of the given arrival count;
+// tau is the decay constant of the windowed views.
+func newStats(cfg Config, arrivals int, tau float64) (stats, error) {
+	s := stats{
+		sloFPS:     cfg.SLOFPSFactor * cfg.Workload.TargetFPS,
+		admitCount: make([]int, cfg.Servers),
+		busy:       make([]float64, cfg.Servers),
+	}
+	// Distribution sketches: FPS over [0, 2x target) — sessions regulate
+	// around the target, so the range brackets it symmetrically — and
+	// residency over [0, 8x mean session length), which covers the p99 of
+	// the exponential session-length distribution with room for
+	// contention stretch; the tails clamp.
+	for r := range s.fps {
+		var err error
+		if s.fps[r], err = metrics.NewHistogram(0, 2*cfg.Workload.TargetFPS, 256); err != nil {
+			return s, err
+		}
+		if s.dur[r], err = metrics.NewHistogram(0, 8*cfg.Workload.MeanSessionSec, 512); err != nil {
+			return s, err
+		}
+	}
+	for _, m := range []**metrics.DecayedMean{&s.sloWin, &s.rejWin, &s.utilWin} {
+		var err error
+		if *m, err = metrics.NewDecayedMean(tau); err != nil {
+			return s, err
+		}
+	}
+	if cfg.RetainSessions {
+		s.outcomes = make([]SessionOutcome, arrivals)
+	}
+	return s, nil
+}
 
-	// Streaming aggregation state. Sessions fold in at their departure
-	// events (departs, sorted by arrival ID per fold batch); the scalar
-	// counters update at placement time. Nothing here grows with the
-	// number of sessions served.
-	sloFPS       float64 // SLO threshold: SLOFPSFactor * target FPS
-	active       int     // fleet-wide resident sessions
-	offered      int
-	admitted     int
-	rejected     int
-	measOffered  int
-	measRejected int
-	measured     int
-	admitCount   []int     // per-server admissions
-	busy         []float64 // per-server in-window residency seconds
-	hrAgg, lrAgg classAgg
-	hrFPS, lrFPS *metrics.Histogram
-	hrDur, lrDur *metrics.Histogram
-	sloWin       *metrics.DecayedMean
-	rejWin       *metrics.DecayedMean
-	utilWin      *metrics.DecayedMean
-	departs      []departRec
-	outcomes     []SessionOutcome // only when cfg.RetainSessions
-
-	// Queued admission (cfg.Queue.Capacity > 0 only; see admission.go):
-	// the waiting room in arrival order, its outcome counters, the
-	// queue-wait and time-to-first-frame sketches, the decayed backlog
-	// view, and the optional backlog-observing side of the policy.
-	queueOn       bool
-	queue         []queueEntry
-	qOrder        []int // scratch for queueOrder
-	queuedTotal   int
-	queueAdmitted int
-	queueDropped  int
-	qwSum         float64
-	qwH, ttffH    *metrics.Histogram
-	depthWin      *metrics.DecayedMean
-	backlogObs    BacklogObserver
-
-	// Fault injection (cfg.Faults.Enabled() only; see faults.go): the
-	// per-session checkpoint snapshots, the initial fleet size the
-	// availability accounting normalises by, the fault/outage counters,
-	// and the recovery-latency sketches.
-	faultsOn    bool
-	snaps       map[int]faultSnap // keyed by arrival ID
-	initialSrv  int
-	crashedSrv  int
-	blippedCnt  int
-	faultCount  int
-	interrupted int
-	recovered   int
-	lostSess    int
-	lostWorkSec float64
-	unavailSec  float64
-	mttrSum     float64
-	recH        *metrics.Histogram
-	availWin    *metrics.DecayedMean
+// report fills the result's arrival accounting, SLO statistics,
+// distributions, windowed views and retained outcomes.
+func (s *stats) report(res *Result) {
+	res.Offered, res.Admitted, res.Rejected = s.offered, s.admitted, s.rejected
+	res.MeasuredOffered, res.MeasuredRejected, res.Measured = s.measOffered, s.measRejected, s.measured
+	if res.Offered > 0 {
+		res.RejectionPct = 100 * float64(res.Rejected) / float64(res.Offered)
+	}
+	if res.MeasuredOffered > 0 {
+		res.MeasuredRejectionPct = 100 * float64(res.MeasuredRejected) / float64(res.MeasuredOffered)
+	}
+	hr, lr := &s.agg[video.HR], &s.agg[video.LR]
+	res.HR, res.LR = hr.stats(), lr.stats()
+	if res.Measured > 0 {
+		res.SLOAttainedPct = 100 * float64(hr.met+lr.met) / float64(res.Measured)
+	}
+	res.HRDist = ClassDistributions{FPS: quantiles(s.fps[video.HR]), DurationSec: quantiles(s.dur[video.HR])}
+	res.LRDist = ClassDistributions{FPS: quantiles(s.fps[video.LR]), DurationSec: quantiles(s.dur[video.LR])}
+	res.Windowed.TauSec = s.sloWin.Tau()
+	res.Windowed.SLOAttainedPct = s.sloWin.Value()
+	res.Windowed.RejectionPct = s.rejWin.Value()
+	res.Windowed.UtilizationPct = s.utilWin.Value()
+	res.Sessions = s.outcomes
 }
 
 // classAgg streams the per-class session sums ClassStats is derived from.
@@ -1154,19 +1144,18 @@ func (a classAgg) stats() ClassStats {
 	return cs
 }
 
-// init builds the per-server structures and the policy index.
+// init builds the per-server structures, the feature blocks and the
+// policy index.
 func (d *dispatcher) init(arrivals int) error {
 	cfg := d.cfg
 	d.budget = powerBudgetW(d.spec)
-	hrW, err := estSessionPowerW(d.spec, video.HR)
-	if err != nil {
-		return err
+	for _, r := range []video.Resolution{video.HR, video.LR} {
+		w, err := estSessionPowerW(d.spec, r)
+		if err != nil {
+			return err
+		}
+		d.estW[r] = w
 	}
-	lrW, err := estSessionPowerW(d.spec, video.LR)
-	if err != nil {
-		return err
-	}
-	d.estW = map[video.Resolution]float64{video.HR: hrW, video.LR: lrW}
 	d.servers = make([]*fleetServer, cfg.Servers)
 	for i := range d.servers {
 		d.servers[i] = &fleetServer{resident: make(map[int]residentRec), budgetW: d.budget}
@@ -1182,101 +1171,21 @@ func (d *dispatcher) init(arrivals int) error {
 			PowerBudgetW: d.budget,
 		}
 	}
-	d.sloFPS = cfg.SLOFPSFactor * cfg.Workload.TargetFPS
-	d.admitCount = make([]int, cfg.Servers)
-	d.busy = make([]float64, cfg.Servers)
 	d.liveSrv = cfg.Servers
-	d.peakSrv = cfg.Servers
-	if cfg.Elastic() {
-		d.epochSec = cfg.EpochSec
-		if cfg.RebalancerFactory != nil {
-			if d.reb = cfg.RebalancerFactory(); d.reb == nil {
-				return fmt.Errorf("serve: rebalancer factory returned nil")
-			}
-		} else if cfg.Rebalance {
-			d.reb = powerHotspot{}
-		}
-		d.drainQueue = append([]DrainEvent(nil), cfg.Drain...)
-		sort.Slice(d.drainQueue, func(i, j int) bool {
-			if d.drainQueue[i].AtSec != d.drainQueue[j].AtSec {
-				return d.drainQueue[i].AtSec < d.drainQueue[j].AtSec
-			}
-			return d.drainQueue[i].Server < d.drainQueue[j].Server
-		})
-	}
-	// Distribution sketches: FPS over [0, 2x target) — sessions regulate
-	// around the target, so the range brackets it symmetrically — and
-	// residency over [0, 8x mean session length), which covers the p99 of
-	// the exponential session-length distribution with room for
-	// contention stretch; the tails clamp.
-	for _, h := range []**metrics.Histogram{&d.hrFPS, &d.lrFPS} {
-		var err error
-		if *h, err = metrics.NewHistogram(0, 2*cfg.Workload.TargetFPS, 256); err != nil {
-			return err
-		}
-	}
-	for _, h := range []**metrics.Histogram{&d.hrDur, &d.lrDur} {
-		var err error
-		if *h, err = metrics.NewHistogram(0, 8*cfg.Workload.MeanSessionSec, 512); err != nil {
-			return err
-		}
-	}
-	// Decayed windows: a quarter of the measurement window, so the
+	// Decayed windows span a quarter of the measurement window, so the
 	// values describe the last stretch of the run.
 	tau := (cfg.Workload.DurationSec - cfg.WarmupSec) / 4
-	for _, m := range []**metrics.DecayedMean{&d.sloWin, &d.rejWin, &d.utilWin} {
-		var err error
-		if *m, err = metrics.NewDecayedMean(tau); err != nil {
-			return err
-		}
+	var err error
+	if d.stats, err = newStats(cfg, arrivals, tau); err != nil {
+		return err
 	}
-	if q := cfg.Queue; q.Capacity > 0 {
-		d.queueOn = true
-		d.queue = make([]queueEntry, 0, q.Capacity)
-		var err error
-		// Queue wait is bounded by the deadline; time-to-first-frame adds
-		// the first frame's contention-stretched service time on top, so
-		// its range doubles the deadline (the tails clamp).
-		if d.qwH, err = metrics.NewHistogram(0, q.DeadlineSec, 256); err != nil {
-			return err
-		}
-		if d.ttffH, err = metrics.NewHistogram(0, 2*(q.DeadlineSec+1), 512); err != nil {
-			return err
-		}
-		if d.depthWin, err = metrics.NewDecayedMean(tau); err != nil {
-			return err
-		}
-		// Backlog observation is a queued-admission feature: with the
-		// queue off the pipeline never consults the fleet state, keeping
-		// the pre-queue arrival path untouched.
-		if ob, ok := d.pol.(BacklogObserver); ok {
-			d.backlogObs = ob
-		}
+	if d.queue, err = newQueue(cfg.Queue, tau, d.pol); err != nil {
+		return err
 	}
-	if cfg.Faults.Enabled() {
-		d.faultsOn = true
-		d.initialSrv = cfg.Servers
-		d.snaps = make(map[int]faultSnap)
-		// Recovery latency is bounded by the slower class deadline (the
-		// default even under Recovery.Drop, where nothing recovers and
-		// the sketch stays empty).
-		bound := DefaultFaultDeadlineSec
-		for _, cl := range []FaultRecoveryClass{cfg.Faults.Recovery.HR, cfg.Faults.Recovery.LR} {
-			if cl.DeadlineSec > bound {
-				bound = cl.DeadlineSec
-			}
-		}
-		var err error
-		if d.recH, err = metrics.NewHistogram(0, bound, 256); err != nil {
-			return err
-		}
-		if d.availWin, err = metrics.NewDecayedMean(tau); err != nil {
-			return err
-		}
+	if d.faults, err = newFaults(cfg.Faults, tau); err != nil {
+		return err
 	}
-	if cfg.RetainSessions {
-		d.outcomes = make([]SessionOutcome, arrivals)
-	}
+	d.elastic = newElastic(cfg)
 	d.indexed = !cfg.reference
 	d.nextEvt = make([]float64, cfg.Servers)
 	for i := range d.nextEvt {
@@ -1305,8 +1214,9 @@ func (d *dispatcher) place(req SessionRequest) error {
 	if err := d.queueStep(t); err != nil {
 		return err
 	}
+	waiting := len(d.queue.entries)
 	choice := -1
-	if len(d.queue) == 0 {
+	if waiting == 0 {
 		// A non-empty queue means its head just failed to place at this
 		// very instant: the arrival goes behind it, no placement attempt.
 		var err error
@@ -1314,25 +1224,26 @@ func (d *dispatcher) place(req SessionRequest) error {
 			return err
 		}
 	}
-	d.offered++
+	st := &d.stats
+	st.offered++
 	measured := t >= d.cfg.WarmupSec
 	if measured {
-		d.measOffered++
+		st.measOffered++
 	}
 	switch {
 	case choice >= 0:
 		if err := d.admit(req, choice, t, measured); err != nil {
 			return err
 		}
-	case len(d.queue) < d.cfg.Queue.Capacity:
+	case waiting < d.cfg.Queue.Capacity:
 		d.enqueue(req, measured)
 	default:
-		d.rejected++
+		st.rejected++
 		if measured {
-			d.measRejected++
+			st.measRejected++
 		}
-		if d.outcomes != nil {
-			d.outcomes[req.ID] = SessionOutcome{Req: req, Server: -1, Measured: measured}
+		if st.outcomes != nil {
+			st.outcomes[req.ID] = SessionOutcome{Req: req, Server: -1, Measured: measured}
 		}
 		d.sampleWindows(t, true)
 		return nil
@@ -1341,33 +1252,24 @@ func (d *dispatcher) place(req SessionRequest) error {
 	return nil
 }
 
-// sampleWindows feeds the decayed rejection and utilization views with
-// this arrival's decision and the fleet occupancy it left behind.
+// sampleWindows feeds the decayed views with this arrival's decision and
+// the fleet occupancy it left behind.
 func (d *dispatcher) sampleWindows(t float64, rejected bool) {
 	if rejected {
-		d.rejWin.Add(t, 100)
+		d.stats.rejWin.Add(t, 100)
 	} else {
-		d.rejWin.Add(t, 0)
+		d.stats.rejWin.Add(t, 0)
 	}
-	if d.queueOn {
-		d.depthWin.Add(t, float64(len(d.queue)))
-	}
+	d.queue.sample(t)
 	capacity := float64(d.liveSrv * d.cfg.MaxSessionsPerServer)
 	if capacity > 0 {
-		d.utilWin.Add(t, 100*float64(d.active)/capacity)
+		d.stats.utilWin.Add(t, 100*float64(d.active)/capacity)
 	} else {
 		// The whole fleet is decommissioned: no capacity reads as fully
 		// utilized, not as idle.
-		d.utilWin.Add(t, 100)
+		d.stats.utilWin.Add(t, 100)
 	}
-	if d.faultsOn {
-		// Availability over the servers faults can touch: the live fleet
-		// plus what crashed out of it, so elastic scale-in does not read
-		// as an outage.
-		if denom := d.liveSrv + d.crashedSrv; denom > 0 {
-			d.availWin.Add(t, 100*float64(d.liveSrv-d.blippedCnt)/float64(denom))
-		}
-	}
+	d.faults.sample(t, d.liveSrv)
 }
 
 // foldBatch folds every departure surfaced since the last fold, in
@@ -1384,19 +1286,8 @@ func (d *dispatcher) foldBatch(t float64) error {
 	}
 	sort.Slice(d.departs, func(i, j int) bool { return d.departs[i].reqID < d.departs[j].reqID })
 	for _, r := range d.departs {
-		if r.ctrl != nil {
-			snap := r.ctrl.Snapshot()
-			if r.seeded != nil {
-				// Contribute the session's own experience only: keep its
-				// final Q estimates but weight them by the visits it made
-				// itself, not by the recycled seed mass.
-				if err := snap.SubtractCounts(*r.seeded); err != nil {
-					return err
-				}
-			}
-			if err := d.store.Contribute(r.res, snap); err != nil {
-				return err
-			}
+		if err := d.knowledge.harvest(r.residentRec); err != nil {
+			return err
 		}
 		d.foldDepart(r, t)
 	}
@@ -1415,7 +1306,7 @@ func (d *dispatcher) chargeBusy(srv int, lo, hi float64) {
 		hi = d.cfg.Workload.DurationSec
 	}
 	if hi > lo {
-		d.busy[srv] += hi - lo
+		d.stats.busy[srv] += hi - lo
 	}
 }
 
@@ -1423,13 +1314,14 @@ func (d *dispatcher) chargeBusy(srv int, lo, hi float64) {
 // busy time, per-class sums, distribution sketches, decayed windows and
 // (when retained) its outcome entry.
 func (d *dispatcher) foldDepart(r departRec, t float64) {
-	sloMet := r.avgFPS >= d.sloFPS
+	st := &d.stats
+	sloMet := r.avgFPS >= st.sloFPS
 	// Busy time starts at admission (startAt), not arrival: a queued
 	// session occupied no server while it waited. With queueing off the
 	// two instants coincide.
 	d.chargeBusy(r.server, r.startAt, r.endAt)
-	if d.outcomes != nil {
-		so := &d.outcomes[r.reqID]
+	if st.outcomes != nil {
+		so := &st.outcomes[r.reqID]
 		so.Frames = r.frames
 		so.ViolationPct = r.violationPct
 		so.SLOMet = sloMet
@@ -1440,10 +1332,7 @@ func (d *dispatcher) foldDepart(r departRec, t float64) {
 	if !r.measured {
 		return
 	}
-	agg, fpsH, durH := &d.hrAgg, d.hrFPS, d.hrDur
-	if r.res != video.HR {
-		agg, fpsH, durH = &d.lrAgg, d.lrFPS, d.lrDur
-	}
+	agg := &st.agg[r.res]
 	agg.n++
 	if sloMet {
 		agg.met++
@@ -1451,22 +1340,13 @@ func (d *dispatcher) foldDepart(r departRec, t float64) {
 	agg.sumViol += r.violationPct
 	agg.sumFPS += r.avgFPS
 	agg.sumPSNR += r.avgPSNR
-	fpsH.Add(r.avgFPS)
-	durH.Add(r.endAt - r.startAt)
-	if d.queueOn {
-		// Time-to-first-frame: from the user's arrival (not admission) to
-		// the first frame completion; a session that never completed a
-		// frame is charged its whole span.
-		ttff := r.endAt - r.arriveAt
-		if r.firstFrameAt > 0 {
-			ttff = r.firstFrameAt - r.arriveAt
-		}
-		d.ttffH.Add(ttff)
-	}
+	st.fps[r.res].Add(r.avgFPS)
+	st.dur[r.res].Add(r.endAt - r.startAt)
+	d.queue.foldTTFF(r)
 	if sloMet {
-		d.sloWin.Add(t, 100)
+		st.sloWin.Add(t, 100)
 	} else {
-		d.sloWin.Add(t, 0)
+		st.sloWin.Add(t, 0)
 	}
 }
 
@@ -1495,10 +1375,11 @@ func (d *dispatcher) scheduleServer(i int) {
 func (d *dispatcher) refreshState(i int) {
 	fs := d.servers[i]
 	s := &d.states[i]
-	s.Active = fs.hr + fs.lr
-	s.HRActive = fs.hr
-	s.LRActive = fs.lr
-	s.EstPowerW = d.spec.IdlePowerW + float64(fs.hr)*d.estW[video.HR] + float64(fs.lr)*d.estW[video.LR]
+	hr, lr := fs.n[video.HR], fs.n[video.LR]
+	s.Active = hr + lr
+	s.HRActive = hr
+	s.LRActive = lr
+	s.EstPowerW = d.spec.IdlePowerW + float64(hr)*d.estW[video.HR] + float64(lr)*d.estW[video.LR]
 	// A blipped server reports Draining (hence Full): placement and
 	// rebalancing skip it for the window without a dedicated state bit.
 	s.Draining = fs.decom || fs.blipped
@@ -1533,7 +1414,7 @@ func (d *dispatcher) refreshScanStates(req SessionRequest) []ServerState {
 	for i := range d.states {
 		d.states[i].EstArrivalW = aw
 	}
-	if d.removedSrv+d.crashedSrv == 0 {
+	if d.liveSrv == len(d.servers) {
 		return d.states
 	}
 	live := d.scratch[:0]
@@ -1563,19 +1444,20 @@ func (d *dispatcher) createEngine(i int) error {
 		// close.
 		spec = *fs.spec
 	}
-	eng, err := transcode.NewEngine(spec, d.model, experiments.SubSeed(d.cfg.Seed, "serve|server", i))
+	eng, err := transcode.NewEngine(spec, hevc.DefaultModel(), experiments.SubSeed(d.cfg.Seed, "serve|server", i))
 	if err != nil {
 		return err
 	}
 	fs.eng = eng
 	fs.power = metrics.NewPowerIntegrator(d.cfg.WarmupSec, d.cfg.Workload.DurationSec)
 	eng.DiscardDeparted(true)
+	stampFirst := d.queue.ttffH != nil
 	eng.OnFrame(func(obs transcode.Observation) {
 		// The engine emits observations in non-decreasing time order and
 		// equal-time completions share one meter reading, so streaming
 		// integration reproduces the retired sorted-trace replay bitwise.
 		fs.power.Add(obs.Time, obs.PowerW)
-		if d.queueOn && obs.FrameIndex == 0 {
+		if stampFirst && obs.FrameIndex == 0 {
 			// First frame of a session: record the instant for the
 			// time-to-first-frame fold at departure. Per-server state
 			// only, so the hook stays shard-safe; the record (and the
@@ -1589,12 +1471,7 @@ func (d *dispatcher) createEngine(i int) error {
 		}
 	})
 	eng.OnSessionEnd(func(end transcode.SessionEnd) {
-		if end.Res == video.HR {
-			fs.hr--
-		} else {
-			fs.lr--
-		}
-		fs.cur--
+		fs.n[end.Res]--
 		rec, ok := fs.resident[end.SessionID]
 		if !ok {
 			// Defensive: every admitted session was registered.
@@ -1602,14 +1479,9 @@ func (d *dispatcher) createEngine(i int) error {
 		}
 		delete(fs.resident, end.SessionID)
 		dr := departRec{
-			reqID:        rec.reqID,
+			residentRec:  rec,
 			server:       i,
-			res:          rec.res,
-			arriveAt:     rec.arriveAt,
-			startAt:      rec.startAt,
-			firstFrameAt: rec.firstFrameAt,
 			endAt:        end.Time,
-			measured:     rec.measured,
 			frames:       end.Result.Frames,
 			violationPct: end.Result.ViolationPct,
 			avgFPS:       end.Result.AvgFPS,
@@ -1620,14 +1492,14 @@ func (d *dispatcher) createEngine(i int) error {
 			// No placement can observe drain departures, and the drain
 			// runs engines concurrently: nothing shared may be touched
 			// from here, and the record is not harvested — it goes to the
-			// server's own drained slice and folds, sorted, at finish.
+			// server's own drained window and folds, sorted, at finish.
+			dr.ctrl, dr.seeded = nil, nil
 			fs.drained = append(fs.drained, dr)
 			return
 		}
 		// The hook may run on the owning shard's goroutine, so only
 		// shard-local state is touched; the coordinator applies the
 		// global side when it reconciles the shard.
-		dr.ctrl, dr.seeded = rec.ctrl, rec.seeded
 		fs.sh.departs = append(fs.sh.departs, dr)
 	})
 	return nil
@@ -1641,7 +1513,18 @@ func (d *dispatcher) createEngine(i int) error {
 // engines free of shared state.
 func (d *dispatcher) finish() (*Result, error) {
 	cfg := d.cfg
+	// Run drains every resident session, so each server's drain
+	// departures exactly fill a window of the batch sized by its resident
+	// count: the engines write disjoint memory, and no merge copy holds
+	// the batch twice.
+	off, n := len(d.departs), len(d.departs)
 	for _, fs := range d.servers {
+		n += len(fs.resident)
+	}
+	d.departs = slices.Grow(d.departs, n-off)[:n]
+	for _, fs := range d.servers {
+		end := off + len(fs.resident)
+		fs.drained, off = d.departs[off:off:end], end
 		fs.draining = true
 	}
 	var units []experiments.Unit[*transcode.Result]
@@ -1650,108 +1533,40 @@ func (d *dispatcher) finish() (*Result, error) {
 			continue
 		}
 		units = append(units, experiments.Unit[*transcode.Result]{
-			Label: fmt.Sprintf("server %d (%d sessions)", i, d.admitCount[i]),
+			Label: fmt.Sprintf("server %d (%d sessions)", i, d.stats.admitCount[i]),
 			Run:   fs.eng.Run,
 		})
 	}
 	// The engine results themselves carry nothing the aggregates need:
 	// every session folded (or will fold) through its departure record,
 	// and the power integrators streamed each reading at completion time.
-	if _, err := experiments.RunUnits(cfg.Workers, units, cfg.Progress); err != nil {
+	if _, err := experiments.RunUnits(cfg.Workers, units, nil); err != nil {
 		return nil, err
 	}
-	// Merge the per-server drain batches — into one allocation: the
-	// batch holds every session still resident after the timeline — and
-	// fold them in arrival-ID order at the horizon, the same
+	// Fold the drain batch in arrival-ID order at the horizon, the same
 	// deterministic fold discipline as the timeline, independent of the
 	// worker pool.
-	n := 0
-	for _, fs := range d.servers {
-		n += len(fs.drained)
-	}
-	d.departs = slices.Grow(d.departs, n)
-	for _, fs := range d.servers {
-		d.departs = append(d.departs, fs.drained...)
-		fs.drained = nil
-	}
 	if err := d.foldBatch(cfg.Workload.DurationSec); err != nil {
 		return nil, err
 	}
 	return d.buildResult()
 }
 
-// buildResult reads the streaming aggregates out into the Result.
+// buildResult reads the streaming aggregates out into the Result: each
+// feature block reports its own fields, the fleet its per-server rows.
 func (d *dispatcher) buildResult() (*Result, error) {
 	cfg := d.cfg
 	horizon := cfg.Workload.DurationSec
-	res := &Result{
-		Policy:           d.pol.Name(),
-		DurationSec:      horizon,
-		WarmupSec:        cfg.WarmupSec,
-		Offered:          d.offered,
-		Admitted:         d.admitted,
-		Rejected:         d.rejected,
-		MeasuredOffered:  d.measOffered,
-		MeasuredRejected: d.measRejected,
-		Measured:         d.measured,
-	}
-	if res.Offered > 0 {
-		res.RejectionPct = 100 * float64(res.Rejected) / float64(res.Offered)
-	}
-	if res.MeasuredOffered > 0 {
-		res.MeasuredRejectionPct = 100 * float64(res.MeasuredRejected) / float64(res.MeasuredOffered)
-	}
-	res.HR = d.hrAgg.stats()
-	res.LR = d.lrAgg.stats()
-	if res.Measured > 0 {
-		res.SLOAttainedPct = 100 * float64(d.hrAgg.met+d.lrAgg.met) / float64(res.Measured)
-	}
-	res.HRDist = ClassDistributions{FPS: quantiles(d.hrFPS), DurationSec: quantiles(d.hrDur)}
-	res.LRDist = ClassDistributions{FPS: quantiles(d.lrFPS), DurationSec: quantiles(d.lrDur)}
-	res.Windowed = WindowedStats{
-		TauSec:         d.sloWin.Tau(),
-		SLOAttainedPct: d.sloWin.Value(),
-		RejectionPct:   d.rejWin.Value(),
-		UtilizationPct: d.utilWin.Value(),
-	}
-	if d.queueOn {
-		res.Queued = d.queuedTotal
-		res.QueueAdmitted = d.queueAdmitted
-		res.QueueDropped = d.queueDropped
-		if res.Offered > 0 {
-			res.QueueDroppedPct = 100 * float64(res.QueueDropped) / float64(res.Offered)
-		}
-		if res.Measured > 0 {
-			res.AvgQueueWaitSec = d.qwSum / float64(res.Measured)
-		}
-		res.QueueWaitDist = quantiles(d.qwH)
-		res.TTFFDist = quantiles(d.ttffH)
-		res.Windowed.QueueDepth = d.depthWin.Value()
-	}
-	if d.faultsOn {
-		res.FaultsInjected = d.faultCount
-		res.ServersCrashed = d.crashedSrv
-		res.Interrupted = d.interrupted
-		res.Recovered = d.recovered
-		res.Lost = d.lostSess
-		res.LostWorkSec = d.lostWorkSec
-		if d.recovered > 0 {
-			res.MTTRSec = d.mttrSum / float64(d.recovered)
-		}
-		res.RecoveryLatency = quantiles(d.recH)
-		if denom := horizon * float64(d.initialSrv); denom > 0 {
-			pct := 100 * (1 - d.unavailSec/denom)
-			if pct < 0 {
-				pct = 0
-			}
-			res.AvailabilityPct = pct
-		}
-		res.Windowed.AvailabilityPct = d.availWin.Value()
-	}
+	res := &Result{Policy: d.pol.Name(), DurationSec: horizon, WarmupSec: cfg.WarmupSec}
+	d.stats.report(res)
+	d.queue.report(res)
+	d.faults.report(res, cfg.Servers)
+	d.elastic.report(res)
+	d.knowledge.report(res)
 
 	winLen := horizon - cfg.WarmupSec
 	for i, fs := range d.servers {
-		sr := ServerResult{Index: i, Sessions: d.admitCount[i], PeakActive: fs.peak, AvgPowerW: d.spec.IdlePowerW}
+		sr := ServerResult{Index: i, Sessions: d.stats.admitCount[i], PeakActive: fs.peak, AvgPowerW: d.spec.IdlePowerW}
 		if fs.power != nil {
 			switch w, err := fs.power.Average(); {
 			case err == nil:
@@ -1768,24 +1583,12 @@ func (d *dispatcher) buildResult() (*Result, error) {
 			}
 		}
 		if winLen > 0 {
-			sr.UtilizationPct = 100 * d.busy[i] / (winLen * float64(cfg.MaxSessionsPerServer))
+			sr.UtilizationPct = 100 * d.stats.busy[i] / (winLen * float64(cfg.MaxSessionsPerServer))
 		}
 		res.FleetAvgPowerW += sr.AvgPowerW
 		res.Servers = append(res.Servers, sr)
 	}
 	res.FleetAvgPowerW /= float64(len(d.servers))
-	res.Migrations = d.migrations
-	res.ServersAdded = d.addedSrv
-	res.ServersRemoved = d.removedSrv
-	res.PeakServers = d.peakSrv
-	if d.store != nil {
-		res.KnowledgeContributions = d.store.Contributions(video.HR) + d.store.Contributions(video.LR)
-		res.KnowledgeSeeded = d.seeded
-		res.Knowledge = d.store
-	}
-	if cfg.RetainSessions {
-		res.Sessions = d.outcomes
-	}
 	return res, nil
 }
 

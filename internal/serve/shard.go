@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime/pprof"
 	"strconv"
+	"sync"
 
 	"mamut/internal/heaps"
 )
@@ -69,6 +70,16 @@ type shard struct {
 	departs []departRec
 }
 
+// shards is the dispatcher's sharded sweep: the fleet partitions (at
+// least one), the barrier acknowledgement channel, the goroutine join,
+// and the pprof label context shard 0's inline advance runs under.
+type shards struct {
+	list []*shard
+	acks chan shardAck
+	wg   sync.WaitGroup
+	ctx0 context.Context
+}
+
 // shardAck is one shard's barrier acknowledgement.
 type shardAck struct {
 	id  int
@@ -79,10 +90,11 @@ type shardAck struct {
 // shards and spawns the goroutines of shards 1..S-1.
 func (d *dispatcher) initShards() {
 	n := max(1, min(d.cfg.Shards, len(d.servers)))
-	d.shards = make([]*shard, n)
-	d.shardAcks = make(chan shardAck, n-1) // one slot per shard goroutine
-	for s := range d.shards {
-		d.shards[s] = &shard{id: s}
+	sh := &d.shards
+	sh.list = make([]*shard, n)
+	sh.acks = make(chan shardAck, n-1) // one slot per shard goroutine
+	for s := range sh.list {
+		sh.list[s] = &shard{id: s}
 	}
 	for i, fs := range d.servers {
 		d.joinShard(i, fs)
@@ -90,17 +102,17 @@ func (d *dispatcher) initShards() {
 	// Shard 0's engine time carries the same pprof label as a shard
 	// goroutine's; the context is built once so the sweep allocates
 	// nothing to set it.
-	d.shard0Ctx = pprof.WithLabels(context.Background(), pprof.Labels("mamut_shard", "0"))
-	d.shardWG.Add(n - 1)
-	for _, sh := range d.shards[1:] {
-		sh.cmd = make(chan float64, 1)
-		go d.shardLoop(sh)
+	sh.ctx0 = pprof.WithLabels(context.Background(), pprof.Labels("mamut_shard", "0"))
+	sh.wg.Add(n - 1)
+	for _, s := range sh.list[1:] {
+		s.cmd = make(chan float64, 1)
+		go d.shardLoop(s)
 	}
 }
 
 // joinShard assigns server i to shard i mod S (serial phase only).
 func (d *dispatcher) joinShard(i int, fs *fleetServer) {
-	sh := d.shards[i%len(d.shards)]
+	sh := d.shards.list[i%len(d.shards.list)]
 	fs.sh = sh
 	sh.srv = append(sh.srv, i)
 }
@@ -108,20 +120,20 @@ func (d *dispatcher) joinShard(i int, fs *fleetServer) {
 // stopShards closes the barrier channels and joins the goroutines. Safe
 // to call after a mid-run error.
 func (d *dispatcher) stopShards() {
-	for _, sh := range d.shards[1:] {
+	for _, sh := range d.shards.list[1:] {
 		close(sh.cmd)
 	}
-	d.shardWG.Wait()
+	d.shards.wg.Wait()
 }
 
 // shardLoop is one shard goroutine: it advances the shard on each
 // barrier command and acknowledges with the result. The pprof labels
 // make -cpuprofile attribute sweep samples per shard.
 func (d *dispatcher) shardLoop(sh *shard) {
-	defer d.shardWG.Done()
+	defer d.shards.wg.Done()
 	pprof.Do(context.Background(), pprof.Labels("mamut_shard", strconv.Itoa(sh.id)), func(context.Context) {
 		for t := range sh.cmd {
-			d.shardAcks <- shardAck{id: sh.id, err: d.advanceShard(sh, t)}
+			d.shards.acks <- shardAck{id: sh.id, err: d.advanceShard(sh, t)}
 		}
 	})
 }
@@ -171,7 +183,7 @@ func (d *dispatcher) advanceShard(sh *shard, t float64) error {
 // parallel, reconcile in shard-ID order.
 func (d *dispatcher) sweepTo(t float64) error {
 	woken := 0
-	for _, sh := range d.shards[1:] {
+	for _, sh := range d.shards.list[1:] {
 		if d.due(sh, t) {
 			sh.cmd <- t
 			woken++
@@ -179,9 +191,9 @@ func (d *dispatcher) sweepTo(t float64) error {
 	}
 	var firstErr error
 	errShard := -1
-	if d.due(d.shards[0], t) {
-		pprof.SetGoroutineLabels(d.shard0Ctx)
-		if err := d.advanceShard(d.shards[0], t); err != nil {
+	if sh0 := d.shards.list[0]; d.due(sh0, t) {
+		pprof.SetGoroutineLabels(d.shards.ctx0)
+		if err := d.advanceShard(sh0, t); err != nil {
 			firstErr, errShard = err, 0
 		}
 		pprof.SetGoroutineLabels(context.Background())
@@ -190,14 +202,14 @@ func (d *dispatcher) sweepTo(t float64) error {
 		// Drain every ack even after an error — the barrier must close
 		// with all shards quiescent — and keep the lowest-shard error so
 		// the failure surfaced is deterministic too.
-		if ack := <-d.shardAcks; ack.err != nil && (errShard < 0 || ack.id < errShard) {
+		if ack := <-d.shards.acks; ack.err != nil && (errShard < 0 || ack.id < errShard) {
 			firstErr, errShard = ack.err, ack.id
 		}
 	}
 	if firstErr != nil {
 		return firstErr
 	}
-	for _, sh := range d.shards {
+	for _, sh := range d.shards.list {
 		d.reconcile(sh)
 	}
 	return nil
@@ -224,9 +236,9 @@ func (d *dispatcher) reconcile(sh *shard) {
 	for _, dr := range sh.departs {
 		d.active--
 		d.departs = append(d.departs, dr)
-		if d.snaps != nil {
+		if d.faults != nil {
 			// The session completed; its crash checkpoint is dead weight.
-			delete(d.snaps, dr.reqID)
+			delete(d.faults.snaps, dr.reqID)
 		}
 		d.refreshState(dr.server)
 	}

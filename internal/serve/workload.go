@@ -48,9 +48,9 @@
 // in a fixed order: scheduled drains (Config.Drain — a draining server
 // admits nothing, its sessions are evacuated and it is decommissioned
 // once empty), autoscaling (Config.Autoscale — target-utilization
-// watermarks add servers mid-run or drain the highest-index one), and a
-// pluggable Rebalancer (Config.Rebalance / RebalancerFactory — the
-// built-in planner migrates sessions away from power-hotspot servers).
+// watermarks add servers mid-run or drain the highest-index one), and
+// hotspot rebalancing (Config.Rebalance — the planner migrates sessions
+// away from power-hotspot servers).
 // Every migration charges Config.MigrationStallSec to the moved
 // session's in-flight frame. Epoch decisions run in the sequential
 // phase and pick sessions in arrival-ID order, so elastic runs stay
@@ -168,11 +168,9 @@ type Workload struct {
 	// Curve selects the load shape (LoadConstant when empty).
 	Curve LoadCurve
 	// CurveAmplitude is the diurnal modulation depth in [0,1):
-	// rate(t) = base * (1 + amplitude*sin(2*pi*t/period)).
-	// DefaultCurveAmplitude when 0.
+	// rate(t) = base * (1 + amplitude*sin(2*pi*t/DurationSec)), one
+	// period over the horizon. DefaultCurveAmplitude when 0.
 	CurveAmplitude float64
-	// CurvePeriodSec is the diurnal period (DurationSec when 0).
-	CurvePeriodSec float64
 	// RampEndFactor is the final/base rate ratio of LoadRamp.
 	// DefaultRampEndFactor when 0.
 	RampEndFactor float64
@@ -225,9 +223,6 @@ func (w Workload) withDefaults() Workload {
 	if w.CurveAmplitude == 0 {
 		w.CurveAmplitude = DefaultCurveAmplitude
 	}
-	if w.CurvePeriodSec == 0 {
-		w.CurvePeriodSec = w.DurationSec
-	}
 	if w.RampEndFactor == 0 {
 		w.RampEndFactor = DefaultRampEndFactor
 	}
@@ -263,7 +258,6 @@ func (w Workload) Validate() error {
 		{"min session length", w.MinSessionSec},
 		{"target FPS", w.TargetFPS},
 		{"diurnal amplitude", w.CurveAmplitude},
-		{"diurnal period", w.CurvePeriodSec},
 		{"ramp end factor", w.RampEndFactor},
 		{"burst factor", w.BurstFactor},
 		{"burst start", w.BurstStartSec},
@@ -313,9 +307,6 @@ func (w Workload) Validate() error {
 		if w.CurveAmplitude < 0 || w.CurveAmplitude >= 1 {
 			return fmt.Errorf("serve: diurnal amplitude %g outside [0,1)", w.CurveAmplitude)
 		}
-		if w.CurvePeriodSec <= 0 {
-			return fmt.Errorf("serve: diurnal period %g must be positive", w.CurvePeriodSec)
-		}
 	default:
 		return fmt.Errorf("serve: unknown load curve %q", w.Curve)
 	}
@@ -337,7 +328,7 @@ func (w Workload) hrFraction() float64 {
 func (w Workload) rateAt(t float64) float64 {
 	switch w.Curve {
 	case LoadDiurnal:
-		return w.ArrivalRate * (1 + w.CurveAmplitude*math.Sin(2*math.Pi*t/w.CurvePeriodSec))
+		return w.ArrivalRate * (1 + w.CurveAmplitude*math.Sin(2*math.Pi*t/w.DurationSec))
 	case LoadRamp:
 		frac := t / w.DurationSec
 		return w.ArrivalRate * (1 + (w.RampEndFactor-1)*frac)
