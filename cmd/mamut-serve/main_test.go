@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -249,6 +250,42 @@ func chaosMAMUTConfig() mamut.ServeConfig {
 // also pins that the rewrite changed no result.
 func TestChaosMAMUTGolden(t *testing.T) {
 	checkGolden(t, "chaosmamut16.golden", chaosMAMUTConfig, true, "recovered=8 ")
+}
+
+// TestChaosMAMUTKnowledgeGolden pins the knowledge artifact that the
+// MAMUT chaos row exports (-knowledge-out), byte for byte, to a committed
+// file that the CI step of the same row compares with cmp; a run started
+// from that file (-knowledge-in) warm-starts its admissions.
+func TestChaosMAMUTKnowledgeGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "chaosmamut16.knowledge.json")
+	out := filepath.Join(t.TempDir(), "kb.json")
+	cfg := chaosMAMUTConfig()
+	if err := run(io.Discard, cfg, runOpts{format: "summary", quantiles: true, knowledgeOut: out}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (regenerate with -update-golden): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("exported knowledge artifact diverged from %s", golden)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, chaosMAMUTConfig(), runOpts{format: "summary", knowledgeIn: golden}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte("admissions warm-started")) {
+		t.Fatalf("run from the imported artifact reports no warm starts:\n%s", buf.Bytes())
+	}
 }
 
 // TestParseDrain: -drain takes comma-separated at:server pairs and

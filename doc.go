@@ -30,7 +30,9 @@
 //     Algorithm 1 cooperative exploitation)
 //   - internal/baseline: the mono-agent QL and heuristic baselines
 //   - internal/rl: tabular Q-learning machinery (eq. 3 learning rate,
-//     per-state phases, empirical transition model)
+//     per-state phases, and the empirical transition model in one
+//     compressed sparse row layout shared by the live learner, knowledge
+//     snapshots and checkpoints)
 //   - internal/hevc, internal/platform, internal/video: the simulated
 //     substrates
 //   - internal/transcode: the event-scheduled multi-session engine (see

@@ -370,9 +370,9 @@ func (c *Controller) chainArgmax(ag *agent, chain []AgentKind, s int) int {
 	bestA, bestV := 0, 0.0
 	for a := 0; a < ag.actions(); a++ {
 		var v float64
-		if ag.learner.Trans.Observed(s, a) {
-			for _, sp := range ag.learner.Trans.Successors(s, a) {
-				v += sp.P * c.expectedQ(ag, chain, sp.State)
+		if run, total := ag.learner.Trans.Run(s, a); total > 0 {
+			for _, sc := range run {
+				v += float64(sc.Count) / float64(total) * c.expectedQ(ag, chain, int(sc.State))
 			}
 		} else {
 			v = ag.learner.Q.Get(s, a)
@@ -397,12 +397,13 @@ func (c *Controller) expectedQ(self *agent, chain []AgentKind, s int) float64 {
 		return ag.learner.Q.Max(s)
 	}
 	a := ag.learner.Q.ArgMax(s)
-	if !ag.learner.Trans.Observed(s, a) {
+	run, total := ag.learner.Trans.Run(s, a)
+	if total == 0 {
 		return ag.learner.Q.Get(s, a)
 	}
 	var v float64
-	for _, sp := range ag.learner.Trans.Successors(s, a) {
-		v += sp.P * c.expectedQ(self, chain[1:], sp.State)
+	for _, sc := range run {
+		v += float64(sc.Count) / float64(total) * c.expectedQ(self, chain[1:], int(sc.State))
 	}
 	return v
 }

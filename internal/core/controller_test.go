@@ -179,8 +179,9 @@ func TestControllerUpdateTimingAndNullAveraging(t *testing.T) {
 	found := false
 	for s := 0; s < NumStates && !found; s++ {
 		for a := 0; a < l.Config().Actions && !found; a++ {
-			for _, sp := range l.Trans.Successors(s, a) {
-				st, err := StateFromIndex(sp.State)
+			run, _ := l.Trans.Run(s, a)
+			for _, sc := range run {
+				st, err := StateFromIndex(int(sc.State))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -300,6 +301,28 @@ func TestChainArgmaxUsesProbabilities(t *testing.T) {
 	// E[a0] = 0.75*8 + 0.25*2 = 6.5; E[a1] = 2.
 	if got := c.chainArgmax(c.agents[AgentQP], chain, s0); got != 0 {
 		t.Errorf("chainArgmax = %d, want 0", got)
+	}
+}
+
+// TestChainArgmaxAllocatesNothing gates the exploitation decision: the
+// Algorithm 1 lookahead walks each pair's successor run in place, so a
+// decision over a trained controller allocates nothing.
+func TestChainArgmaxAllocatesNothing(t *testing.T) {
+	c := testController(t, 9)
+	rng := rand.New(rand.NewSource(9))
+	for k := AgentQP; k < numAgents; k++ {
+		l := c.agents[k].learner
+		for i := 0; i < 20000; i++ {
+			l.Update(rng.Intn(12), rng.Intn(l.Config().Actions), rng.Intn(12), 2*rng.Float64()-1, rng.Intn(50))
+		}
+	}
+	chain := []AgentKind{AgentThreads, AgentDVFS}
+	s := 0
+	if n := testing.AllocsPerRun(200, func() {
+		c.chainArgmax(c.agents[AgentQP], chain, s)
+		s = (s + 1) % 12
+	}); n != 0 {
+		t.Fatalf("an exploitation decision allocates %v times, want 0", n)
 	}
 }
 

@@ -181,12 +181,8 @@ func (s Spec) VFNorm(f float64) (float64, error) {
 // StepUp returns the next rung above f (or f if already at the top),
 // restricted to real-time rungs when rt is true.
 func (s Spec) StepUp(f float64, rt bool) float64 {
-	freqs := s.Frequencies()
-	if rt {
-		freqs = s.RealTimeFrequencies()
-	}
-	for _, g := range freqs {
-		if g > f {
+	for _, fv := range s.Ladder {
+		if g := fv.GHz; g > f && (!rt || g >= s.MinRealTimeGHz) {
 			return g
 		}
 	}
@@ -196,13 +192,9 @@ func (s Spec) StepUp(f float64, rt bool) float64 {
 // StepDown returns the next rung below f (or f if already at the bottom),
 // restricted to real-time rungs when rt is true.
 func (s Spec) StepDown(f float64, rt bool) float64 {
-	freqs := s.Frequencies()
-	if rt {
-		freqs = s.RealTimeFrequencies()
-	}
 	best := f
-	for _, g := range freqs {
-		if g < f && (best == f || g > best) {
+	for _, fv := range s.Ladder {
+		if g := fv.GHz; g < f && (best == f || g > best) && (!rt || g >= s.MinRealTimeGHz) {
 			best = g
 		}
 	}
@@ -211,18 +203,18 @@ func (s Spec) StepDown(f float64, rt bool) float64 {
 
 // Nearest returns the ladder rung closest to f.
 func (s Spec) Nearest(f float64) float64 {
-	freqs := s.Frequencies()
-	i := sort.SearchFloat64s(freqs, f)
+	l := s.Ladder
+	i := sort.Search(len(l), func(i int) bool { return l[i].GHz >= f })
 	if i == 0 {
-		return freqs[0]
+		return l[0].GHz
 	}
-	if i == len(freqs) {
-		return freqs[len(freqs)-1]
+	if i == len(l) {
+		return l[len(l)-1].GHz
 	}
-	if f-freqs[i-1] <= freqs[i]-f {
-		return freqs[i-1]
+	if f-l[i-1].GHz <= l[i].GHz-f {
+		return l[i-1].GHz
 	}
-	return freqs[i]
+	return l[i].GHz
 }
 
 // SessionLoad is one transcoding session's demand on the platform.

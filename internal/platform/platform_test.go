@@ -3,6 +3,7 @@ package platform
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -123,6 +124,74 @@ func TestNearest(t *testing.T) {
 			t.Errorf("Nearest(%g) = %g, want %g", c.in, got, c.want)
 		}
 	}
+}
+
+// TestLadderWalksMatchFrequencyLists: Nearest, StepUp and StepDown walk
+// the ladder in place and answer exactly what a search over the
+// Frequencies/RealTimeFrequencies lists answers, for on-rung, between-rung
+// and out-of-range inputs.
+func TestLadderWalksMatchFrequencyLists(t *testing.T) {
+	s := DefaultSpec()
+	nearest := func(f float64) float64 {
+		freqs := s.Frequencies()
+		i := sort.SearchFloat64s(freqs, f)
+		switch {
+		case i == 0:
+			return freqs[0]
+		case i == len(freqs):
+			return freqs[len(freqs)-1]
+		case f-freqs[i-1] <= freqs[i]-f:
+			return freqs[i-1]
+		}
+		return freqs[i]
+	}
+	step := func(f float64, rt, up bool) float64 {
+		freqs := s.Frequencies()
+		if rt {
+			freqs = s.RealTimeFrequencies()
+		}
+		best := f
+		for _, g := range freqs {
+			if up && g > f {
+				return g
+			}
+			if !up && g < f && (best == f || g > best) {
+				best = g
+			}
+		}
+		return best
+	}
+	var in []float64
+	for _, f := range s.Frequencies() {
+		in = append(in, f, f-0.05, f+0.05, math.Nextafter(f, 0), math.Nextafter(f, 9))
+	}
+	in = append(in, -1, 0, 0.5, 9, math.Inf(1), math.Inf(-1))
+	for _, f := range in {
+		if got, want := s.Nearest(f), nearest(f); got != want {
+			t.Errorf("Nearest(%v) = %v, want %v", f, got, want)
+		}
+		for _, rt := range []bool{false, true} {
+			if got, want := s.StepUp(f, rt), step(f, rt, true); got != want {
+				t.Errorf("StepUp(%v, %v) = %v, want %v", f, rt, got, want)
+			}
+			if got, want := s.StepDown(f, rt), step(f, rt, false); got != want {
+				t.Errorf("StepDown(%v, %v) = %v, want %v", f, rt, got, want)
+			}
+		}
+	}
+}
+
+// TestLadderWalksAllocateNothing gates the per-frame DVFS lookups: the
+// engine calls Nearest on every frame, so none of the walks may allocate.
+func TestLadderWalksAllocateNothing(t *testing.T) {
+	s := DefaultSpec()
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		sink += s.Nearest(2.45) + s.StepUp(2.3, true) + s.StepDown(2.3, false)
+	}); n != 0 {
+		t.Fatalf("ladder walks allocate %v times per call, want 0", n)
+	}
+	_ = sink
 }
 
 func TestCapacityCoresRegimes(t *testing.T) {

@@ -1,8 +1,10 @@
 package rl
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // learnerFormatVersion is the current on-disk learner format. Loaders
@@ -12,9 +14,8 @@ import (
 // misinterpreted.
 const learnerFormatVersion = 1
 
-// LearnerState is the serialised form of a Learner. Transition counts are
-// stored sparsely: only observed (s,a,s') triples. Callers that embed it
-// in a larger JSON document marshal it in the same pass as their own
+// LearnerState is the serialised form of a Learner. Callers that embed
+// it in a larger JSON document marshal it in the same pass as their own
 // fields instead of nesting pre-encoded bytes.
 type LearnerState struct {
 	Version int    `json:"format_version"`
@@ -25,52 +26,85 @@ type LearnerState struct {
 	// totals.
 	VisitsSA     []int `json:"visits_sa"`
 	VisitsAction []int `json:"visits_action"`
-	// Transitions lists observed (state, action, next, count) tuples in
-	// ascending (state, action, next) order, so equal learners serialise
-	// to equal bytes.
+	// Transitions is the transition model. On the wire it is the list of
+	// observed (state, action, next, count) tuples in ascending (state,
+	// action, next) order, so equal learners serialise to equal bytes.
+	Transitions Model `json:"-"`
+}
+
+// learnerWire is LearnerState's JSON form: the model as tuples.
+type learnerWire struct {
+	learnerFields
 	Transitions [][4]int `json:"transitions"`
+}
+
+// learnerFields is LearnerState without its JSON methods.
+type learnerFields LearnerState
+
+// MarshalJSON writes the state with its model as tuples; an empty model
+// writes null.
+func (st LearnerState) MarshalJSON() ([]byte, error) {
+	w := learnerWire{learnerFields: learnerFields(st)}
+	if len(st.Transitions.Succ) > 0 {
+		w.Transitions = make([][4]int, 0, len(st.Transitions.Succ))
+	}
+	for p := 0; p+1 < len(st.Transitions.Off); p++ {
+		for _, sc := range st.Transitions.run(p) {
+			w.Transitions = append(w.Transitions, [4]int{p / st.Config.Actions, p % st.Config.Actions, int(sc.State), sc.Count})
+		}
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON reads the tuple form in any order, summing repeated
+// (state, action, next) tuples. Each tuple must lie inside the config's
+// tables and count at least once.
+func (st *LearnerState) UnmarshalJSON(b []byte) error {
+	var w learnerWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*st = LearnerState(w.learnerFields)
+	cfg, ts, m := w.Config, w.Transitions, &st.Transitions
+	if cfg.States*cfg.Actions != len(w.Q) {
+		return nil // LearnerFromState rejects the table sizes
+	}
+	m.Off = make([]int32, len(w.Q)+1)
+	sort.Slice(ts, func(i, j int) bool {
+		x, y := ts[i], ts[j]
+		return x[0] < y[0] || x[0] == y[0] && (x[1] < y[1] || x[1] == y[1] && x[2] < y[2])
+	})
+	for i, t := range ts {
+		switch n := len(m.Succ) - 1; {
+		case t[0] < 0 || t[0] >= cfg.States || t[1] < 0 || t[1] >= cfg.Actions ||
+			t[2] < 0 || t[2] >= cfg.States || t[3] < 1:
+			return fmt.Errorf("rl: learner state: invalid transition tuple %v", t)
+		case i == 0 || [3]int(ts[i-1][:3]) != [3]int(t[:3]):
+			m.Succ = append(m.Succ, Succ{int32(t[2]), t[3]})
+			m.Off[t[0]*cfg.Actions+t[1]+1]++
+		case m.Succ[n].Count > math.MaxInt-t[3]:
+			return fmt.Errorf("rl: learner state: transition count overflows at tuple %v", t)
+		default:
+			m.Succ[n].Count += t[3]
+		}
+	}
+	for p := 1; p < len(m.Off); p++ {
+		m.Off[p] += m.Off[p-1]
+	}
+	return nil
 }
 
 // State exports a deep copy of the learner's complete learning state
 // (Q-table, visit counts, transition model). LearnerFromState is the
 // inverse.
 func (l *Learner) State() LearnerState {
-	st := LearnerState{
-		Version:      learnerFormatVersion,
-		Config:       l.cfg,
-		Q:            append([]float64(nil), l.Q.q...),
-		VisitsSA:     append([]int(nil), l.Visits.sa...),
-		VisitsAction: append([]int(nil), l.Visits.perAction...),
-	}
-	n := 0
-	for _, m := range l.Trans.counts {
-		n += len(m)
-	}
-	if n > 0 { // an empty model stays nil and encodes as null
-		st.Transitions = make([][4]int, 0, n)
-	}
-	var keys []int
-	for s := 0; s < l.cfg.States; s++ {
-		for a := 0; a < l.cfg.Actions; a++ {
-			m := l.Trans.counts[l.Trans.idx(s, a)]
-			if len(m) == 0 {
-				continue
-			}
-			keys = keys[:0]
-			for next := range m {
-				keys = append(keys, next)
-			}
-			sortInts(keys)
-			for _, next := range keys {
-				st.Transitions = append(st.Transitions, [4]int{s, a, next, m[next]})
-			}
-		}
-	}
-	return st
+	sn := l.Snapshot()
+	return LearnerState{Version: learnerFormatVersion, Config: l.cfg,
+		Q: sn.Q, VisitsSA: sn.VisitsSA, VisitsAction: sn.VisitsAction, Transitions: sn.Trans}
 }
 
 // LearnerFromState rebuilds a learner from a State export, validating
-// the version, the table sizes and every transition tuple. The restored
+// the version, the table sizes and the transition model. The restored
 // learner is behaviourally identical to the exported one.
 func LearnerFromState(st LearnerState) (*Learner, error) {
 	if st.Version < 0 || st.Version > learnerFormatVersion {
@@ -86,25 +120,12 @@ func LearnerFromState(st LearnerState) (*Learner, error) {
 		return nil, fmt.Errorf("rl: learner state: table sizes do not match config %dx%d",
 			st.Config.States, st.Config.Actions)
 	}
+	if err := st.Transitions.validate(n, st.Config.States); err != nil {
+		return nil, fmt.Errorf("rl: learner state: %w", err)
+	}
 	copy(l.Q.q, st.Q)
 	copy(l.Visits.sa, st.VisitsSA)
 	copy(l.Visits.perAction, st.VisitsAction)
-	tr := l.Trans
-	for _, t := range st.Transitions {
-		s, a, next, count := t[0], t[1], t[2], t[3]
-		if s < 0 || s >= st.Config.States || a < 0 || a >= st.Config.Actions ||
-			next < 0 || next >= st.Config.States || count < 1 {
-			return nil, fmt.Errorf("rl: learner state: invalid transition tuple %v", t)
-		}
-		i := tr.idx(s, a)
-		if tr.totals[i] > math.MaxInt-count {
-			return nil, fmt.Errorf("rl: learner state: transition count of (%d,%d) overflows at tuple %v", s, a, t)
-		}
-		if tr.counts[i] == nil {
-			tr.counts[i] = make(map[int]int)
-		}
-		tr.counts[i][next] += count
-		tr.totals[i] += count
-	}
+	l.Trans.m = st.Transitions.clone()
 	return l, nil
 }

@@ -144,7 +144,11 @@ func TestLearnerSaveDeterministic(t *testing.T) {
 	if a, b := saveLearner(t, l), saveLearner(t, l); !bytes.Equal(a, b) {
 		t.Fatal("two saves of one learner differ")
 	}
-	tr := l.State().Transitions
+	var wire struct{ Transitions [][4]int }
+	if err := json.Unmarshal(saveLearner(t, l), &wire); err != nil {
+		t.Fatal(err)
+	}
+	tr := wire.Transitions
 	if len(tr) < 2 {
 		t.Fatalf("trained learner has %d transitions; want several", len(tr))
 	}

@@ -14,10 +14,21 @@ import (
 	"math/rand"
 )
 
+// dims is a dense state x action index space.
+type dims struct{ states, actions int }
+
+// idx returns the row-major index of (s,a), panicking when out of range.
+func (d dims) idx(s, a int) int {
+	if s < 0 || s >= d.states || a < 0 || a >= d.actions {
+		panic(fmt.Sprintf("rl: index (%d,%d) out of range %dx%d", s, a, d.states, d.actions))
+	}
+	return s*d.actions + a
+}
+
 // QTable is a dense state x action table of Q-values.
 type QTable struct {
-	states, actions int
-	q               []float64
+	dims
+	q []float64
 }
 
 // NewQTable returns a zero-initialised table.
@@ -25,7 +36,7 @@ func NewQTable(states, actions int) (*QTable, error) {
 	if states < 1 || actions < 1 {
 		return nil, fmt.Errorf("rl: QTable dimensions %dx%d invalid", states, actions)
 	}
-	return &QTable{states: states, actions: actions, q: make([]float64, states*actions)}, nil
+	return &QTable{dims: dims{states, actions}, q: make([]float64, states*actions)}, nil
 }
 
 // States returns the number of states.
@@ -34,24 +45,24 @@ func (t *QTable) States() int { return t.states }
 // Actions returns the number of actions.
 func (t *QTable) Actions() int { return t.actions }
 
-func (t *QTable) idx(s, a int) int {
-	if s < 0 || s >= t.states || a < 0 || a >= t.actions {
-		panic(fmt.Sprintf("rl: QTable index (%d,%d) out of range %dx%d", s, a, t.states, t.actions))
-	}
-	return s*t.actions + a
-}
-
 // Get returns Q(s,a).
 func (t *QTable) Get(s, a int) float64 { return t.q[t.idx(s, a)] }
 
 // Set overwrites Q(s,a).
 func (t *QTable) Set(s, a int, v float64) { t.q[t.idx(s, a)] = v }
 
+// row returns state s's Q-values, bounds-checked once.
+func (t *QTable) row(s int) []float64 {
+	i := t.idx(s, 0)
+	return t.q[i : i+t.actions]
+}
+
 // Max returns max over actions of Q(s,a).
 func (t *QTable) Max(s int) float64 {
-	best := t.q[t.idx(s, 0)]
-	for a := 1; a < t.actions; a++ {
-		if v := t.q[t.idx(s, a)]; v > best {
+	row := t.row(s)
+	best := row[0]
+	for _, v := range row[1:] {
+		if v > best {
 			best = v
 		}
 	}
@@ -61,9 +72,10 @@ func (t *QTable) Max(s int) float64 {
 // ArgMax returns the action with the highest Q-value in s, breaking ties
 // toward the lowest action index (deterministic).
 func (t *QTable) ArgMax(s int) int {
-	best, bestA := t.q[t.idx(s, 0)], 0
-	for a := 1; a < t.actions; a++ {
-		if v := t.q[t.idx(s, a)]; v > best {
+	row := t.row(s)
+	best, bestA := row[0], 0
+	for a, v := range row {
+		if v > best {
 			best, bestA = v, a
 		}
 	}
@@ -72,9 +84,9 @@ func (t *QTable) ArgMax(s int) int {
 
 // Counter tracks Num(s,a) visit counts and per-action totals Num(a).
 type Counter struct {
-	states, actions int
-	sa              []int
-	perAction       []int
+	dims
+	sa        []int
+	perAction []int
 }
 
 // NewCounter returns a zeroed counter.
@@ -82,19 +94,7 @@ func NewCounter(states, actions int) (*Counter, error) {
 	if states < 1 || actions < 1 {
 		return nil, fmt.Errorf("rl: Counter dimensions %dx%d invalid", states, actions)
 	}
-	return &Counter{
-		states:    states,
-		actions:   actions,
-		sa:        make([]int, states*actions),
-		perAction: make([]int, actions),
-	}, nil
-}
-
-func (c *Counter) idx(s, a int) int {
-	if s < 0 || s >= c.states || a < 0 || a >= c.actions {
-		panic(fmt.Sprintf("rl: Counter index (%d,%d) out of range %dx%d", s, a, c.states, c.actions))
-	}
-	return s*c.actions + a
+	return &Counter{dims: dims{states, actions}, sa: make([]int, states*actions), perAction: make([]int, actions)}, nil
 }
 
 // Observe records one occurrence of action a taken in state s.
@@ -124,100 +124,6 @@ func (c *Counter) MinActionCount() int {
 		}
 	}
 	return m
-}
-
-// StateProb is one entry of an empirical transition distribution.
-type StateProb struct {
-	State int
-	P     float64
-}
-
-// Transitions is the empirical transition model P(s --a--> s') of SIV-A,
-// updated throughout learning.
-type Transitions struct {
-	states, actions int
-	counts          []map[int]int
-	totals          []int
-}
-
-// NewTransitions returns an empty transition model.
-func NewTransitions(states, actions int) (*Transitions, error) {
-	if states < 1 || actions < 1 {
-		return nil, fmt.Errorf("rl: Transitions dimensions %dx%d invalid", states, actions)
-	}
-	return &Transitions{
-		states:  states,
-		actions: actions,
-		counts:  make([]map[int]int, states*actions),
-		totals:  make([]int, states*actions),
-	}, nil
-}
-
-func (tr *Transitions) idx(s, a int) int {
-	if s < 0 || s >= tr.states || a < 0 || a >= tr.actions {
-		panic(fmt.Sprintf("rl: Transitions index (%d,%d) out of range %dx%d", s, a, tr.states, tr.actions))
-	}
-	return s*tr.actions + a
-}
-
-// Observe records the transition s --a--> next.
-func (tr *Transitions) Observe(s, a, next int) {
-	if next < 0 || next >= tr.states {
-		panic(fmt.Sprintf("rl: next state %d out of range %d", next, tr.states))
-	}
-	i := tr.idx(s, a)
-	if tr.counts[i] == nil {
-		tr.counts[i] = make(map[int]int)
-	}
-	tr.counts[i][next]++
-	tr.totals[i]++
-}
-
-// Prob returns P(s --a--> next) from the empirical counts, 0 if (s,a) was
-// never observed.
-func (tr *Transitions) Prob(s, a, next int) float64 {
-	i := tr.idx(s, a)
-	if tr.totals[i] == 0 {
-		return 0
-	}
-	return float64(tr.counts[i][next]) / float64(tr.totals[i])
-}
-
-// Successors returns the observed successor distribution of (s,a) in
-// ascending state order. The probabilities sum to 1 when (s,a) has been
-// observed at least once; the slice is empty otherwise.
-func (tr *Transitions) Successors(s, a int) []StateProb {
-	i := tr.idx(s, a)
-	if tr.totals[i] == 0 {
-		return nil
-	}
-	out := make([]StateProb, 0, len(tr.counts[i]))
-	// Deterministic order: scan states in ascending index. The maps are
-	// small (a handful of observed successors), so this stays cheap via
-	// the map lookup only for present keys.
-	keys := make([]int, 0, len(tr.counts[i]))
-	for k := range tr.counts[i] {
-		keys = append(keys, k)
-	}
-	sortInts(keys)
-	total := float64(tr.totals[i])
-	for _, k := range keys {
-		out = append(out, StateProb{State: k, P: float64(tr.counts[i][k]) / total})
-	}
-	return out
-}
-
-// Observed reports whether (s,a) has at least one recorded transition.
-func (tr *Transitions) Observed(s, a int) bool { return tr.totals[tr.idx(s, a)] > 0 }
-
-// sortInts is a tiny insertion sort; successor sets are tiny and this
-// avoids pulling in sort for a hot path.
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // RandomAction draws a uniform action index.

@@ -84,7 +84,7 @@ func TestTransitionsProbabilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Observed(0, 0) {
+	if _, total := tr.Run(0, 0); total != 0 {
 		t.Error("fresh model claims observation")
 	}
 	if got := tr.Prob(0, 0, 1); got != 0 {
@@ -97,25 +97,22 @@ func TestTransitionsProbabilities(t *testing.T) {
 	if got := tr.Prob(0, 0, 1); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Prob(0,0,1) = %g, want 0.5", got)
 	}
-	succ := tr.Successors(0, 0)
-	if len(succ) != 3 {
-		t.Fatalf("successors = %v", succ)
+	succ, total := tr.Run(0, 0)
+	if len(succ) != 3 || total != 4 {
+		t.Fatalf("successors = %v, total %d", succ, total)
 	}
 	// Ascending state order and probabilities summing to 1.
 	sum := 0.0
-	prev := -1
-	for _, sp := range succ {
-		if sp.State <= prev {
+	prev := int32(-1)
+	for _, sc := range succ {
+		if sc.State <= prev {
 			t.Errorf("successors not ascending: %v", succ)
 		}
-		prev = sp.State
-		sum += sp.P
+		prev = sc.State
+		sum += float64(sc.Count) / float64(total)
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("successor probabilities sum to %g", sum)
-	}
-	if !tr.Observed(0, 0) {
-		t.Error("Observed false after observations")
 	}
 }
 
@@ -134,19 +131,20 @@ func TestTransitionsNormalisationProperty(t *testing.T) {
 		}
 		for s := 0; s < 6; s++ {
 			for a := 0; a < 3; a++ {
-				succ := tr.Successors(s, a)
-				if !tr.Observed(s, a) {
+				succ, total := tr.Run(s, a)
+				if total == 0 {
 					if len(succ) != 0 {
 						return false
 					}
 					continue
 				}
 				sum := 0.0
-				for _, sp := range succ {
-					if sp.P <= 0 || sp.P > 1 {
+				for _, sc := range succ {
+					p := float64(sc.Count) / float64(total)
+					if p <= 0 || p > 1 {
 						return false
 					}
-					sum += sp.P
+					sum += p
 				}
 				if math.Abs(sum-1) > 1e-9 {
 					return false
@@ -299,7 +297,7 @@ func TestUpdateMovesQTowardTarget(t *testing.T) {
 	if l.Visits.Num(0, 0) != 1 {
 		t.Error("visit not recorded")
 	}
-	if !l.Trans.Observed(0, 0) {
+	if _, total := l.Trans.Run(0, 0); total != 1 {
 		t.Error("transition not recorded")
 	}
 }

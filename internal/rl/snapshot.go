@@ -18,33 +18,17 @@ type Snapshot struct {
 	// totals Num(a).
 	VisitsSA     []int
 	VisitsAction []int
-	// Trans holds the sparse transition counts: Trans[s*Actions+a][next]
-	// is the number of observed s --a--> next transitions (nil maps for
-	// never-taken pairs).
-	Trans []map[int]int
+	// Trans holds the transition counts.
+	Trans Model
 }
 
 // Snapshot exports a deep copy of the learner's current learning state.
-func (l *Learner) Snapshot() Snapshot {
-	sn := Snapshot{
-		States:       l.cfg.States,
-		Actions:      l.cfg.Actions,
-		Q:            append([]float64(nil), l.Q.q...),
-		VisitsSA:     append([]int(nil), l.Visits.sa...),
-		VisitsAction: append([]int(nil), l.Visits.perAction...),
-		Trans:        make([]map[int]int, len(l.Trans.counts)),
-	}
-	for i, m := range l.Trans.counts {
-		if m == nil {
-			continue
-		}
-		cp := make(map[int]int, len(m))
-		for next, n := range m {
-			cp[next] = n
-		}
-		sn.Trans[i] = cp
-	}
-	return sn
+func (l *Learner) Snapshot() Snapshot { return l.view().Clone() }
+
+// view returns the learner's tables as a Snapshot that aliases them.
+func (l *Learner) view() Snapshot {
+	return Snapshot{States: l.cfg.States, Actions: l.cfg.Actions,
+		Q: l.Q.q, VisitsSA: l.Visits.sa, VisitsAction: l.Visits.perAction, Trans: l.Trans.m}
 }
 
 // checkShape verifies the table sizes against the dimensions — the O(1)
@@ -54,7 +38,7 @@ func (sn Snapshot) checkShape() error {
 		return fmt.Errorf("rl: snapshot dimensions %dx%d invalid", sn.States, sn.Actions)
 	}
 	n := sn.States * sn.Actions
-	if len(sn.Q) != n || len(sn.VisitsSA) != n || len(sn.VisitsAction) != sn.Actions || len(sn.Trans) != n {
+	if len(sn.Q) != n || len(sn.VisitsSA) != n || len(sn.VisitsAction) != sn.Actions || len(sn.Trans.Off) != n+1 {
 		return fmt.Errorf("rl: snapshot table sizes do not match dimensions %dx%d", sn.States, sn.Actions)
 	}
 	return nil
@@ -69,14 +53,7 @@ func (sn Snapshot) Validate() error {
 	if err := sn.checkShape(); err != nil {
 		return err
 	}
-	for i, m := range sn.Trans {
-		for next, c := range m {
-			if next < 0 || next >= sn.States || c < 1 {
-				return fmt.Errorf("rl: snapshot transition (%d -> %d, count %d) invalid", i, next, c)
-			}
-		}
-	}
-	return nil
+	return sn.Trans.validate(sn.States*sn.Actions, sn.States)
 }
 
 // Compatible reports whether other has the receiver's shape and
@@ -98,35 +75,24 @@ func (sn Snapshot) Compatible(other Snapshot) error {
 
 // Clone returns a deep copy of the snapshot.
 func (sn Snapshot) Clone() Snapshot {
-	cp := Snapshot{
+	return Snapshot{
 		States:       sn.States,
 		Actions:      sn.Actions,
 		Q:            append([]float64(nil), sn.Q...),
 		VisitsSA:     append([]int(nil), sn.VisitsSA...),
 		VisitsAction: append([]int(nil), sn.VisitsAction...),
-		Trans:        make([]map[int]int, len(sn.Trans)),
+		Trans:        sn.Trans.clone(),
 	}
-	for i, m := range sn.Trans {
-		if m == nil {
-			continue
-		}
-		mc := make(map[int]int, len(m))
-		for next, n := range m {
-			mc[next] = n
-		}
-		cp.Trans[i] = mc
-	}
-	return cp
 }
 
-// foldFrom applies the count-weighted fold of src into the destination
-// views: every Q value becomes the visit-count-weighted mean of the two
-// sides (one-sided visits adopt the visited value exactly, with no
-// floating-point round-trip), visit counts add, and transition counts
-// add. totals, when non-nil, receives the per-pair transition-count
-// increments (the Learner's Transitions keeps a totals cache; a bare
-// Snapshot does not). The shapes must already be checked.
-func foldFrom(q []float64, visitsSA, visitsAction []int, trans []map[int]int, totals []int, src Snapshot) {
+// foldFrom applies the count-weighted fold of src into dst's tables and
+// returns the summed transition model: every Q value becomes the
+// visit-count-weighted mean of the two sides (one-sided visits adopt the
+// visited value exactly, with no floating-point round-trip), visit counts
+// add, and transition counts add in one sorted merge per pair. The shapes
+// must already be checked.
+func foldFrom(dst, src Snapshot) Model {
+	q, visitsSA := dst.Q, dst.VisitsSA
 	for i := range q {
 		nd, ns := visitsSA[i], src.VisitsSA[i]
 		switch {
@@ -138,23 +104,11 @@ func foldFrom(q []float64, visitsSA, visitsAction []int, trans []map[int]int, to
 		}
 		visitsSA[i] = nd + ns
 	}
-	for a := range visitsAction {
-		visitsAction[a] += src.VisitsAction[a]
+	for a := range dst.VisitsAction {
+		dst.VisitsAction[a] += src.VisitsAction[a]
 	}
-	for i, m := range src.Trans {
-		if len(m) == 0 {
-			continue
-		}
-		if trans[i] == nil {
-			trans[i] = make(map[int]int, len(m))
-		}
-		for next, n := range m {
-			trans[i][next] += n
-			if totals != nil {
-				totals[i] += n
-			}
-		}
-	}
+	sum, _ := combine(dst.Trans, src.Trans, 1) // adding never errors
+	return sum
 }
 
 // Merge folds other into the receiver with count-weighted averaging:
@@ -169,7 +123,7 @@ func (sn *Snapshot) Merge(other Snapshot) error {
 	if err := sn.Compatible(other); err != nil {
 		return err
 	}
-	foldFrom(sn.Q, sn.VisitsSA, sn.VisitsAction, sn.Trans, nil, other)
+	sn.Trans = foldFrom(*sn, other)
 	return nil
 }
 
@@ -197,19 +151,11 @@ func (sn *Snapshot) SubtractCounts(base Snapshot) error {
 			return fmt.Errorf("rl: subtract action %d: %d visits below base", a, sn.VisitsAction[a])
 		}
 	}
-	for i, m := range base.Trans {
-		for next, n := range m {
-			cur := sn.Trans[i][next] - n
-			switch {
-			case cur < 0:
-				return fmt.Errorf("rl: subtract transition (%d -> %d): count %d below base", i, next, cur+n)
-			case cur == 0:
-				delete(sn.Trans[i], next)
-			default:
-				sn.Trans[i][next] = cur
-			}
-		}
+	delta, err := combine(sn.Trans, base.Trans, -1)
+	if err != nil {
+		return err
 	}
+	sn.Trans = delta
 	return nil
 }
 
@@ -219,11 +165,9 @@ func (sn *Snapshot) SubtractCounts(base Snapshot) error {
 // past the alpha thresholds start directly in the later learning phases;
 // on a partially trained learner the two states average by visit weight.
 func (l *Learner) Seed(sn Snapshot) error {
-	self := Snapshot{States: l.cfg.States, Actions: l.cfg.Actions,
-		Q: l.Q.q, VisitsSA: l.Visits.sa, VisitsAction: l.Visits.perAction, Trans: l.Trans.counts}
-	if err := self.Compatible(sn); err != nil {
+	if err := l.view().Compatible(sn); err != nil {
 		return fmt.Errorf("rl: seed: %w", err)
 	}
-	foldFrom(l.Q.q, l.Visits.sa, l.Visits.perAction, l.Trans.counts, l.Trans.totals, sn)
+	l.Trans.m = foldFrom(l.view(), sn)
 	return nil
 }

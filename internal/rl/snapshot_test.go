@@ -85,7 +85,7 @@ func TestSnapshotMergeCountWeighted(t *testing.T) {
 		sn.VisitsSA[0] = visits
 		sn.VisitsAction[0] = visits
 		if visits > 0 {
-			sn.Trans[0] = map[int]int{1: visits}
+			sn.Trans = Model{Off: []int32{0, 1, 1, 1, 1}, Succ: []Succ{{1, visits}}}
 		}
 		return sn
 	}
@@ -101,8 +101,8 @@ func TestSnapshotMergeCountWeighted(t *testing.T) {
 	if a.VisitsSA[0] != 4 || a.VisitsAction[0] != 4 {
 		t.Errorf("merged visits = %d/%d, want 4/4", a.VisitsSA[0], a.VisitsAction[0])
 	}
-	if a.Trans[0][1] != 4 {
-		t.Errorf("merged transition count = %d, want 4", a.Trans[0][1])
+	if got := a.Trans.run(0); len(got) != 1 || got[0] != (Succ{1, 4}) {
+		t.Errorf("merged transitions of pair 0 = %v, want [{1 4}]", got)
 	}
 	// Unvisited pairs stay untouched.
 	if a.Q[1] != 0 || a.VisitsSA[1] != 0 {
@@ -205,8 +205,8 @@ func TestSubtractCountsYieldsOwnExperience(t *testing.T) {
 	if got, want := delta.Q[1*3+2], warm.Q.Get(1, 2); got != want {
 		t.Errorf("delta kept Q %g, want the final estimate %g", got, want)
 	}
-	if got := delta.Trans[1*3+2][3]; got != own {
-		t.Errorf("delta transition count %d, want %d", got, own)
+	if got := delta.Trans.run(1*3 + 2); len(got) != 1 || got[0] != (Succ{3, own}) {
+		t.Errorf("delta transitions of (1,2) = %v, want [{3 %d}]", got, own)
 	}
 
 	// Subtracting a base that was never part of the history errors

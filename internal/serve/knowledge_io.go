@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"sort"
+	"strconv"
 
 	"mamut/internal/core"
 	"mamut/internal/rl"
@@ -39,8 +43,83 @@ type knowledgeFile struct {
 
 // knowledgeClass is the serialised per-resolution-class entry.
 type knowledgeClass struct {
-	Contributions int            `json:"contributions"`
-	Agents        [3]rl.Snapshot `json:"agents"`
+	Contributions int               `json:"contributions"`
+	Agents        [3]knowledgeAgent `json:"agents"`
+}
+
+// knowledgeAgent is one agent's rl.Snapshot as the artifact writes it.
+// Its Trans shadows the embedded snapshot's, so encoding/json writes the
+// snapshot's fields in their order and the model last, in the artifact's
+// form.
+type knowledgeAgent struct {
+	rl.Snapshot
+	Trans knowledgeTrans
+}
+
+// knowledgeTrans is a transition model in the artifact's form, the one
+// encoding/json gives a []map[int]int: per (state, action) pair, an
+// object from successor state to count, keyed in string order ("12"
+// before "3"), or null for a pair never taken.
+type knowledgeTrans rl.Model
+
+// MarshalJSON writes the model in the artifact's form.
+func (kt knowledgeTrans) MarshalJSON() ([]byte, error) {
+	if kt.Off == nil {
+		return []byte("null"), nil
+	}
+	b := []byte{'['}
+	var run []rl.Succ
+	for p := 0; p+1 < len(kt.Off); p++ {
+		if p > 0 {
+			b = append(b, ',')
+		}
+		if run = append(run[:0], kt.Succ[kt.Off[p]:kt.Off[p+1]]...); len(run) == 0 {
+			b = append(b, "null"...)
+			continue
+		}
+		sort.Slice(run, func(i, j int) bool {
+			return strconv.Itoa(int(run[i].State)) < strconv.Itoa(int(run[j].State))
+		})
+		sep := byte('{')
+		for _, sc := range run {
+			b = strconv.AppendInt(append(b, sep, '"'), int64(sc.State), 10)
+			b = strconv.AppendInt(append(b, '"', ':'), int64(sc.Count), 10)
+			sep = ','
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']'), nil
+}
+
+// UnmarshalJSON reads the artifact's form and only that form: a pair
+// that lists a successor twice, or out of the exported key order, is
+// rejected rather than silently reordered. rl.Snapshot.Validate checks
+// the counts and states themselves.
+func (kt *knowledgeTrans) UnmarshalJSON(b []byte) error {
+	var runs []map[int]int
+	if err := json.Unmarshal(b, &runs); err != nil {
+		return err
+	}
+	m := rl.Model{}
+	if runs != nil {
+		m.Off = make([]int32, 1, len(runs)+1)
+	}
+	for _, run := range runs {
+		start := len(m.Succ)
+		for next, n := range run {
+			m.Succ = append(m.Succ, rl.Succ{State: int32(next), Count: n})
+		}
+		tail := m.Succ[start:]
+		sort.Slice(tail, func(i, j int) bool { return tail[i].State < tail[j].State })
+		m.Off = append(m.Off, int32(len(m.Succ)))
+	}
+	*kt = knowledgeTrans(m)
+	canon, _ := kt.MarshalJSON()
+	var in bytes.Buffer
+	if err := json.Compact(&in, b); err != nil || !bytes.Equal(canon, in.Bytes()) {
+		return errors.New("transition counts not in canonical form (each successor once, in exported key order)")
+	}
+	return nil
 }
 
 // MarshalJSON serialises the store as a map keyed by resolution-class
@@ -50,10 +129,11 @@ type knowledgeClass struct {
 func (ks *KnowledgeStore) MarshalJSON() ([]byte, error) {
 	classes := make(map[string]knowledgeClass, len(ks.byRes))
 	for res, snap := range ks.byRes {
-		classes[res.String()] = knowledgeClass{
-			Contributions: ks.contributions[res],
-			Agents:        snap.Agents,
+		kc := knowledgeClass{Contributions: ks.contributions[res]}
+		for k, ag := range snap.Agents {
+			kc.Agents[k] = knowledgeAgent{Snapshot: ag, Trans: knowledgeTrans(ag.Trans)}
 		}
+		classes[res.String()] = kc
 	}
 	return json.Marshal(classes)
 }
@@ -80,7 +160,11 @@ func (ks *KnowledgeStore) UnmarshalJSON(b []byte) error {
 		if kc.Contributions < 1 {
 			return fmt.Errorf("serve: knowledge payload: class %s has %d contributions", name, kc.Contributions)
 		}
-		snap := core.Snapshot{Agents: kc.Agents}
+		var snap core.Snapshot
+		for k, ag := range kc.Agents {
+			snap.Agents[k] = ag.Snapshot
+			snap.Agents[k].Trans = rl.Model(ag.Trans)
+		}
 		if err := snap.Validate(); err != nil {
 			return fmt.Errorf("serve: knowledge payload: class %s: %w", name, err)
 		}

@@ -2,10 +2,25 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
+
+	"mamut/internal/core"
+	"mamut/internal/rl"
+	"mamut/internal/video"
 )
+
+// -update regenerates the committed knowledge artifact pin.
+var updatePin = flag.Bool("update", false, "regenerate testdata/knowledge_pin.json")
 
 // trainedStore runs a short knowledge-reuse fleet and returns its store.
 func trainedStore(t *testing.T) *KnowledgeStore {
@@ -49,6 +64,77 @@ func TestKnowledgeExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+// pinnedStore builds a small fixed store from seeded learners: 14-state
+// agents, so successor keys cross a digit boundary (encoding/json writes
+// the key "12" before "3"), pairs never taken (written as null), both
+// resolution classes, and a second HR contribution folded in by Merge.
+func pinnedStore(t *testing.T) *KnowledgeStore {
+	t.Helper()
+	ks := NewKnowledgeStore()
+	for i, res := range []video.Resolution{video.HR, video.LR, video.HR} {
+		var sn core.Snapshot
+		for k := range sn.Agents {
+			l, err := rl.NewLearner(rl.DefaultConfig(14, 2+k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(10*i + k)))
+			for n := 0; n < 40; n++ {
+				l.Update(rng.Intn(14), rng.Intn(2+k), rng.Intn(14), 2*rng.Float64()-1, rng.Intn(5))
+			}
+			sn.Agents[k] = l.Snapshot()
+		}
+		if err := ks.Contribute(res, sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ks
+}
+
+// TestKnowledgeArtifactWirePin pins the exported artifact's bytes: the
+// envelope, the payload digest, the float formatting of the Q-tables and
+// the transition maps (keys in encoding/json's string order, null for an
+// unobserved pair). Importing the committed artifact and exporting it
+// again reproduces it byte for byte.
+func TestKnowledgeArtifactWirePin(t *testing.T) {
+	golden := filepath.Join("testdata", "knowledge_pin.json")
+	var buf bytes.Buffer
+	if err := pinnedStore(t).Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if *updatePin {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading pin (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("exported artifact diverged from %s:\n got: %s\nwant: %s", golden, buf.Bytes(), want)
+	}
+	for _, frag := range []string{`null`, `"12":`, `"States":14`} {
+		if !bytes.Contains(want, []byte(frag)) {
+			t.Fatalf("pinned artifact does not exercise %s", frag)
+		}
+	}
+	ks, err := ImportKnowledge(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := ks.Export(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Fatal("re-exported imported artifact is not byte-identical")
+	}
+}
+
 // TestKnowledgeImportRejectsDamage: a flipped payload byte, a future
 // version and a foreign format must all be rejected before any store
 // state is built.
@@ -89,6 +175,80 @@ func TestKnowledgeImportRejectsDamage(t *testing.T) {
 
 	if _, err := ImportKnowledge(strings.NewReader("not json")); err == nil {
 		t.Error("non-JSON artifact accepted")
+	}
+
+	// A payload edited and re-hashed passes the digest, so the transition
+	// runs themselves must be checked: a run listing its successors out of
+	// the exported key order, or one successor twice, is refused.
+	run := regexp.MustCompile(`\{"(\d+)":(\d+),"(\d+)":(\d+)`)
+	for name, repl := range map[string]string{
+		"out-of-order run":   `{"$3":$4,"$1":$2`,
+		"repeated successor": `{"$1":$2,"$1":$2`,
+	} {
+		var f knowledgeFile
+		if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+			t.Fatal(err)
+		}
+		loc := run.FindIndex(f.Payload)
+		if loc == nil {
+			t.Fatal("trained store has no run with two successors")
+		}
+		edited := append(append([]byte(nil), f.Payload[:loc[0]]...), run.ReplaceAll(f.Payload[loc[0]:loc[1]], []byte(repl))...)
+		f.Payload = append(edited, f.Payload[loc[1]:]...)
+		sum := sha256.Sum256(f.Payload)
+		f.SHA256 = hex.EncodeToString(sum[:])
+		rehashed, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ImportKnowledge(bytes.NewReader(rehashed)); err == nil {
+			t.Errorf("re-hashed payload with a %s accepted", name)
+		} else if !strings.Contains(err.Error(), "canonical form") {
+			t.Errorf("%s: unexpected error: %v", name, err)
+		}
+	}
+}
+
+// TestKnowledgeTransMatchesMapEncoding: the artifact's transition
+// encoder writes, for random models, exactly the bytes encoding/json
+// gives the []map[int]int the artifact held before, and reads them back
+// to the same model.
+func TestKnowledgeTransMatchesMapEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		pairs := 1 + rng.Intn(8)
+		maps := make([]map[int]int, pairs)
+		m := rl.Model{Off: make([]int32, 1, pairs+1)}
+		for p := range maps {
+			for next := 0; next < 120; next++ {
+				if rng.Intn(12) == 0 {
+					if maps[p] == nil {
+						maps[p] = map[int]int{}
+					}
+					maps[p][next] = 1 + rng.Intn(1<<uint(rng.Intn(40)+1))
+					m.Succ = append(m.Succ, rl.Succ{State: int32(next), Count: maps[p][next]})
+				}
+			}
+			m.Off = append(m.Off, int32(len(m.Succ)))
+		}
+		want, err := json.Marshal(maps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(knowledgeTrans(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: encoded\n%s\nwant\n%s", trial, got, want)
+		}
+		var back knowledgeTrans
+		if err := json.Unmarshal(want, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rl.Model(back), m) {
+			t.Fatalf("trial %d: decoded %+v, want %+v", trial, back, m)
+		}
 	}
 }
 
