@@ -170,8 +170,10 @@ type Controller struct {
 
 	settings transcode.Settings
 	curState int
-	pend     *pending
+	pend     pending // valid while hasPend
+	hasPend  bool
 	started  bool
+	chain    [numAgents]AgentKind // exploitAction's lookahead buffer
 
 	stats Stats
 }
@@ -274,7 +276,7 @@ func (c *Controller) OnFrameStart(fs transcode.FrameStart) transcode.Settings {
 			}
 		}
 	}
-	c.pend = &pending{agent: k, state: s, action: action}
+	c.pend, c.hasPend = pending{agent: k, state: s, action: action}, true
 	c.settings = ag.apply(c.settings, action)
 	c.started = true
 	return c.settings
@@ -284,7 +286,7 @@ func (c *Controller) OnFrameStart(fs transcode.FrameStart) transcode.Settings {
 // into the pending update (covering both the immediate case and the
 // NULL-slot averaging of SIV-A).
 func (c *Controller) OnFrameDone(obs transcode.Observation) {
-	if c.pend != nil {
+	if c.hasPend {
 		c.pend.accumulate(obs)
 	} else if c.started {
 		// Between finalization and the next action there is no pending
@@ -301,9 +303,9 @@ func (c *Controller) OnFrameDone(obs transcode.Observation) {
 // finalizePending applies the deferred Q-update of the last action using
 // the (possibly NULL-averaged) observed metrics.
 func (c *Controller) finalizePending() {
-	p := c.pend
-	if p == nil || p.n == 0 {
-		c.pend = nil
+	p := &c.pend
+	if !c.hasPend || p.n == 0 {
+		c.hasPend = false
 		return
 	}
 	m := p.averaged()
@@ -312,7 +314,7 @@ func (c *Controller) finalizePending() {
 	ag := c.agents[p.agent]
 	ag.learner.Update(p.state, p.action, next, reward, c.otherMinSum(p.agent))
 	c.curState = next
-	c.pend = nil
+	c.hasPend = false
 }
 
 // exploreExploitAction selects the action in the exploration-exploitation
@@ -352,7 +354,7 @@ func (c *Controller) exploitAction(k AgentKind, s int, frame int) int {
 	if !c.cfg.Cooperative {
 		return ag.learner.Q.ArgMax(s)
 	}
-	chain := c.cfg.Schedule.Chain(frame)
+	chain := c.cfg.Schedule.Chain(c.chain[:0], frame)
 	for _, j := range chain {
 		if c.agents[j].learner.PhaseFor(s, c.otherMinSum(j)) != rl.Exploitation {
 			return ag.learner.Q.ArgMax(s)

@@ -100,7 +100,7 @@ func TestControllerOnlyActsOnScheduledFrames(t *testing.T) {
 	if got != initial {
 		t.Errorf("NULL slot changed settings: %+v -> %+v", initial, got)
 	}
-	if c.pend != nil {
+	if c.hasPend {
 		t.Error("NULL slot created a pending action")
 	}
 	// Frame 0 belongs to AGqp: only QP may change.
@@ -117,7 +117,7 @@ func TestControllerOnlyActsOnScheduledFrames(t *testing.T) {
 	if !qpOK {
 		t.Errorf("QP %d not in action set", got.QP)
 	}
-	if c.pend == nil || c.pend.agent != AgentQP {
+	if !c.hasPend || c.pend.agent != AgentQP {
 		t.Error("pending action missing or wrong agent")
 	}
 }
@@ -323,6 +323,30 @@ func TestChainArgmaxAllocatesNothing(t *testing.T) {
 		s = (s + 1) % 12
 	}); n != 0 {
 		t.Fatalf("an exploitation decision allocates %v times, want 0", n)
+	}
+}
+
+// A steady-state decision cycle allocates nothing: over one 24-frame
+// hyper-period every agent finalizes its pending update, chooses an
+// exploitation action and opens the next pending update.
+func TestDecisionCycleAllocatesNothing(t *testing.T) {
+	c := testController(t, 5)
+	obs := obsWith(28, 36, 95, 4)
+	cur, f := c.Settings(), 0
+	hyperPeriod := func() {
+		for end := f + 24; f < end; f++ {
+			cur = c.OnFrameStart(transcode.FrameStart{FrameIndex: f, Current: cur})
+			c.OnFrameDone(obs)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		hyperPeriod()
+	}
+	if c.Stats().FirstAllExploitFrame < 0 {
+		t.Fatal("warm-up did not bring every agent to exploitation")
+	}
+	if n := testing.AllocsPerRun(50, hyperPeriod); n != 0 {
+		t.Fatalf("a decision cycle allocates %v times, want 0", n)
 	}
 }
 

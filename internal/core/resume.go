@@ -54,7 +54,8 @@ func (c *Controller) ResumeState() *ResumeState {
 		Started:  c.started,
 		Stats:    c.stats,
 	}
-	if p := c.pend; p != nil {
+	if c.hasPend {
+		p := &c.pend
 		st.Pending = &pendingState{
 			Agent: int(p.agent), State: p.state, Action: p.action,
 			SumPSNR: p.sumPSNR, SumPower: p.sumPower,
@@ -86,7 +87,7 @@ func (c *Controller) RestoreResumeState(st *ResumeState) error {
 	if err != nil {
 		return fmt.Errorf("core: restore %w", err)
 	}
-	var pend *pending
+	var pend pending
 	if p := st.Pending; p != nil {
 		if p.Agent < 0 || p.Agent >= int(numAgents) {
 			return fmt.Errorf("core: restore resume state: pending agent %d out of range", p.Agent)
@@ -100,7 +101,7 @@ func (c *Controller) RestoreResumeState(st *ResumeState) error {
 		if p.N < 0 {
 			return fmt.Errorf("core: restore resume state: negative pending count %d", p.N)
 		}
-		pend = &pending{
+		pend = pending{
 			agent: AgentKind(p.Agent), state: p.State, action: p.Action,
 			sumPSNR: p.SumPSNR, sumPower: p.SumPower,
 			sumBitrate: p.SumBitrate, sumFPS: p.SumFPS, n: p.N,
@@ -113,7 +114,7 @@ func (c *Controller) RestoreResumeState(st *ResumeState) error {
 	c.curState = st.CurState
 	c.started = st.Started
 	c.stats = st.Stats
-	c.pend = pend
+	c.pend, c.hasPend = pend, st.Pending != nil
 	return nil
 }
 

@@ -60,7 +60,7 @@ func legacyAgents(t *testing.T, c *Controller, strip bool) [3]json.RawMessage {
 func TestResumeStateWirePin(t *testing.T) {
 	c := testController(t, 41)
 	trainController(c, 1203) // stop mid-hyper-period: a pending update is in flight
-	if c.pend == nil {
+	if !c.hasPend {
 		t.Fatal("controller has no pending update to pin")
 	}
 	st := c.ResumeState()

@@ -103,9 +103,10 @@ func (s Schedule) ActingAgent(frame int) AgentKind {
 // Q-value through exactly these agents (Fig. 3's coloured arrows). An
 // empty chain means the action is followed by NULL frames, where the
 // agent's update uses the averaged state (SIV-A) and its action selection
-// falls back to its own table.
-func (s Schedule) Chain(frame int) []AgentKind {
-	var chain []AgentKind
+// falls back to its own table. The chain is appended to dst[:0], so a
+// caller that passes a buffer of capacity 3 gets it without allocating.
+func (s Schedule) Chain(dst []AgentKind, frame int) []AgentKind {
+	chain := dst[:0]
 	for f := frame + 1; ; f++ {
 		k := s.ActingAgent(f)
 		if k == AgentNone {

@@ -56,7 +56,7 @@ func TestScheduleChains(t *testing.T) {
 		{24, []AgentKind{AgentThreads, AgentDVFS}},
 	}
 	for _, c := range cases {
-		got := s.Chain(c.frame)
+		got := s.Chain(nil, c.frame)
 		if len(got) != len(c.want) {
 			t.Errorf("Chain(%d) = %v, want %v", c.frame, got, c.want)
 			continue
@@ -139,7 +139,7 @@ func TestChainBoundedOnDenseSchedule(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	chain := s.Chain(0)
+	chain := s.Chain(nil, 0)
 	if len(chain) != 3 {
 		t.Fatalf("dense chain length = %d, want 3 (capped)", len(chain))
 	}

@@ -57,7 +57,6 @@ func RunAblations(w WorkloadSpec, opts Options, variants []AblationVariant) ([]A
 	}
 	var units []Unit[repOutcome]
 	for _, v := range variants {
-		v := v
 		factory := func(res video.Resolution, initial transcode.Settings, rng *rand.Rand) (transcode.Controller, error) {
 			cfg := core.DefaultConfig(res, opts.Spec, opts.Model.MaxUsefulThreads(res))
 			v.Mutate(&cfg)

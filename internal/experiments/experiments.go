@@ -309,68 +309,91 @@ type repOutcome struct {
 // distinct (workload, label, rep) tuples are race-free and order-free.
 // opts must already be validated.
 func runRep(w WorkloadSpec, kind ScenarioKind, label string, factory ControllerFactory, opts Options, rep int) (repOutcome, error) {
-	seed := SubSeed(opts.Seed, w.Name+"|"+label, rep)
-	rng := rand.New(rand.NewSource(seed))
-	eng, err := transcode.NewEngine(opts.Spec, opts.Model, rng.Int63())
+	eng, cfgs, err := buildRep(w, kind, label, factory, opts, rep)
 	if err != nil {
 		return repOutcome{}, err
 	}
-	resByID := make([]video.Resolution, 0, w.Sessions())
-	budget := opts.WarmupFrames + opts.MeasureFrames
-	add := func(res video.Resolution, idx int) error {
-		src, err := buildSource(kind, res, idx, opts, rng)
-		if err != nil {
-			return err
-		}
-		initial := InitialSettings(res)
-		ctrl, err := factory(res, initial, rand.New(rand.NewSource(rng.Int63())))
-		if err != nil {
-			return err
-		}
-		_, err = eng.AddSession(transcode.SessionConfig{
-			Source:        src,
-			Controller:    ctrl,
-			Initial:       initial,
-			BandwidthMbps: core.DefaultBandwidth(res),
-			FrameBudget:   budget,
-			CollectTrace:  true,
-		})
-		if err != nil {
-			return err
-		}
-		resByID = append(resByID, res)
-		return nil
-	}
-	for i := 0; i < w.HR; i++ {
-		if err := add(video.HR, i); err != nil {
+	windows := measureWindows(eng, len(cfgs), opts.WarmupFrames, opts.MeasureFrames)
+	for _, cfg := range cfgs {
+		if _, err := eng.AddSession(cfg); err != nil {
 			return repOutcome{}, err
 		}
 	}
-	for i := 0; i < w.LR; i++ {
-		if err := add(video.LR, i); err != nil {
-			return repOutcome{}, err
-		}
-	}
-
 	// RunUntilAll keeps every stream transcoding until the slowest one
-	// passes its budget, so the measured window below always sees the
-	// full workload's contention and power.
+	// passes its budget, so the measured windows always see the full
+	// workload's contention and power. The frames of that catch-up tail
+	// fall outside every window and are not retained.
 	runRes, err := eng.RunUntilAll()
 	if err != nil {
 		return repOutcome{}, err
 	}
+	return summarizeRep(windows, w.HR, runRes)
+}
 
-	// Per-session measured windows, and the overlapping time interval
-	// during which every session was inside its window.
-	var out repOutcome
-	var windows [][]transcode.Observation
-	winStart, winEnd := 0.0, runRes.DurationSec
-	for _, sr := range runRes.Sessions {
-		win := metrics.Window(sr.Trace, opts.WarmupFrames, budget)
-		if len(win) == 0 {
-			return repOutcome{}, fmt.Errorf("empty measured window for session %d", sr.ID)
+// buildRep creates one repetition's engine and, in session-id order, the
+// configuration of every session: the w.HR HR streams, then the LR ones.
+// It draws from the repetition's rng in the same order as the sessions
+// are listed; the caller adds them to the engine.
+func buildRep(w WorkloadSpec, kind ScenarioKind, label string, factory ControllerFactory, opts Options, rep int) (*transcode.Engine, []transcode.SessionConfig, error) {
+	rng := rand.New(rand.NewSource(SubSeed(opts.Seed, w.Name+"|"+label, rep)))
+	eng, err := transcode.NewEngine(opts.Spec, opts.Model, rng.Int63())
+	if err != nil {
+		return nil, nil, err
+	}
+	cfgs := make([]transcode.SessionConfig, 0, w.Sessions())
+	for i := 0; i < w.Sessions(); i++ {
+		res, idx := video.HR, i
+		if i >= w.HR {
+			res, idx = video.LR, i-w.HR
 		}
-		windows = append(windows, win)
+		src, err := buildSource(kind, res, idx, opts, rng)
+		if err != nil {
+			return nil, nil, err
+		}
+		initial := InitialSettings(res)
+		ctrl, err := factory(res, initial, rand.New(rand.NewSource(rng.Int63())))
+		if err != nil {
+			return nil, nil, err
+		}
+		cfgs = append(cfgs, transcode.SessionConfig{
+			Source:        src,
+			Controller:    ctrl,
+			Initial:       initial,
+			BandwidthMbps: core.DefaultBandwidth(res),
+			FrameBudget:   opts.WarmupFrames + opts.MeasureFrames,
+		})
+	}
+	return eng, cfgs, nil
+}
+
+// measureWindows installs eng's per-frame observer so that it keeps, for
+// each of sessions sessions (ids dense from 0), only the frames with
+// FrameIndex in [warmup, warmup+frames). Each window is preallocated at
+// its final size; the returned slice fills in as the engine runs.
+func measureWindows(eng *transcode.Engine, sessions, warmup, frames int) [][]transcode.Observation {
+	windows := make([][]transcode.Observation, sessions)
+	for i := range windows {
+		windows[i] = make([]transcode.Observation, 0, frames)
+	}
+	eng.OnFrame(func(o transcode.Observation) {
+		if o.FrameIndex >= warmup && o.FrameIndex < warmup+frames {
+			windows[o.SessionID] = append(windows[o.SessionID], o)
+		}
+	})
+	return windows
+}
+
+// summarizeRep folds one repetition's measured windows (indexed by
+// session id; the first hr are HR streams) into its outcome. The
+// time-weighted power is taken over the interval during which every
+// session was inside its window.
+func summarizeRep(windows [][]transcode.Observation, hr int, runRes *transcode.Result) (repOutcome, error) {
+	var out repOutcome
+	winStart, winEnd := 0.0, runRes.DurationSec
+	for id, win := range windows {
+		if len(win) == 0 {
+			return repOutcome{}, fmt.Errorf("empty measured window for session %d", id)
+		}
 		if t := win[0].Time; t > winStart {
 			winStart = t
 		}
@@ -382,7 +405,7 @@ func runRep(w WorkloadSpec, kind ScenarioKind, label string, factory ControllerF
 		if q, err := metrics.BufferedViolations(win, transcode.DefaultTargetFPS, bufferPreroll); err == nil {
 			out.stalls = append(out.stalls, q.StallPct)
 		}
-		if resByID[sr.ID] == video.HR {
+		if id < hr {
 			out.hrSums = append(out.hrSums, s)
 		} else {
 			out.lrSums = append(out.lrSums, s)
@@ -403,7 +426,6 @@ func runRep(w WorkloadSpec, kind ScenarioKind, label string, factory ControllerF
 func repUnits(w WorkloadSpec, kind ScenarioKind, label string, factory ControllerFactory, opts Options) []Unit[repOutcome] {
 	units := make([]Unit[repOutcome], opts.Repetitions)
 	for rep := range units {
-		rep := rep
 		units[rep] = Unit[repOutcome]{
 			Label: fmt.Sprintf("%s/%s rep %d", w.Name, label, rep),
 			Run: func() (repOutcome, error) {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"mamut/internal/core"
-	"mamut/internal/metrics"
 	"mamut/internal/transcode"
 	"mamut/internal/video"
 )
@@ -124,26 +123,22 @@ func Fig5Trace(opts Options, window int) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget := opts.WarmupFrames + window
+	windows := measureWindows(eng, 1, opts.WarmupFrames, window)
 	if _, err := eng.AddSession(transcode.SessionConfig{
 		Source:        src,
 		Controller:    ctrl,
 		Initial:       initial,
 		BandwidthMbps: core.DefaultBandwidth(video.HR),
-		FrameBudget:   budget,
-		CollectTrace:  true,
+		FrameBudget:   opts.WarmupFrames + window,
 	}); err != nil {
 		return nil, err
 	}
-	res, err := eng.Run()
-	if err != nil {
+	if _, err := eng.Run(); err != nil {
 		return nil, err
 	}
-	win := metrics.Window(res.Sessions[0].Trace, opts.WarmupFrames, budget)
-	out := make([]transcode.Observation, len(win))
-	for i, o := range win {
-		o.FrameIndex = i
-		out[i] = o
+	out := windows[0]
+	for i := range out {
+		out[i].FrameIndex = i
 	}
 	return &Fig5Result{Trace: out, Stats: ctrl.Stats()}, nil
 }

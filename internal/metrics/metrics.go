@@ -1,8 +1,9 @@
 // Package metrics turns per-frame observations into the aggregate numbers
 // the paper reports: average power (Watts), average threads per video
 // (Nth), average throughput (FPS), the QoS-violation percentage (Delta),
-// PSNR and bitrate. It supports windowing (to exclude the learning phase)
-// and averaging across repetitions.
+// PSNR and bitrate, over observations the caller has already windowed
+// (the paper harness keeps only the frames after the learning phase),
+// and averages them across repetitions.
 //
 // Alongside the offline (retained-trace) aggregations, streaming.go
 // provides their online counterparts for long-horizon serving runs:
@@ -74,17 +75,6 @@ func Summarize(trace []transcode.Observation, targetFPS float64) SessionSummary 
 	return s
 }
 
-// Window clips a trace to observations with FrameIndex in [from, to).
-func Window(trace []transcode.Observation, from, to int) []transcode.Observation {
-	var out []transcode.Observation
-	for _, o := range trace {
-		if o.FrameIndex >= from && o.FrameIndex < to {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // TimeWeightedPower estimates the time-averaged package power over the
 // simulated interval [from, to] by integrating the step function defined
 // by the merged, time-sorted power readings of all session traces. The
@@ -95,7 +85,11 @@ func TimeWeightedPower(traces [][]transcode.Observation, from, to float64) (floa
 		return 0, fmt.Errorf("metrics: empty interval [%g,%g]", from, to)
 	}
 	type sample struct{ t, w float64 }
-	var samples []sample
+	n := 0
+	for _, tr := range traces {
+		n += len(tr)
+	}
+	samples := make([]sample, 0, n)
 	for _, tr := range traces {
 		for _, o := range tr {
 			samples = append(samples, sample{o.Time, o.PowerW})

@@ -47,14 +47,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	trace := []transcode.Observation{obs(0, 0, 25, 80), obs(1, 1, 25, 80), obs(2, 2, 25, 80), obs(3, 3, 25, 80)}
-	w := Window(trace, 1, 3)
-	if len(w) != 2 || w[0].FrameIndex != 1 || w[1].FrameIndex != 2 {
-		t.Errorf("window = %v", w)
-	}
-}
-
 func TestTimeWeightedPowerConstant(t *testing.T) {
 	traces := [][]transcode.Observation{{
 		obs(0, 1, 25, 100), obs(1, 2, 25, 100), obs(2, 3, 25, 100),

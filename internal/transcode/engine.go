@@ -42,7 +42,10 @@ type SessionConfig struct {
 	// added while the simulation is already past this time joins
 	// immediately.
 	StartAtSec float64
-	// CollectTrace keeps every Observation in the session result.
+	// CollectTrace keeps every Observation in the session result. Its
+	// remaining users are the root package's Simulation facade and the
+	// quickstart example; a consumer that needs only some frames should
+	// filter them through Engine.OnFrame instead.
 	CollectTrace bool
 }
 
@@ -259,11 +262,12 @@ func (e *Engine) OnSessionEnd(fn func(SessionEnd)) { e.onEnd = fn }
 
 // OnFrame installs a per-frame observer: it receives every Observation
 // the engine books, in event order, whether or not the session collects
-// a trace. It lets a streaming consumer (the serve layer's power
-// integrator) see each reading once at completion time instead of
-// replaying retained traces after the run. The hook runs inside the
-// event loop and must not call back into the engine. A nil hook
-// disables observation.
+// a trace. It lets a streaming consumer see each reading once at
+// completion time instead of replaying retained traces after the run:
+// the serve layer's power integrator folds every reading, and the paper
+// harness keeps only each session's measured window. The hook runs
+// inside the event loop and must not call back into the engine. A nil
+// hook disables observation.
 func (e *Engine) OnFrame(fn func(Observation)) { e.onFrame = fn }
 
 // DiscardDeparted makes depart drop a session's state (accumulators,
