@@ -56,7 +56,11 @@
 // clock. Sessions have a live lifecycle: the engine's AddSession works
 // mid-run, AdvanceTo steps it to an absolute time for interleaving with
 // outer event loops (the serving layer's dispatcher is one), and
-// OnSessionEnd delivers explicit departure notifications.
+// OnSessionEnd delivers explicit departure notifications. Output leaves
+// the engine one way per kind: every per-frame Observation through the
+// OnFrame hook as it is booked, and a departed session's result through
+// the OnSessionEnd hook when one is installed (the engine then forgets
+// the session; without a hook it stays in the end-of-run result).
 //
 // # Serving layer
 //

@@ -19,13 +19,24 @@ func main() {
 	// (QP, threads, DVFS) start untrained and learn online.
 	const frames = 24000
 	if err := sim.AddStream(mamut.StreamConfig{
-		Sequence:     "Kimono",
-		Approach:     mamut.ApproachMAMUT,
-		Frames:       frames,
-		CollectTrace: true,
+		Sequence: "Kimono",
+		Approach: mamut.ApproachMAMUT,
+		Frames:   frames,
 	}); err != nil {
 		log.Fatal(err)
 	}
+
+	// Watch every frame as it completes: count QoS violations per window
+	// for the learning curve, and remember the last frame's settings.
+	const window = 3000
+	var viol [frames / window]int
+	var last mamut.Observation
+	sim.OnFrame(func(obs mamut.Observation) {
+		if obs.FPS < mamut.TargetFPS {
+			viol[obs.FrameIndex/window]++
+		}
+		last = obs
+	})
 
 	res, err := sim.Run()
 	if err != nil {
@@ -41,25 +52,17 @@ func main() {
 	// The learning curve: violations melt away as the agents leave the
 	// exploration phase (paper SIV).
 	fmt.Println("learning curve (QoS violations per 3000-frame window):")
-	const window = 3000
-	for start := 0; start < frames; start += window {
-		viol := 0
-		for _, obs := range stream.Trace[start : start+window] {
-			if obs.FPS < mamut.TargetFPS {
-				viol++
-			}
-		}
+	for w, v := range viol {
 		bar := ""
-		for i := 0; i < viol*50/window; i++ {
+		for i := 0; i < v*50/window; i++ {
 			bar += "#"
 		}
 		fmt.Printf("  frames %5d-%5d: %5.1f%% %s\n",
-			start, start+window, 100*float64(viol)/window, bar)
+			w*window, (w+1)*window, 100*float64(v)/window, bar)
 	}
 
 	// Where did the controller end up? (paper Fig. 5: many threads, QP in
 	// the mid-30s, frequency doing the fine regulation)
-	last := stream.Trace[frames-1].Settings
 	fmt.Printf("\nfinal operating point: QP %d, %d threads, %.1f GHz\n",
-		last.QP, last.Threads, last.FreqGHz)
+		last.Settings.QP, last.Settings.Threads, last.Settings.FreqGHz)
 }

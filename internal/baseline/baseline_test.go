@@ -364,17 +364,21 @@ func TestMonoAgentInEngineSmoke(t *testing.T) {
 	}
 	if _, err := eng.AddSession(transcode.SessionConfig{
 		Source: src, Controller: m, Initial: initSettings,
-		BandwidthMbps: 6, FrameBudget: 3000, CollectTrace: true,
+		BandwidthMbps: 6, FrameBudget: 3000,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
-	if err != nil {
+	var trace []transcode.Observation
+	eng.OnFrame(func(obs transcode.Observation) { trace = append(trace, obs) })
+	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(trace) != 3000 {
+		t.Fatalf("observed %d frames, want 3000", len(trace))
 	}
 	// The mono-agent explores a 100-action space: in 3000 frames it is
 	// still mostly exploring. Sanity: settings always decode validly.
-	for _, obs := range res.Sessions[0].Trace {
+	for _, obs := range trace {
 		if err := obs.Settings.Validate(); err != nil {
 			t.Fatalf("invalid settings in trace: %v", err)
 		}

@@ -416,15 +416,18 @@ func TestControllerLearnsInEngine(t *testing.T) {
 	const frames = 30000
 	if _, err := eng.AddSession(transcode.SessionConfig{
 		Source: src, Controller: ctrl, Initial: initial,
-		BandwidthMbps: 6, FrameBudget: frames, CollectTrace: true,
+		BandwidthMbps: 6, FrameBudget: frames,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
-	if err != nil {
+	var trace []transcode.Observation
+	eng.OnFrame(func(obs transcode.Observation) { trace = append(trace, obs) })
+	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	trace := res.Sessions[0].Trace
+	if len(trace) != frames {
+		t.Fatalf("observed %d frames, want %d", len(trace), frames)
+	}
 	countViol := func(from, to int) int {
 		n := 0
 		for _, obs := range trace[from:to] {

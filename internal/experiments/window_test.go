@@ -54,13 +54,15 @@ func TestMeasuredWindowsMatchRetainedTraces(t *testing.T) {
 				}
 			}
 
-			// Reference: retain every frame, then clip each trace.
+			// Reference: a second engine's observer retains every frame,
+			// then each session's trace is clipped.
 			eng, cfgs, err := buildRep(w, ScenarioII, string(a), factory, opts, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			traces := make([][]transcode.Observation, len(cfgs))
+			eng.OnFrame(func(o transcode.Observation) { traces[o.SessionID] = append(traces[o.SessionID], o) })
 			for _, cfg := range cfgs {
-				cfg.CollectTrace = true
 				if _, err := eng.AddSession(cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -71,9 +73,9 @@ func TestMeasuredWindowsMatchRetainedTraces(t *testing.T) {
 			}
 			clipped := make([][]transcode.Observation, len(res.Sessions))
 			tail := false
-			for i, sr := range res.Sessions {
-				tail = tail || len(sr.Trace) > to
-				for _, o := range sr.Trace {
+			for i, trace := range traces {
+				tail = tail || len(trace) > to
+				for _, o := range trace {
 					if o.FrameIndex >= from && o.FrameIndex < to {
 						clipped[i] = append(clipped[i], o)
 					}

@@ -774,10 +774,6 @@ func (d *dispatcher) addSession(i int, req SessionRequest, seed *core.Snapshot, 
 		TargetFPS:     d.cfg.Workload.TargetFPS,
 		FrameBudget:   req.Frames,
 		StartAtSec:    startAt,
-		// No trace retention: every aggregate folds streamingly at the
-		// departure event, and the engine discards departed sessions, so
-		// server memory is O(resident sessions) however long the run.
-		CollectTrace: false,
 	})
 	if err != nil {
 		return 0, err
@@ -1431,10 +1427,10 @@ func (d *dispatcher) refreshScanStates(req SessionRequest) []ServerState {
 // the streaming hooks: the departure hook releases the server's slot and
 // buffers the session's departure record — knowledge harvest included —
 // in the owning shard for the coordinator to reconcile; the frame hook
-// feeds the server's window-power integrator. The engine discards
-// departed sessions — the departure record carries everything the
-// aggregates need — so server memory stays O(resident sessions) over any
-// horizon.
+// feeds the server's window-power integrator. A session the departure
+// hook sees leaves the engine with it — the departure record carries
+// everything the aggregates need — so server memory stays O(resident
+// sessions) over any horizon.
 func (d *dispatcher) createEngine(i int) error {
 	fs := d.servers[i]
 	spec := d.spec
@@ -1450,12 +1446,8 @@ func (d *dispatcher) createEngine(i int) error {
 	}
 	fs.eng = eng
 	fs.power = metrics.NewPowerIntegrator(d.cfg.WarmupSec, d.cfg.Workload.DurationSec)
-	eng.DiscardDeparted(true)
 	stampFirst := d.queue.ttffH != nil
 	eng.OnFrame(func(obs transcode.Observation) {
-		// The engine emits observations in non-decreasing time order and
-		// equal-time completions share one meter reading, so streaming
-		// integration reproduces the retired sorted-trace replay bitwise.
 		fs.power.Add(obs.Time, obs.PowerW)
 		if stampFirst && obs.FrameIndex == 0 {
 			// First frame of a session: record the instant for the

@@ -33,11 +33,11 @@
 // Metrics stream. Every aggregate — per-server power, busy time, class
 // statistics, FPS/duration quantile sketches, time-decayed window
 // means — folds into constant-size accumulators (internal/metrics) at
-// each session's departure, in deterministic arrival-ID order, and the
-// engines discard departed sessions. The dispatcher therefore holds
-// O(active sessions) state however long the horizon runs; the
-// per-arrival outcome log is opt-in via Config.RetainSessions and
-// changes no other result field.
+// each session's departure, in deterministic arrival-ID order, and a
+// departed session leaves its engine through the departure hook. The
+// dispatcher therefore holds O(active sessions) state however long the
+// horizon runs; the per-arrival outcome log is opt-in via
+// Config.RetainSessions and changes no other result field.
 //
 // The fleet is elastic (see elastic.go). Sessions are migratable: the
 // transcode package's ExtractSession/InjectSession freeze a live session

@@ -15,22 +15,22 @@ func TestSessionArrivalJoinsLate(t *testing.T) {
 	set := Settings{QP: 32, Threads: 10, FreqGHz: 3.2}
 	if _, err := eng.AddSession(SessionConfig{
 		Source: testSource(t, video.HR, 62), Controller: &Static{S: set},
-		Initial: set, FrameBudget: 200, CollectTrace: true,
+		Initial: set, FrameBudget: 200,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// The second user arrives 3 simulated seconds in.
 	if _, err := eng.AddSession(SessionConfig{
 		Source: testSource(t, video.HR, 63), Controller: &Static{S: set},
-		Initial: set, FrameBudget: 100, StartAtSec: 3.0, CollectTrace: true,
+		Initial: set, FrameBudget: 100, StartAtSec: 3.0,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
-	if err != nil {
+	tr := recordTraces(eng)
+	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	late := res.Sessions[1].Trace
+	late := tr[1]
 	if len(late) != 100 {
 		t.Fatalf("late session frames = %d", len(late))
 	}
@@ -41,7 +41,7 @@ func TestSessionArrivalJoinsLate(t *testing.T) {
 	// last frames take longer than its first ones (12 extra threads
 	// oversubscribe a 10-thread-wide speedup budget... both at 10
 	// threads: demand 2 x 5.9 > capacity at 20 threads = 17).
-	early := res.Sessions[0].Trace
+	early := tr[0]
 	if early[5].DurationSec >= early[150].DurationSec {
 		t.Errorf("contention after arrival did not slow the first session: %.4f vs %.4f",
 			early[5].DurationSec, early[150].DurationSec)
@@ -58,15 +58,16 @@ func TestSessionArrivalOnIdleServer(t *testing.T) {
 	set := Settings{QP: 32, Threads: 4, FreqGHz: 2.6}
 	if _, err := eng.AddSession(SessionConfig{
 		Source: testSource(t, video.LR, 65), Controller: &Static{S: set},
-		Initial: set, FrameBudget: 24, StartAtSec: 10, CollectTrace: true,
+		Initial: set, FrameBudget: 24, StartAtSec: 10,
 	}); err != nil {
 		t.Fatal(err)
 	}
+	tr := recordTraces(eng)
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sessions[0].Trace[0].Time < 10 {
+	if tr[0][0].Time < 10 {
 		t.Error("session ran before its arrival")
 	}
 	// Energy must include the idle lead-in: at least idle power * 10 s.

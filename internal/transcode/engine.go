@@ -42,11 +42,6 @@ type SessionConfig struct {
 	// added while the simulation is already past this time joins
 	// immediately.
 	StartAtSec float64
-	// CollectTrace keeps every Observation in the session result. Its
-	// remaining users are the root package's Simulation facade and the
-	// quickstart example; a consumer that needs only some frames should
-	// filter them through Engine.OnFrame instead.
-	CollectTrace bool
 }
 
 // session is the engine's live state for one stream.
@@ -86,7 +81,6 @@ type session struct {
 	sumThreads  float64
 	sumFreq     float64
 	sumQP       float64
-	trace       []Observation
 	firstAction bool
 }
 
@@ -114,8 +108,6 @@ type SessionResult struct {
 	AvgThreads     float64
 	AvgFreqGHz     float64
 	AvgQP          float64
-	// Trace holds per-frame observations when CollectTrace was set.
-	Trace []Observation
 }
 
 // Result is the outcome of an engine run.
@@ -130,7 +122,9 @@ type Result struct {
 	// enables the thermal model (zero otherwise).
 	TempMaxC float64
 	TempAvgC float64
-	// Sessions holds one entry per configured session, in order.
+	// Sessions holds one entry per session still in the engine, in id
+	// order: extracted sessions are absent, and so are departed ones when
+	// an OnSessionEnd hook is installed.
 	Sessions []SessionResult
 }
 
@@ -146,9 +140,8 @@ type SessionEnd struct {
 	// Frames is the number of frames the session transcoded.
 	Frames int
 	// Result is the session's complete summary at departure — identical
-	// to the entry buildResult would produce for it, so a streaming
-	// consumer can fold the session at this event and never look at the
-	// end-of-run result (see DiscardDeparted).
+	// to the entry a hookless engine's Result.Sessions holds for it. It is
+	// the only copy: the session leaves the engine with this event.
 	Result SessionResult
 }
 
@@ -167,6 +160,11 @@ type SessionEnd struct {
 // simulation to an absolute time so callers can interleave it with an
 // outer event loop (internal/serve interleaves a whole fleet this way),
 // and OnSessionEnd delivers explicit departure notifications.
+//
+// There is one way out for each kind of output: every Observation leaves
+// through OnFrame, as it is booked, and a departed session leaves through
+// OnSessionEnd when a hook is installed (otherwise it stays in the
+// end-of-run Result.Sessions).
 type Engine struct {
 	server   *platform.Server
 	model    hevc.Model
@@ -182,7 +180,6 @@ type Engine struct {
 	arrivals eventHeap // pending arrivals keyed by real time
 	onEnd    func(SessionEnd)
 	onFrame  func(Observation)
-	discard  bool // drop departed sessions' state (see DiscardDeparted)
 
 	totalBudget int // sum of frame budgets, for the livelock guard
 	framesDone  int // frames completed so far (catch-up frames included)
@@ -190,7 +187,8 @@ type Engine struct {
 	finished    bool // RunUntilAll completed; the live lifecycle is closed
 
 	// Migration state (see migrate.go): ids removed by ExtractSession, to
-	// tell them apart from discarded departures in error messages.
+	// tell them apart from departures the OnSessionEnd hook took out in
+	// error messages.
 	extracted map[int]bool
 
 	batch []*session // scratch for completion batches
@@ -255,29 +253,25 @@ func (e *Engine) ActiveSessions() int { return e.acct.Active() }
 
 // OnSessionEnd installs the departure hook. It fires when a session
 // reaches its frame budget and leaves (Run/AdvanceTo semantics; in
-// RunUntilAll nobody departs, so it never fires). The hook runs inside
-// the event loop: it may call AddSession, but must not call Run,
-// RunUntilAll or AdvanceTo. A nil hook disables notification.
+// RunUntilAll nobody departs, so it never fires). The SessionEnd carries
+// the session's complete result, and the session then leaves the engine:
+// its state is dropped and it is absent from Result.Sessions. An engine
+// with a hook therefore holds O(active sessions), which is what lets a
+// serving horizon of any length run in constant memory; ids are never
+// reused, so event order is unaffected. The hook runs inside the event
+// loop: it may call AddSession, but must not call Run, RunUntilAll or
+// AdvanceTo. A nil hook disables notification, and departed sessions
+// then stay in Result.Sessions.
 func (e *Engine) OnSessionEnd(fn func(SessionEnd)) { e.onEnd = fn }
 
 // OnFrame installs a per-frame observer: it receives every Observation
-// the engine books, in event order, whether or not the session collects
-// a trace. It lets a streaming consumer see each reading once at
-// completion time instead of replaying retained traces after the run:
-// the serve layer's power integrator folds every reading, and the paper
-// harness keeps only each session's measured window. The hook runs
+// the engine books, in event order, and is the only way an Observation
+// leaves the engine. A consumer sees each reading once, at completion
+// time: the serve layer's power integrator folds every reading, and the
+// paper harness keeps only each session's measured window. The hook runs
 // inside the event loop and must not call back into the engine. A nil
 // hook disables observation.
 func (e *Engine) OnFrame(fn func(Observation)) { e.onFrame = fn }
-
-// DiscardDeparted makes depart drop a session's state (accumulators,
-// trace, encoder) once its OnSessionEnd notification — which carries the
-// complete SessionResult — has fired. The engine then holds O(active
-// sessions) instead of O(total sessions ever admitted), which is what
-// makes arbitrarily long serving horizons run in constant memory.
-// Discarded sessions are skipped in the end-of-run Result.Sessions; ids
-// are never reused, so event ordering and determinism are unaffected.
-func (e *Engine) DiscardDeparted(on bool) { e.discard = on }
 
 // AddSession registers a session and returns the session id. Before the
 // first Run/AdvanceTo call this is the classic batch setup; called
@@ -588,7 +582,7 @@ func (e *Engine) settle(t, powerIdeal, speed float64) {
 func (e *Engine) allReachedBudget() bool {
 	for _, s := range e.sessions {
 		if s == nil {
-			continue // discarded sessions reached their budget by definition
+			continue // departed through the hook: budget reached by definition
 		}
 		if s.frames < s.cfg.FrameBudget {
 			return false
@@ -732,9 +726,6 @@ func (e *Engine) completeFrame(s *session, powerRead float64) {
 	s.sumThreads += float64(s.settings.Threads)
 	s.sumFreq += s.settings.FreqGHz
 	s.sumQP += float64(s.settings.QP)
-	if s.cfg.CollectTrace {
-		s.trace = append(s.trace, obs)
-	}
 	if e.onFrame != nil {
 		e.onFrame(obs)
 	}
@@ -742,13 +733,13 @@ func (e *Engine) completeFrame(s *session, powerRead float64) {
 }
 
 // depart releases a finished session's resources and notifies the hook.
-// In discard mode the session's state is dropped afterwards: the
-// SessionEnd carried its complete result, and its dynamic energy was
-// settled by the final completeFrame, so nothing buildResult would later
-// compute differs from what the hook already saw. An accounting mismatch
-// surfaces as an error (the run aborts) rather than a panic, so a fleet
-// layer injecting faults can never take the whole process down through a
-// release-path inconsistency.
+// A notified session's state is dropped afterwards: the SessionEnd
+// carried its complete result, and its dynamic energy was settled by the
+// final completeFrame, so nothing buildResult would later compute differs
+// from what the hook already saw. An accounting mismatch surfaces as an
+// error (the run aborts) rather than a panic, so a fleet layer injecting
+// faults can never take the whole process down through a release-path
+// inconsistency.
 func (e *Engine) depart(s *session) error {
 	if err := e.acct.Remove(s.load); err != nil {
 		return fmt.Errorf("transcode: t=%.3f session %d depart: %w", e.now, s.id, err)
@@ -763,8 +754,6 @@ func (e *Engine) depart(s *session) error {
 			Frames:    s.frames,
 			Result:    s.result(e.vnow),
 		})
-	}
-	if e.discard {
 		e.sessions[s.id] = nil
 	}
 	return nil
@@ -787,7 +776,7 @@ func (e *Engine) buildResult() *Result {
 	}
 	for _, s := range e.sessions {
 		if s == nil {
-			continue // departed and discarded (DiscardDeparted)
+			continue // departed through the OnSessionEnd hook, or extracted
 		}
 		res.Sessions = append(res.Sessions, s.result(e.vnow))
 	}
@@ -811,7 +800,6 @@ func (s *session) result(vnow float64) SessionResult {
 		Frames:     s.frames,
 		Violations: s.violations,
 		DynEnergyJ: dynE,
-		Trace:      s.trace,
 	}
 	if s.frames > 0 {
 		f := float64(s.frames)

@@ -175,19 +175,18 @@ func TestEngineTraceCollection(t *testing.T) {
 	}
 	set := Settings{QP: 27, Threads: 4, FreqGHz: 2.6}
 	if _, err := eng.AddSession(SessionConfig{
-		Source:       testSource(t, video.LR, 6),
-		Controller:   &Static{S: set},
-		Initial:      set,
-		FrameBudget:  25,
-		CollectTrace: true,
+		Source:      testSource(t, video.LR, 6),
+		Controller:  &Static{S: set},
+		Initial:     set,
+		FrameBudget: 25,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
-	if err != nil {
+	tr := recordTraces(eng)
+	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	trace := res.Sessions[0].Trace
+	trace := tr[0]
 	if len(trace) != 25 {
 		t.Fatalf("trace length = %d, want 25", len(trace))
 	}
@@ -254,22 +253,24 @@ func TestEngineSanitizesControllerOutput(t *testing.T) {
 	}
 	wc := &wildController{}
 	if _, err := eng.AddSession(SessionConfig{
-		Source:       testSource(t, video.HR, 10),
-		Controller:   wc,
-		Initial:      Settings{QP: 32, Threads: 4, FreqGHz: 2.6},
-		FrameBudget:  10,
-		CollectTrace: true,
+		Source:      testSource(t, video.HR, 10),
+		Controller:  wc,
+		Initial:     Settings{QP: 32, Threads: 4, FreqGHz: 2.6},
+		FrameBudget: 10,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
-	if err != nil {
+	tr := recordTraces(eng)
+	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if wc.calls != 10 {
 		t.Errorf("controller called %d times, want 10", wc.calls)
 	}
-	for _, obs := range res.Sessions[0].Trace {
+	if len(tr[0]) != 10 {
+		t.Fatalf("observed %d frames, want 10", len(tr[0]))
+	}
+	for _, obs := range tr[0] {
 		if obs.Settings.QP != hevc.MaxQP {
 			t.Errorf("QP sanitized to %d, want %d", obs.Settings.QP, hevc.MaxQP)
 		}
@@ -374,10 +375,11 @@ func TestEngineDifferentBudgets(t *testing.T) {
 	}
 	if _, err := eng.AddSession(SessionConfig{
 		Source: testSource(t, video.HR, 17), Controller: &Static{S: set},
-		Initial: set, FrameBudget: 60, CollectTrace: true,
+		Initial: set, FrameBudget: 60,
 	}); err != nil {
 		t.Fatal(err)
 	}
+	tr := recordTraces(eng)
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +389,7 @@ func TestEngineDifferentBudgets(t *testing.T) {
 	}
 	// Four 12-thread HR encoders oversubscribe the machine; after the
 	// other three leave, the survivor's frames speed up.
-	trace := res.Sessions[3].Trace
+	trace := tr[3]
 	early := trace[5].DurationSec
 	late := trace[55].DurationSec
 	if late >= early {

@@ -50,12 +50,11 @@ func goldenSessions(t *testing.T) []SessionConfig {
 	t.Helper()
 	mk := func(res video.Resolution, seed int64, s Settings, budget int, start float64) SessionConfig {
 		return SessionConfig{
-			Source:       testSource(t, res, seed),
-			Controller:   &Static{S: s},
-			Initial:      s,
-			FrameBudget:  budget,
-			StartAtSec:   start,
-			CollectTrace: true,
+			Source:      testSource(t, res, seed),
+			Controller:  &Static{S: s},
+			Initial:     s,
+			FrameBudget: budget,
+			StartAtSec:  start,
 		}
 	}
 	return []SessionConfig{
@@ -86,12 +85,25 @@ type goldenFile struct {
 	Sessions    []goldenSession
 }
 
-func toGolden(res *Result) *goldenFile {
+// traces holds every session's observations in emission order, keyed by
+// session id, as an OnFrame observer (add) receives them.
+type traces map[int][]Observation
+
+func (tr traces) add(o Observation) { tr[o.SessionID] = append(tr[o.SessionID], o) }
+
+// recordTraces installs a traces recorder as e's OnFrame observer.
+func recordTraces(e *Engine) traces {
+	tr := traces{}
+	e.OnFrame(tr.add)
+	return tr
+}
+
+func toGolden(res *Result, tr traces) *goldenFile {
 	g := &goldenFile{DurationSec: res.DurationSec, EnergyJ: res.EnergyJ, AvgPowerW: res.AvgPowerW}
 	for _, sr := range res.Sessions {
 		g.Sessions = append(g.Sessions, goldenSession{
 			ID: sr.ID, Frames: sr.Frames, Violations: sr.Violations,
-			DynEnergyJ: sr.DynEnergyJ, AvgFPS: sr.AvgFPS, Trace: sr.Trace,
+			DynEnergyJ: sr.DynEnergyJ, AvgFPS: sr.AvgFPS, Trace: tr[sr.ID],
 		})
 	}
 	return g
@@ -131,9 +143,10 @@ func relClose(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*scale
 }
 
-// compareToGolden checks a run result against the golden file: content
-// fields exactly, time-derived fields within timeTol (0 = bit-identical).
-func compareToGolden(t *testing.T, g *goldenFile, res *Result, timeTol float64) {
+// compareToGolden checks a run result and its recorded traces against
+// the golden file: content fields exactly, time-derived fields within
+// timeTol (0 = bit-identical).
+func compareToGolden(t *testing.T, g *goldenFile, res *Result, tr traces, timeTol float64) {
 	t.Helper()
 	checkF := func(name string, got, want float64) {
 		t.Helper()
@@ -159,10 +172,11 @@ func compareToGolden(t *testing.T, g *goldenFile, res *Result, timeTol float64) 
 		}
 		checkF("DynEnergyJ", sr.DynEnergyJ, gs.DynEnergyJ)
 		checkF("AvgFPS", sr.AvgFPS, gs.AvgFPS)
-		if len(sr.Trace) != len(gs.Trace) {
-			t.Fatalf("session %d trace length = %d, golden %d", i, len(sr.Trace), len(gs.Trace))
+		trace := tr[sr.ID]
+		if len(trace) != len(gs.Trace) {
+			t.Fatalf("session %d trace length = %d, golden %d", i, len(trace), len(gs.Trace))
 		}
-		for f, obs := range sr.Trace {
+		for f, obs := range trace {
 			want := gs.Trace[f]
 			// Content fields: derived from per-session rng streams and the
 			// controller; reproduced bit-identically by any faithful core.
@@ -200,6 +214,7 @@ func TestEngineMatchesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	tr := recordTraces(eng)
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -213,13 +228,13 @@ func TestEngineMatchesGolden(t *testing.T) {
 		t.Skip("regenerating golden data from the reference simulator")
 	}
 	g := loadGolden(t)
-	compareToGolden(t, g, res, goldenTimeTol)
+	compareToGolden(t, g, res, tr, goldenTimeTol)
 
 	// Guard against knife-edge violation accounting: every windowed FPS
 	// estimate must sit clearly away from the 24 FPS target, or the exact
 	// Violations comparison above would be FP-luck.
 	for _, sr := range res.Sessions {
-		for _, obs := range sr.Trace {
+		for _, obs := range tr[sr.ID] {
 			if math.Abs(obs.FPS-DefaultTargetFPS) < 1e-5 {
 				t.Fatalf("session %d frame %d FPS %.9f too close to the target for exact violation comparison",
 					sr.ID, obs.FrameIndex, obs.FPS)

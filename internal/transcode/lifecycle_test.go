@@ -18,7 +18,7 @@ func TestAddSessionMidRunMatchesPreRegistered(t *testing.T) {
 	mk := func(seed int64, s Settings, start float64) SessionConfig {
 		return SessionConfig{
 			Source: testSource(t, video.HR, seed), Controller: &Static{S: s},
-			Initial: s, FrameBudget: 80, StartAtSec: start, CollectTrace: true,
+			Initial: s, FrameBudget: 80, StartAtSec: start,
 		}
 	}
 
@@ -33,6 +33,7 @@ func TestAddSessionMidRunMatchesPreRegistered(t *testing.T) {
 	if _, err := batch.AddSession(mk(202, set2, 2.5)); err != nil {
 		t.Fatal(err)
 	}
+	wantTr := recordTraces(batch)
 	want, err := batch.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +50,7 @@ func TestAddSessionMidRunMatchesPreRegistered(t *testing.T) {
 	if _, err := live.AddSession(mk(202, set2, 2.5)); err != nil {
 		t.Fatal(err)
 	}
+	gotTr := recordTraces(live)
 	if err := live.AdvanceTo(1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestAddSessionMidRunMatchesPreRegistered(t *testing.T) {
 	}
 	// AdvanceTo splits the energy integral at t=1 but changes no event, so
 	// the runs agree bit-for-bit except for that one extra FP rounding.
-	compareToGolden(t, toGolden(want), got, 1e-12)
+	compareToGolden(t, toGolden(want, wantTr), got, gotTr, 1e-12)
 
 	// A mid-run add whose StartAtSec already passed joins immediately.
 	lateAdd, err := NewEngine(quietSpec(), quietModel(), 78)
@@ -71,6 +73,7 @@ func TestAddSessionMidRunMatchesPreRegistered(t *testing.T) {
 	if _, err := lateAdd.AddSession(mk(203, set1, 0)); err != nil {
 		t.Fatal(err)
 	}
+	lateTr := recordTraces(lateAdd)
 	if err := lateAdd.AdvanceTo(2.0); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestAddSessionMidRunMatchesPreRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := res.Sessions[id].Trace[0]
+	first := lateTr[id][0]
 	if first.Time < 2.0 {
 		t.Errorf("late-added session completed a frame at %.3fs, before it was added", first.Time)
 	}
@@ -93,7 +96,9 @@ func TestAddSessionMidRunMatchesPreRegistered(t *testing.T) {
 
 // TestOnSessionEndHook: departures fire the hook exactly once per
 // session, in completion order, with the departure time matching the last
-// trace observation; RunUntilAll never fires it (nobody departs).
+// observation and the frame count matching a hookless run's; the hooked
+// run retains no departed session. RunUntilAll never fires it (nobody
+// departs).
 func TestOnSessionEndHook(t *testing.T) {
 	build := func() *Engine {
 		eng, err := NewEngine(quietSpec(), quietModel(), 81)
@@ -104,7 +109,7 @@ func TestOnSessionEndHook(t *testing.T) {
 		for i, budget := range []int{30, 60, 90} {
 			if _, err := eng.AddSession(SessionConfig{
 				Source: testSource(t, video.HR, int64(82+i)), Controller: &Static{S: set},
-				Initial: set, FrameBudget: budget, CollectTrace: true,
+				Initial: set, FrameBudget: budget,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -112,12 +117,21 @@ func TestOnSessionEndHook(t *testing.T) {
 		return eng
 	}
 
-	eng := build()
-	var ends []SessionEnd
-	eng.OnSessionEnd(func(end SessionEnd) { ends = append(ends, end) })
-	res, err := eng.Run()
+	// The hookless run keeps every session for comparison.
+	res, err := build().Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	eng := build()
+	tr := recordTraces(eng)
+	var ends []SessionEnd
+	eng.OnSessionEnd(func(end SessionEnd) { ends = append(ends, end) })
+	hooked, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hooked.Sessions) != 0 {
+		t.Errorf("hooked run retained %d departed sessions", len(hooked.Sessions))
 	}
 	if len(ends) != 3 {
 		t.Fatalf("hook fired %d times, want 3", len(ends))
@@ -137,7 +151,7 @@ func TestOnSessionEndHook(t *testing.T) {
 		if end.Frames != sr.Frames {
 			t.Errorf("session %d hook frames %d != result %d", end.SessionID, end.Frames, sr.Frames)
 		}
-		if last := sr.Trace[len(sr.Trace)-1].Time; end.Time != last {
+		if last := tr[end.SessionID][len(tr[end.SessionID])-1].Time; end.Time != last {
 			t.Errorf("session %d departed at %g, last frame at %g", end.SessionID, end.Time, last)
 		}
 		if end.Res != video.HR {
@@ -176,7 +190,6 @@ func TestAdvanceToChunksMatchSingleRun(t *testing.T) {
 			if _, err := eng.AddSession(SessionConfig{
 				Source: testSource(t, video.HR, int64(86+i)), Controller: &Static{S: set},
 				Initial: set, FrameBudget: 100, StartAtSec: float64(i) * 1.3,
-				CollectTrace: true,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -185,6 +198,7 @@ func TestAdvanceToChunksMatchSingleRun(t *testing.T) {
 	}
 
 	whole := build()
+	wantTr := recordTraces(whole)
 	want, err := whole.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -193,6 +207,7 @@ func TestAdvanceToChunksMatchSingleRun(t *testing.T) {
 	// Chunk strictly inside the run: parking the clock beyond the last
 	// event would (correctly) extend the duration with idle time.
 	chunked := build()
+	gotTr := recordTraces(chunked)
 	for step := 0.7; step < want.DurationSec; step += 0.7 {
 		if err := chunked.AdvanceTo(step); err != nil {
 			t.Fatal(err)
@@ -206,7 +221,7 @@ func TestAdvanceToChunksMatchSingleRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Chunking splits FP reductions; events themselves are identical.
-	compareToGolden(t, toGolden(want), got, 1e-9)
+	compareToGolden(t, toGolden(want, wantTr), got, gotTr, 1e-9)
 	if got.TempMaxC <= spec.Thermal.AmbientC {
 		t.Error("thermal tracking lost across AdvanceTo chunks")
 	}
@@ -226,19 +241,22 @@ func TestHookDrivenAddSession(t *testing.T) {
 	set := Settings{QP: 32, Threads: 6, FreqGHz: 2.9}
 	if _, err := eng.AddSession(SessionConfig{
 		Source: testSource(t, video.LR, 92), Controller: &Static{S: set},
-		Initial: set, FrameBudget: 40, CollectTrace: true,
+		Initial: set, FrameBudget: 40,
 	}); err != nil {
 		t.Fatal(err)
 	}
+	tr := recordTraces(eng)
+	var results []SessionResult
 	refills := 0
 	eng.OnSessionEnd(func(end SessionEnd) {
+		results = append(results, end.Result)
 		if refills >= 2 {
 			return
 		}
 		refills++
 		if _, err := eng.AddSession(SessionConfig{
 			Source: testSource(t, video.LR, int64(93+refills)), Controller: &Static{S: set},
-			Initial: set, FrameBudget: 40, StartAtSec: end.Time, CollectTrace: true,
+			Initial: set, FrameBudget: 40, StartAtSec: end.Time,
 		}); err != nil {
 			t.Errorf("refill add failed: %v", err)
 		}
@@ -247,18 +265,24 @@ func TestHookDrivenAddSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Sessions) != 3 {
-		t.Fatalf("sessions = %d, want 3 (1 seed + 2 refills)", len(res.Sessions))
+	if len(res.Sessions) != 0 {
+		t.Errorf("hooked run retained %d departed sessions", len(res.Sessions))
 	}
-	for i, sr := range res.Sessions {
+	if len(results) != 3 {
+		t.Fatalf("sessions = %d, want 3 (1 seed + 2 refills)", len(results))
+	}
+	for i, sr := range results {
+		if sr.ID != i {
+			t.Errorf("departure %d is session %d", i, sr.ID)
+		}
 		if sr.Frames != 40 {
 			t.Errorf("session %d frames = %d, want 40", i, sr.Frames)
 		}
 	}
 	// Refill i starts where its predecessor ended.
 	for i := 1; i < 3; i++ {
-		prevEnd := res.Sessions[i-1].Trace[39].Time
-		firstDone := res.Sessions[i].Trace[0].Time
+		prevEnd := tr[i-1][39].Time
+		firstDone := tr[i][0].Time
 		if firstDone <= prevEnd {
 			t.Errorf("refill %d completed a frame at %g, before predecessor ended at %g", i, firstDone, prevEnd)
 		}

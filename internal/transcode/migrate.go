@@ -59,6 +59,9 @@ type StatefulController interface {
 
 // sessionFormatVersion is the current SessionState payload format.
 // Decoders accept this version and older; newer payloads error cleanly.
+// Payloads written when a session could retain its frames carry
+// "collect_trace" and "trace" fields; decoding ignores them, so the
+// version did not change when they were retired.
 const sessionFormatVersion = 1
 
 // SessionState is a frozen, serializable session: everything InjectSession
@@ -79,7 +82,6 @@ type SessionState struct {
 	TargetFPS     float64      `json:"target_fps"`
 	FrameBudget   int          `json:"frame_budget"`
 	StartAtSec    float64      `json:"start_at_sec"`
-	CollectTrace  bool         `json:"collect_trace,omitempty"`
 
 	// Stream cursor and in-flight frame. Running is false only for a
 	// session extracted before its scheduled arrival; CompletionKey and
@@ -107,7 +109,6 @@ type SessionState struct {
 	SumFreq     float64            `json:"sum_freq"`
 	SumQP       float64            `json:"sum_qp"`
 	FirstAction bool               `json:"first_action"`
-	Trace       []Observation      `json:"trace,omitempty"`
 
 	// Opaque sub-states: the content process (video.StatefulSource), the
 	// controller (StatefulController) and the encoder noise stream.
@@ -338,8 +339,6 @@ func (e *Engine) SnapshotSession(id int) (*SessionSnapshot, error) {
 	if !finiteJSON(reflect.ValueOf(st)) || !finiteJSON(reflect.ValueOf(ctrl)) {
 		return nil, fmt.Errorf("transcode: SnapshotSession(%d): state holds a non-finite float", id)
 	}
-	// The session keeps appending to its trace.
-	st.Trace = append([]Observation(nil), st.Trace...)
 	return &SessionSnapshot{st: *st, ctrl: ctrl}, nil
 }
 
@@ -400,7 +399,6 @@ func (e *Engine) freeze(op string, id int) (*SessionState, any, error) {
 		TargetFPS:     s.cfg.TargetFPS,
 		FrameBudget:   s.cfg.FrameBudget,
 		StartAtSec:    s.cfg.StartAtSec,
-		CollectTrace:  s.cfg.CollectTrace,
 		Settings:      s.settings,
 		FrameIdx:      s.frameIdx,
 		CurFrame:      s.curFrame,
@@ -417,7 +415,6 @@ func (e *Engine) freeze(op string, id int) (*SessionState, any, error) {
 		SumFreq:       s.sumFreq,
 		SumQP:         s.sumQP,
 		FirstAction:   s.firstAction,
-		Trace:         s.trace,
 		Source:        srcState,
 		EncoderRNG:    s.encSrc.State(),
 	}
@@ -518,7 +515,6 @@ func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionSta
 			TargetFPS:     st.TargetFPS,
 			FrameBudget:   st.FrameBudget,
 			StartAtSec:    st.StartAtSec,
-			CollectTrace:  st.CollectTrace,
 		},
 		id:          id,
 		enc:         enc,
@@ -539,7 +535,6 @@ func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionSta
 		sumThreads:  st.SumThreads,
 		sumFreq:     st.SumFreq,
 		sumQP:       st.SumQP,
-		trace:       st.Trace,
 		firstAction: st.FirstAction,
 	}
 	if st.Preset != nil {

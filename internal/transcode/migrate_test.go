@@ -136,6 +136,79 @@ func TestExtractInjectCrossEngine(t *testing.T) {
 	}
 }
 
+// TestMigrationFrameContinuity: a migrated stream neither repeats nor
+// skips a frame. The source engine's OnFrame stream of the session up to
+// extraction, followed by the destination's after injection, covers
+// frame indices 0..FrameBudget-1 exactly once, in order, with times that
+// never decrease on either engine.
+func TestMigrationFrameContinuity(t *testing.T) {
+	const seed = 77
+	src := migEngine(t, 2, seed)
+	var before []transcode.Observation
+	src.OnFrame(func(o transcode.Observation) {
+		if o.SessionID == 0 {
+			before = append(before, o)
+		}
+	})
+	if err := src.AdvanceTo(2.5); err != nil {
+		t.Fatal(err)
+	}
+	st, err := src.ExtractSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Running || st.Frames == 0 {
+		t.Fatalf("expected a mid-stream running session, got %+v", st)
+	}
+
+	dst, err := transcode.NewEngine(platform.DefaultSpec(), hevc.DefaultModel(), seed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.AdvanceTo(src.Now()); err != nil {
+		t.Fatal(err)
+	}
+	newSrc, err := video.NewStatefulGenerator(migSequence(st.Res, "mig"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := baseline.NewHeuristic(baseline.DefaultHeuristicConfig(st.Res, dst.Server().Spec(), 6), st.Initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var after []transcode.Observation
+	dst.OnFrame(func(o transcode.Observation) { after = append(after, o) })
+	if _, err := dst.InjectSession(newSrc, ctrl, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.AdvanceTo(src.Now() + 60); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(before) != st.Frames {
+		t.Errorf("source streamed %d frames before extraction, state holds %d", len(before), st.Frames)
+	}
+	frames := append(append([]transcode.Observation(nil), before...), after...)
+	if len(frames) != st.FrameBudget {
+		t.Fatalf("source and destination streamed %d+%d frames, budget %d", len(before), len(after), st.FrameBudget)
+	}
+	for i, o := range frames {
+		if o.FrameIndex != i {
+			t.Fatalf("streamed frame %d has index %d", i, o.FrameIndex)
+		}
+	}
+	for _, part := range [][]transcode.Observation{before, after} {
+		for i := 1; i < len(part); i++ {
+			if part[i].Time < part[i-1].Time {
+				t.Errorf("frame %d at t=%g streamed after t=%g", part[i].FrameIndex, part[i].Time, part[i-1].Time)
+			}
+		}
+	}
+	if len(after) > 0 && after[0].Time < src.Now() {
+		t.Errorf("destination completed frame %d at t=%g, before the extraction at t=%g", after[0].FrameIndex, after[0].Time, src.Now())
+	}
+}
+
 // TestExtractSessionStallPenalty pins the migration-cost model: a stalled
 // injection delays the in-flight frame's completion.
 func TestExtractSessionStallPenalty(t *testing.T) {

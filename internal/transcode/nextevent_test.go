@@ -107,7 +107,6 @@ func TestParkInvarianceExact(t *testing.T) {
 			if _, err := eng.AddSession(SessionConfig{
 				Source: testSource(t, video.HR, int64(86+i)), Controller: &Static{S: set},
 				Initial: set, FrameBudget: 100, StartAtSec: float64(i) * 1.3,
-				CollectTrace: true,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -116,12 +115,14 @@ func TestParkInvarianceExact(t *testing.T) {
 	}
 
 	whole := build()
+	wantTr := recordTraces(whole)
 	want, err := whole.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	chunked := build()
+	gotTr := recordTraces(chunked)
 	for step := 0.3; step < want.DurationSec; step += 0.3 {
 		if err := chunked.AdvanceTo(step); err != nil {
 			t.Fatal(err)
@@ -131,7 +132,7 @@ func TestParkInvarianceExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
+	if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(wantTr, gotTr) {
 		t.Error("chunked AdvanceTo run differs from the continuous run")
 	}
 }

@@ -52,7 +52,6 @@ type refSession struct {
 	sumThreads float64
 	sumFreq    float64
 	sumQP      float64
-	trace      []Observation
 }
 
 type refEngine struct {
@@ -63,6 +62,7 @@ type refEngine struct {
 	now      float64
 	energy   float64
 	thermal  *platform.ThermalState
+	onFrame  func(Observation) // the Engine.OnFrame mirror
 }
 
 func newRefEngine(t *testing.T, spec platform.Spec, model hevc.Model, seed int64) *refEngine {
@@ -320,8 +320,8 @@ func (e *refEngine) completeFrame(s *refSession, snap platform.Snapshot) {
 	s.sumThreads += float64(s.settings.Threads)
 	s.sumFreq += s.settings.FreqGHz
 	s.sumQP += float64(s.settings.QP)
-	if s.cfg.CollectTrace {
-		s.trace = append(s.trace, obs)
+	if e.onFrame != nil {
+		e.onFrame(obs)
 	}
 	s.cfg.Controller.OnFrameDone(obs)
 }
@@ -343,7 +343,6 @@ func (e *refEngine) buildResult() *Result {
 			Frames:     s.frames,
 			Violations: s.violations,
 			DynEnergyJ: s.dynEnergyJ,
-			Trace:      s.trace,
 		}
 		if s.frames > 0 {
 			f := float64(s.frames)
@@ -371,15 +370,17 @@ func TestReferenceReproducesGoldenExactly(t *testing.T) {
 	for _, cfg := range goldenSessions(t) {
 		ref.addSession(t, cfg)
 	}
+	tr := traces{}
+	ref.onFrame = tr.add
 	res, err := ref.run(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *update {
-		writeGolden(t, toGolden(res))
+		writeGolden(t, toGolden(res, tr))
 		return
 	}
-	compareToGolden(t, loadGolden(t), res, 0)
+	compareToGolden(t, loadGolden(t), res, tr, 0)
 }
 
 // randomMix builds a seeded random multi-session workload: 4-9 sessions,
@@ -401,12 +402,11 @@ func randomMix(t *testing.T, rng *rand.Rand, spec platform.Spec) []SessionConfig
 			FreqGHz: freqs[rng.Intn(len(freqs))],
 		}
 		cfgs = append(cfgs, SessionConfig{
-			Source:       testSource(t, res, rng.Int63()),
-			Controller:   &Static{S: set},
-			Initial:      set,
-			FrameBudget:  20 + rng.Intn(100),
-			StartAtSec:   float64(rng.Intn(9)) * 0.9,
-			CollectTrace: true,
+			Source:      testSource(t, res, rng.Int63()),
+			Controller:  &Static{S: set},
+			Initial:     set,
+			FrameBudget: 20 + rng.Intn(100),
+			StartAtSec:  float64(rng.Intn(9)) * 0.9,
 		})
 	}
 	return cfgs
@@ -438,6 +438,8 @@ func TestEngineMatchesReference(t *testing.T) {
 			for _, cfg := range cfgs2 {
 				ref.addSession(t, cfg)
 			}
+			gotTr, wantTr := recordTraces(eng), traces{}
+			ref.onFrame = wantTr.add
 
 			var got, want *Result
 			if untilAll {
@@ -453,7 +455,7 @@ func TestEngineMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Run(fmt.Sprintf("seed%d_untilAll%v", seed, untilAll), func(t *testing.T) {
-				compareToGolden(t, toGolden(want), got, goldenTimeTol)
+				compareToGolden(t, toGolden(want, wantTr), got, gotTr, goldenTimeTol)
 			})
 		}
 	}

@@ -79,14 +79,14 @@ func TestRunUntilAllKeepsContentionConstant(t *testing.T) {
 		lr := Settings{QP: 32, Threads: 5, FreqGHz: 3.2}
 		if _, err := eng.AddSession(SessionConfig{
 			Source: testSource(t, video.LR, 52), Controller: &Static{S: lr},
-			Initial: lr, FrameBudget: 200, CollectTrace: true,
+			Initial: lr, FrameBudget: 200,
 		}); err != nil {
 			t.Fatal(err)
 		}
 		hr := Settings{QP: 22, Threads: 2, FreqGHz: 1.6} // slow on purpose
 		if _, err := eng.AddSession(SessionConfig{
 			Source: testSource(t, video.HR, 53), Controller: &Static{S: hr},
-			Initial: hr, FrameBudget: 200, CollectTrace: true,
+			Initial: hr, FrameBudget: 200,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -120,9 +120,10 @@ func (c *nanController) ControllerState() any {
 
 // TestSnapshotSessionErrorsMatchExtract: SnapshotSession rejects exactly
 // what ExtractSession rejects, with the same message under its own name
-// — unknown ids, departed, discarded, already extracted and
-// non-migratable sessions, a finished engine — and a state that cannot
-// be encoded, which ExtractSession fails to marshal.
+// — unknown ids, sessions that departed before and after a departure
+// hook was installed (the second leave the engine through it), already
+// extracted and non-migratable sessions, a finished engine — and a state
+// that cannot be encoded, which ExtractSession fails to marshal.
 func TestSnapshotSessionErrorsMatchExtract(t *testing.T) {
 	eng := migEngine(t, 2, 5)
 	spec := eng.Server().Spec()
@@ -158,7 +159,7 @@ func TestSnapshotSessionErrorsMatchExtract(t *testing.T) {
 	if _, err := eng.ExtractSession(extracted); err != nil {
 		t.Fatal(err)
 	}
-	eng.DiscardDeparted(true)
+	eng.OnSessionEnd(func(transcode.SessionEnd) {})
 	discarded := add(stateful(6), &transcode.Static{S: set}, 2)
 	if err := eng.AdvanceTo(2); err != nil {
 		t.Fatal(err)

@@ -145,7 +145,7 @@ func TestEngineThermalAccountsIdleGapArrival(t *testing.T) {
 		set := Settings{QP: 32, Threads: 4, FreqGHz: 2.6}
 		if _, err := eng.AddSession(SessionConfig{
 			Source: testSource(t, video.LR, 72), Controller: &Static{S: set},
-			Initial: set, FrameBudget: 200, StartAtSec: start, CollectTrace: true,
+			Initial: set, FrameBudget: 200, StartAtSec: start,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -46,12 +46,14 @@ type StreamConfig struct {
 	Approach Approach
 	// Frames is the number of frames to transcode. Required.
 	Frames int
-	// CollectTrace keeps per-frame observations in the result.
-	CollectTrace bool
 }
 
 // SimulationResult is the outcome of Run.
 type SimulationResult = transcode.Result
+
+// Observation is one transcoded frame as the engine books it: the
+// stream's id and frame index, timing, quality, power and knob settings.
+type Observation = transcode.Observation
 
 // Simulation assembles streams on one simulated server.
 type Simulation struct {
@@ -99,7 +101,6 @@ func (s *Simulation) AddStream(cfg StreamConfig) error {
 		Initial:       experiments.InitialSettings(seq.Res),
 		BandwidthMbps: core.DefaultBandwidth(seq.Res),
 		FrameBudget:   cfg.Frames,
-		CollectTrace:  cfg.CollectTrace,
 	})
 	return err
 }
@@ -118,6 +119,11 @@ func (s *Simulation) newController(a Approach, res video.Resolution) (transcode.
 		return nil, fmt.Errorf("mamut: unknown approach %q", a)
 	}
 }
+
+// OnFrame installs an observer that receives every transcoded frame of
+// every stream, in simulated-time order, as Run books it. A nil
+// observer disables observation.
+func (s *Simulation) OnFrame(fn func(Observation)) { s.eng.OnFrame(fn) }
 
 // Run simulates until every stream finishes its frame budget.
 func (s *Simulation) Run() (*SimulationResult, error) { return s.eng.Run() }

@@ -11,12 +11,14 @@ func TestSimulationQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.AddStream(StreamConfig{Sequence: "Kimono", Approach: ApproachMAMUT, Frames: 300, CollectTrace: true}); err != nil {
+	if err := sim.AddStream(StreamConfig{Sequence: "Kimono", Approach: ApproachMAMUT, Frames: 300}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.AddStream(StreamConfig{Sequence: "BQMall", Frames: 300}); err != nil {
 		t.Fatal(err)
 	}
+	observed := map[int]int{}
+	sim.OnFrame(func(obs Observation) { observed[obs.SessionID]++ })
 	res, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -27,8 +29,8 @@ func TestSimulationQuickstartFlow(t *testing.T) {
 	if res.Sessions[0].Frames != 300 || res.Sessions[1].Frames != 300 {
 		t.Error("frame budgets not honoured")
 	}
-	if len(res.Sessions[0].Trace) != 300 {
-		t.Error("trace not collected")
+	if observed[0] != 300 || observed[1] != 300 {
+		t.Errorf("observed %v frames per stream, want 300 each", observed)
 	}
 	if res.AvgPowerW <= platform.DefaultSpec().IdlePowerW {
 		t.Error("power not above idle")
