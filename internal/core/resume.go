@@ -30,7 +30,8 @@ type pendingState struct {
 // whose stream belongs to the caller that built the controller (the serve
 // layer owns it as an xrand.Source and snapshots it alongside). It is a
 // plain JSON-serialisable value: an owner embeds it in its own state and
-// encodes everything in one pass.
+// encodes everything in one pass. Agents is the controller's Snapshot,
+// each agent in the rl.Snapshot checkpoint form.
 type ResumeState struct {
 	Version  int                `json:"format_version"`
 	Settings transcode.Settings `json:"settings"`
@@ -38,7 +39,7 @@ type ResumeState struct {
 	Started  bool               `json:"started"`
 	Stats    Stats              `json:"stats"`
 	Pending  *pendingState      `json:"pending,omitempty"`
-	Agents   [3]rl.LearnerState `json:"agents"`
+	Agents   Snapshot           `json:"agents"`
 }
 
 // ResumeState freezes the controller's complete decision state: knob
@@ -53,6 +54,7 @@ func (c *Controller) ResumeState() *ResumeState {
 		CurState: c.curState,
 		Started:  c.started,
 		Stats:    c.stats,
+		Agents:   c.Snapshot(),
 	}
 	if c.hasPend {
 		p := &c.pend
@@ -62,16 +64,13 @@ func (c *Controller) ResumeState() *ResumeState {
 			SumBitrate: p.sumBitrate, SumFPS: p.sumFPS, N: p.n,
 		}
 	}
-	for k := AgentQP; k < numAgents; k++ {
-		st.Agents[k] = c.agents[k].learner.State()
-	}
 	return st
 }
 
 // RestoreResumeState loads a ResumeState into this controller, which
-// must have been built with the same configuration (action-set sizes are
-// checked). On success the controller continues the stream exactly where
-// the frozen one stopped; on error it is unchanged.
+// must have been built with the same configuration (every agent's table
+// dimensions are checked). On success the controller continues the
+// stream exactly where the frozen one stopped; on error it is unchanged.
 func (c *Controller) RestoreResumeState(st *ResumeState) error {
 	if st.Version < 0 || st.Version > resumeFormatVersion {
 		return fmt.Errorf("core: restore resume state: format version %d not supported (current %d)",
@@ -118,20 +117,20 @@ func (c *Controller) RestoreResumeState(st *ResumeState) error {
 	return nil
 }
 
-// loadAgents rebuilds the three agents' learners from their exported
-// states, checking each against this controller's action-set sizes. It
-// leaves the controller untouched, so callers install the learners only
-// once every other check has passed.
-func (c *Controller) loadAgents(states [3]rl.LearnerState) ([3]*rl.Learner, error) {
+// loadAgents rebuilds the three agents' learners from their snapshots,
+// checking each against this controller's table dimensions with the
+// same Compatible that seeding uses. It leaves the controller untouched,
+// so callers install the learners only once every other check has
+// passed.
+func (c *Controller) loadAgents(agents Snapshot) ([3]*rl.Learner, error) {
 	var loaded [3]*rl.Learner
 	for k := AgentQP; k < numAgents; k++ {
-		l, err := rl.LearnerFromState(states[k])
-		if err != nil {
+		if err := c.agents[k].learner.Compatible(agents[k]); err != nil {
 			return loaded, fmt.Errorf("agent %v: %w", k, err)
 		}
-		if l.Config().Actions != c.agents[k].actions() {
-			return loaded, fmt.Errorf("agent %v: %d actions saved, controller has %d",
-				k, l.Config().Actions, c.agents[k].actions())
+		l, err := rl.LearnerFrom(agents[k])
+		if err != nil {
+			return loaded, fmt.Errorf("agent %v: %w", k, err)
 		}
 		loaded[k] = l
 	}

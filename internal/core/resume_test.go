@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mamut/internal/rl"
 	"mamut/internal/transcode"
 )
 
@@ -42,7 +43,7 @@ func legacyAgents(t *testing.T, c *Controller, strip bool) [3]json.RawMessage {
 	t.Helper()
 	var out [3]json.RawMessage
 	for k := AgentQP; k < numAgents; k++ {
-		raw, err := json.Marshal(c.agents[k].learner.State())
+		raw, err := json.Marshal(c.agents[k].learner.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,6 +191,21 @@ func TestControllerLoadRejectsBadInput(t *testing.T) {
 		t.Error("mismatched action sets accepted")
 	}
 	unchanged("mismatched action sets")
+
+	// A sound 5-state learner in place of agent 0's: its action count
+	// matches, only its state count does not.
+	shrunk := c.ResumeState()
+	small := shrunk.Agents[AgentQP].Config
+	small.States = 5
+	l, err := rl.NewLearner(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk.Agents[AgentQP] = l.Snapshot()
+	if err := c.RestoreResumeState(shrunk); err == nil {
+		t.Error("shrunk state count accepted")
+	}
+	unchanged("shrunk state count")
 }
 
 // Pretrained deployment: a controller trained in one engine run can be

@@ -8,24 +8,24 @@ import (
 	"mamut/internal/transcode"
 )
 
-// Snapshot is the portable learned state of one MAMUT controller: the
-// three agents' Q-tables, visit counts and transition models. It is the
-// unit of cross-session knowledge reuse (the KaaS regime): departing
-// sessions export snapshots, a knowledge base folds them together with
-// rl.Snapshot.Merge, and NewWarm seeds fresh controllers from the
-// accumulated state so well-observed states start past exploration.
-type Snapshot struct {
-	// Agents holds one rl.Snapshot per agent, indexed by AgentKind.
-	Agents [3]rl.Snapshot
-}
+// Snapshot is the exported learned state of one MAMUT controller: one
+// rl.Snapshot per agent, indexed by AgentKind. It is the unit of
+// cross-session knowledge reuse (the KaaS regime): departing sessions
+// export snapshots, a knowledge base folds them together with Merge, and
+// NewWarm seeds fresh controllers from the accumulated state so
+// well-observed states start past exploration. It is also the agents of
+// a ResumeState, where it encodes as a JSON array of three checkpoint
+// learners.
+type Snapshot [3]rl.Snapshot
 
 // Snapshot exports a deep copy of the controller's current learning
 // state. A pending (not yet finalized) Q-update is not included — for a
-// departed session that is at most one in-flight action.
+// departed session that is at most one in-flight action; ResumeState
+// carries it.
 func (c *Controller) Snapshot() Snapshot {
 	var sn Snapshot
 	for k := AgentQP; k < numAgents; k++ {
-		sn.Agents[k] = c.agents[k].learner.Snapshot()
+		sn[k] = c.agents[k].learner.Snapshot()
 	}
 	return sn
 }
@@ -34,7 +34,7 @@ func (c *Controller) Snapshot() Snapshot {
 // sound.
 func (sn Snapshot) Validate() error {
 	for k := AgentQP; k < numAgents; k++ {
-		if err := sn.Agents[k].Validate(); err != nil {
+		if err := sn[k].Validate(); err != nil {
 			return fmt.Errorf("core: snapshot agent %v: %w", k, err)
 		}
 	}
@@ -45,7 +45,7 @@ func (sn Snapshot) Validate() error {
 func (sn Snapshot) Clone() Snapshot {
 	var cp Snapshot
 	for k := AgentQP; k < numAgents; k++ {
-		cp.Agents[k] = sn.Agents[k].Clone()
+		cp[k] = sn[k].Clone()
 	}
 	return cp
 }
@@ -57,17 +57,7 @@ func (sn Snapshot) Clone() Snapshot {
 // callers needing bit-identical results must fold contributions in a
 // fixed order.
 func (sn *Snapshot) Merge(other Snapshot) error {
-	for k := AgentQP; k < numAgents; k++ {
-		if err := sn.Agents[k].Compatible(other.Agents[k]); err != nil {
-			return fmt.Errorf("core: merge agent %v: %w", k, err)
-		}
-	}
-	for k := AgentQP; k < numAgents; k++ {
-		if err := sn.Agents[k].Merge(other.Agents[k]); err != nil {
-			return fmt.Errorf("core: merge agent %v: %w", k, err)
-		}
-	}
-	return nil
+	return sn.fold("merge", other, (*rl.Snapshot).Merge)
 }
 
 // SubtractCounts removes base's visit and transition counts agent-wise,
@@ -76,14 +66,20 @@ func (sn *Snapshot) Merge(other Snapshot) error {
 // own experience, excluding the seeded mass. Compatibility is checked
 // for every agent before any agent is mutated.
 func (sn *Snapshot) SubtractCounts(base Snapshot) error {
+	return sn.fold("subtract", base, (*rl.Snapshot).SubtractCounts)
+}
+
+// fold applies f to each agent of the receiver and of other once every
+// agent pair has passed rl.Snapshot.Compatible.
+func (sn *Snapshot) fold(what string, other Snapshot, f func(*rl.Snapshot, rl.Snapshot) error) error {
 	for k := AgentQP; k < numAgents; k++ {
-		if err := sn.Agents[k].Compatible(base.Agents[k]); err != nil {
-			return fmt.Errorf("core: subtract agent %v: %w", k, err)
+		if err := sn[k].Compatible(other[k]); err != nil {
+			return fmt.Errorf("core: %s agent %v: %w", what, k, err)
 		}
 	}
 	for k := AgentQP; k < numAgents; k++ {
-		if err := sn.Agents[k].SubtractCounts(base.Agents[k]); err != nil {
-			return fmt.Errorf("core: subtract agent %v: %w", k, err)
+		if err := f(&sn[k], other[k]); err != nil {
+			return fmt.Errorf("core: %s agent %v: %w", what, k, err)
 		}
 	}
 	return nil
@@ -96,7 +92,9 @@ func (sn *Snapshot) SubtractCounts(base Snapshot) error {
 // start directly in explore-exploit or exploitation, skipping the random
 // exploration a cold-started session would spend most of a short
 // lifetime in. A nil snap is exactly New (cold start). The snapshot's
-// table dimensions must match the configuration's action sets.
+// table dimensions must match the configuration's action sets; only
+// they are read from its configs, so an imported snapshot whose configs
+// carry nothing else seeds like an exported one.
 func NewWarm(cfg Config, initial transcode.Settings, rng *rand.Rand, snap *Snapshot) (*Controller, error) {
 	c, err := New(cfg, initial, rng)
 	if err != nil {
@@ -106,7 +104,7 @@ func NewWarm(cfg Config, initial transcode.Settings, rng *rand.Rand, snap *Snaps
 		return c, nil
 	}
 	for k := AgentQP; k < numAgents; k++ {
-		if err := c.agents[k].learner.Seed(snap.Agents[k]); err != nil {
+		if err := c.agents[k].learner.Seed(snap[k]); err != nil {
 			return nil, fmt.Errorf("core: warm start agent %v: %w", k, err)
 		}
 	}

@@ -97,7 +97,7 @@ func TestControllerSnapshotMerge(t *testing.T) {
 		for _, s := range []int{10, 11} {
 			for act := 0; act < actions; act++ {
 				want := a.Learner(k).Visits.Num(s, act) + b.Learner(k).Visits.Num(s, act)
-				if got := sn.Agents[k].VisitsSA[s*actions+act]; got != want {
+				if got := sn[k].VisitsSA[s*actions+act]; got != want {
 					t.Errorf("agent %v Num(%d,%d) = %d, want %d", k, s, act, got, want)
 				}
 			}
@@ -105,7 +105,7 @@ func TestControllerSnapshotMerge(t *testing.T) {
 	}
 
 	// Snapshot is a deep copy of the donor.
-	sn.Agents[AgentQP].Q[0] = 1e9
+	sn[AgentQP].Q[0] = 1e9
 	if a.Learner(AgentQP).Q.Get(0, 0) == 1e9 {
 		t.Error("snapshot aliases the controller's tables")
 	}

@@ -64,8 +64,8 @@ func DefaultConfig(states, actions int) Config {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.States < 1 || c.Actions < 1 {
-		return fmt.Errorf("rl: config dimensions %dx%d invalid", c.States, c.Actions)
+	if err := checkDims("config", c.States, c.Actions); err != nil {
+		return err
 	}
 	if c.Beta <= 0 {
 		return fmt.Errorf("rl: beta %g must be positive", c.Beta)
@@ -78,6 +78,15 @@ func (c Config) Validate() error {
 	}
 	if c.Gamma < 0 || c.Gamma >= 1 {
 		return fmt.Errorf("rl: gamma %g outside [0,1)", c.Gamma)
+	}
+	return nil
+}
+
+// checkDims rejects table dimensions below 1x1, and dimensions whose
+// pair count does not fit the int32 offsets of a Model.
+func checkDims(what string, states, actions int) error {
+	if states < 1 || actions < 1 || states > math.MaxInt32/actions {
+		return fmt.Errorf("rl: %s dimensions %dx%d invalid", what, states, actions)
 	}
 	return nil
 }

@@ -13,10 +13,10 @@ type Succ struct {
 }
 
 // Model is an empirical transition model P(s --a--> s') in compressed
-// sparse row form, the one layout the live model, Snapshot and
-// LearnerState share. Pair p = s*actions + a owns Succ[Off[p]:Off[p+1]]:
-// its observed successors in ascending state order, each counted at least
-// once. Off has one entry per pair plus a final one equal to len(Succ).
+// sparse row form, the one layout the live model and Snapshot share.
+// Pair p = s*actions + a owns Succ[Off[p]:Off[p+1]]: its observed
+// successors in ascending state order, each counted at least once. Off
+// has one entry per pair plus a final one equal to len(Succ).
 type Model struct {
 	Off  []int32
 	Succ []Succ

@@ -69,7 +69,7 @@ func (r refModel) keys(p int) []int {
 	return ks
 }
 
-// tuples lists the model the way the old LearnerState did.
+// tuples lists the model the way the checkpoint form writes it.
 func (r refModel) tuples(actions int) [][4]int {
 	var ts [][4]int
 	for p := range r {
@@ -98,8 +98,8 @@ func checkModel(t *testing.T, what string, m Model, r refModel) {
 	}
 }
 
-// checkLearner compares a learner's model, probabilities and State wire
-// bytes with the reference.
+// checkLearner compares a learner's model, probabilities and Snapshot
+// wire bytes with the reference.
 func checkLearner(t *testing.T, what string, l *Learner, r refModel) {
 	t.Helper()
 	checkModel(t, what, l.Trans.m, r)
@@ -124,8 +124,8 @@ func checkLearner(t *testing.T, what string, l *Learner, r refModel) {
 			}
 		}
 	}
-	st := l.State()
-	got, err := json.Marshal(st)
+	sn := l.Snapshot()
+	got, err := json.Marshal(sn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,20 +136,20 @@ func checkLearner(t *testing.T, what string, l *Learner, r refModel) {
 		VisitsSA     []int     `json:"visits_sa"`
 		VisitsAction []int     `json:"visits_action"`
 		Transitions  [][4]int  `json:"transitions"`
-	}{st.Version, st.Config, st.Q, st.VisitsSA, st.VisitsAction, r.tuples(cfg.Actions)})
+	}{1, sn.Config, sn.Q, sn.VisitsSA, sn.VisitsAction, r.tuples(cfg.Actions)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: State bytes differ from the reference tuples:\n got %s\nwant %s", what, got, want)
+		t.Fatalf("%s: Snapshot bytes differ from the reference tuples:\n got %s\nwant %s", what, got, want)
 	}
 }
 
 // TestModelMatchesMapReference drives random sequences of Observe, Seed,
-// Merge, SubtractCounts, Clone and a State round trip through the CSR
-// model and through the map-based reference, and requires the two to
+// Merge, SubtractCounts, Clone and a checkpoint round trip through the
+// CSR model and through the map-based reference, and requires the two to
 // agree after every step: successors and their order, every
-// probability, the State tuples and the wire bytes. 13 states put
+// probability, the checkpoint tuples and the wire bytes. 13 states put
 // two-digit successors beside one-digit ones.
 func TestModelMatchesMapReference(t *testing.T) {
 	cfg := DefaultConfig(13, 3)
@@ -214,15 +214,15 @@ func TestModelMatchesMapReference(t *testing.T) {
 			case op == 8:
 				sn[j], sr[j] = sn[k].Clone(), sr[k].clone()
 			case op == 9:
-				data, err := json.Marshal(ls[i].State())
+				data, err := json.Marshal(ls[i].Snapshot())
 				if err != nil {
 					t.Fatal(err)
 				}
-				var st LearnerState
+				var st Snapshot
 				if err := json.Unmarshal(data, &st); err != nil {
 					t.Fatal(err)
 				}
-				if ls[i], err = LearnerFromState(st); err != nil {
+				if ls[i], err = LearnerFrom(st); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -236,26 +236,30 @@ func TestModelMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestSnapshotCopiesShareNoMemory: Snapshot, Clone and State hand out
-// models that later observations and folds do not reach.
+// TestSnapshotCopiesShareNoMemory: Snapshot, Clone and LearnerFrom hand
+// out tables and models that later observations and folds do not reach.
 func TestSnapshotCopiesShareNoMemory(t *testing.T) {
 	l := trainedSmallLearner(t, 3, 200)
-	sn, st := l.Snapshot(), l.State()
+	sn, kept := l.Snapshot(), l.Snapshot()
 	cp := sn.Clone()
-	want := cp.Trans.clone()
+	rebuilt, err := LearnerFrom(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cp.Clone()
 	for i := 0; i < 200; i++ {
 		l.Update(i%6, i%3, (i*7)%6, 0.5, 0)
 	}
 	if err := sn.Merge(l.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(st.Transitions, want) || !reflect.DeepEqual(cp.Trans, want) {
-		t.Fatal("a copied model changed after the learner and a sibling copy moved on")
+	if !reflect.DeepEqual(kept, want) || !reflect.DeepEqual(cp, want) || !reflect.DeepEqual(rebuilt.Snapshot(), want) {
+		t.Fatal("a copy changed after the learner and a sibling copy moved on")
 	}
 }
 
 // TestSnapshotValidateRejectsBadLayout: Validate refuses every way a CSR
-// model can be malformed, and LearnerFromState refuses the same models.
+// model can be malformed, and LearnerFrom refuses the same models.
 func TestSnapshotValidateRejectsBadLayout(t *testing.T) {
 	base := func() Snapshot {
 		l, err := NewLearner(DefaultConfig(3, 1))
@@ -293,11 +297,8 @@ func TestSnapshotValidateRejectsBadLayout(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("Validate = %v, want an error mentioning %q", err, c.want)
 			}
-			l, _ := NewLearner(DefaultConfig(3, 1))
-			st := l.State()
-			st.Transitions = sn.Trans
-			if _, err := LearnerFromState(st); err == nil {
-				t.Fatal("LearnerFromState accepted the damaged model")
+			if _, err := LearnerFrom(sn); err == nil {
+				t.Fatal("LearnerFrom accepted the damaged model")
 			}
 		})
 	}

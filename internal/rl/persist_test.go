@@ -6,16 +6,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // saveLearner and loadLearner are the JSON round trip the session codec
-// puts every learner through: State then json.Marshal, and
-// json.Unmarshal then LearnerFromState.
-func saveLearner(t *testing.T, l *Learner) []byte {
+// puts every learner through: Snapshot then json.Marshal, and
+// json.Unmarshal then LearnerFrom.
+func saveLearner(t testing.TB, l *Learner) []byte {
 	t.Helper()
-	data, err := json.Marshal(l.State())
+	data, err := json.Marshal(l.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,14 +24,14 @@ func saveLearner(t *testing.T, l *Learner) []byte {
 }
 
 func loadLearner(data string) (*Learner, error) {
-	var st LearnerState
-	if err := json.Unmarshal([]byte(data), &st); err != nil {
+	var sn Snapshot
+	if err := json.Unmarshal([]byte(data), &sn); err != nil {
 		return nil, err
 	}
-	return LearnerFromState(st)
+	return LearnerFrom(sn)
 }
 
-func trainedLearner(t *testing.T, seed int64) *Learner {
+func trainedLearner(t testing.TB, seed int64) *Learner {
 	t.Helper()
 	l, err := NewLearner(DefaultConfig(20, 5))
 	if err != nil {
@@ -96,6 +97,65 @@ func TestLoadLearnerRejectsGarbage(t *testing.T) {
 		`"q":[0,0,0,0],"visits_sa":[0,0,0,0],"visits_action":[0,0],"transitions":[[5,0,0,1]]}`); err == nil {
 		t.Error("out-of-range transition accepted")
 	}
+	// Dimensions whose pair count wraps to 0, and dimensions just under
+	// the int32 pair bound with empty tables: both are refused before
+	// anything is sized by the payload's dimensions.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, payload := range []string{wrappingDims, largeDims} {
+		if _, err := loadLearner(payload); err == nil {
+			t.Errorf("accepted %.60s", payload)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting the crafted dimensions allocated %d bytes", grew)
+	}
+}
+
+// wrappingDims has 2^32 x 2^32 dimensions, whose pair count wraps to 0
+// in int arithmetic and so matches its empty Q-table; largeDims has
+// 46340 x 46340, just under the int32 pair bound, with empty tables.
+const (
+	wrappingDims = `{"config":{"States":4294967296,"Actions":4294967296,"Beta":0.3,"AlphaTh1":0.1,"AlphaTh2":0.05,"Gamma":0.6},` +
+		`"q":[],"visits_sa":[],"visits_action":[],"transitions":[[0,1,0,1]]}`
+	largeDims = `{"format_version":1,"config":{"States":46340,"Actions":46340,"Beta":0.3,"AlphaTh1":0.1,"AlphaTh2":0.05,"Gamma":0.6},` +
+		`"q":[],"visits_sa":[],"visits_action":[],"transitions":null}`
+)
+
+// FuzzSnapshotDecode: no payload panics the checkpoint decoder or the
+// rebuild, and a payload both accept re-marshals to the bytes the
+// rebuilt learner's snapshot marshals to, which decode back to
+// themselves.
+func FuzzSnapshotDecode(f *testing.F) {
+	f.Add(saveLearner(f, trainedSmallLearner(f, 4, 30)))
+	f.Add([]byte(wrappingDims))
+	f.Add([]byte(largeDims))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sn Snapshot
+		if json.Unmarshal(data, &sn) != nil {
+			return
+		}
+		l, err := LearnerFrom(sn)
+		if err != nil {
+			return
+		}
+		want, err := json.Marshal(sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := saveLearner(t, l)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("rebuilt learner marshals differently:\n got %s\nwant %s", got, want)
+		}
+		again, err := loadLearner(string(got))
+		if err != nil {
+			t.Fatalf("re-marshalled payload rejected: %v", err)
+		}
+		if back := saveLearner(t, again); !bytes.Equal(back, got) {
+			t.Fatalf("re-marshalled payload decodes to different bytes:\n got %s\nwant %s", back, got)
+		}
+	})
 }
 
 // TestLoadLearnerFormatVersions: legacy unversioned payloads still load

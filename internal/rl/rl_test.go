@@ -177,6 +177,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.AlphaTh2 = 0 },
 		func(c *Config) { c.Gamma = 1.0 },
 		func(c *Config) { c.Gamma = -0.1 },
+		func(c *Config) { c.States = math.MaxInt32/c.Actions + 1 }, // pairs overflow the int32 offsets
 	}
 	for i, f := range mut {
 		c := DefaultConfig(10, 3)
@@ -184,6 +185,9 @@ func TestConfigValidation(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+	if c := DefaultConfig(math.MaxInt32/3, 3); c.Validate() != nil {
+		t.Error("dimensions at the int32 pair bound rejected")
 	}
 }
 

@@ -2,16 +2,22 @@ package rl
 
 import "fmt"
 
-// Snapshot is the portable learned state of one Learner: the Q-table,
-// the Num(s,a) visit counts and the empirical transition counts. It is
-// the unit of cross-session knowledge reuse — a departing transcoding
-// session exports its snapshot, snapshots fold together with
-// count-weighted averaging (Merge), and a fresh learner absorbs the
-// accumulated knowledge (Learner.Seed) so its well-observed states start
-// past exploration under the eq. (3) learning-rate thresholds.
+// Snapshot is the exported learned state of one Learner: its config, the
+// Q-table, the Num(s,a) visit counts and the empirical transition
+// counts. It is the one form in which a learner's state leaves it:
+//
+//   - Cross-session knowledge reuse: a departing transcoding session
+//     exports its snapshot, snapshots fold together with count-weighted
+//     averaging (Merge), and a fresh learner absorbs the accumulated
+//     knowledge (Learner.Seed), so its well-observed states start past
+//     exploration under the eq. (3) learning-rate thresholds. Folds and
+//     seeding read only the config's States and Actions.
+//   - Checkpoints: MarshalJSON and UnmarshalJSON carry the versioned
+//     checkpoint wire form, and LearnerFrom rebuilds the learner.
 type Snapshot struct {
-	// States and Actions are the table dimensions.
-	States, Actions int
+	// Config is the learner's configuration; its States and Actions are
+	// the table dimensions.
+	Config Config
 	// Q is the dense Q-table, row-major [state][action].
 	Q []float64
 	// VisitsSA is the dense Num(s,a) table; VisitsAction the per-action
@@ -27,33 +33,36 @@ func (l *Learner) Snapshot() Snapshot { return l.view().Clone() }
 
 // view returns the learner's tables as a Snapshot that aliases them.
 func (l *Learner) view() Snapshot {
-	return Snapshot{States: l.cfg.States, Actions: l.cfg.Actions,
+	return Snapshot{Config: l.cfg,
 		Q: l.Q.q, VisitsSA: l.Visits.sa, VisitsAction: l.Visits.perAction, Trans: l.Trans.m}
 }
 
-// checkShape verifies the table sizes against the dimensions — the O(1)
-// structural half of Validate, cheap enough to run on every fold.
+// checkShape verifies the dimensions and the table sizes against them —
+// the O(1) structural half of Validate, cheap enough to run on every
+// fold.
 func (sn Snapshot) checkShape() error {
-	if sn.States < 1 || sn.Actions < 1 {
-		return fmt.Errorf("rl: snapshot dimensions %dx%d invalid", sn.States, sn.Actions)
+	s, a := sn.Config.States, sn.Config.Actions
+	if err := checkDims("snapshot", s, a); err != nil {
+		return err
 	}
-	n := sn.States * sn.Actions
-	if len(sn.Q) != n || len(sn.VisitsSA) != n || len(sn.VisitsAction) != sn.Actions || len(sn.Trans.Off) != n+1 {
-		return fmt.Errorf("rl: snapshot table sizes do not match dimensions %dx%d", sn.States, sn.Actions)
+	n := s * a
+	if len(sn.Q) != n || len(sn.VisitsSA) != n || len(sn.VisitsAction) != a || len(sn.Trans.Off) != n+1 {
+		return fmt.Errorf("rl: snapshot table sizes do not match dimensions %dx%d", s, a)
 	}
 	return nil
 }
 
 // Validate reports whether the snapshot is structurally sound, including
 // a full scan of the transition counts. Snapshots produced by
-// Learner.Snapshot are valid by construction; run Validate on snapshots
-// crossing a trust boundary (deserialised, externally assembled) — the
-// fold operations themselves only re-check shape and dimensions.
+// Learner.Snapshot are valid by construction; snapshots crossing a trust
+// boundary (deserialised, externally assembled) are validated before
+// use (LearnerFrom, the knowledge importer) — the fold operations
+// themselves only re-check shape and dimensions.
 func (sn Snapshot) Validate() error {
 	if err := sn.checkShape(); err != nil {
 		return err
 	}
-	return sn.Trans.validate(sn.States*sn.Actions, sn.States)
+	return sn.Trans.validate(len(sn.Q), sn.Config.States)
 }
 
 // Compatible reports whether other has the receiver's shape and
@@ -67,8 +76,8 @@ func (sn Snapshot) Compatible(other Snapshot) error {
 	if err := other.checkShape(); err != nil {
 		return err
 	}
-	if sn.States != other.States || sn.Actions != other.Actions {
-		return fmt.Errorf("rl: snapshot dimensions %dx%d vs %dx%d", sn.States, sn.Actions, other.States, other.Actions)
+	if s, o := sn.Config, other.Config; s.States != o.States || s.Actions != o.Actions {
+		return fmt.Errorf("rl: snapshot dimensions %dx%d vs %dx%d", s.States, s.Actions, o.States, o.Actions)
 	}
 	return nil
 }
@@ -76,8 +85,7 @@ func (sn Snapshot) Compatible(other Snapshot) error {
 // Clone returns a deep copy of the snapshot.
 func (sn Snapshot) Clone() Snapshot {
 	return Snapshot{
-		States:       sn.States,
-		Actions:      sn.Actions,
+		Config:       sn.Config,
 		Q:            append([]float64(nil), sn.Q...),
 		VisitsSA:     append([]int(nil), sn.VisitsSA...),
 		VisitsAction: append([]int(nil), sn.VisitsAction...),
@@ -159,13 +167,18 @@ func (sn *Snapshot) SubtractCounts(base Snapshot) error {
 	return nil
 }
 
+// Compatible reports whether sn has a sound shape and the learner's
+// dimensions: whether Seed can fold it, or a learner rebuilt from it can
+// take this one's place.
+func (l *Learner) Compatible(sn Snapshot) error { return l.view().Compatible(sn) }
+
 // Seed folds a snapshot into the learner with the same count-weighted
 // averaging as Snapshot.Merge. On a fresh (zero-count) learner this
 // installs the snapshot verbatim, so states the snapshot has explored
 // past the alpha thresholds start directly in the later learning phases;
 // on a partially trained learner the two states average by visit weight.
 func (l *Learner) Seed(sn Snapshot) error {
-	if err := l.view().Compatible(sn); err != nil {
+	if err := l.Compatible(sn); err != nil {
 		return fmt.Errorf("rl: seed: %w", err)
 	}
 	l.Trans.m = foldFrom(l.view(), sn)

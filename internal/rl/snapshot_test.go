@@ -8,7 +8,7 @@ import (
 
 // trainedLearner builds a learner and drives a deterministic stream of
 // updates through it.
-func trainedSmallLearner(t *testing.T, seed int64, steps int) *Learner {
+func trainedSmallLearner(t testing.TB, seed int64, steps int) *Learner {
 	t.Helper()
 	l, err := NewLearner(DefaultConfig(6, 3))
 	if err != nil {

@@ -170,6 +170,10 @@ func TestMAMUTSnapshotDoesNotAlias(t *testing.T) {
 // checkpointFleet runs per resident session at every checkpoint: the
 // typed snapshot. restore times what restoreSession adds for a crash
 // victim before injection: the wire encode and the verified decode.
+// inject times the rest of a restore from the encoded bytes: the decode,
+// then InjectSession into a fresh engine with a fresh source and
+// controller, which decodes the controller payload and rebuilds the
+// three learners (RestoreControllerState).
 func BenchmarkCheckpointSession(b *testing.B) {
 	eng, id, _ := mamutCheckpointEngine(b)
 	b.Run("snapshot", func(b *testing.B) {
@@ -192,6 +196,45 @@ func BenchmarkCheckpointSession(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := transcode.DecodeSessionState(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("inject", func(b *testing.B) {
+		snap, err := eng.SnapshotSession(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, err := snap.Encode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec, model := platform.DefaultSpec(), hevc.DefaultModel()
+		seq, err := video.DefaultCatalog().Get("Kimono")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := core.DefaultConfig(video.HR, spec, model.MaxUsefulThreads(video.HR))
+		b.ReportAllocs()
+		for b.Loop() {
+			st, err := transcode.DecodeSessionState(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst, err := transcode.NewEngine(spec, model, 5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src, err := video.NewStatefulGenerator(seq, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctrlSrc := xrand.NewSource(0)
+			mc, err := core.New(cfg, st.Initial, rand.New(ctrlSrc))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := dst.InjectSession(src, &statefulMAMUT{Controller: mc, src: ctrlSrc}, st); err != nil {
 				b.Fatal(err)
 			}
 		}

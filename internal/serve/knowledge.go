@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mamut/internal/core"
+	"mamut/internal/rl"
 	"mamut/internal/video"
 )
 
@@ -47,9 +48,10 @@ func NewKnowledgeStore() *KnowledgeStore {
 
 // Contribute folds one departed session's snapshot into the class's
 // accumulated knowledge with count-weighted averaging. The first
-// contribution of a class adopts the snapshot; later ones must match its
-// table dimensions. The snapshot is copied — the caller may keep using
-// its own.
+// contribution of a class adopts the snapshot, keeping of each agent's
+// config only the table dimensions, as the exported artifact does; later
+// contributions must match those dimensions. The snapshot is copied —
+// the caller may keep using its own.
 func (ks *KnowledgeStore) Contribute(res video.Resolution, snap core.Snapshot) error {
 	if err := snap.Validate(); err != nil {
 		return err
@@ -60,6 +62,9 @@ func (ks *KnowledgeStore) Contribute(res video.Resolution, snap core.Snapshot) e
 		}
 	} else {
 		cp := snap.Clone()
+		for k, ag := range cp {
+			cp[k].Config = rl.Config{States: ag.Config.States, Actions: ag.Config.Actions}
+		}
 		ks.byRes[res] = &cp
 	}
 	ks.contributions[res]++

@@ -47,13 +47,17 @@ type knowledgeClass struct {
 	Agents        [3]knowledgeAgent `json:"agents"`
 }
 
-// knowledgeAgent is one agent's rl.Snapshot as the artifact writes it.
-// Its Trans shadows the embedded snapshot's, so encoding/json writes the
-// snapshot's fields in their order and the model last, in the artifact's
-// form.
+// knowledgeAgent is one agent's rl.Snapshot as the artifact writes it:
+// the table dimensions, the tables, and the model last, in the
+// artifact's form. The artifact carries no other config field, so an
+// imported snapshot's config holds only States and Actions — all that
+// folds and seeding read.
 type knowledgeAgent struct {
-	rl.Snapshot
-	Trans knowledgeTrans
+	States, Actions int
+	Q               []float64
+	VisitsSA        []int
+	VisitsAction    []int
+	Trans           knowledgeTrans
 }
 
 // knowledgeTrans is a transition model in the artifact's form, the one
@@ -130,8 +134,9 @@ func (ks *KnowledgeStore) MarshalJSON() ([]byte, error) {
 	classes := make(map[string]knowledgeClass, len(ks.byRes))
 	for res, snap := range ks.byRes {
 		kc := knowledgeClass{Contributions: ks.contributions[res]}
-		for k, ag := range snap.Agents {
-			kc.Agents[k] = knowledgeAgent{Snapshot: ag, Trans: knowledgeTrans(ag.Trans)}
+		for k, ag := range snap {
+			kc.Agents[k] = knowledgeAgent{States: ag.Config.States, Actions: ag.Config.Actions,
+				Q: ag.Q, VisitsSA: ag.VisitsSA, VisitsAction: ag.VisitsAction, Trans: knowledgeTrans(ag.Trans)}
 		}
 		classes[res.String()] = kc
 	}
@@ -162,8 +167,8 @@ func (ks *KnowledgeStore) UnmarshalJSON(b []byte) error {
 		}
 		var snap core.Snapshot
 		for k, ag := range kc.Agents {
-			snap.Agents[k] = ag.Snapshot
-			snap.Agents[k].Trans = rl.Model(ag.Trans)
+			snap[k] = rl.Snapshot{Config: rl.Config{States: ag.States, Actions: ag.Actions},
+				Q: ag.Q, VisitsSA: ag.VisitsSA, VisitsAction: ag.VisitsAction, Trans: rl.Model(ag.Trans)}
 		}
 		if err := snap.Validate(); err != nil {
 			return fmt.Errorf("serve: knowledge payload: class %s: %w", name, err)

@@ -73,7 +73,7 @@ func pinnedStore(t *testing.T) *KnowledgeStore {
 	ks := NewKnowledgeStore()
 	for i, res := range []video.Resolution{video.HR, video.LR, video.HR} {
 		var sn core.Snapshot
-		for k := range sn.Agents {
+		for k := range sn {
 			l, err := rl.NewLearner(rl.DefaultConfig(14, 2+k))
 			if err != nil {
 				t.Fatal(err)
@@ -82,7 +82,7 @@ func pinnedStore(t *testing.T) *KnowledgeStore {
 			for n := 0; n < 40; n++ {
 				l.Update(rng.Intn(14), rng.Intn(2+k), rng.Intn(14), 2*rng.Float64()-1, rng.Intn(5))
 			}
-			sn.Agents[k] = l.Snapshot()
+			sn[k] = l.Snapshot()
 		}
 		if err := ks.Contribute(res, sn); err != nil {
 			t.Fatal(err)

@@ -157,7 +157,7 @@ func TestKnowledgeStorePoolsPerClass(t *testing.T) {
 		t.Fatal("no HR snapshot after contributions")
 	}
 	qpActions := a.Learner(core.AgentQP).Config().Actions
-	if got := sn.Agents[core.AgentQP].VisitsSA[3*qpActions]; got != 5 {
+	if got := sn[core.AgentQP].VisitsSA[3*qpActions]; got != 5 {
 		t.Errorf("pooled Num(3,0) = %d, want 5", got)
 	}
 	// LR is untouched by HR contributions.
@@ -180,11 +180,11 @@ func TestKnowledgeStorePoolsPerClass(t *testing.T) {
 	// atomically: the QP agent's dimensions match across classes, but
 	// the thread agent's don't, and a half-merged store would silently
 	// corrupt every later warm start.
-	before := ks.Seed(video.HR).Agents[core.AgentQP].VisitsSA[3*qpActions]
+	before := ks.Seed(video.HR)[core.AgentQP].VisitsSA[3*qpActions]
 	if err := ks.Contribute(video.HR, c.Snapshot()); err == nil {
 		t.Fatal("LR snapshot accepted into the HR class")
 	}
-	if got := ks.Seed(video.HR).Agents[core.AgentQP].VisitsSA[3*qpActions]; got != before {
+	if got := ks.Seed(video.HR)[core.AgentQP].VisitsSA[3*qpActions]; got != before {
 		t.Errorf("failed contribution mutated the store: Num(3,0) %d -> %d", before, got)
 	}
 	if got := ks.Contributions(video.HR); got != 2 {

@@ -648,8 +648,9 @@ func finiteJSON(v reflect.Value) bool {
 	return true
 }
 
-// floatFree reports whether every value of type t is a non-float scalar
-// or an array of them, such as a transition tuple.
+// floatFree reports whether every value of type t is a non-float scalar,
+// or an array or struct of them, such as a transition tuple or a
+// transition model's successor.
 func floatFree(t reflect.Type) bool {
 	switch t.Kind() {
 	case reflect.Bool, reflect.String,
@@ -658,6 +659,13 @@ func floatFree(t reflect.Type) bool {
 		return true
 	case reflect.Array:
 		return floatFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !floatFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
 	}
 	return false
 }

@@ -215,3 +215,25 @@ func TestFreezeMatchesAppliedSettlement(t *testing.T) {
 		}
 	}
 }
+
+// TestFiniteJSONStructElements: a slice of structs without a float field
+// is skipped whole, and a NaN inside a struct element is still found.
+func TestFiniteJSONStructElements(t *testing.T) {
+	type succ struct {
+		State int32
+		Count int
+	}
+	type weighted struct {
+		State  int32
+		Weight float64
+	}
+	if !floatFree(reflect.TypeOf(succ{})) || floatFree(reflect.TypeOf(weighted{})) {
+		t.Fatal("floatFree misjudges a struct")
+	}
+	if !finiteJSON(reflect.ValueOf([]succ{{1, 2}, {3, 4}})) {
+		t.Error("float-free struct slice rejected")
+	}
+	if finiteJSON(reflect.ValueOf(struct{ Runs []weighted }{[]weighted{{1, 0.5}, {2, math.NaN()}}})) {
+		t.Error("NaN inside a struct element accepted")
+	}
+}
