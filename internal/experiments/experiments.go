@@ -203,7 +203,7 @@ type ApproachResult struct {
 	QP          float64
 	// StallPct is the delivery-side QoS metric: the share of frames
 	// missing their playout deadline under the paper's SIII-D buffering
-	// model (metrics.BufferedViolations), averaged over sessions.
+	// model (metrics.Playout), averaged over sessions.
 	StallPct float64
 	// HR and LR aggregate the same quantities per resolution class.
 	HR, LR ResolutionAgg
@@ -292,13 +292,14 @@ func RunWorkload(w WorkloadSpec, kind ScenarioKind, a Approach, opts Options) (A
 }
 
 // repOutcome is one repetition's contribution to an ApproachResult: the
-// time-weighted package power plus the per-session summaries (overall and
-// split by resolution class) and stall percentages, in session order.
+// time-weighted package power plus the per-session window results
+// (overall and split by resolution class) and stall percentages, in
+// session order.
 type repOutcome struct {
 	watts  float64
-	sums   []metrics.SessionSummary
-	hrSums []metrics.SessionSummary
-	lrSums []metrics.SessionSummary
+	sums   []transcode.SessionResult
+	hrSums []transcode.SessionResult
+	lrSums []transcode.SessionResult
 	stalls []float64
 }
 
@@ -313,7 +314,10 @@ func runRep(w WorkloadSpec, kind ScenarioKind, label string, factory ControllerF
 	if err != nil {
 		return repOutcome{}, err
 	}
-	windows := measureWindows(eng, len(cfgs), opts.WarmupFrames, opts.MeasureFrames)
+	m, err := measure(eng, len(cfgs), opts.WarmupFrames, opts.MeasureFrames)
+	if err != nil {
+		return repOutcome{}, err
+	}
 	for _, cfg := range cfgs {
 		if _, err := eng.AddSession(cfg); err != nil {
 			return repOutcome{}, err
@@ -322,12 +326,12 @@ func runRep(w WorkloadSpec, kind ScenarioKind, label string, factory ControllerF
 	// RunUntilAll keeps every stream transcoding until the slowest one
 	// passes its budget, so the measured windows always see the full
 	// workload's contention and power. The frames of that catch-up tail
-	// fall outside every window and are not retained.
+	// fall outside every window and are not folded.
 	runRes, err := eng.RunUntilAll()
 	if err != nil {
 		return repOutcome{}, err
 	}
-	return summarizeRep(windows, w.HR, runRes)
+	return m.outcome(w.HR, runRes)
 }
 
 // buildRep creates one repetition's engine and, in session-id order, the
@@ -366,52 +370,90 @@ func buildRep(w WorkloadSpec, kind ScenarioKind, label string, factory Controlle
 	return eng, cfgs, nil
 }
 
-// measureWindows installs eng's per-frame observer so that it keeps, for
-// each of sessions sessions (ids dense from 0), only the frames with
-// FrameIndex in [warmup, warmup+frames). Each window is preallocated at
-// its final size; the returned slice fills in as the engine runs.
-func measureWindows(eng *transcode.Engine, sessions, warmup, frames int) [][]transcode.Observation {
-	windows := make([][]transcode.Observation, sessions)
-	for i := range windows {
-		windows[i] = make([]transcode.Observation, 0, frames)
-	}
-	eng.OnFrame(func(o transcode.Observation) {
-		if o.FrameIndex >= warmup && o.FrameIndex < warmup+frames {
-			windows[o.SessionID] = append(windows[o.SessionID], o)
-		}
-	})
-	return windows
+// window folds one session's measured frames: the per-session Tally the
+// engine also keeps, the playout-buffer stall count, and the completion
+// times of the window's first and last frames.
+type window struct {
+	tally       transcode.Tally
+	playout     metrics.Playout
+	first, last float64
 }
 
-// summarizeRep folds one repetition's measured windows (indexed by
-// session id; the first hr are HR streams) into its outcome. The
-// time-weighted power is taken over the interval during which every
-// session was inside its window.
-func summarizeRep(windows [][]transcode.Observation, hr int, runRes *transcode.Result) (repOutcome, error) {
+// powerSample is the server power reading of one measured frame.
+type powerSample struct{ t, w float64 }
+
+// measured folds one repetition's measured windows as the engine emits
+// its frames: the frames with FrameIndex in [warmup, end) of each session
+// (ids dense from 0), plus every such frame's power reading in emission
+// order, which is time order. The readings wait for the end of the run,
+// which fixes the interval their power is averaged over.
+type measured struct {
+	warmup, end int
+	windows     []window
+	power       []powerSample
+}
+
+// measure installs eng's per-frame observer, folding a window of frames
+// frames after the first warmup of each of sessions sessions.
+func measure(eng *transcode.Engine, sessions, warmup, frames int) (*measured, error) {
+	playout, err := metrics.NewPlayout(transcode.DefaultTargetFPS, bufferPreroll)
+	if err != nil {
+		return nil, err
+	}
+	m := &measured{
+		warmup:  warmup,
+		end:     warmup + frames,
+		windows: make([]window, sessions),
+		power:   make([]powerSample, 0, sessions*frames),
+	}
+	for i := range m.windows {
+		m.windows[i].playout = playout
+	}
+	eng.OnFrame(m.add)
+	return m, nil
+}
+
+// add folds one observation if it falls inside its session's window.
+func (m *measured) add(o transcode.Observation) {
+	if o.FrameIndex < m.warmup || o.FrameIndex >= m.end {
+		return
+	}
+	w := &m.windows[o.SessionID]
+	if w.tally.Frames == 0 {
+		w.first = o.Time
+	}
+	w.last = o.Time
+	w.tally.Add(&o, transcode.DefaultTargetFPS)
+	w.playout.Add(o.Time)
+	m.power = append(m.power, powerSample{o.Time, o.PowerW})
+}
+
+// outcome reduces the folded windows (the first hr sessions are HR
+// streams) to the repetition's outcome. The time-weighted power is taken
+// over the interval during which every session was inside its window.
+func (m *measured) outcome(hr int, runRes *transcode.Result) (repOutcome, error) {
 	var out repOutcome
-	winStart, winEnd := 0.0, runRes.DurationSec
-	for id, win := range windows {
-		if len(win) == 0 {
+	from, to := 0.0, runRes.DurationSec
+	for id := range m.windows {
+		w := &m.windows[id]
+		if w.tally.Frames == 0 {
 			return repOutcome{}, fmt.Errorf("empty measured window for session %d", id)
 		}
-		if t := win[0].Time; t > winStart {
-			winStart = t
-		}
-		if t := win[len(win)-1].Time; t < winEnd {
-			winEnd = t
-		}
-		s := metrics.Summarize(win, transcode.DefaultTargetFPS)
+		from, to = max(from, w.first), min(to, w.last)
+		s := w.tally.Result()
 		out.sums = append(out.sums, s)
-		if q, err := metrics.BufferedViolations(win, transcode.DefaultTargetFPS, bufferPreroll); err == nil {
-			out.stalls = append(out.stalls, q.StallPct)
-		}
+		out.stalls = append(out.stalls, w.playout.StallPct())
 		if id < hr {
 			out.hrSums = append(out.hrSums, s)
 		} else {
 			out.lrSums = append(out.lrSums, s)
 		}
 	}
-	watts, err := metrics.TimeWeightedPower(windows, winStart, winEnd)
+	p := metrics.NewPowerIntegrator(from, to)
+	for _, s := range m.power {
+		p.Add(s.t, s.w)
+	}
+	watts, err := p.Average()
 	if err != nil {
 		// Degenerate overlap (sessions progressing at very different
 		// speeds): fall back to the run average.
@@ -443,9 +485,9 @@ func repUnits(w WorkloadSpec, kind ScenarioKind, label string, factory Controlle
 func aggregateReps(outs []repOutcome) ApproachResult {
 	var (
 		wattsReps []float64
-		sums      []metrics.SessionSummary
-		hrSums    []metrics.SessionSummary
-		lrSums    []metrics.SessionSummary
+		sums      []transcode.SessionResult
+		hrSums    []transcode.SessionResult
+		lrSums    []transcode.SessionResult
 		stalls    []float64
 	)
 	for _, o := range outs {
@@ -462,7 +504,7 @@ func aggregateReps(outs []repOutcome) ApproachResult {
 		WattsStd:    metrics.StdDev(wattsReps),
 		Nth:         mean.AvgThreads,
 		FPS:         mean.AvgFPS,
-		DeltaPct:    mean.DeltaPct,
+		DeltaPct:    mean.ViolationPct,
 		PSNRdB:      mean.AvgPSNRdB,
 		BitrateMbps: mean.AvgBitrateMbps,
 		FreqGHz:     mean.AvgFreqGHz,
@@ -489,7 +531,7 @@ func RunWorkloadWithFactory(w WorkloadSpec, kind ScenarioKind, label string, fac
 	return aggregateReps(outs), nil
 }
 
-func aggRes(sums []metrics.SessionSummary) ResolutionAgg {
+func aggRes(sums []transcode.SessionResult) ResolutionAgg {
 	if len(sums) == 0 {
 		return ResolutionAgg{}
 	}
@@ -500,7 +542,7 @@ func aggRes(sums []metrics.SessionSummary) ResolutionAgg {
 		FreqGHz:  m.AvgFreqGHz,
 		PSNRdB:   m.AvgPSNRdB,
 		FPS:      m.AvgFPS,
-		DeltaPct: m.DeltaPct,
+		DeltaPct: m.ViolationPct,
 	}
 }
 

@@ -325,6 +325,9 @@ func TestFig5TraceWindow(t *testing.T) {
 			t.Fatalf("trace not re-based at %d", i)
 		}
 	}
+	if want := offlineSummary(res.Trace, transcode.DefaultTargetFPS); res.Summary != want {
+		t.Errorf("summary %+v, want the trace's %+v", res.Summary, want)
+	}
 	if _, err := Fig5Trace(opts, 0); err == nil {
 		t.Error("zero window accepted")
 	}

@@ -90,6 +90,9 @@ func Fig2Sweep(opts Options) ([]Fig2Point, error) {
 type Fig5Result struct {
 	// Trace is the captured window (FrameIndex re-based to 0).
 	Trace []transcode.Observation
+	// Summary is the window's Tally result: frames, violations and
+	// per-frame averages.
+	Summary transcode.SessionResult
 	// Stats is the MAMUT controller telemetry over the whole run.
 	Stats core.Stats
 }
@@ -123,7 +126,15 @@ func Fig5Trace(opts Options, window int) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	windows := measureWindows(eng, 1, opts.WarmupFrames, window)
+	trace := make([]transcode.Observation, 0, window)
+	var tally transcode.Tally
+	eng.OnFrame(func(o transcode.Observation) {
+		if o.FrameIndex >= opts.WarmupFrames && o.FrameIndex < opts.WarmupFrames+window {
+			tally.Add(&o, transcode.DefaultTargetFPS)
+			o.FrameIndex -= opts.WarmupFrames
+			trace = append(trace, o)
+		}
+	})
 	if _, err := eng.AddSession(transcode.SessionConfig{
 		Source:        src,
 		Controller:    ctrl,
@@ -136,9 +147,5 @@ func Fig5Trace(opts Options, window int) (*Fig5Result, error) {
 	if _, err := eng.Run(); err != nil {
 		return nil, err
 	}
-	out := windows[0]
-	for i := range out {
-		out[i].FrameIndex = i
-	}
-	return &Fig5Result{Trace: out, Stats: ctrl.Stats()}, nil
+	return &Fig5Result{Trace: trace, Summary: tally.Result(), Stats: ctrl.Stats()}, nil
 }

@@ -1,74 +1,65 @@
 package metrics
 
-import (
-	"fmt"
+import "fmt"
 
-	"mamut/internal/transcode"
-)
-
-// BufferedQoS evaluates delivery-side QoS with a playout buffer, the
+// Playout counts delivery-side stalls under a playout buffer, the
 // mechanism paper SIII-D.a invokes to justify rewarding FPS above the
 // target: "spare encoded frames can be buffered. Buffered frames can be
 // used to compensate the overall framerate if, at some points, FPS
 // temporarily drops below the target."
 //
 // The model: the viewer consumes one frame every 1/target seconds once
-// playout starts; frames finished early queue in a buffer of bufferCap
-// frames. A frame is a *stall* (buffered violation) if its playout
-// deadline passes before it has been transcoded. startupFrames are
-// buffered before playout begins (the usual pre-roll).
-type BufferedQoS struct {
-	// Stalls counts frames delivered after their playout deadline.
-	Stalls int
-	// StallPct is Stalls as a percentage of the evaluated frames.
-	StallPct float64
-	// MaxLatenessSec is the worst deadline miss observed.
-	MaxLatenessSec float64
-	// Frames is the number of frames evaluated.
-	Frames int
+// playout starts, which is when the last pre-roll frame is transcoded;
+// frames finished early wait in the sender's buffer. A frame is a
+// *stall* (buffered violation) if its playout deadline passes before it
+// has been transcoded. The pre-roll frames never stall (their deadline is
+// the pre-roll's end, which cannot precede them), so each frame is judged
+// as it completes and a window shorter than the pre-roll has no stalls.
+// The buffer is unbounded, the natural reading for transcode-ahead
+// delivery; encoder back-pressure from a bounded buffer would change the
+// engine's timing and is not modelled.
+type Playout struct {
+	period  float64
+	preroll int
+	start   float64 // completion time of the last pre-roll frame
+
+	// Frames counts the frames fed; Stalls those delivered after their
+	// playout deadline.
+	Frames, Stalls int
 }
 
-// BufferedViolations computes BufferedQoS over a trace. The trace must be
-// one session's observations in frame order. startupFrames is the
-// pre-roll (at least 1). The sender buffer is unbounded, the natural
-// reading for transcode-ahead delivery; encoder back-pressure from a
-// bounded buffer would change the engine's timing and is not modelled.
-func BufferedViolations(trace []transcode.Observation, targetFPS float64, startupFrames int) (BufferedQoS, error) {
-	if targetFPS <= 0 {
-		return BufferedQoS{}, fmt.Errorf("metrics: target FPS %g invalid", targetFPS)
+// NewPlayout returns a stall counter for playout at targetFPS after a
+// pre-roll of startupFrames (at least 1).
+func NewPlayout(targetFPS float64, startupFrames int) (Playout, error) {
+	if !(targetFPS > 0) {
+		return Playout{}, fmt.Errorf("metrics: target FPS %g invalid", targetFPS)
 	}
 	if startupFrames < 1 {
-		return BufferedQoS{}, fmt.Errorf("metrics: startup frames %d < 1", startupFrames)
+		return Playout{}, fmt.Errorf("metrics: startup frames %d < 1", startupFrames)
 	}
-	out := BufferedQoS{Frames: len(trace)}
-	if len(trace) == 0 {
-		return out, nil
-	}
-	for i := 1; i < len(trace); i++ {
-		if trace[i].FrameIndex <= trace[i-1].FrameIndex {
-			return BufferedQoS{}, fmt.Errorf("metrics: trace not in frame order at %d", i)
+	return Playout{period: 1 / targetFPS, preroll: startupFrames}, nil
+}
+
+// Add feeds the completion time of one session's next frame. Frames
+// must be fed in frame order, as the engine emits them.
+func (p *Playout) Add(t float64) {
+	i := p.Frames
+	p.Frames++
+	if i == p.preroll-1 {
+		p.start = t
+	} else if i >= p.preroll {
+		deadline := p.start + float64(i-(p.preroll-1))*p.period
+		if late := t - deadline; late > 1e-9 {
+			p.Stalls++
 		}
 	}
-	period := 1 / targetFPS
-	// Playout starts when the pre-roll is transcoded (or at the last
-	// frame if the trace is shorter than the pre-roll).
-	prerollIdx := startupFrames - 1
-	if prerollIdx >= len(trace) {
-		prerollIdx = len(trace) - 1
+}
+
+// StallPct returns Stalls as a percentage of the frames fed (0 before
+// the first).
+func (p *Playout) StallPct() float64 {
+	if p.Frames == 0 {
+		return 0
 	}
-	playoutStart := trace[prerollIdx].Time
-	for i, o := range trace {
-		deadline := playoutStart + float64(i-prerollIdx)*period
-		if i <= prerollIdx {
-			deadline = playoutStart
-		}
-		if late := o.Time - deadline; late > 1e-9 {
-			out.Stalls++
-			if late > out.MaxLatenessSec {
-				out.MaxLatenessSec = late
-			}
-		}
-	}
-	out.StallPct = 100 * float64(out.Stalls) / float64(len(trace))
-	return out, nil
+	return 100 * float64(p.Stalls) / float64(p.Frames)
 }

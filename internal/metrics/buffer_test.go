@@ -1,18 +1,19 @@
 package metrics
 
-import (
-	"testing"
+import "testing"
 
-	"mamut/internal/transcode"
-)
-
-// traceAt builds a trace with the given completion times.
-func traceAt(times ...float64) []transcode.Observation {
-	out := make([]transcode.Observation, len(times))
-	for i, t := range times {
-		out[i] = transcode.Observation{FrameIndex: i, Time: t}
+// playout feeds the completion times of one session's frames, in frame
+// order, to a Playout at targetFPS with the given pre-roll.
+func playout(t *testing.T, targetFPS float64, preroll int, times ...float64) Playout {
+	t.Helper()
+	p, err := NewPlayout(targetFPS, preroll)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	for _, tm := range times {
+		p.Add(tm)
+	}
+	return p
 }
 
 func TestBufferedViolationsOnSchedule(t *testing.T) {
@@ -21,10 +22,7 @@ func TestBufferedViolationsOnSchedule(t *testing.T) {
 	for i := range times {
 		times[i] = float64(i) / 24
 	}
-	q, err := BufferedViolations(traceAt(times...), 24, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := playout(t, 24, 1, times...)
 	if q.Stalls != 0 {
 		t.Errorf("stalls = %d, want 0", q.Stalls)
 	}
@@ -49,31 +47,24 @@ func TestBufferedViolationsAbsorbsTransientDip(t *testing.T) {
 		tcur += 1.0 / 30
 		times = append(times, tcur)
 	}
-	q, err := BufferedViolations(traceAt(times...), 24, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Stalls != 0 {
+	if q := playout(t, 24, 1, times...); q.Stalls != 0 {
 		t.Errorf("stalls = %d, want 0 (buffer should absorb the dip)", q.Stalls)
 	}
 }
 
 func TestBufferedViolationsChronicUnderrun(t *testing.T) {
-	// Encoding at 12 FPS against a 24 FPS playout: everything after the
+	// Encoding at 12 FPS against a 24 FPS playout: every frame after the
 	// pre-roll stalls.
 	times := make([]float64, 24)
 	for i := range times {
 		times[i] = float64(i) / 12
 	}
-	q, err := BufferedViolations(traceAt(times...), 24, 1)
-	if err != nil {
-		t.Fatal(err)
+	q := playout(t, 24, 1, times...)
+	if q.Stalls != 23 {
+		t.Errorf("stalls = %d, want 23", q.Stalls)
 	}
-	if q.Stalls < 20 {
-		t.Errorf("stalls = %d, want most frames", q.Stalls)
-	}
-	if q.MaxLatenessSec <= 0 {
-		t.Error("max lateness not recorded")
+	if want := 100 * 23.0 / 24; q.StallPct() != want {
+		t.Errorf("stall pct = %g, want %g", q.StallPct(), want)
 	}
 }
 
@@ -88,11 +79,7 @@ func TestBufferedViolationsEarlinessCoversLaterDip(t *testing.T) {
 	}
 	tcur += 0.5
 	times = append(times, tcur)
-	q, err := BufferedViolations(traceAt(times...), 24, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Stalls != 0 {
+	if q := playout(t, 24, 1, times...); q.Stalls != 0 {
 		t.Errorf("stalls = %d, want 0", q.Stalls)
 	}
 }
@@ -101,28 +88,27 @@ func TestBufferedViolationsPreroll(t *testing.T) {
 	// A slow start is forgiven by a long pre-roll: playout begins only
 	// after startupFrames are transcoded.
 	times := []float64{1.0, 2.0, 2.04, 2.08, 2.12} // two slow, then 24 FPS
-	slowStart, err := BufferedViolations(traceAt(times...), 24, 2)
-	if err != nil {
-		t.Fatal(err)
+	if q := playout(t, 24, 2, times...); q.Stalls != 0 {
+		t.Errorf("stalls = %d, want 0 with pre-roll 2", q.Stalls)
 	}
-	if slowStart.Stalls != 0 {
-		t.Errorf("stalls = %d, want 0 with pre-roll 2", slowStart.Stalls)
+	if q := playout(t, 24, 1, times...); q.Stalls == 0 {
+		t.Error("slow start not stalled with pre-roll 1")
+	}
+	// A window shorter than the pre-roll never starts playout, however
+	// slow its frames are.
+	if q := playout(t, 24, 8, 1, 5, 9, 13); q.Stalls != 0 || q.Frames != 4 {
+		t.Errorf("short window: %d stalls over %d frames, want 0 over 4", q.Stalls, q.Frames)
 	}
 }
 
 func TestBufferedViolationsErrors(t *testing.T) {
-	if _, err := BufferedViolations(nil, 0, 1); err == nil {
+	if _, err := NewPlayout(0, 1); err == nil {
 		t.Error("zero target accepted")
 	}
-	if _, err := BufferedViolations(nil, 24, 0); err == nil {
+	if _, err := NewPlayout(24, 0); err == nil {
 		t.Error("zero pre-roll accepted")
 	}
-	bad := []transcode.Observation{{FrameIndex: 3, Time: 1}, {FrameIndex: 2, Time: 2}}
-	if _, err := BufferedViolations(bad, 24, 1); err == nil {
-		t.Error("out-of-order trace accepted")
-	}
-	empty, err := BufferedViolations(nil, 24, 1)
-	if err != nil || empty.Frames != 0 {
-		t.Error("empty trace mishandled")
+	if q := playout(t, 24, 1); q.Frames != 0 || q.StallPct() != 0 {
+		t.Error("empty window mishandled")
 	}
 }

@@ -18,40 +18,18 @@ func obs(frame int, t, fps float64, power float64) transcode.Observation {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	trace := []transcode.Observation{
-		obs(0, 0.1, 20, 80), // violation
-		obs(1, 0.2, 25, 80),
-		obs(2, 0.3, 30, 80),
-		obs(3, 0.4, 25, 80),
+// integrate feeds readings to a PowerIntegrator over [from, to] in the
+// given order and returns its average.
+func integrate(from, to float64, readings ...transcode.Observation) (float64, error) {
+	p := NewPowerIntegrator(from, to)
+	for _, o := range readings {
+		p.Add(o.Time, o.PowerW)
 	}
-	s := Summarize(trace, 24)
-	if s.Frames != 4 {
-		t.Errorf("frames = %d", s.Frames)
-	}
-	if s.DeltaPct != 25 {
-		t.Errorf("delta = %g, want 25", s.DeltaPct)
-	}
-	if s.AvgFPS != 25 {
-		t.Errorf("avg fps = %g, want 25", s.AvgFPS)
-	}
-	if s.AvgThreads != 8 || s.AvgQP != 32 {
-		t.Error("averaged settings wrong")
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil, 24)
-	if s.Frames != 0 || s.DeltaPct != 0 {
-		t.Error("empty summary not zero")
-	}
+	return p.Average()
 }
 
 func TestTimeWeightedPowerConstant(t *testing.T) {
-	traces := [][]transcode.Observation{{
-		obs(0, 1, 25, 100), obs(1, 2, 25, 100), obs(2, 3, 25, 100),
-	}}
-	p, err := TimeWeightedPower(traces, 1, 3)
+	p, err := integrate(1, 3, obs(0, 1, 25, 100), obs(1, 2, 25, 100), obs(2, 3, 25, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +40,7 @@ func TestTimeWeightedPowerConstant(t *testing.T) {
 
 func TestTimeWeightedPowerStep(t *testing.T) {
 	// 100 W during [0,1), 50 W during [1,2): average 75.
-	traces := [][]transcode.Observation{{obs(0, 0, 25, 100), obs(1, 1, 25, 50)}}
-	p, err := TimeWeightedPower(traces, 0, 2)
+	p, err := integrate(0, 2, obs(0, 0, 25, 100), obs(1, 1, 25, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +50,11 @@ func TestTimeWeightedPowerStep(t *testing.T) {
 }
 
 func TestTimeWeightedPowerMergesSessions(t *testing.T) {
-	// Session A samples at t=0 (100 W), session B at t=1 (60 W); window
-	// [0,2] sees 100 for 1s then 60 for 1s.
-	traces := [][]transcode.Observation{
-		{obs(0, 0, 25, 100)},
-		{obs(0, 1, 25, 60)},
-	}
-	p, err := TimeWeightedPower(traces, 0, 2)
+	// Session A samples at t=0 (100 W), session B at t=1 (60 W), fed in
+	// time order; window [0,2] sees 100 for 1s then 60 for 1s.
+	a, b := obs(0, 0, 25, 100), obs(0, 1, 25, 60)
+	a.SessionID, b.SessionID = 0, 1
+	p, err := integrate(0, 2, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +65,7 @@ func TestTimeWeightedPowerMergesSessions(t *testing.T) {
 
 func TestTimeWeightedPowerLeadingGap(t *testing.T) {
 	// First sample at t=5; window [3,6]: the first reading extends back.
-	traces := [][]transcode.Observation{{obs(0, 5, 25, 90)}}
-	p, err := TimeWeightedPower(traces, 3, 6)
+	p, err := integrate(3, 6, obs(0, 5, 25, 90))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +75,10 @@ func TestTimeWeightedPowerLeadingGap(t *testing.T) {
 }
 
 func TestTimeWeightedPowerErrors(t *testing.T) {
-	if _, err := TimeWeightedPower(nil, 0, 1); err == nil {
+	if _, err := integrate(0, 1); err == nil {
 		t.Error("no samples accepted")
 	}
-	traces := [][]transcode.Observation{{obs(0, 0, 25, 100)}}
-	if _, err := TimeWeightedPower(traces, 2, 1); err == nil {
+	if _, err := integrate(2, 1, obs(0, 0, 25, 100)); err == nil {
 		t.Error("inverted interval accepted")
 	}
 }
@@ -124,10 +97,10 @@ func TestMeanAndStdDev(t *testing.T) {
 }
 
 func TestMeanSummary(t *testing.T) {
-	a := SessionSummary{Frames: 100, DeltaPct: 10, AvgFPS: 24, AvgPSNRdB: 34, AvgThreads: 10, AvgFreqGHz: 2.8, AvgQP: 32, AvgBitrateMbps: 4}
-	b := SessionSummary{Frames: 100, DeltaPct: 20, AvgFPS: 26, AvgPSNRdB: 36, AvgThreads: 12, AvgFreqGHz: 3.0, AvgQP: 34, AvgBitrateMbps: 6}
-	m := MeanSummary([]SessionSummary{a, b})
-	if m.DeltaPct != 15 || m.AvgFPS != 25 || m.AvgThreads != 11 || m.AvgBitrateMbps != 5 {
+	a := transcode.SessionResult{Frames: 100, ViolationPct: 10, AvgFPS: 24, AvgPSNRdB: 34, AvgThreads: 10, AvgFreqGHz: 2.8, AvgQP: 32, AvgBitrateMbps: 4}
+	b := transcode.SessionResult{Frames: 100, ViolationPct: 20, AvgFPS: 26, AvgPSNRdB: 36, AvgThreads: 12, AvgFreqGHz: 3.0, AvgQP: 34, AvgBitrateMbps: 6}
+	m := MeanSummary([]transcode.SessionResult{a, b})
+	if m.ViolationPct != 15 || m.AvgFPS != 25 || m.AvgThreads != 11 || m.AvgBitrateMbps != 5 {
 		t.Errorf("mean summary %+v", m)
 	}
 	if z := MeanSummary(nil); z.Frames != 0 {
@@ -152,7 +125,7 @@ func TestTimeWeightedPowerBoundsProperty(t *testing.T) {
 			tcur += 0.01 + next()
 			tr = append(tr, obs(i, tcur, 25, lo+(hi-lo)*next()))
 		}
-		p, err := TimeWeightedPower([][]transcode.Observation{tr}, tr[0].Time, tr[len(tr)-1].Time+1)
+		p, err := integrate(tr[0].Time, tr[len(tr)-1].Time+1, tr...)
 		if err != nil {
 			return false
 		}

@@ -5,29 +5,15 @@ import (
 	"math"
 )
 
-// This file holds the streaming counterparts of the offline aggregations:
-// accumulators that fold one sample at a time in O(1) memory, so a
-// serving run's metrics no longer require retaining per-frame traces or
-// per-session logs for an end-of-run replay. Each accumulator is
-// deterministic — feeding the same sample sequence produces bit-identical
-// results — which is what lets the serve dispatcher keep its
-// "byte-identical for any worker count / dispatcher" guarantees while
-// dropping O(total sessions) retention.
-
 // PowerIntegrator integrates the step function defined by a stream of
-// power readings over the window [from, to], producing the same
-// time-weighted average as TimeWeightedPower — bit for bit — without
-// retaining the trace. Samples must be fed in non-decreasing time order;
-// a transcode engine emits its observations exactly so, and equal-time
-// readings within one completion batch share a single meter reading, so
-// the emission order reproduces the offline sorted-merge order.
-//
-// Each reading holds until the next one; the final reading holds until
-// the window end, and the first reading extends backwards over any
-// leading gap — the same step-function convention TimeWeightedPower
-// integrates. The arithmetic (segment clipping, skip tests, addition
-// order) mirrors the offline loop exactly so the two agree to the last
-// ulp.
+// power readings over the window [from, to] and returns its time-weighted
+// average without retaining the readings. Each reading holds until the
+// next one; the final reading holds until the window end, and the first
+// reading extends backwards over any leading gap. Samples must be fed in
+// non-decreasing time order, the order in which a transcode engine emits
+// its observations. The same sample sequence gives bit-identical
+// results, which is what lets the serve dispatcher and the paper harness
+// keep their outputs byte-identical for any worker count.
 type PowerIntegrator struct {
 	from, to float64
 
@@ -39,8 +25,7 @@ type PowerIntegrator struct {
 }
 
 // NewPowerIntegrator returns an integrator over the window [from, to].
-// The window's validity is checked at Average time, matching the offline
-// error contract.
+// The window's validity is checked at Average time.
 func NewPowerIntegrator(from, to float64) *PowerIntegrator {
 	return &PowerIntegrator{from: from, to: to}
 }
@@ -57,7 +42,7 @@ func (p *PowerIntegrator) Add(t, w float64) {
 }
 
 // segment books the span [segStart, segEnd) at power w, clipped to the
-// window — the exact branch sequence of the offline integration loop.
+// window.
 func (p *PowerIntegrator) segment(segStart, segEnd, w float64) {
 	if segEnd <= p.from || segStart >= p.to {
 		return
@@ -81,8 +66,8 @@ func (p *PowerIntegrator) Samples() int { return p.n }
 // end, the first extends back over any leading gap) and returns the
 // time-weighted mean power. It does not mutate the accumulator, so it
 // may be called repeatedly and interleaved with Add. The error cases are
-// those of TimeWeightedPower: an empty window, no samples (ErrNoSamples,
-// the caller's idle fallback), and a window left uncovered.
+// an empty window, no samples (ErrNoSamples, the caller's idle
+// fallback), and a window left uncovered.
 func (p *PowerIntegrator) Average() (float64, error) {
 	if p.to <= p.from {
 		return 0, fmt.Errorf("metrics: empty interval [%g,%g]", p.from, p.to)
@@ -103,7 +88,7 @@ func (p *PowerIntegrator) Average() (float64, error) {
 		}
 	}
 	// Leading gap before the first sample: extend the first reading back.
-	// Added last, after every forward segment, exactly as offline.
+	// It is added last, after every forward segment.
 	if first := p.firstT; first > p.from {
 		lead := math.Min(first, p.to) - p.from
 		if lead > 0 {
@@ -121,11 +106,10 @@ func (p *PowerIntegrator) Average() (float64, error) {
 // values are counted into equal-width bins plus underflow/overflow
 // tails, and quantiles are read back with linear interpolation inside
 // the containing bin. Unlike sampling sketches it is deterministic and
-// order-independent (insertion order cannot change any estimate), and
-// two histograms over the same range merge exactly — the properties the
-// serve layer needs for bit-identical results across dispatchers and
-// worker counts. Resolution is (hi-lo)/bins; tails clamp to the range
-// bounds.
+// order-independent (insertion order cannot change any estimate), the
+// property the serve layer needs for bit-identical results across
+// dispatchers and worker counts. Resolution is (hi-lo)/bins; tails clamp
+// to the range bounds.
 type Histogram struct {
 	lo, hi      float64
 	counts      []int
@@ -198,22 +182,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.hi
 }
 
-// Merge folds another histogram into this one. The ranges and bin counts
-// must match exactly.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h.lo != o.lo || h.hi != o.hi || len(h.counts) != len(o.counts) {
-		return fmt.Errorf("metrics: merging mismatched histograms ([%g,%g)x%d vs [%g,%g)x%d)",
-			h.lo, h.hi, len(h.counts), o.lo, o.hi, len(o.counts))
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.under += o.under
-	h.over += o.over
-	h.n += o.n
-	return nil
-}
-
 // DecayedMean is an exponentially time-decayed weighted mean: each
 // sample's weight decays as exp(-age/tau), so At reports a recency-
 // weighted view of the sample stream — "how is the service doing
@@ -257,42 +225,4 @@ func (m *DecayedMean) Value() float64 {
 		return 0
 	}
 	return m.num / m.den
-}
-
-// Merge folds another decayed mean into this one: the side anchored
-// earlier is decayed to the later anchor and the weighted sums add, so
-// the result is the decayed mean of the union of the two sample streams.
-// The time constants must match. Merging is exactly commutative (IEEE
-// addition commutes) and associative up to floating-point rounding in
-// the composed decay factors — exp(-a)*exp(-b) vs exp(-(a+b)) — so
-// shard-partitioned streams merge to the same value whatever the split,
-// within a few ulp (property-tested in merge_test.go).
-func (m *DecayedMean) Merge(o *DecayedMean) error {
-	if m.tau != o.tau {
-		return fmt.Errorf("metrics: merging decayed means with different time constants (%g vs %g)", m.tau, o.tau)
-	}
-	if o.den == 0 {
-		return nil
-	}
-	if m.den == 0 {
-		m.t, m.num, m.den = o.t, o.num, o.den
-		return nil
-	}
-	num, den, t := o.num, o.den, o.t
-	if dt := m.t - t; dt > 0 {
-		// The other side is older: decay it forward to our anchor.
-		f := math.Exp(-dt / m.tau)
-		num *= f
-		den *= f
-		t = m.t
-	} else if dt < 0 {
-		// We are older: decay ourselves forward to the other anchor.
-		f := math.Exp(dt / m.tau)
-		m.num *= f
-		m.den *= f
-	}
-	m.t = t
-	m.num += num
-	m.den += den
-	return nil
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -10,10 +11,54 @@ import (
 	"mamut/internal/transcode"
 )
 
+// offlinePower is the retained-trace integration PowerIntegrator
+// replaced, kept as its oracle: merge every session's readings, sort them
+// by time, and integrate the step function they define over [from, to].
+func offlinePower(traces [][]transcode.Observation, from, to float64) (float64, error) {
+	if to <= from {
+		return 0, fmt.Errorf("metrics: empty interval [%g,%g]", from, to)
+	}
+	type sample struct{ t, w float64 }
+	var samples []sample
+	for _, tr := range traces {
+		for _, o := range tr {
+			samples = append(samples, sample{o.Time, o.PowerW})
+		}
+	}
+	if len(samples) == 0 {
+		return 0, fmt.Errorf("%w in [%g,%g]", ErrNoSamples, from, to)
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i].t < samples[j].t })
+	var energy, covered float64
+	for i, s := range samples {
+		segStart, segEnd := s.t, to
+		if i+1 < len(samples) {
+			segEnd = samples[i+1].t
+		}
+		if segEnd <= from || segStart >= to {
+			continue
+		}
+		segStart, segEnd = math.Max(segStart, from), math.Min(segEnd, to)
+		if segEnd > segStart {
+			energy += s.w * (segEnd - segStart)
+			covered += segEnd - segStart
+		}
+	}
+	if first := samples[0].t; first > from {
+		if lead := math.Min(first, to) - from; lead > 0 {
+			energy += samples[0].w * lead
+			covered += lead
+		}
+	}
+	if covered <= 0 {
+		return 0, fmt.Errorf("%w: interval [%g,%g] not covered", ErrNoSamples, from, to)
+	}
+	return energy / covered, nil
+}
+
 // TestPowerIntegratorMatchesOffline: the streaming integrator must
-// reproduce TimeWeightedPower bit for bit when fed the merged readings
-// in time order — the property the serve layer relies on to drop trace
-// retention without moving a single golden byte.
+// reproduce the retained-trace integration bit for bit when fed the
+// merged readings in time order.
 func TestPowerIntegratorMatchesOffline(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -37,7 +82,7 @@ func TestPowerIntegratorMatchesOffline(t *testing.T) {
 				emitted = append(emitted, sample{clock, w})
 			}
 		}
-		want, wantErr := TimeWeightedPower(traces, from, to)
+		want, wantErr := offlinePower(traces, from, to)
 
 		p := NewPowerIntegrator(from, to)
 		for _, s := range emitted {
@@ -59,9 +104,8 @@ func TestPowerIntegratorMatchesOffline(t *testing.T) {
 	}
 }
 
-// TestPowerIntegratorErrors pins the offline error contract: empty
-// window, no samples (ErrNoSamples, the idle fallback), and error texts
-// matching TimeWeightedPower's.
+// TestPowerIntegratorErrors pins the error contract: empty window, no
+// samples (ErrNoSamples, the idle fallback), and the error texts.
 func TestPowerIntegratorErrors(t *testing.T) {
 	// Empty window.
 	p := NewPowerIntegrator(10, 10)
@@ -78,17 +122,15 @@ func TestPowerIntegratorErrors(t *testing.T) {
 		t.Errorf("no samples: got %v, want ErrNoSamples", err)
 	}
 
-	// Error texts match the offline integration exactly.
-	if _, offline := TimeWeightedPower(nil, 3, 7); offline != nil {
-		if _, streaming := NewPowerIntegrator(3, 7).Average(); streaming == nil ||
-			streaming.Error() != offline.Error() {
-			t.Errorf("no-samples text: offline %q, streaming %v", offline, streaming)
-		}
-	}
-	if _, offline := TimeWeightedPower(nil, 7, 3); offline != nil {
-		if _, streaming := NewPowerIntegrator(7, 3).Average(); streaming == nil ||
-			streaming.Error() != offline.Error() {
-			t.Errorf("empty-interval text: offline %q, streaming %v", offline, streaming)
+	for _, tc := range []struct {
+		from, to float64
+		want     string
+	}{
+		{3, 7, "metrics: no power samples in [3,7]"},
+		{7, 3, "metrics: empty interval [7,3]"},
+	} {
+		if _, err := NewPowerIntegrator(tc.from, tc.to).Average(); err == nil || err.Error() != tc.want {
+			t.Errorf("[%g,%g]: error %v, want %q", tc.from, tc.to, err, tc.want)
 		}
 	}
 }
@@ -113,14 +155,9 @@ func TestPowerIntegratorIdempotentAverage(t *testing.T) {
 	if a1 != a2 {
 		t.Errorf("repeated Average: %v then %v", a1, a2)
 	}
-	want, err := TimeWeightedPower([][]transcode.Observation{
-		{{Time: 10, PowerW: 100}, {Time: 50, PowerW: 200}},
-	}, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2 != want {
-		t.Errorf("Average %v != offline %v", a2, want)
+	// 100 W over [0,50) (the first reading extends back), 200 W over [50,100].
+	if a2 != 150 {
+		t.Errorf("Average %v, want 150", a2)
 	}
 }
 
@@ -176,39 +213,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge: merging equals feeding the union; mismatched
-// shapes are rejected.
-func TestHistogramMerge(t *testing.T) {
-	a, _ := NewHistogram(0, 10, 20)
-	b, _ := NewHistogram(0, 10, 20)
-	u, _ := NewHistogram(0, 10, 20)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		v := rng.Float64() * 12 // includes overflow
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-		u.Add(v)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != u.N() {
-		t.Fatalf("merged N=%d, union N=%d", a.N(), u.N())
-	}
-	for _, q := range []float64{0.05, 0.5, 0.95} {
-		if a.Quantile(q) != u.Quantile(q) {
-			t.Errorf("q=%g: merged %g != union %g", q, a.Quantile(q), u.Quantile(q))
-		}
-	}
-	c, _ := NewHistogram(0, 10, 10)
-	if err := a.Merge(c); err == nil {
-		t.Error("mismatched bin count merged silently")
-	}
-}
-
 // TestDecayedMean: recent samples dominate; without time gaps it is the
 // plain mean; invalid tau is rejected.
 func TestDecayedMean(t *testing.T) {
@@ -235,5 +239,22 @@ func TestDecayedMean(t *testing.T) {
 	}
 	if m.Tau() != 10 {
 		t.Errorf("Tau = %g, want 10", m.Tau())
+	}
+}
+
+// TestDecayedMeanTinyTauUnderflow: with a tiny time constant the decay
+// factor exp(-dt/tau) underflows to exactly 0.0, so the older samples
+// vanish completely and the mean equals the newest sample bit for bit —
+// underflow degrades to "only the newest samples matter", never to NaN
+// or garbage.
+func TestDecayedMeanTinyTauUnderflow(t *testing.T) {
+	m, err := NewDecayedMean(1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Add(0, 1e300) // enormous, but about to be decayed to zero
+	m.Add(1, 42)
+	if got := m.Value(); got != 42 {
+		t.Fatalf("underflow: value %v, want exactly 42", got)
 	}
 }

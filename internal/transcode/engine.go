@@ -73,14 +73,7 @@ type session struct {
 
 	// accumulators for the result
 	dynEnergyJ  float64
-	frames      int
-	violations  int
-	sumFPS      float64
-	sumPSNR     float64
-	sumBitrate  float64
-	sumThreads  float64
-	sumFreq     float64
-	sumQP       float64
+	tally       Tally
 	firstAction bool
 }
 
@@ -108,6 +101,58 @@ type SessionResult struct {
 	AvgThreads     float64
 	AvgFreqGHz     float64
 	AvgQP          float64
+}
+
+// Tally is the per-session observation fold: the frame and violation
+// counts and the per-frame sums behind a SessionResult's averages. The
+// engine keeps one per session over every frame it books, and the paper
+// harness keeps one per session over its measured window, so both reach
+// their averages through the same float operations in the same order.
+// Its fields are the session wire format's accumulators.
+type Tally struct {
+	Frames int `json:"frames"`
+	// Violations counts frames whose windowed FPS fell below the target.
+	Violations int     `json:"violations"`
+	SumFPS     float64 `json:"sum_fps"`
+	SumPSNR    float64 `json:"sum_psnr"`
+	SumBitrate float64 `json:"sum_bitrate"`
+	SumThreads float64 `json:"sum_threads"`
+	SumFreq    float64 `json:"sum_freq"`
+	SumQP      float64 `json:"sum_qp"`
+}
+
+// Add folds one observation; a frame whose windowed FPS is below
+// targetFPS counts as a violation.
+func (t *Tally) Add(o *Observation, targetFPS float64) {
+	t.Frames++
+	if o.FPS < targetFPS {
+		t.Violations++
+	}
+	t.SumFPS += o.FPS
+	t.SumPSNR += o.PSNRdB
+	t.SumBitrate += o.BitrateMbps
+	t.SumThreads += float64(o.Settings.Threads)
+	t.SumFreq += o.Settings.FreqGHz
+	t.SumQP += float64(o.Settings.QP)
+}
+
+// Result returns the tally as the counting fields of a SessionResult:
+// frames, violations, the violation percentage and the per-frame
+// averages, all zero before the first frame. The identifying fields and
+// DynEnergyJ are the caller's to fill.
+func (t *Tally) Result() SessionResult {
+	sr := SessionResult{Frames: t.Frames, Violations: t.Violations}
+	if t.Frames > 0 {
+		f := float64(t.Frames)
+		sr.ViolationPct = 100 * float64(t.Violations) / f
+		sr.AvgFPS = t.SumFPS / f
+		sr.AvgPSNRdB = t.SumPSNR / f
+		sr.AvgBitrateMbps = t.SumBitrate / f
+		sr.AvgThreads = t.SumThreads / f
+		sr.AvgFreqGHz = t.SumFreq / f
+		sr.AvgQP = t.SumQP / f
+	}
+	return sr
 }
 
 // Result is the outcome of an engine run.
@@ -516,7 +561,7 @@ func (e *Engine) advance(limit float64, untilAll bool) error {
 			return nil
 		}
 		for _, s := range batch {
-			if !untilAll && s.frames >= s.cfg.FrameBudget {
+			if !untilAll && s.tally.Frames >= s.cfg.FrameBudget {
 				if err := e.depart(s); err != nil {
 					return err
 				}
@@ -584,7 +629,7 @@ func (e *Engine) allReachedBudget() bool {
 		if s == nil {
 			continue // departed through the hook: budget reached by definition
 		}
-		if s.frames < s.cfg.FrameBudget {
+		if s.tally.Frames < s.cfg.FrameBudget {
 			return false
 		}
 	}
@@ -714,18 +759,9 @@ func (e *Engine) completeFrame(s *session, powerRead float64) {
 		SequenceName: s.cfg.Source.Sequence().Name,
 	}
 
-	s.frames++
+	s.tally.Add(&obs, s.cfg.TargetFPS)
 	s.frameIdx++
 	e.framesDone++
-	if fps < s.cfg.TargetFPS {
-		s.violations++
-	}
-	s.sumFPS += fps
-	s.sumPSNR += s.curPSNR
-	s.sumBitrate += obs.BitrateMbps
-	s.sumThreads += float64(s.settings.Threads)
-	s.sumFreq += s.settings.FreqGHz
-	s.sumQP += float64(s.settings.QP)
 	if e.onFrame != nil {
 		e.onFrame(obs)
 	}
@@ -751,7 +787,7 @@ func (e *Engine) depart(s *session) error {
 			SessionID: s.id,
 			Res:       s.cfg.Source.Res(),
 			Time:      e.now,
-			Frames:    s.frames,
+			Frames:    s.tally.Frames,
 			Result:    s.result(e.vnow),
 		})
 		e.sessions[s.id] = nil
@@ -793,23 +829,7 @@ func (s *session) result(vnow float64) SessionResult {
 		// snapshots) settle their in-flight frame's energy to now.
 		dynE += s.dynCoef * (vnow - s.vMark)
 	}
-	sr := SessionResult{
-		ID:         s.id,
-		Name:       s.cfg.Controller.Name(),
-		Res:        s.cfg.Source.Res(),
-		Frames:     s.frames,
-		Violations: s.violations,
-		DynEnergyJ: dynE,
-	}
-	if s.frames > 0 {
-		f := float64(s.frames)
-		sr.ViolationPct = 100 * float64(s.violations) / f
-		sr.AvgFPS = s.sumFPS / f
-		sr.AvgPSNRdB = s.sumPSNR / f
-		sr.AvgBitrateMbps = s.sumBitrate / f
-		sr.AvgThreads = s.sumThreads / f
-		sr.AvgFreqGHz = s.sumFreq / f
-		sr.AvgQP = s.sumQP / f
-	}
+	sr := s.tally.Result()
+	sr.ID, sr.Name, sr.Res, sr.DynEnergyJ = s.id, s.cfg.Controller.Name(), s.cfg.Source.Res(), dynE
 	return sr
 }

@@ -425,3 +425,56 @@ func TestStaticController(t *testing.T) {
 	}
 	s.OnFrameDone(Observation{}) // must not panic
 }
+
+// TestTally pins the per-session fold on hand-made frames: a frame whose
+// windowed FPS is below the target is a violation, and the settings
+// average per frame.
+func TestTally(t *testing.T) {
+	var tl Tally
+	for _, fps := range []float64{20, 25, 30, 25} {
+		tl.Add(&Observation{
+			FPS: fps, PSNRdB: 36, BitrateMbps: 4,
+			Settings: Settings{QP: 32, Threads: 8, FreqGHz: 2.9},
+		}, 24)
+	}
+	want := SessionResult{
+		Frames: 4, Violations: 1, ViolationPct: 25, AvgFPS: 25, AvgPSNRdB: 36,
+		AvgBitrateMbps: 4, AvgThreads: 8, AvgFreqGHz: 2.9, AvgQP: 32,
+	}
+	if got := tl.Result(); got != want {
+		t.Errorf("tally result\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func TestTallyEmpty(t *testing.T) {
+	var tl Tally
+	if got := tl.Result(); got != (SessionResult{}) {
+		t.Errorf("empty tally result %+v, want zero", got)
+	}
+}
+
+// TestTallyMatchesEngineResult: a Tally fed a session's frames through
+// OnFrame reaches exactly the counts and averages of the session's
+// Result entry, which is what lets the paper harness fold its measured
+// windows with the engine's own fold.
+func TestTallyMatchesEngineResult(t *testing.T) {
+	eng := streamEngine(t)
+	tallies := map[int]*Tally{}
+	eng.OnFrame(func(o Observation) {
+		if tallies[o.SessionID] == nil {
+			tallies[o.SessionID] = &Tally{}
+		}
+		tallies[o.SessionID].Add(&o, DefaultTargetFPS)
+	})
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range res.Sessions {
+		want := tallies[sr.ID].Result()
+		want.ID, want.Name, want.Res, want.DynEnergyJ = sr.ID, sr.Name, sr.Res, sr.DynEnergyJ
+		if sr != want {
+			t.Errorf("session %d: engine result\n %+v\ntally\n %+v", sr.ID, sr, want)
+		}
+	}
+}

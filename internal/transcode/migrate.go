@@ -100,14 +100,7 @@ type SessionState struct {
 	// Accumulators.
 	Durations   [fpsWindow]float64 `json:"durations"`
 	DynEnergyJ  float64            `json:"dyn_energy_j"`
-	Frames      int                `json:"frames"`
-	Violations  int                `json:"violations"`
-	SumFPS      float64            `json:"sum_fps"`
-	SumPSNR     float64            `json:"sum_psnr"`
-	SumBitrate  float64            `json:"sum_bitrate"`
-	SumThreads  float64            `json:"sum_threads"`
-	SumFreq     float64            `json:"sum_freq"`
-	SumQP       float64            `json:"sum_qp"`
+	Tally                          // its fields encode flat, in place
 	FirstAction bool               `json:"first_action"`
 
 	// Opaque sub-states: the content process (video.StatefulSource), the
@@ -305,7 +298,7 @@ func (e *Engine) ExtractSession(id int) (*SessionState, error) {
 	} else {
 		e.arrivals.removeByID(id)
 	}
-	e.totalBudget -= s.cfg.FrameBudget - s.frames
+	e.totalBudget -= s.cfg.FrameBudget - s.tally.Frames
 	e.sessions[id] = nil
 	if e.extracted == nil {
 		e.extracted = make(map[int]bool)
@@ -406,14 +399,7 @@ func (e *Engine) freeze(op string, id int) (*SessionState, any, error) {
 		CurBits:       s.curBits,
 		Durations:     s.durations,
 		DynEnergyJ:    s.dynEnergyJ,
-		Frames:        s.frames,
-		Violations:    s.violations,
-		SumFPS:        s.sumFPS,
-		SumPSNR:       s.sumPSNR,
-		SumBitrate:    s.sumBitrate,
-		SumThreads:    s.sumThreads,
-		SumFreq:       s.sumFreq,
-		SumQP:         s.sumQP,
+		Tally:         s.tally,
 		FirstAction:   s.firstAction,
 		Source:        srcState,
 		EncoderRNG:    s.encSrc.State(),
@@ -527,14 +513,7 @@ func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionSta
 		durations:   st.Durations,
 		nDur:        st.Frames,
 		dynEnergyJ:  st.DynEnergyJ,
-		frames:      st.Frames,
-		violations:  st.Violations,
-		sumFPS:      st.SumFPS,
-		sumPSNR:     st.SumPSNR,
-		sumBitrate:  st.SumBitrate,
-		sumThreads:  st.SumThreads,
-		sumFreq:     st.SumFreq,
-		sumQP:       st.SumQP,
+		tally:       st.Tally,
 		firstAction: st.FirstAction,
 	}
 	if st.Preset != nil {
