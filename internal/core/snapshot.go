@@ -18,8 +18,9 @@ import (
 // learners.
 type Snapshot [3]rl.Snapshot
 
-// Snapshot exports a deep copy of the controller's current learning
-// state. A pending (not yet finalized) Q-update is not included — for a
+// Snapshot exports the controller's current learning state: one pointer
+// per state and agent, sharing the immutable rows (see rl.Snapshot). A
+// pending (not yet finalized) Q-update is not included — for a
 // departed session that is at most one in-flight action; ResumeState
 // carries it.
 func (c *Controller) Snapshot() Snapshot {
@@ -41,7 +42,8 @@ func (sn Snapshot) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the snapshot.
+// Clone returns a copy whose later folds do not reach the receiver, nor
+// the receiver's the copy (see rl.Snapshot.Clone).
 func (sn Snapshot) Clone() Snapshot {
 	var cp Snapshot
 	for k := AgentQP; k < numAgents; k++ {
@@ -95,6 +97,12 @@ func (sn *Snapshot) fold(what string, other Snapshot, f func(*rl.Snapshot, rl.Sn
 // table dimensions must match the configuration's action sets; only
 // they are read from its configs, so an imported snapshot whose configs
 // carry nothing else seeds like an exported one.
+//
+// Seeding copies no table: each agent shares the snapshot's immutable
+// rows (rl.Learner.Seed) — exactly the fold wherever every action a row
+// never visited holds +0 Q, and any other row is folded into a copy —
+// and copies a row only on its first write to that state, so a warm
+// session pays for the states it visits, not for the store's size.
 func NewWarm(cfg Config, initial transcode.Settings, rng *rand.Rand, snap *Snapshot) (*Controller, error) {
 	c, err := New(cfg, initial, rng)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mamut/internal/rl"
@@ -97,16 +98,18 @@ func TestControllerSnapshotMerge(t *testing.T) {
 		for _, s := range []int{10, 11} {
 			for act := 0; act < actions; act++ {
 				want := a.Learner(k).Visits.Num(s, act) + b.Learner(k).Visits.Num(s, act)
-				if got := sn[k].VisitsSA[s*actions+act]; got != want {
+				if got := sn[k].Tables().VisitsSA[s*actions+act]; got != want {
 					t.Errorf("agent %v Num(%d,%d) = %d, want %d", k, s, act, got, want)
 				}
 			}
 		}
 	}
 
-	// Snapshot is a deep copy of the donor.
-	sn[AgentQP].Q[0] = 1e9
-	if a.Learner(AgentQP).Q.Get(0, 0) == 1e9 {
-		t.Error("snapshot aliases the controller's tables")
+	// The merged snapshot is isolated from the donor: the donor's first
+	// write to a state it shares copies that state's row.
+	before := sn[AgentQP].Tables()
+	a.Learner(AgentQP).Q.Set(10, 0, 1e9)
+	if !reflect.DeepEqual(sn[AgentQP].Tables(), before) {
+		t.Error("a write to the controller reached its snapshot")
 	}
 }

@@ -80,7 +80,7 @@ func DefaultSpec() Spec {
 }
 
 // Validate reports whether the spec is usable.
-func (s Spec) Validate() error {
+func (s *Spec) Validate() error {
 	if s.Sockets < 1 || s.CoresPerSocket < 1 || s.ThreadsPerCore < 1 {
 		return fmt.Errorf("platform: topology %dx%dx%d invalid", s.Sockets, s.CoresPerSocket, s.ThreadsPerCore)
 	}
@@ -118,7 +118,7 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-func (s Spec) freqOnLadder(f float64) bool {
+func (s *Spec) freqOnLadder(f float64) bool {
 	for _, fv := range s.Ladder {
 		if fv.GHz == f {
 			return true
@@ -128,16 +128,16 @@ func (s Spec) freqOnLadder(f float64) bool {
 }
 
 // PhysicalCores returns the number of physical cores.
-func (s Spec) PhysicalCores() int { return s.Sockets * s.CoresPerSocket }
+func (s *Spec) PhysicalCores() int { return s.Sockets * s.CoresPerSocket }
 
 // LogicalCPUs returns the number of hardware threads.
-func (s Spec) LogicalCPUs() int { return s.PhysicalCores() * s.ThreadsPerCore }
+func (s *Spec) LogicalCPUs() int { return s.PhysicalCores() * s.ThreadsPerCore }
 
 // MaxGHz returns the top rung of the ladder.
-func (s Spec) MaxGHz() float64 { return s.Ladder[len(s.Ladder)-1].GHz }
+func (s *Spec) MaxGHz() float64 { return s.Ladder[len(s.Ladder)-1].GHz }
 
 // Frequencies returns all ladder frequencies in ascending order.
-func (s Spec) Frequencies() []float64 {
+func (s *Spec) Frequencies() []float64 {
 	out := make([]float64, len(s.Ladder))
 	for i, fv := range s.Ladder {
 		out[i] = fv.GHz
@@ -147,7 +147,7 @@ func (s Spec) Frequencies() []float64 {
 
 // RealTimeFrequencies returns the rungs usable for real-time transcoding
 // (>= MinRealTimeGHz); this is the DVFS agent's action set.
-func (s Spec) RealTimeFrequencies() []float64 {
+func (s *Spec) RealTimeFrequencies() []float64 {
 	var out []float64
 	for _, fv := range s.Ladder {
 		if fv.GHz >= s.MinRealTimeGHz {
@@ -158,7 +158,7 @@ func (s Spec) RealTimeFrequencies() []float64 {
 }
 
 // voltage returns the ladder voltage for an exact rung frequency.
-func (s Spec) voltage(f float64) (float64, error) {
+func (s *Spec) voltage(f float64) (float64, error) {
 	for _, fv := range s.Ladder {
 		if fv.GHz == f {
 			return fv.Volts, nil
@@ -169,7 +169,7 @@ func (s Spec) voltage(f float64) (float64, error) {
 
 // VFNorm returns the dynamic-power scale V^2*f of a rung, normalised to the
 // top of the ladder (VFNorm(MaxGHz) == 1).
-func (s Spec) VFNorm(f float64) (float64, error) {
+func (s *Spec) VFNorm(f float64) (float64, error) {
 	v, err := s.voltage(f)
 	if err != nil {
 		return 0, err
@@ -180,7 +180,7 @@ func (s Spec) VFNorm(f float64) (float64, error) {
 
 // StepUp returns the next rung above f (or f if already at the top),
 // restricted to real-time rungs when rt is true.
-func (s Spec) StepUp(f float64, rt bool) float64 {
+func (s *Spec) StepUp(f float64, rt bool) float64 {
 	for _, fv := range s.Ladder {
 		if g := fv.GHz; g > f && (!rt || g >= s.MinRealTimeGHz) {
 			return g
@@ -191,7 +191,7 @@ func (s Spec) StepUp(f float64, rt bool) float64 {
 
 // StepDown returns the next rung below f (or f if already at the bottom),
 // restricted to real-time rungs when rt is true.
-func (s Spec) StepDown(f float64, rt bool) float64 {
+func (s *Spec) StepDown(f float64, rt bool) float64 {
 	best := f
 	for _, fv := range s.Ladder {
 		if g := fv.GHz; g < f && (best == f || g > best) && (!rt || g >= s.MinRealTimeGHz) {
@@ -202,7 +202,7 @@ func (s Spec) StepDown(f float64, rt bool) float64 {
 }
 
 // Nearest returns the ladder rung closest to f.
-func (s Spec) Nearest(f float64) float64 {
+func (s *Spec) Nearest(f float64) float64 {
 	l := s.Ladder
 	i := sort.Search(len(l), func(i int) bool { return l[i].GHz >= f })
 	if i == 0 {

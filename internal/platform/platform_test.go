@@ -361,7 +361,8 @@ func TestOverCap(t *testing.T) {
 // non-increasing in total threads.
 func TestPlatformMonotonicityProperty(t *testing.T) {
 	srv := mustServer(t)
-	freqs := DefaultSpec().Frequencies()
+	spec := DefaultSpec()
+	freqs := spec.Frequencies()
 	prop := func(fIdx uint8, su float64, extra uint8) bool {
 		i := int(fIdx) % (len(freqs) - 1)
 		s := 0.5 + math.Mod(math.Abs(su), 6.0)

@@ -83,7 +83,8 @@ func (c Config) Validate() error {
 }
 
 // checkDims rejects table dimensions below 1x1, and dimensions whose
-// pair count does not fit the int32 offsets of a Model.
+// pair count does not fit an int32, the type of a row's successor
+// offsets.
 func checkDims(what string, states, actions int) error {
 	if states < 1 || actions < 1 || states > math.MaxInt32/actions {
 		return fmt.Errorf("rl: %s dimensions %dx%d invalid", what, states, actions)
@@ -91,33 +92,25 @@ func checkDims(what string, states, actions int) error {
 	return nil
 }
 
-// Learner bundles one agent's Q-table, visit counts and transition model,
-// and implements the eq. (3) learning rate and the Q update.
+// Learner bundles one agent's Q-table, visit counts and transition model
+// — three views of one table of per-state rows — and implements the
+// eq. (3) learning rate and the Q update.
 type Learner struct {
 	cfg    Config
-	Q      *QTable
-	Visits *Counter
-	Trans  *Transitions
+	t      *table
+	Q      QTable
+	Visits Counter
+	Trans  Transitions
 }
 
-// NewLearner builds a learner from a validated config.
+// NewLearner builds a cold learner from a validated config: every state
+// points at one shared blank row until its first write.
 func NewLearner(cfg Config) (*Learner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	q, err := NewQTable(cfg.States, cfg.Actions)
-	if err != nil {
-		return nil, err
-	}
-	v, err := NewCounter(cfg.States, cfg.Actions)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := NewTransitions(cfg.States, cfg.Actions)
-	if err != nil {
-		return nil, err
-	}
-	return &Learner{cfg: cfg, Q: q, Visits: v, Trans: tr}, nil
+	t := newTable(cfg.States, cfg.Actions)
+	return &Learner{cfg: cfg, t: t, Q: QTable{t}, Visits: Counter{t}, Trans: Transitions{t}}, nil
 }
 
 // Config returns the learner's configuration.

@@ -1,10 +1,13 @@
 package rl
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 )
 
 // learnerFormatVersion is the current checkpoint format of a Snapshot.
@@ -14,9 +17,111 @@ import (
 // being misinterpreted.
 const learnerFormatVersion = 1
 
+// Tables is a snapshot's learned state in dense form, the form its
+// codecs write: row-major [state][action] tables and the transition
+// counts as tuples.
+type Tables struct {
+	Q            []float64
+	VisitsSA     []int
+	VisitsAction []int
+	// Transitions lists (state, action, next, count) for every observed
+	// transition.
+	Transitions [][4]int
+}
+
+// Tables returns the snapshot's tables in dense form, as fresh slices,
+// with the transitions in ascending (state, action, next) order (nil
+// when there are none).
+func (sn Snapshot) Tables() Tables {
+	t := Tables{VisitsAction: slices.Clone(sn.perAction)}
+	if len(sn.rows) == 0 {
+		return t
+	}
+	pairs, succ := len(sn.rows)*sn.Config.Actions, 0
+	t.Q, t.VisitsSA = make([]float64, 0, pairs), make([]int, 0, pairs)
+	for _, r := range sn.rows {
+		succ += len(r.succ)
+	}
+	if succ > 0 {
+		t.Transitions = make([][4]int, 0, succ)
+	}
+	for s, r := range sn.rows {
+		t.Q = append(t.Q, r.q...)
+		t.VisitsSA = append(t.VisitsSA, r.n...)
+		for a := range r.q {
+			for _, sc := range r.run(a) {
+				t.Transitions = append(t.Transitions, [4]int{s, a, int(sc.State), sc.Count})
+			}
+		}
+	}
+	return t
+}
+
+// NewSnapshot builds a snapshot from dense tables. The dimensions and
+// table sizes are checked before anything sized by them is allocated;
+// the tuples may come in any order (t.Transitions is sorted in place),
+// repeated (state, action, next) tuples sum, and each must lie inside the
+// tables and count at least once. The snapshot keeps t's slices as its
+// storage, so the caller must not modify them afterwards. The config's
+// learning parameters are checked by LearnerFrom.
+func NewSnapshot(cfg Config, t Tables) (Snapshot, error) {
+	states, actions := cfg.States, cfg.Actions
+	if err := checkDims("snapshot", states, actions); err != nil {
+		return Snapshot{}, err
+	}
+	if len(t.Q) != states*actions || len(t.VisitsSA) != states*actions || len(t.VisitsAction) != actions {
+		return Snapshot{}, fmt.Errorf("rl: snapshot table sizes do not match dimensions %dx%d", states, actions)
+	}
+	ts := t.Transitions
+	byKey := func(x, y [4]int) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]), cmp.Compare(x[2], y[2]))
+	}
+	if !slices.IsSortedFunc(ts, byKey) {
+		slices.SortFunc(ts, byKey)
+	}
+	// off holds every row's successor offsets, counted per pair first;
+	// succ every successor, row after row.
+	off := make([]int32, states*(actions+1))
+	var succ []Succ
+	if len(ts) > 0 {
+		succ = make([]Succ, 0, len(ts))
+	}
+	for i, tu := range ts {
+		switch n := len(succ) - 1; {
+		case tu[0] < 0 || tu[0] >= states || tu[1] < 0 || tu[1] >= actions ||
+			tu[2] < 0 || tu[2] >= states || tu[3] < 1:
+			return Snapshot{}, fmt.Errorf("rl: snapshot: invalid transition tuple %v", tu)
+		case i == 0 || byKey(ts[i-1], tu) != 0:
+			succ = append(succ, Succ{int32(tu[2]), tu[3]})
+			off[tu[0]*(actions+1)+tu[1]+1]++
+		case succ[n].Count > math.MaxInt-tu[3]:
+			return Snapshot{}, fmt.Errorf("rl: snapshot: transition count overflows at tuple %v", tu)
+		default:
+			succ[n].Count += tu[3]
+		}
+	}
+	sn := Snapshot{Config: cfg, rows: make([]*row, states), perAction: t.VisitsAction}
+	rows := make([]row, states)
+	for s, lo := 0, 0; s < states; s++ {
+		o := off[s*(actions+1) : (s+1)*(actions+1) : (s+1)*(actions+1)]
+		for a := 1; a <= actions; a++ {
+			o[a] += o[a-1]
+		}
+		r := &rows[s]
+		r.q = t.Q[s*actions : (s+1)*actions : (s+1)*actions]
+		r.n = t.VisitsSA[s*actions : (s+1)*actions : (s+1)*actions]
+		r.off = o
+		if hi := lo + int(o[actions]); hi > lo {
+			r.succ, lo = succ[lo:hi:hi], hi
+		}
+		sn.rows[s] = r
+	}
+	return sn, nil
+}
+
 // snapshotWire is Snapshot's checkpoint form: the version stamp, the
-// config, the dense tables, and the model as (state, action, next,
-// count) tuples.
+// config, the dense tables, and the transition counts as (state, action,
+// next, count) tuples.
 type snapshotWire struct {
 	Version      int       `json:"format_version"`
 	Config       Config    `json:"config"`
@@ -30,70 +135,188 @@ type snapshotWire struct {
 // version. The tuples run in ascending (state, action, next) order, so
 // equal snapshots serialise to equal bytes; an empty model writes null.
 func (sn Snapshot) MarshalJSON() ([]byte, error) {
-	w := snapshotWire{Version: learnerFormatVersion, Config: sn.Config,
-		Q: sn.Q, VisitsSA: sn.VisitsSA, VisitsAction: sn.VisitsAction}
-	if len(sn.Trans.Succ) > 0 {
-		w.Transitions = make([][4]int, 0, len(sn.Trans.Succ))
-	}
-	for p := 0; p+1 < len(sn.Trans.Off); p++ {
-		for _, sc := range sn.Trans.run(p) {
-			w.Transitions = append(w.Transitions, [4]int{p / sn.Config.Actions, p % sn.Config.Actions, int(sc.State), sc.Count})
-		}
-	}
-	return json.Marshal(w)
+	t := sn.Tables()
+	return json.Marshal(snapshotWire{Version: learnerFormatVersion, Config: sn.Config,
+		Q: t.Q, VisitsSA: t.VisitsSA, VisitsAction: t.VisitsAction, Transitions: t.Transitions})
 }
 
-// UnmarshalJSON reads the checkpoint form of any supported version. The
-// dimensions and table sizes are checked before the model is built;
-// the tuples may come in any order, repeated (state, action, next)
-// tuples sum, and each must lie inside the tables and count at least
-// once. The config's learning parameters are checked by LearnerFrom.
+// UnmarshalJSON reads the checkpoint form of any supported version and
+// builds the snapshot with NewSnapshot. A payload laid out exactly as
+// MarshalJSON writes it is read in one pass (scanWire); any other goes
+// through encoding/json, to the same result.
 func (sn *Snapshot) UnmarshalJSON(b []byte) error {
-	var w snapshotWire
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
+	w, ok := scanWire(b)
+	if !ok {
+		w = snapshotWire{}
+		if err := json.Unmarshal(b, &w); err != nil {
+			return err
+		}
 	}
 	if w.Version < 0 || w.Version > learnerFormatVersion {
 		return fmt.Errorf("rl: snapshot: format version %d not supported (current %d)",
 			w.Version, learnerFormatVersion)
 	}
-	out := Snapshot{Config: w.Config, Q: w.Q, VisitsSA: w.VisitsSA, VisitsAction: w.VisitsAction,
-		Trans: Model{Off: make([]int32, len(w.Q)+1)}}
-	if err := out.checkShape(); err != nil {
+	out, err := NewSnapshot(w.Config, Tables{Q: w.Q, VisitsSA: w.VisitsSA, VisitsAction: w.VisitsAction,
+		Transitions: w.Transitions})
+	if err != nil {
 		return err
-	}
-	cfg, ts, m := w.Config, w.Transitions, &out.Trans
-	sort.Slice(ts, func(i, j int) bool {
-		x, y := ts[i], ts[j]
-		return x[0] < y[0] || x[0] == y[0] && (x[1] < y[1] || x[1] == y[1] && x[2] < y[2])
-	})
-	for i, t := range ts {
-		switch n := len(m.Succ) - 1; {
-		case t[0] < 0 || t[0] >= cfg.States || t[1] < 0 || t[1] >= cfg.Actions ||
-			t[2] < 0 || t[2] >= cfg.States || t[3] < 1:
-			return fmt.Errorf("rl: snapshot: invalid transition tuple %v", t)
-		case i == 0 || [3]int(ts[i-1][:3]) != [3]int(t[:3]):
-			m.Succ = append(m.Succ, Succ{int32(t[2]), t[3]})
-			m.Off[t[0]*cfg.Actions+t[1]+1]++
-		case m.Succ[n].Count > math.MaxInt-t[3]:
-			return fmt.Errorf("rl: snapshot: transition count overflows at tuple %v", t)
-		default:
-			m.Succ[n].Count += t[3]
-		}
-	}
-	for p := 1; p < len(m.Off); p++ {
-		m.Off[p] += m.Off[p-1]
 	}
 	*sn = out
 	return nil
 }
 
+// scanWire reads b in one pass when it is laid out exactly as MarshalJSON
+// writes it: every key once and in order, no white space, and integers
+// written as integers. ok is false for any other layout — a legacy
+// unversioned payload, say — and the caller then decodes b with
+// encoding/json, so the scan changes what a decode costs, never what it
+// yields. (A null table reads as an empty one, which NewSnapshot treats
+// alike.) The config, a handful of bytes, goes through encoding/json
+// either way.
+func scanWire(b []byte) (w snapshotWire, ok bool) {
+	sc := wireScanner{b: b, ok: true}
+	sc.lit(`{"format_version":`)
+	w.Version = sc.int()
+	sc.lit(`,"config":`)
+	if end := bytes.IndexByte(b[sc.i:], '}'); sc.ok && end >= 0 && b[sc.i] == '{' {
+		sc.ok = json.Unmarshal(b[sc.i:sc.i+end+1], &w.Config) == nil
+		sc.i += end + 1
+	} else {
+		sc.ok = false
+	}
+	sc.lit(`,"q":`)
+	sc.list(func() { w.Q = append(w.Q, sc.float()) })
+	sc.lit(`,"visits_sa":`)
+	sc.list(func() { w.VisitsSA = append(w.VisitsSA, sc.int()) })
+	sc.lit(`,"visits_action":`)
+	sc.list(func() { w.VisitsAction = append(w.VisitsAction, sc.int()) })
+	sc.lit(`,"transitions":`)
+	sc.list(func() {
+		var tu [4]int
+		sc.lit("[")
+		for i := range tu {
+			if i > 0 {
+				sc.lit(",")
+			}
+			tu[i] = sc.int()
+		}
+		sc.lit("]")
+		w.Transitions = append(w.Transitions, tu)
+	})
+	sc.lit("}")
+	return w, sc.ok && sc.i == len(b)
+}
+
+// wireScanner is scanWire's cursor over b. ok turns false at the first
+// byte out of the expected layout, and every later read is then a no-op.
+type wireScanner struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// lit reads the literal s.
+func (sc *wireScanner) lit(s string) {
+	if sc.ok && string(sc.b[sc.i:min(sc.i+len(s), len(sc.b))]) == s {
+		sc.i += len(s)
+	} else {
+		sc.ok = false
+	}
+}
+
+// list reads null, or an array whose elements item reads.
+func (sc *wireScanner) list(item func()) {
+	if sc.ok && string(sc.b[sc.i:min(sc.i+4, len(sc.b))]) == "null" {
+		sc.i += 4
+		return
+	}
+	sc.lit("[")
+	if sc.ok && sc.i < len(sc.b) && sc.b[sc.i] == ']' {
+		sc.i++
+		return
+	}
+	for sc.ok {
+		item()
+		if sc.ok && sc.i < len(sc.b) && sc.b[sc.i] == ',' {
+			sc.i++
+			continue
+		}
+		sc.lit("]")
+		return
+	}
+}
+
+// number reads a JSON number, reporting whether it has neither a
+// fraction nor an exponent.
+func (sc *wireScanner) number() (tok []byte, integral bool) {
+	if !sc.ok {
+		return nil, false
+	}
+	b, i := sc.b, sc.i
+	digits := func() int {
+		j := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i - j
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	first := i
+	n := digits()
+	ok := n > 0 && (n == 1 || b[first] != '0')
+	integral = true
+	if i < len(b) && b[i] == '.' {
+		i++
+		integral, ok = false, ok && digits() > 0
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		integral, ok = false, ok && digits() > 0
+	}
+	if !ok {
+		sc.ok = false
+		return nil, false
+	}
+	tok, sc.i = b[sc.i:i], i
+	return tok, integral
+}
+
+// float reads a number as encoding/json reads a float64.
+func (sc *wireScanner) float() float64 {
+	tok, _ := sc.number()
+	if !sc.ok {
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	sc.ok = err == nil
+	return v
+}
+
+// int reads a number as encoding/json reads an int: integral and in
+// range, or not at all.
+func (sc *wireScanner) int() int {
+	tok, integral := sc.number()
+	if !sc.ok || !integral {
+		sc.ok = false
+		return 0
+	}
+	v, err := strconv.ParseInt(string(tok), 10, 64)
+	sc.ok = err == nil
+	return int(v)
+}
+
 // LearnerFrom rebuilds a learner from a snapshot, the inverse of
 // Learner.Snapshot: the rebuilt learner is behaviourally identical to
-// the exported one and shares no memory with sn. The snapshot's shape
-// and model are validated before anything is allocated, so tables are
-// only ever sized like the snapshot's own; NewLearner then validates the
-// config.
+// the exported one. It shares the snapshot's immutable rows and copies
+// each on its first write to it, so nothing it learns reaches sn. The
+// snapshot's shape and model are validated before anything is
+// allocated, so tables are only ever sized like the snapshot's own;
+// NewLearner then validates the config.
 func LearnerFrom(sn Snapshot) (*Learner, error) {
 	if err := sn.Validate(); err != nil {
 		return nil, err
@@ -102,9 +325,7 @@ func LearnerFrom(sn Snapshot) (*Learner, error) {
 	if err != nil {
 		return nil, err
 	}
-	copy(l.Q.q, sn.Q)
-	copy(l.Visits.sa, sn.VisitsSA)
-	copy(l.Visits.perAction, sn.VisitsAction)
-	l.Trans.m = sn.Trans.clone()
+	copy(l.t.rows, sn.rows)
+	copy(l.t.perAction, sn.perAction)
 	return l, nil
 }

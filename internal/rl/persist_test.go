@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -246,5 +247,57 @@ func TestLoadLearnerLargeCounts(t *testing.T) {
 	overflow := head + fmt.Sprintf(`[[0,0,0,%d],[0,0,1,1]]}`, math.MaxInt)
 	if _, err := loadLearner(overflow); err == nil || !strings.Contains(err.Error(), "overflows") {
 		t.Fatalf("overflowing transition total: err = %v", err)
+	}
+}
+
+// TestScanWireMatchesEncodingJSON: the one-pass scan reads the bytes
+// MarshalJSON writes to exactly what encoding/json reads from them, and
+// declines every other layout, which the decoder then hands to
+// encoding/json.
+func TestScanWireMatchesEncodingJSON(t *testing.T) {
+	for _, l := range []*Learner{trainedLearner(t, 6), trainedSmallLearner(t, 7, 0)} {
+		data := saveLearner(t, l)
+		got, ok := scanWire(data)
+		if !ok {
+			t.Fatalf("canonical payload declined: %.80s", data)
+		}
+		var want snapshotWire
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scan read %+v, encoding/json %+v", got, want)
+		}
+	}
+	canon := string(saveLearner(t, trainedSmallLearner(t, 8, 40)))
+	rest := strings.TrimPrefix(canon, `{"format_version":1,`)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, []byte(canon), "", " "); err != nil {
+		t.Fatal(err)
+	}
+	for name, variant := range map[string]string{
+		"white space":         indented.String(),
+		"legacy":              "{" + rest,
+		"keys reordered":      "{" + strings.TrimSuffix(rest, "}") + `,"format_version":1}`,
+		"fraction in a count": strings.Replace(canon, `"visits_action":[`, `"visits_action":[1.0,`, 1),
+		"exponent in a count": strings.Replace(canon, `"visits_sa":[`, `"visits_sa":[1e0,`, 1),
+		"float out of range":  strings.Replace(canon, `"q":[`, `"q":[1e400,`, 1),
+		"short tuple":         strings.Replace(canon, `"transitions":[[`, `"transitions":[[0,0],[`, 1),
+		"trailing space":      canon + " ",
+	} {
+		if _, ok := scanWire([]byte(variant)); ok {
+			t.Errorf("%s: scan accepted a layout MarshalJSON never writes", name)
+		}
+		var sn, viaJSON Snapshot
+		err := sn.UnmarshalJSON([]byte(variant))
+		var w snapshotWire
+		errJSON := json.Unmarshal([]byte(variant), &w)
+		if errJSON == nil {
+			viaJSON, errJSON = NewSnapshot(w.Config, Tables{Q: w.Q, VisitsSA: w.VisitsSA,
+				VisitsAction: w.VisitsAction, Transitions: w.Transitions})
+		}
+		if (err == nil) != (errJSON == nil) || !reflect.DeepEqual(sn, viaJSON) {
+			t.Errorf("%s: decoded %v (err %v), encoding/json %v (err %v)", name, sn.Config, err, viaJSON.Config, errJSON)
+		}
 	}
 }

@@ -1,10 +1,14 @@
 package rl
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Snapshot is the exported learned state of one Learner: its config, the
-// Q-table, the Num(s,a) visit counts and the empirical transition
-// counts. It is the one form in which a learner's state leaves it:
+// Snapshot is the exported learned state of one Learner: its config,
+// one row per state (the state's Q values, Num(s,a) visit counts and
+// successor counts) and the per-action totals Num(a). It is the one form
+// in which a learner's state leaves it:
 //
 //   - Cross-session knowledge reuse: a departing transcoding session
 //     exports its snapshot, snapshots fold together with count-weighted
@@ -14,39 +18,50 @@ import "fmt"
 //     seeding read only the config's States and Actions.
 //   - Checkpoints: MarshalJSON and UnmarshalJSON carry the versioned
 //     checkpoint wire form, and LearnerFrom rebuilds the learner.
+//
+// A snapshot's rows are immutable, so they are shared instead of copied:
+// Learner.Snapshot, Clone, Learner.Seed and LearnerFrom cost one pointer
+// per state plus the per-action totals, whatever the table size, and a
+// learner copies a shared row only when it first writes to it. Merge and
+// SubtractCounts make fresh rows only for the states they change. A
+// Snapshot value aliases its row pointers and totals the way a slice
+// does; Clone gives an independent copy. Tables reads the dense tables
+// and NewSnapshot builds a snapshot from them.
 type Snapshot struct {
 	// Config is the learner's configuration; its States and Actions are
 	// the table dimensions.
-	Config Config
-	// Q is the dense Q-table, row-major [state][action].
-	Q []float64
-	// VisitsSA is the dense Num(s,a) table; VisitsAction the per-action
-	// totals Num(a).
-	VisitsSA     []int
-	VisitsAction []int
-	// Trans holds the transition counts.
-	Trans Model
+	Config    Config
+	rows      []*row
+	perAction []int
 }
 
-// Snapshot exports a deep copy of the learner's current learning state.
-func (l *Learner) Snapshot() Snapshot { return l.view().Clone() }
+// Snapshot exports the learner's current learning state. It copies the
+// row pointers and the per-action totals, not the rows: the learner
+// gives up ownership of its rows and copies each again on its next write
+// to it.
+func (l *Learner) Snapshot() Snapshot {
+	return Snapshot{Config: l.cfg, rows: l.t.share(), perAction: slices.Clone(l.t.perAction)}
+}
 
-// view returns the learner's tables as a Snapshot that aliases them.
+// view returns the learner's tables as a Snapshot that aliases them, for
+// reading only.
 func (l *Learner) view() Snapshot {
-	return Snapshot{Config: l.cfg,
-		Q: l.Q.q, VisitsSA: l.Visits.sa, VisitsAction: l.Visits.perAction, Trans: l.Trans.m}
+	return Snapshot{Config: l.cfg, rows: l.t.rows, perAction: l.t.perAction}
 }
 
 // checkShape verifies the dimensions and the table sizes against them —
-// the O(1) structural half of Validate, cheap enough to run on every
-// fold.
+// the structural half of Validate, cheap enough to run on every fold.
 func (sn Snapshot) checkShape() error {
 	s, a := sn.Config.States, sn.Config.Actions
 	if err := checkDims("snapshot", s, a); err != nil {
 		return err
 	}
-	n := s * a
-	if len(sn.Q) != n || len(sn.VisitsSA) != n || len(sn.VisitsAction) != a || len(sn.Trans.Off) != n+1 {
+	sized := len(sn.rows) == s && len(sn.perAction) == a
+	for i := 0; sized && i < len(sn.rows); i++ {
+		r := sn.rows[i]
+		sized = r != nil && len(r.q) == a && len(r.n) == a && len(r.off) == a+1
+	}
+	if !sized {
 		return fmt.Errorf("rl: snapshot table sizes do not match dimensions %dx%d", s, a)
 	}
 	return nil
@@ -62,7 +77,12 @@ func (sn Snapshot) Validate() error {
 	if err := sn.checkShape(); err != nil {
 		return err
 	}
-	return sn.Trans.validate(len(sn.Q), sn.Config.States)
+	for s, r := range sn.rows {
+		if err := r.validate(s, sn.Config.States); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Compatible reports whether other has the receiver's shape and
@@ -82,56 +102,32 @@ func (sn Snapshot) Compatible(other Snapshot) error {
 	return nil
 }
 
-// Clone returns a deep copy of the snapshot.
+// Clone returns a copy whose later folds do not reach the receiver, nor
+// the receiver's the copy. It copies the row pointers and the per-action
+// totals; the rows themselves are immutable and shared.
 func (sn Snapshot) Clone() Snapshot {
-	return Snapshot{
-		Config:       sn.Config,
-		Q:            append([]float64(nil), sn.Q...),
-		VisitsSA:     append([]int(nil), sn.VisitsSA...),
-		VisitsAction: append([]int(nil), sn.VisitsAction...),
-		Trans:        sn.Trans.clone(),
-	}
-}
-
-// foldFrom applies the count-weighted fold of src into dst's tables and
-// returns the summed transition model: every Q value becomes the
-// visit-count-weighted mean of the two sides (one-sided visits adopt the
-// visited value exactly, with no floating-point round-trip), visit counts
-// add, and transition counts add in one sorted merge per pair. The shapes
-// must already be checked.
-func foldFrom(dst, src Snapshot) Model {
-	q, visitsSA := dst.Q, dst.VisitsSA
-	for i := range q {
-		nd, ns := visitsSA[i], src.VisitsSA[i]
-		switch {
-		case ns == 0:
-		case nd == 0:
-			q[i] = src.Q[i]
-		default:
-			q[i] = (float64(nd)*q[i] + float64(ns)*src.Q[i]) / float64(nd+ns)
-		}
-		visitsSA[i] = nd + ns
-	}
-	for a := range dst.VisitsAction {
-		dst.VisitsAction[a] += src.VisitsAction[a]
-	}
-	sum, _ := combine(dst.Trans, src.Trans, 1) // adding never errors
-	return sum
+	return Snapshot{Config: sn.Config, rows: slices.Clone(sn.rows), perAction: slices.Clone(sn.perAction)}
 }
 
 // Merge folds other into the receiver with count-weighted averaging:
 // every Q(s,a) becomes the visit-count-weighted mean of the two tables'
 // values, visit counts add, and transition counts add. A pair unvisited
 // on both sides keeps the receiver's (zero) value. The receiver is only
-// mutated after the compatibility check passes. Merging is exact on
-// counts and deterministic on Q for a fixed fold order; callers that
-// need bit-identical results across runs must fold contributions in a
-// fixed order (floating-point averaging does not commute).
+// mutated after the compatibility check passes, and only at the states
+// other visited or observed. Merging is exact on counts and
+// deterministic on Q for a fixed fold order; callers that need
+// bit-identical results across runs must fold contributions in a fixed
+// order (floating-point averaging does not commute).
 func (sn *Snapshot) Merge(other Snapshot) error {
 	if err := sn.Compatible(other); err != nil {
 		return err
 	}
-	sn.Trans = foldFrom(*sn, other)
+	for s, r := range sn.rows {
+		sn.rows[s] = foldRow(r, other.rows[s])
+	}
+	for a := range sn.perAction {
+		sn.perAction[a] += other.perAction[a]
+	}
 	return nil
 }
 
@@ -144,26 +140,51 @@ func (sn *Snapshot) Merge(other Snapshot) error {
 // generation (exponential growth, eventually overflowing the counts)
 // and drown new experience under recycled old mass. base must be a
 // prefix of the snapshot's history (counts can only have grown since
-// seeding); a negative residual count is an error.
+// seeding); a negative residual count is an error, and leaves the
+// receiver unchanged.
+//
+// A state whose row is still base's own — one the session never wrote
+// to — has no counts left, so it skips the subtraction: it keeps base's
+// Q values over zero counts, and Merge passes it over.
 func (sn *Snapshot) SubtractCounts(base Snapshot) error {
 	if err := sn.Compatible(base); err != nil {
 		return err
 	}
-	for i := range sn.VisitsSA {
-		if sn.VisitsSA[i] -= base.VisitsSA[i]; sn.VisitsSA[i] < 0 {
-			return fmt.Errorf("rl: subtract pair %d: %d visits below base", i, sn.VisitsSA[i])
+	untouched := 0
+	for s, r := range sn.rows {
+		if r == base.rows[s] && !r.idle() {
+			untouched++
 		}
 	}
-	for a := range sn.VisitsAction {
-		if sn.VisitsAction[a] -= base.VisitsAction[a]; sn.VisitsAction[a] < 0 {
-			return fmt.Errorf("rl: subtract action %d: %d visits below base", a, sn.VisitsAction[a])
+	// One allocation holds every untouched state's row; they share their
+	// Q values with base and one set of zero counts.
+	var twins []row
+	var zero *row
+	if untouched > 0 {
+		twins, zero = make([]row, 0, untouched), newRow(sn.Config.Actions)
+	}
+	rows := make([]*row, len(sn.rows))
+	for s, r := range sn.rows {
+		var err error
+		switch b := base.rows[s]; {
+		case b.idle():
+			rows[s] = r
+		case r == b:
+			twins = append(twins, row{q: r.q, n: zero.n, off: zero.off})
+			rows[s] = &twins[len(twins)-1]
+		default:
+			if rows[s], err = subtractRow(r, b, s); err != nil {
+				return err
+			}
 		}
 	}
-	delta, err := combine(sn.Trans, base.Trans, -1)
-	if err != nil {
-		return err
+	perAction := make([]int, len(sn.perAction))
+	for a, n := range sn.perAction {
+		if perAction[a] = n - base.perAction[a]; perAction[a] < 0 {
+			return fmt.Errorf("rl: subtract action %d: %d visits below base", a, perAction[a])
+		}
 	}
-	sn.Trans = delta
+	sn.rows, sn.perAction = rows, perAction
 	return nil
 }
 
@@ -177,10 +198,21 @@ func (l *Learner) Compatible(sn Snapshot) error { return l.view().Compatible(sn)
 // installs the snapshot verbatim, so states the snapshot has explored
 // past the alpha thresholds start directly in the later learning phases;
 // on a partially trained learner the two states average by visit weight.
+// A blank state of the learner takes the snapshot's row itself, shared
+// until the learner's first write to it, wherever that is exactly the
+// fold: when each action the row never visited holds +0 Q.
 func (l *Learner) Seed(sn Snapshot) error {
 	if err := l.Compatible(sn); err != nil {
 		return fmt.Errorf("rl: seed: %w", err)
 	}
-	l.Trans.m = foldFrom(l.view(), sn)
+	t := l.t
+	for s, r := range t.rows {
+		if f := foldRow(r, sn.rows[s]); f != r {
+			t.rows[s], t.own[s] = f, f != sn.rows[s]
+		}
+	}
+	for a := range t.perAction {
+		t.perAction[a] += sn.perAction[a]
+	}
 	return nil
 }

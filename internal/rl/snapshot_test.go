@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,6 +24,18 @@ func trainedSmallLearner(t testing.TB, seed int64, steps int) *Learner {
 		s = next
 	}
 	return l
+}
+
+// edited rebuilds sn from its dense tables after edit changes them.
+func edited(t testing.TB, sn Snapshot, edit func(*Tables)) Snapshot {
+	t.Helper()
+	tb := sn.Tables()
+	edit(&tb)
+	out, err := NewSnapshot(sn.Config, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestSnapshotSeedRoundTrip(t *testing.T) {
@@ -66,11 +79,14 @@ func TestSnapshotSeedRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Snapshot is a deep copy: mutating it must not touch the learner.
-	sn.Q[0] = 1e9
-	sn.VisitsSA[0] = 1e6
-	if l.Q.Get(0, 0) == 1e9 || l.Visits.Num(0, 0) == 1e6 {
-		t.Error("snapshot aliases the learner's tables")
+	// The snapshot is isolated: folding into it reaches neither the
+	// learner it came from nor the one seeded from it.
+	lb, fb := saveLearner(t, l), saveLearner(t, fresh)
+	if err := sn.Merge(sn.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveLearner(t, l), lb) || !bytes.Equal(saveLearner(t, fresh), fb) {
+		t.Error("a fold into the snapshot reached a learner")
 	}
 }
 
@@ -80,14 +96,14 @@ func TestSnapshotMergeCountWeighted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn := l.Snapshot()
-		sn.Q[0] = q // (s=0, a=0)
-		sn.VisitsSA[0] = visits
-		sn.VisitsAction[0] = visits
-		if visits > 0 {
-			sn.Trans = Model{Off: []int32{0, 1, 1, 1, 1}, Succ: []Succ{{1, visits}}}
-		}
-		return sn
+		return edited(t, l.Snapshot(), func(tb *Tables) {
+			tb.Q[0] = q // (s=0, a=0)
+			tb.VisitsSA[0] = visits
+			tb.VisitsAction[0] = visits
+			if visits > 0 {
+				tb.Transitions = [][4]int{{0, 0, 1, visits}}
+			}
+		})
 	}
 	a := mk(1.0, 3)
 	b := mk(5.0, 1)
@@ -95,18 +111,19 @@ func TestSnapshotMergeCountWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Count-weighted mean: (3*1 + 1*5)/4 = 2.
-	if got := a.Q[0]; math.Abs(got-2.0) > 1e-15 {
+	at := a.Tables()
+	if got := at.Q[0]; math.Abs(got-2.0) > 1e-15 {
 		t.Errorf("merged Q = %g, want 2", got)
 	}
-	if a.VisitsSA[0] != 4 || a.VisitsAction[0] != 4 {
-		t.Errorf("merged visits = %d/%d, want 4/4", a.VisitsSA[0], a.VisitsAction[0])
+	if at.VisitsSA[0] != 4 || at.VisitsAction[0] != 4 {
+		t.Errorf("merged visits = %d/%d, want 4/4", at.VisitsSA[0], at.VisitsAction[0])
 	}
-	if got := a.Trans.run(0); len(got) != 1 || got[0] != (Succ{1, 4}) {
-		t.Errorf("merged transitions of pair 0 = %v, want [{1 4}]", got)
+	if got := at.Transitions; len(got) != 1 || got[0] != [4]int{0, 0, 1, 4} {
+		t.Errorf("merged transitions = %v, want [[0 0 1 4]]", got)
 	}
 	// Unvisited pairs stay untouched.
-	if a.Q[1] != 0 || a.VisitsSA[1] != 0 {
-		t.Errorf("unvisited pair changed: Q=%g visits=%d", a.Q[1], a.VisitsSA[1])
+	if at.Q[1] != 0 || at.VisitsSA[1] != 0 {
+		t.Errorf("unvisited pair changed: Q=%g visits=%d", at.Q[1], at.VisitsSA[1])
 	}
 
 	// Merging a zero-count snapshot is a no-op on Q.
@@ -114,8 +131,8 @@ func TestSnapshotMergeCountWeighted(t *testing.T) {
 	if err := c.Merge(mk(99, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if c.Q[0] != 1.5 || c.VisitsSA[0] != 2 {
-		t.Errorf("zero-count merge changed state: Q=%g visits=%d", c.Q[0], c.VisitsSA[0])
+	if ct := c.Tables(); ct.Q[0] != 1.5 || ct.VisitsSA[0] != 2 {
+		t.Errorf("zero-count merge changed state: Q=%g visits=%d", ct.Q[0], ct.VisitsSA[0])
 	}
 }
 
@@ -131,7 +148,7 @@ func TestSnapshotMergeEquivalentToPooledUpdates(t *testing.T) {
 	for s := 0; s < 6; s++ {
 		for a := 0; a < 3; a++ {
 			want := l1.Visits.Num(s, a) + l2.Visits.Num(s, a)
-			if got := sn.VisitsSA[s*3+a]; got != want {
+			if got := sn.Tables().VisitsSA[s*3+a]; got != want {
 				t.Errorf("pooled Num(%d,%d) = %d, want %d", s, a, got, want)
 			}
 		}
@@ -163,7 +180,7 @@ func TestSnapshotMergeDimensionMismatch(t *testing.T) {
 		t.Error("dimension mismatch accepted by Seed")
 	}
 	bad := l1.Snapshot()
-	bad.Q = bad.Q[:1]
+	bad.rows = bad.rows[:1]
 	if err := bad.Validate(); err == nil {
 		t.Error("truncated snapshot passed validation")
 	}
@@ -192,21 +209,22 @@ func TestSubtractCountsYieldsOwnExperience(t *testing.T) {
 	if err := delta.SubtractCounts(seed); err != nil {
 		t.Fatal(err)
 	}
+	dt := delta.Tables()
 	total := 0
-	for _, n := range delta.VisitsSA {
+	for _, n := range dt.VisitsSA {
 		total += n
 	}
 	if total != own {
 		t.Errorf("delta carries %d visits, want only the %d own updates", total, own)
 	}
-	if got, want := delta.VisitsSA[1*3+2], own; got != want {
+	if got, want := dt.VisitsSA[1*3+2], own; got != want {
 		t.Errorf("delta Num(1,2) = %d, want %d", got, want)
 	}
-	if got, want := delta.Q[1*3+2], warm.Q.Get(1, 2); got != want {
+	if got, want := dt.Q[1*3+2], warm.Q.Get(1, 2); got != want {
 		t.Errorf("delta kept Q %g, want the final estimate %g", got, want)
 	}
-	if got := delta.Trans.run(1*3 + 2); len(got) != 1 || got[0] != (Succ{3, own}) {
-		t.Errorf("delta transitions of (1,2) = %v, want [{3 %d}]", got, own)
+	if got := dt.Transitions; len(got) != 1 || got[0] != [4]int{1, 2, 3, own} {
+		t.Errorf("delta transitions = %v, want [[1 2 3 %d]]", got, own)
 	}
 
 	// Subtracting a base that was never part of the history errors
@@ -252,7 +270,7 @@ func TestGenerationalMergeStaysLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 		total := 0
-		for _, n := range store.VisitsSA {
+		for _, n := range store.Tables().VisitsSA {
 			total += n
 		}
 		if total != gen*perGen {
@@ -275,10 +293,11 @@ func TestSeedFoldsIntoPartiallyTrainedLearner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn := donor.Snapshot()
-	sn.Q[0] = 1.0
-	sn.VisitsSA[0] = 3
-	sn.VisitsAction[0] = 3
+	sn := edited(t, donor.Snapshot(), func(tb *Tables) {
+		tb.Q[0] = 1.0
+		tb.VisitsSA[0] = 3
+		tb.VisitsAction[0] = 3
+	})
 
 	if err := l.Seed(sn); err != nil {
 		t.Fatal(err)

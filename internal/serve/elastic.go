@@ -168,8 +168,9 @@ type statefulMAMUT struct {
 }
 
 // mamutCtrlState is the wrapper's typed state: the resume state is
-// already a deep copy, so a checkpoint holds it as is and the wire codec
-// encodes the learner tables in one pass only when it is needed.
+// already frozen (its learners share rows the controller copies before
+// writing), so a checkpoint holds it as is and the wire codec encodes the
+// learner tables in one pass only when it is needed.
 type mamutCtrlState struct {
 	Resume *core.ResumeState `json:"resume"`
 	RNG    uint64            `json:"rng"`

@@ -50,8 +50,9 @@ func NewKnowledgeStore() *KnowledgeStore {
 // accumulated knowledge with count-weighted averaging. The first
 // contribution of a class adopts the snapshot, keeping of each agent's
 // config only the table dimensions, as the exported artifact does; later
-// contributions must match those dimensions. The snapshot is copied —
-// the caller may keep using its own.
+// contributions must match those dimensions. The store keeps its own
+// copy — the caller may keep using its own — and makes fresh rows only
+// for the states the contribution visited.
 func (ks *KnowledgeStore) Contribute(res video.Resolution, snap core.Snapshot) error {
 	if err := snap.Validate(); err != nil {
 		return err
@@ -73,8 +74,10 @@ func (ks *KnowledgeStore) Contribute(res video.Resolution, snap core.Snapshot) e
 
 // Seed returns the accumulated snapshot for a resolution class, or nil
 // when no session of that class has contributed yet (cold start). The
-// returned snapshot is owned by the store: read it (core.NewWarm copies
-// while seeding), do not mutate or retain it.
+// returned snapshot is owned by the store and changes with every later
+// contribution: read it, or Clone it to keep a frozen copy — a clone
+// costs one pointer per state and shares the immutable rows, and
+// core.NewWarm seeds a controller from it by sharing those rows too.
 func (ks *KnowledgeStore) Seed(res video.Resolution) *core.Snapshot {
 	return ks.byRes[res]
 }
@@ -86,13 +89,11 @@ func (ks *KnowledgeStore) Contributions(res video.Resolution) int {
 
 // knowledge is a run's knowledge-reuse state (nil when reuse is off):
 // the store, the seed the controller factory's WarmStart hook hands the
-// next controller, the warm-start count, and each resolution class's
-// shared seed copy.
+// next controller, and the warm-start count.
 type knowledge struct {
 	store   *KnowledgeStore
 	pending *core.Snapshot
 	seeded  int
-	seeds   [2]sharedSeed
 }
 
 // newKnowledge starts a run's knowledge state from a copy of the
@@ -106,25 +107,14 @@ func newKnowledge(imported *KnowledgeStore) *knowledge {
 	return &knowledge{store: NewKnowledgeStore()}
 }
 
-// sharedSeed is the read-only seed copy a class's admissions share, and
-// the class's contribution count it was cloned at.
-type sharedSeed struct {
-	snap    *core.Snapshot
-	version int
-}
-
 // seed picks the knowledge seed for one admission of class res (nil when
 // knowledge reuse is off or the class is still cold). The store keeps
 // merging afterwards, so the admission needs a frozen copy of the class's
 // current snapshot, which serves both as the controller's seed (via the
 // WarmStart hook) and as the baseline its departing contribution is
-// measured against.
-//
-// The copy is shared: every admission of the class until its next
-// contribution gets the same one, instead of holding a clone each. The
-// class's contribution count versions it, and sessions seeded before a
-// contribution keep the old copy, which nothing mutates (core.NewWarm
-// and SubtractCounts only read their seed).
+// measured against. The copy is a clone — three times 180 row pointers,
+// whatever the store holds — whose rows the controller shares until it
+// writes to them.
 func (k *knowledge) seed(res video.Resolution) *core.Snapshot {
 	if k == nil {
 		return nil
@@ -134,19 +124,17 @@ func (k *knowledge) seed(res video.Resolution) *core.Snapshot {
 		return nil
 	}
 	k.seeded++
-	version := k.store.Contributions(res)
-	if sh := k.seeds[res]; sh.snap != nil && sh.version == version {
-		return sh.snap
-	}
 	cp := cur.Clone()
-	k.seeds[res] = sharedSeed{snap: &cp, version: version}
 	return &cp
 }
 
 // harvest contributes a departed session's learned state to the store
 // (a no-op for sessions without a harvest identity): its final Q
 // estimates, weighted by the visits it made itself, not by the recycled
-// seed mass.
+// seed mass. The departed controller's snapshot shares its rows; every
+// state it never wrote to still holds the seed's own row, which the
+// subtraction leaves without counts and the fold passes over, so the
+// store makes fresh rows only for the states the session visited.
 func (k *knowledge) harvest(rec residentRec) error {
 	if rec.ctrl == nil {
 		return nil

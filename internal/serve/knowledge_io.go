@@ -60,24 +60,25 @@ type knowledgeAgent struct {
 	Trans           knowledgeTrans
 }
 
-// knowledgeTrans is a transition model in the artifact's form, the one
-// encoding/json gives a []map[int]int: per (state, action) pair, an
-// object from successor state to count, keyed in string order ("12"
-// before "3"), or null for a pair never taken.
-type knowledgeTrans rl.Model
+// knowledgeTrans is a transition model as one successor run per (state,
+// action) pair, ascending by state. The artifact writes it in the form
+// encoding/json gives a []map[int]int: per pair, an object from
+// successor state to count, keyed in string order ("12" before "3"), or
+// null for a pair never taken.
+type knowledgeTrans [][]rl.Succ
 
 // MarshalJSON writes the model in the artifact's form.
 func (kt knowledgeTrans) MarshalJSON() ([]byte, error) {
-	if kt.Off == nil {
+	if kt == nil {
 		return []byte("null"), nil
 	}
 	b := []byte{'['}
 	var run []rl.Succ
-	for p := 0; p+1 < len(kt.Off); p++ {
+	for p := range kt {
 		if p > 0 {
 			b = append(b, ',')
 		}
-		if run = append(run[:0], kt.Succ[kt.Off[p]:kt.Off[p+1]]...); len(run) == 0 {
+		if run = append(run[:0], kt[p]...); len(run) == 0 {
 			b = append(b, "null"...)
 			continue
 		}
@@ -104,20 +105,17 @@ func (kt *knowledgeTrans) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &runs); err != nil {
 		return err
 	}
-	m := rl.Model{}
+	var m knowledgeTrans
 	if runs != nil {
-		m.Off = make([]int32, 1, len(runs)+1)
+		m = make(knowledgeTrans, len(runs))
 	}
-	for _, run := range runs {
-		start := len(m.Succ)
+	for p, run := range runs {
 		for next, n := range run {
-			m.Succ = append(m.Succ, rl.Succ{State: int32(next), Count: n})
+			m[p] = append(m[p], rl.Succ{State: int32(next), Count: n})
 		}
-		tail := m.Succ[start:]
-		sort.Slice(tail, func(i, j int) bool { return tail[i].State < tail[j].State })
-		m.Off = append(m.Off, int32(len(m.Succ)))
+		sort.Slice(m[p], func(i, j int) bool { return m[p][i].State < m[p][j].State })
 	}
-	*kt = knowledgeTrans(m)
+	*kt = m
 	canon, _ := kt.MarshalJSON()
 	var in bytes.Buffer
 	if err := json.Compact(&in, b); err != nil || !bytes.Equal(canon, in.Bytes()) {
@@ -135,8 +133,14 @@ func (ks *KnowledgeStore) MarshalJSON() ([]byte, error) {
 	for res, snap := range ks.byRes {
 		kc := knowledgeClass{Contributions: ks.contributions[res]}
 		for k, ag := range snap {
+			t := ag.Tables()
+			trans := make(knowledgeTrans, len(t.Q))
+			for _, tu := range t.Transitions {
+				p := tu[0]*ag.Config.Actions + tu[1]
+				trans[p] = append(trans[p], rl.Succ{State: int32(tu[2]), Count: tu[3]})
+			}
 			kc.Agents[k] = knowledgeAgent{States: ag.Config.States, Actions: ag.Config.Actions,
-				Q: ag.Q, VisitsSA: ag.VisitsSA, VisitsAction: ag.VisitsAction, Trans: knowledgeTrans(ag.Trans)}
+				Q: t.Q, VisitsSA: t.VisitsSA, VisitsAction: t.VisitsAction, Trans: trans}
 		}
 		classes[res.String()] = kc
 	}
@@ -167,8 +171,22 @@ func (ks *KnowledgeStore) UnmarshalJSON(b []byte) error {
 		}
 		var snap core.Snapshot
 		for k, ag := range kc.Agents {
-			snap[k] = rl.Snapshot{Config: rl.Config{States: ag.States, Actions: ag.Actions},
-				Q: ag.Q, VisitsSA: ag.VisitsSA, VisitsAction: ag.VisitsAction, Trans: rl.Model(ag.Trans)}
+			if ag.Actions < 1 || len(ag.Trans) != ag.States*ag.Actions {
+				return fmt.Errorf("serve: knowledge payload: class %s: agent %d has %d transition runs for %dx%d pairs",
+					name, k, len(ag.Trans), ag.States, ag.Actions)
+			}
+			var tuples [][4]int
+			for p, run := range ag.Trans {
+				for _, sc := range run {
+					tuples = append(tuples, [4]int{p / ag.Actions, p % ag.Actions, int(sc.State), sc.Count})
+				}
+			}
+			var err error
+			snap[k], err = rl.NewSnapshot(rl.Config{States: ag.States, Actions: ag.Actions},
+				rl.Tables{Q: ag.Q, VisitsSA: ag.VisitsSA, VisitsAction: ag.VisitsAction, Transitions: tuples})
+			if err != nil {
+				return fmt.Errorf("serve: knowledge payload: class %s: %w", name, err)
+			}
 		}
 		if err := snap.Validate(); err != nil {
 			return fmt.Errorf("serve: knowledge payload: class %s: %w", name, err)
@@ -179,8 +197,9 @@ func (ks *KnowledgeStore) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// clone deep-copies the store, so a run can accumulate onto imported
-// knowledge without mutating the caller's copy.
+// clone copies the store, so a run can accumulate onto imported
+// knowledge without mutating the caller's copy; the copies share the
+// immutable rows.
 func (ks *KnowledgeStore) clone() *KnowledgeStore {
 	cp := NewKnowledgeStore()
 	for res, snap := range ks.byRes {

@@ -218,7 +218,7 @@ func TestKnowledgeTransMatchesMapEncoding(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		pairs := 1 + rng.Intn(8)
 		maps := make([]map[int]int, pairs)
-		m := rl.Model{Off: make([]int32, 1, pairs+1)}
+		m := make(knowledgeTrans, pairs)
 		for p := range maps {
 			for next := 0; next < 120; next++ {
 				if rng.Intn(12) == 0 {
@@ -226,16 +226,15 @@ func TestKnowledgeTransMatchesMapEncoding(t *testing.T) {
 						maps[p] = map[int]int{}
 					}
 					maps[p][next] = 1 + rng.Intn(1<<uint(rng.Intn(40)+1))
-					m.Succ = append(m.Succ, rl.Succ{State: int32(next), Count: maps[p][next]})
+					m[p] = append(m[p], rl.Succ{State: int32(next), Count: maps[p][next]})
 				}
 			}
-			m.Off = append(m.Off, int32(len(m.Succ)))
 		}
 		want, err := json.Marshal(maps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := json.Marshal(knowledgeTrans(m))
+		got, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +245,7 @@ func TestKnowledgeTransMatchesMapEncoding(t *testing.T) {
 		if err := json.Unmarshal(want, &back); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rl.Model(back), m) {
+		if !reflect.DeepEqual(back, m) {
 			t.Fatalf("trial %d: decoded %+v, want %+v", trial, back, m)
 		}
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -157,7 +158,7 @@ func TestKnowledgeStorePoolsPerClass(t *testing.T) {
 		t.Fatal("no HR snapshot after contributions")
 	}
 	qpActions := a.Learner(core.AgentQP).Config().Actions
-	if got := sn[core.AgentQP].VisitsSA[3*qpActions]; got != 5 {
+	if got := sn[core.AgentQP].Tables().VisitsSA[3*qpActions]; got != 5 {
 		t.Errorf("pooled Num(3,0) = %d, want 5", got)
 	}
 	// LR is untouched by HR contributions.
@@ -180,11 +181,11 @@ func TestKnowledgeStorePoolsPerClass(t *testing.T) {
 	// atomically: the QP agent's dimensions match across classes, but
 	// the thread agent's don't, and a half-merged store would silently
 	// corrupt every later warm start.
-	before := ks.Seed(video.HR)[core.AgentQP].VisitsSA[3*qpActions]
+	before := ks.Seed(video.HR)[core.AgentQP].Tables().VisitsSA[3*qpActions]
 	if err := ks.Contribute(video.HR, c.Snapshot()); err == nil {
 		t.Fatal("LR snapshot accepted into the HR class")
 	}
-	if got := ks.Seed(video.HR)[core.AgentQP].VisitsSA[3*qpActions]; got != before {
+	if got := ks.Seed(video.HR)[core.AgentQP].Tables().VisitsSA[3*qpActions]; got != before {
 		t.Errorf("failed contribution mutated the store: Num(3,0) %d -> %d", before, got)
 	}
 	if got := ks.Contributions(video.HR); got != 2 {
@@ -228,11 +229,12 @@ func warmMAMUT(t *testing.T, seed *core.Snapshot, rngSeed int64) *core.Controlle
 	return c
 }
 
-// TestSeedAdmissionSharesSeedUntilFold: admissions of a class with no
-// fold between them share one seed copy, a fold makes the next admission
-// clone a fresh one, and a shared seed is unchanged after every session
-// seeded from it has departed and been folded into the store.
-func TestSeedAdmissionSharesSeedUntilFold(t *testing.T) {
+// TestSeedAdmissionGetsFrozenSeed: every admission of a warm class gets
+// its own frozen copy of the class's knowledge — the copy after a fold
+// holds the folded knowledge — and a seed is unchanged after every
+// session seeded from it has departed and been folded into the store,
+// although the seed, the sessions and the store share rows throughout.
+func TestSeedAdmissionGetsFrozenSeed(t *testing.T) {
 	kn := newKnowledge(nil)
 	d := &dispatcher{knowledge: kn, stats: stats{busy: make([]float64, 1)}}
 	depart := func(c *core.Controller, seeded *core.Snapshot) {
@@ -248,27 +250,34 @@ func TestSeedAdmissionSharesSeedUntilFold(t *testing.T) {
 	depart(warmMAMUT(t, nil, 1), nil)
 
 	a, b := kn.seed(video.HR), kn.seed(video.HR)
-	if a == nil || a != b {
-		t.Fatalf("two admissions with no fold between them got seeds %p and %p, want one shared seed", a, b)
+	if a == nil || b == nil || a == b || !reflect.DeepEqual(*a, *b) {
+		t.Fatalf("two admissions with no fold between them got seeds %p and %p, want two equal copies", a, b)
 	}
 	if kn.seed(video.LR) != nil {
 		t.Fatal("an HR contribution warmed the LR class")
 	}
-	want := a.Clone()
+	// The seeds share their rows with the store and the controllers, so
+	// the reference is their encoding, which shares nothing.
+	encode := func(sn *core.Snapshot) string {
+		t.Helper()
+		b, err := json.Marshal(sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	want := encode(a)
 	ca, cb := warmMAMUT(t, a, 2), warmMAMUT(t, b, 3)
 
 	depart(ca, a)
 	c := kn.seed(video.HR)
-	if c == a {
-		t.Fatal("an admission after a fold got the retired seed")
-	}
-	if !reflect.DeepEqual(*c, *kn.store.Seed(video.HR)) || reflect.DeepEqual(*c, want) {
+	if encode(c) != encode(kn.store.Seed(video.HR)) || encode(c) == want {
 		t.Fatal("the seed cloned after a fold does not hold the folded knowledge")
 	}
 
 	depart(cb, b)
-	if !reflect.DeepEqual(*a, want) {
-		t.Fatal("a shared seed changed while the sessions seeded from it ran and departed")
+	if encode(a) != want || encode(b) != want {
+		t.Fatal("a seed changed while the sessions seeded from it ran and departed")
 	}
 	if kn.seeded != 3 {
 		t.Errorf("seeded count %d, want 3", kn.seeded)

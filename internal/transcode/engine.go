@@ -211,7 +211,10 @@ type SessionEnd struct {
 // OnSessionEnd when a hook is installed (otherwise it stays in the
 // end-of-run Result.Sessions).
 type Engine struct {
-	server   *platform.Server
+	server *platform.Server
+	// spec is the server's spec, kept in step by Reprofile, so the
+	// per-event paths read it in place instead of copying Server.Spec.
+	spec     platform.Spec
 	model    hevc.Model
 	sessions []*session
 	rng      *rand.Rand
@@ -254,7 +257,7 @@ func NewEngine(spec platform.Spec, model hevc.Model, seed int64) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{server: srv, model: model, rng: rng, acct: srv.NewLoadAccount()}
+	e := &Engine{server: srv, spec: spec, model: model, rng: rng, acct: srv.NewLoadAccount()}
 	if spec.Thermal.Enabled {
 		ts, err := platform.NewThermalState(spec.Thermal)
 		if err != nil {
@@ -286,6 +289,7 @@ func (e *Engine) Reprofile(spec platform.Spec) error {
 	if err := e.server.SetSpec(spec); err != nil {
 		return fmt.Errorf("transcode: Reprofile: %w", err)
 	}
+	e.spec = spec
 	return nil
 }
 
@@ -585,7 +589,7 @@ func (e *Engine) segRates() (powerIdeal, speed float64) {
 	if e.thermal != nil && e.thermal.Throttled() {
 		f = e.thermal.ThrottleFactor()
 	}
-	return e.server.Spec().IdlePowerW + e.acct.DynPowerW()*f, e.acct.Scale() * f
+	return e.spec.IdlePowerW + e.acct.DynPowerW()*f, e.acct.Scale() * f
 }
 
 // completionTime translates the completion heap's head from virtual
@@ -691,12 +695,12 @@ func (e *Engine) beginFrame(s *session) error {
 // is dynCoef * scale * throttle and dynamic energy integrates as
 // dynCoef * (virtual time elapsed).
 func (e *Engine) dynCoef(l platform.SessionLoad) float64 {
-	vf, err := e.server.Spec().VFNorm(l.FreqGHz)
+	vf, err := e.spec.VFNorm(l.FreqGHz)
 	if err != nil {
 		// sanitize guarantees a ladder rung.
 		panic(err)
 	}
-	return e.server.Spec().DynPowerPerCoreW * vf * l.Speedup
+	return e.spec.DynPowerPerCoreW * vf * l.Speedup
 }
 
 // sanitize clamps controller output to what the hardware and encoder
@@ -711,11 +715,10 @@ func (e *Engine) sanitize(s *session, p Settings) Settings {
 	if p.Threads < 1 {
 		p.Threads = 1
 	}
-	spec := e.server.Spec()
-	if max := spec.LogicalCPUs(); p.Threads > max {
+	if max := e.spec.LogicalCPUs(); p.Threads > max {
 		p.Threads = max
 	}
-	p.FreqGHz = spec.Nearest(p.FreqGHz)
+	p.FreqGHz = e.spec.Nearest(p.FreqGHz)
 	return p
 }
 

@@ -34,9 +34,9 @@ import (
 // leave. ExtractSession is freeze followed by the removal.
 // SnapshotSession is freeze alone, for checkpoints: the engine is left
 // untouched, and the state stays in memory as a SessionSnapshot. The
-// controller's part of it is the typed deep copy
+// controller's part of it is the typed frozen value
 // StatefulController.ControllerState returns, so a snapshot costs one
-// copy of the decision state, and no encode; SessionSnapshot.Encode
+// freeze of the decision state, and no encode; SessionSnapshot.Encode
 // produces the wire bytes when the state is actually needed, identical
 // to ExtractSession's followed by EncodeSessionState.
 
@@ -47,8 +47,9 @@ import (
 type StatefulController interface {
 	Controller
 	// ControllerState freezes the complete decision state as a typed
-	// deep copy that encoding/json marshals: it shares no memory with
-	// the controller, so it stays valid while the controller runs on.
+	// value that encoding/json marshals: nothing the controller does
+	// later reaches it (it may share memory the controller never writes
+	// again), so it stays valid while the controller runs on.
 	// The engine marshals it only when the state leaves the process
 	// (ExtractSession, SessionSnapshot.Encode).
 	ControllerState() any

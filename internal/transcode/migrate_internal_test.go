@@ -36,7 +36,8 @@ func sampleState(t *testing.T) *SessionState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := Settings{QP: 32, Threads: 2, FreqGHz: eng.Server().Spec().MaxGHz()}
+	spec := eng.Server().Spec()
+	set := Settings{QP: 32, Threads: 2, FreqGHz: spec.MaxGHz()}
 	preset := hevc.Slow
 	id, err := eng.AddSession(SessionConfig{
 		Source: sampleSource(t), Controller: &Static{S: set}, Initial: set, Preset: &preset,

@@ -266,10 +266,11 @@ func (e *refEngine) sanitize(p Settings) Settings {
 	if p.Threads < 1 {
 		p.Threads = 1
 	}
-	if max := e.server.Spec().LogicalCPUs(); p.Threads > max {
+	spec := e.server.Spec()
+	if max := spec.LogicalCPUs(); p.Threads > max {
 		p.Threads = max
 	}
-	p.FreqGHz = e.server.Spec().Nearest(p.FreqGHz)
+	p.FreqGHz = spec.Nearest(p.FreqGHz)
 	return p
 }
 
