@@ -282,8 +282,13 @@ func BenchmarkEngineManySessions(b *testing.B) {
 	}
 }
 
-// BenchmarkMAMUTDecision measures one controller decision (action
-// selection + deferred Q update) on a trained controller.
+// BenchmarkMAMUTDecision measures controller decisions (action selection
+// + deferred Q update) on a trained controller and reports ns/decision
+// (ns/op is per frame; an agent decides on 7 of every 24 frames). The
+// observations cycle through four PSNR and five FPS bands and depend on
+// the knobs in force, so the tables hold many states, an action leads to
+// several successors, and Algorithm 1's lookahead walks real successor
+// runs. exploit_pct is the share of timed decisions made in exploitation.
 func BenchmarkMAMUTDecision(b *testing.B) {
 	spec := platform.DefaultSpec()
 	cfg := core.DefaultConfig(video.HR, spec, 12)
@@ -291,17 +296,39 @@ func BenchmarkMAMUTDecision(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the tables so decisions exercise the exploitation path.
-	cur := ctrl.Settings()
-	for f := 0; f < 5000; f++ {
-		cur = ctrl.OnFrameStart(transcode.FrameStart{FrameIndex: f, Current: cur})
-		ctrl.OnFrameDone(transcode.Observation{FPS: 25, InstFPS: 25, PSNRdB: 36, PowerW: 90, BitrateMbps: 4})
+	psnrs := []float64{33, 38, 43, 48}
+	fpss := []float64{22, 25, 27, 29, 32}
+	observe := func(f int, cur transcode.Settings) transcode.Observation {
+		i := f/6 + cur.QP + cur.Threads
+		fps := fpss[(i/len(psnrs)+int(cur.FreqGHz*10))%len(fpss)]
+		return transcode.Observation{FPS: fps, InstFPS: fps, PSNRdB: psnrs[i%len(psnrs)], PowerW: 90, BitrateMbps: 4}
 	}
+	decisions := func() (all, exploit int) {
+		for _, pc := range ctrl.Stats().ByAgent {
+			all += pc.Exploration + pc.ExploreExploit + pc.Exploitation
+			exploit += pc.Exploitation
+		}
+		return all, exploit
+	}
+	// Warm the tables so decisions exercise the exploitation path.
+	const warm = 50000
+	cur := ctrl.Settings()
+	for f := 0; f < warm; f++ {
+		cur = ctrl.OnFrameStart(transcode.FrameStart{FrameIndex: f, Current: cur})
+		ctrl.OnFrameDone(observe(f, cur))
+	}
+	all0, exploit0 := decisions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := 5000 + i
+		f := warm + i
 		cur = ctrl.OnFrameStart(transcode.FrameStart{FrameIndex: f, Current: cur})
-		ctrl.OnFrameDone(transcode.Observation{FPS: 25, InstFPS: 25, PSNRdB: 36, PowerW: 90, BitrateMbps: 4})
+		ctrl.OnFrameDone(observe(f, cur))
+	}
+	b.StopTimer()
+	all, exploit := decisions()
+	if n := all - all0; n > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/decision")
+		b.ReportMetric(100*float64(exploit-exploit0)/float64(n), "exploit_pct")
 	}
 }
 

@@ -121,10 +121,10 @@ func main() {
 		run("table2 (Scenario II)", func() error { return runTableII(opts, *out) })
 	}
 	if want("learntime") {
-		run("learntime", func() error { return runLearnTime(opts) })
+		run("learntime", func() error { return runLearnTime(opts, *out) })
 	}
 	if want("ablation") {
-		run("ablation", func() error { return runAblation(opts) })
+		run("ablation", func() error { return runAblation(opts, *out) })
 	}
 }
 
@@ -307,21 +307,25 @@ func runTableII(opts experiments.Options, out string) error {
 	return writeFile(out, "table2.csv", tb.WriteCSV)
 }
 
-func runLearnTime(opts experiments.Options) error {
+func runLearnTime(opts experiments.Options, out string) error {
 	res, err := experiments.LearningTime(opts, 120000)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("MAMUT per-agent first exploitation frame: QP=%d threads=%d DVFS=%d (all: %d)\n",
-		res.MAMUTFirstExploit[0], res.MAMUTFirstExploit[1], res.MAMUTFirstExploit[2], res.MAMUTAllExploit)
-	fmt.Printf("mono-agent (%d joint actions) first exploitation frame: %d (ratio %.1fx)\n",
-		res.MonoActions, res.MonoFirstExploit, res.Ratio)
-	fmt.Printf("mono-agent (%d joint actions) first exploitation frame: %d (ratio %.1fx)\n",
-		res.MonoWideActions, res.MonoWideFirstExploit, res.WideRatio)
-	return nil
+	tb := tables.New("Learning time: first exploitation frame", "learner", "actions", "first_exploit_frame", "ratio")
+	for i, name := range []string{"MAMUT QP agent", "MAMUT threads agent", "MAMUT DVFS agent"} {
+		tb.MustAddRow(name, "", fmt.Sprint(res.MAMUTFirstExploit[i]), "")
+	}
+	tb.MustAddRow("MAMUT all agents", "", fmt.Sprint(res.MAMUTAllExploit), "1.0")
+	tb.MustAddRow("mono-agent", fmt.Sprint(res.MonoActions), fmt.Sprint(res.MonoFirstExploit), tables.F(res.Ratio, 1))
+	tb.MustAddRow("mono-agent", fmt.Sprint(res.MonoWideActions), fmt.Sprint(res.MonoWideFirstExploit), tables.F(res.WideRatio, 1))
+	if err := tb.Render(os.Stdout); err != nil {
+		return err
+	}
+	return writeFile(out, "learntime.csv", tb.WriteCSV)
 }
 
-func runAblation(opts experiments.Options) error {
+func runAblation(opts experiments.Options, out string) error {
 	results, err := experiments.RunAblations(experiments.WorkloadSpec{}, opts, nil)
 	if err != nil {
 		return err
@@ -331,5 +335,8 @@ func runAblation(opts experiments.Options) error {
 		tb.MustAddRow(r.Name, tables.F(r.DeltaPct, 1), tables.F(r.Watts, 1),
 			tables.F(r.FPS, 1), tables.F(r.PSNRdB, 1))
 	}
-	return tb.Render(os.Stdout)
+	if err := tb.Render(os.Stdout); err != nil {
+		return err
+	}
+	return writeFile(out, "ablation.csv", tb.WriteCSV)
 }

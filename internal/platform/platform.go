@@ -275,6 +275,11 @@ func NewServer(spec Spec, rng *rand.Rand) (*Server, error) {
 // Spec returns the server's hardware description.
 func (srv *Server) Spec() Spec { return srv.spec }
 
+// SpecInPlace returns the server's hardware description in place, for
+// per-event readers that must not copy it: it follows SetSpec, and the
+// caller must not write through it.
+func (srv *Server) SpecInPlace() *Spec { return &srv.spec }
+
 // SetSpec swaps the server's hardware description live, after validating
 // the replacement. It models operational events that change a machine's
 // envelope mid-run — a firmware power-cap cut, thermal derating, or the

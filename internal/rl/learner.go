@@ -67,16 +67,16 @@ func (c Config) Validate() error {
 	if err := checkDims("config", c.States, c.Actions); err != nil {
 		return err
 	}
-	if c.Beta <= 0 {
+	if !(c.Beta > 0) {
 		return fmt.Errorf("rl: beta %g must be positive", c.Beta)
 	}
-	if c.BetaPrime < 0 {
+	if !(c.BetaPrime >= 0) {
 		return fmt.Errorf("rl: beta' %g must be non-negative", c.BetaPrime)
 	}
 	if !(c.AlphaTh1 > c.AlphaTh2) || c.AlphaTh2 <= 0 {
 		return fmt.Errorf("rl: thresholds must satisfy th1 %g > th2 %g > 0", c.AlphaTh1, c.AlphaTh2)
 	}
-	if c.Gamma < 0 || c.Gamma >= 1 {
+	if !(c.Gamma >= 0 && c.Gamma < 1) {
 		return fmt.Errorf("rl: gamma %g outside [0,1)", c.Gamma)
 	}
 	return nil
@@ -121,11 +121,10 @@ func (l *Learner) Config() Config { return l.cfg }
 //	alpha_i(s,a) = beta_i/Num(s,a) + beta'_i/(1 + sum_{j!=i} min_a Num_j(a))
 //
 // otherMinSum is the sum over the *other* agents of their least-taken
-// action's count. An unvisited pair has learning rate clamped to 1.
+// action's count, clamped to [0, MaxInt-1] so that 1+otherMinSum cannot
+// wrap. An unvisited pair has learning rate clamped to 1.
 func (l *Learner) Alpha(s, a, otherMinSum int) float64 {
-	if otherMinSum < 0 {
-		otherMinSum = 0
-	}
+	otherMinSum = min(max(otherMinSum, 0), math.MaxInt-1)
 	n := l.Visits.Num(s, a)
 	var first float64
 	if n == 0 {
@@ -140,14 +139,20 @@ func (l *Learner) Alpha(s, a, otherMinSum int) float64 {
 // AlphaMax returns the largest learning rate over the actions of state s —
 // the quantity the per-state phase machine thresholds against: a state only
 // leaves exploration when *every* one of its actions is well-observed.
+// That is the rate of the state's least-visited action (the lowest one on
+// ties), so eq. (3) is evaluated once: an unvisited action rates 1, the
+// most eq. (3) yields, and beta/Num(s,a) (beta > 0, counts >= 0), the sum
+// with the coupling term and the clamp at 1 are each monotone in IEEE
+// arithmetic, so no action visited more often rates higher.
 func (l *Learner) AlphaMax(s, otherMinSum int) float64 {
-	worst := 0.0
-	for a := 0; a < l.cfg.Actions; a++ {
-		if v := l.Alpha(s, a, otherMinSum); v > worst {
-			worst = v
+	n := l.t.read(s, 0).n
+	least := 0
+	for a, v := range n {
+		if v < n[least] {
+			least = a
 		}
 	}
-	return worst
+	return l.Alpha(s, least, otherMinSum)
 }
 
 // PhaseFor returns the learning phase of state s given the other agents'

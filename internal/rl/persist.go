@@ -109,6 +109,7 @@ func NewSnapshot(cfg Config, t Tables) (Snapshot, error) {
 		}
 		r := &rows[s]
 		r.q = t.Q[s*actions : (s+1)*actions : (s+1)*actions]
+		r.rescan()
 		r.n = t.VisitsSA[s*actions : (s+1)*actions : (s+1)*actions]
 		r.off = o
 		if hi := lo + int(o[actions]); hi > lo {

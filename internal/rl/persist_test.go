@@ -98,6 +98,11 @@ func TestLoadLearnerRejectsGarbage(t *testing.T) {
 		`"q":[0,0,0,0],"visits_sa":[0,0,0,0],"visits_action":[0,0],"transitions":[[5,0,0,1]]}`); err == nil {
 		t.Error("out-of-range transition accepted")
 	}
+	// A negative visit count, which no learner can reach.
+	if _, err := loadLearner(`{"config":{"States":2,"Actions":2,"Beta":0.3,"AlphaTh1":0.1,"AlphaTh2":0.05,"Gamma":0.6},` +
+		`"q":[0,0,0,0],"visits_sa":[0,-1,0,0],"visits_action":[0,0]}`); err == nil {
+		t.Error("negative visit count accepted")
+	}
 	// Dimensions whose pair count wraps to 0, and dimensions just under
 	// the int32 pair bound with empty tables: both are refused before
 	// anything is sized by the payload's dimensions.

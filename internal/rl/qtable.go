@@ -46,32 +46,22 @@ func (t QTable) Actions() int { return t.t.actions }
 func (t QTable) Get(s, a int) float64 { return t.t.read(s, a).q[a] }
 
 // Set overwrites Q(s,a).
-func (t QTable) Set(s, a int, v float64) { t.t.write(s, a).q[a] = v }
+func (t QTable) Set(s, a int, v float64) {
+	r := t.t.write(s, a)
+	r.q[a] = v
+	r.rescan()
+}
 
-// Max returns max over actions of Q(s,a).
+// Max returns max over actions of Q(s,a): Q at ArgMax(s).
 func (t QTable) Max(s int) float64 {
-	row := t.t.read(s, 0).q
-	best := row[0]
-	for _, v := range row[1:] {
-		if v > best {
-			best = v
-		}
-	}
-	return best
+	r := t.t.read(s, 0)
+	return r.q[r.best]
 }
 
 // ArgMax returns the action with the highest Q-value in s, breaking ties
-// toward the lowest action index (deterministic).
-func (t QTable) ArgMax(s int) int {
-	row := t.t.read(s, 0).q
-	best, bestA := row[0], 0
-	for a, v := range row {
-		if v > best {
-			best, bestA = v, a
-		}
-	}
-	return bestA
-}
+// toward the lowest action index (deterministic). The row keeps it, so
+// this reads no Q value.
+func (t QTable) ArgMax(s int) int { return t.t.read(s, 0).best }
 
 // Counter tracks Num(s,a) visit counts and per-action totals Num(a), a
 // view of a learner's rows.

@@ -177,6 +177,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.AlphaTh2 = 0 },
 		func(c *Config) { c.Gamma = 1.0 },
 		func(c *Config) { c.Gamma = -0.1 },
+		func(c *Config) { c.Beta = math.NaN() },
+		func(c *Config) { c.BetaPrime = math.NaN() },
+		func(c *Config) { c.Gamma = math.NaN() },
 		func(c *Config) { c.States = math.MaxInt32/c.Actions + 1 }, // pairs overflow the int32 offsets
 	}
 	for i, f := range mut {

@@ -15,7 +15,9 @@ type Succ struct {
 
 // row is one state's learned state: Q(s,·), Num(s,·), and the observed
 // successors of every (s,a), succ[off[a]:off[a+1]] in ascending state
-// order, each counted at least once.
+// order, each counted at least once. best is the greedy action, the
+// argmax of q (lowest index on ties), kept by whatever writes q (rescan),
+// so a greedy lookup reads one element instead of scanning the row.
 //
 // A row is immutable once shared. Every row a Snapshot holds is shared:
 // by the snapshot's copies, and by the learners seeded or rebuilt from
@@ -28,11 +30,26 @@ type row struct {
 	n    []int
 	off  []int32
 	succ []Succ
+	best int
 }
 
 // newRow returns a blank row for actions actions.
 func newRow(actions int) *row {
 	return &row{q: make([]float64, actions), n: make([]int, actions), off: make([]int32, actions+1)}
+}
+
+// rescan recomputes best from q with the greedy scan: the first strict
+// maximum wins, so ties (+0 and -0 among them) go to the lowest action,
+// a NaN never beats the running maximum, and a NaN at action 0 is never
+// beaten.
+func (r *row) rescan() {
+	best := 0
+	for a, v := range r.q {
+		if v > r.q[best] {
+			best = a
+		}
+	}
+	r.best = best
 }
 
 // run returns action a's successors.
@@ -41,7 +58,7 @@ func (r *row) run(a int) []Succ { return r.succ[r.off[a]:r.off[a+1]] }
 // clone returns a copy that shares no memory with r.
 func (r *row) clone() *row {
 	return &row{q: slices.Clone(r.q), n: slices.Clone(r.n), off: slices.Clone(r.off),
-		succ: append([]Succ(nil), r.succ...)}
+		succ: append([]Succ(nil), r.succ...), best: r.best}
 }
 
 // idle reports whether r holds no visits and no successors, so folding
@@ -85,9 +102,10 @@ func (r *row) observe(a, next int) {
 	}
 }
 
-// validate checks state s's successor runs over states states: offsets
-// framing succ, ascending in-range successors counted at least once, and
-// per-action totals that fit an int. Errors name the pair s*actions+a.
+// validate checks state s's visit counts and successor runs over states
+// states: counts not below zero, offsets framing succ, ascending in-range
+// successors counted at least once, and per-action totals that fit an
+// int. Errors name the pair s*actions+a.
 func (r *row) validate(s, states int) error {
 	actions := len(r.q)
 	if r.off[0] != 0 || int(r.off[actions]) != len(r.succ) {
@@ -95,6 +113,9 @@ func (r *row) validate(s, states int) error {
 	}
 	for a := 0; a < actions; a++ {
 		p := s*actions + a
+		if r.n[a] < 0 {
+			return fmt.Errorf("rl: visit count %d of pair %d negative", r.n[a], p)
+		}
 		if r.off[a] > r.off[a+1] || int(r.off[a+1]) > len(r.succ) {
 			return fmt.Errorf("rl: transition offsets not ascending within the successors at pair %d", p)
 		}
@@ -177,6 +198,7 @@ func foldRow(dst, src *row) *row {
 		}
 		out.n[a] = nd + ns
 	}
+	out.rescan()
 	out.off, out.succ, _ = combine(dst, src, 1, 0) // adding never errors
 	return out
 }
@@ -187,7 +209,7 @@ func subtractRow(r, base *row, s int) (*row, error) {
 	if base.idle() {
 		return r, nil
 	}
-	out := &row{q: r.q, n: make([]int, len(r.n))}
+	out := &row{q: r.q, n: make([]int, len(r.n)), best: r.best}
 	for a, n := range r.n {
 		if out.n[a] = n - base.n[a]; out.n[a] < 0 {
 			return nil, fmt.Errorf("rl: subtract pair %d: %d visits below base", s*len(r.n)+a, out.n[a])

@@ -170,7 +170,7 @@ func (sn *Snapshot) SubtractCounts(base Snapshot) error {
 		case b.idle():
 			rows[s] = r
 		case r == b:
-			twins = append(twins, row{q: r.q, n: zero.n, off: zero.off})
+			twins = append(twins, row{q: r.q, n: zero.n, off: zero.off, best: r.best})
 			rows[s] = &twins[len(twins)-1]
 		default:
 			if rows[s], err = subtractRow(r, b, s); err != nil {

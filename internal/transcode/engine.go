@@ -212,9 +212,9 @@ type SessionEnd struct {
 // end-of-run Result.Sessions).
 type Engine struct {
 	server *platform.Server
-	// spec is the server's spec, kept in step by Reprofile, so the
-	// per-event paths read it in place instead of copying Server.Spec.
-	spec     platform.Spec
+	// spec is the server's spec, read in place (it follows Reprofile),
+	// so the per-event paths never copy it.
+	spec     *platform.Spec
 	model    hevc.Model
 	sessions []*session
 	rng      *rand.Rand
@@ -257,7 +257,7 @@ func NewEngine(spec platform.Spec, model hevc.Model, seed int64) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{server: srv, spec: spec, model: model, rng: rng, acct: srv.NewLoadAccount()}
+	e := &Engine{server: srv, spec: srv.SpecInPlace(), model: model, rng: rng, acct: srv.NewLoadAccount()}
 	if spec.Thermal.Enabled {
 		ts, err := platform.NewThermalState(spec.Thermal)
 		if err != nil {
@@ -289,7 +289,6 @@ func (e *Engine) Reprofile(spec platform.Spec) error {
 	if err := e.server.SetSpec(spec); err != nil {
 		return fmt.Errorf("transcode: Reprofile: %w", err)
 	}
-	e.spec = spec
 	return nil
 }
 
