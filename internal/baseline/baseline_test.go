@@ -129,7 +129,7 @@ func TestMonoAgentActsOnPeriod(t *testing.T) {
 	total := 0
 	for s := 0; s < m.learner.Config().States; s++ {
 		for a := 0; a < m.learner.Config().Actions; a++ {
-			total += m.learner.Visits.Num(s, a)
+			total += m.learner.Num(s, a)
 		}
 	}
 	if total != 1 {

@@ -205,13 +205,13 @@ func (m *MonoAgent) OnFrameStart(fs transcode.FrameStart) transcode.Settings {
 	var action int
 	switch phase {
 	case rl.Exploration:
-		action = rl.RandomAction(m.cfg.Actions(), m.rng)
+		action = m.rng.Intn(m.cfg.Actions())
 		m.stats.Phases.Exploration++
 	case rl.ExploreExploit:
 		action = m.leastVisitedIncomplete(s)
 		m.stats.Phases.ExploreExploit++
 	default:
-		action = m.learner.Q.ArgMax(s)
+		action = m.learner.ArgMax(s)
 		m.stats.Phases.Exploitation++
 		if m.stats.FirstExploitFrame < 0 {
 			m.stats.FirstExploitFrame = fs.FrameIndex
@@ -232,13 +232,13 @@ func (m *MonoAgent) leastVisitedIncomplete(s int) int {
 		if m.learner.Alpha(s, a, 0) < m.cfg.AlphaTh2 {
 			continue
 		}
-		n := m.learner.Visits.Num(s, a)
+		n := m.learner.Num(s, a)
 		if best < 0 || n < bestN {
 			best, bestN = a, n
 		}
 	}
 	if best < 0 {
-		return m.learner.Q.ArgMax(s)
+		return m.learner.ArgMax(s)
 	}
 	return best
 }

@@ -232,7 +232,7 @@ func (c *Controller) otherMinSum(k AgentKind) int {
 		if j == k {
 			continue
 		}
-		sum += c.agents[j].learner.Visits.MinActionCount()
+		sum += c.agents[j].learner.MinActionCount()
 	}
 	return sum
 }
@@ -253,7 +253,7 @@ func (c *Controller) OnFrameStart(fs transcode.FrameStart) transcode.Settings {
 	var action int
 	switch phase {
 	case rl.Exploration:
-		action = rl.RandomAction(ag.actions(), c.rng)
+		action = c.rng.Intn(ag.actions())
 		c.stats.ByAgent[k].Exploration++
 	case rl.ExploreExploit:
 		action = c.exploreExploitAction(ag, k, s)
@@ -332,13 +332,13 @@ func (c *Controller) exploreExploitAction(ag *agent, k AgentKind, s int) int {
 		if ag.learner.Alpha(s, a, other) < ag.learner.Config().AlphaTh2 {
 			continue
 		}
-		n := ag.learner.Visits.Num(s, a)
+		n := ag.learner.Num(s, a)
 		if best < 0 || n < bestN {
 			best, bestN = a, n
 		}
 	}
 	if best < 0 {
-		return ag.learner.Q.ArgMax(s)
+		return ag.learner.ArgMax(s)
 	}
 	return best
 }
@@ -352,12 +352,12 @@ func (c *Controller) exploreExploitAction(ag *agent, k AgentKind, s int) int {
 func (c *Controller) exploitAction(k AgentKind, s int, frame int) int {
 	ag := c.agents[k]
 	if !c.cfg.Cooperative {
-		return ag.learner.Q.ArgMax(s)
+		return ag.learner.ArgMax(s)
 	}
 	chain := c.cfg.Schedule.Chain(c.chain[:0], frame)
 	for _, j := range chain {
 		if c.agents[j].learner.PhaseFor(s, c.otherMinSum(j)) != rl.Exploitation {
-			return ag.learner.Q.ArgMax(s)
+			return ag.learner.ArgMax(s)
 		}
 	}
 	return c.chainArgmax(ag, chain, s)
@@ -372,12 +372,12 @@ func (c *Controller) chainArgmax(ag *agent, chain []AgentKind, s int) int {
 	bestA, bestV := 0, 0.0
 	for a := 0; a < ag.actions(); a++ {
 		var v float64
-		if run, total := ag.learner.Trans.Run(s, a); total > 0 {
+		if run, total := ag.learner.Successors(s, a); total > 0 {
 			for _, sc := range run {
 				v += float64(sc.Count) / float64(total) * c.expectedQ(ag, chain, int(sc.State))
 			}
 		} else {
-			v = ag.learner.Q.Get(s, a)
+			v = ag.learner.Q(s, a)
 		}
 		if a == 0 || v > bestV {
 			bestA, bestV = a, v
@@ -391,17 +391,17 @@ func (c *Controller) chainArgmax(ag *agent, chain []AgentKind, s int) int {
 // table (it is the one that will act there next, after the NULL slots).
 func (c *Controller) expectedQ(self *agent, chain []AgentKind, s int) float64 {
 	if len(chain) == 0 {
-		return self.learner.Q.Max(s)
+		return self.learner.MaxQ(s)
 	}
 	ag := c.agents[chain[0]]
 	if len(chain) == 1 {
 		// AG.next() == NULL: return max_a Q_AG(s, a).
-		return ag.learner.Q.Max(s)
+		return ag.learner.MaxQ(s)
 	}
-	a := ag.learner.Q.ArgMax(s)
-	run, total := ag.learner.Trans.Run(s, a)
+	a := ag.learner.ArgMax(s)
+	run, total := ag.learner.Successors(s, a)
 	if total == 0 {
-		return ag.learner.Q.Get(s, a)
+		return ag.learner.Q(s, a)
 	}
 	var v float64
 	for _, sc := range run {

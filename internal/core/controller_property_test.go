@@ -51,7 +51,7 @@ func TestControllerRobustToArbitraryObservations(t *testing.T) {
 			l := c.Learner(k)
 			for s := 0; s < NumStates; s++ {
 				for a := 0; a < l.Config().Actions; a++ {
-					if v := l.Q.Get(s, a); math.Abs(v) > 40+1e-9 || math.IsNaN(v) {
+					if v := l.Q(s, a); math.Abs(v) > 40+1e-9 || math.IsNaN(v) {
 						return false
 					}
 				}
@@ -116,7 +116,7 @@ func TestUpdateCountMatchesActionCount(t *testing.T) {
 			l := c.Learner(k)
 			for s := 0; s < NumStates; s++ {
 				for a := 0; a < l.Config().Actions; a++ {
-					visits += l.Visits.Num(s, a)
+					visits += l.Num(s, a)
 				}
 			}
 		}

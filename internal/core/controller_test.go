@@ -137,7 +137,7 @@ func TestControllerUpdateTimingAndNullAveraging(t *testing.T) {
 		l := c.Learner(k)
 		for s := 0; s < NumStates; s++ {
 			for a := 0; a < l.Config().Actions; a++ {
-				n += l.Visits.Num(s, a)
+				n += l.Num(s, a)
 			}
 		}
 		return n
@@ -179,7 +179,7 @@ func TestControllerUpdateTimingAndNullAveraging(t *testing.T) {
 	found := false
 	for s := 0; s < NumStates && !found; s++ {
 		for a := 0; a < l.Config().Actions && !found; a++ {
-			run, _ := l.Trans.Run(s, a)
+			run, _ := l.Successors(s, a)
 			for _, sc := range run {
 				st, err := StateFromIndex(int(sc.State))
 				if err != nil {
@@ -255,27 +255,27 @@ func TestChainArgmaxFollowsExpectedValue(t *testing.T) {
 	dv := c.agents[AgentDVFS].learner
 
 	// Own-Q misleads: action 1 looks better on the QP table.
-	qp.Q.Set(s0, 0, 0.1)
-	qp.Q.Set(s0, 1, 5.0)
+	qp.SetQ(s0, 0, 0.1)
+	qp.SetQ(s0, 1, 5.0)
 	// But transitions say: action 0 lands in s1, action 1 in s2.
-	qp.Trans.Observe(s0, 0, s1)
-	qp.Trans.Observe(s0, 1, s2)
+	qp.ObserveTransition(s0, 0, s1)
+	qp.ObserveTransition(s0, 1, s2)
 	// Thread agent: greedy action 2 everywhere; from s1 it lands in s3,
 	// from s2 in s4.
-	th.Q.Set(s1, 2, 1.0)
-	th.Q.Set(s2, 2, 1.0)
-	th.Trans.Observe(s1, 2, s3)
-	th.Trans.Observe(s2, 2, s4)
+	th.SetQ(s1, 2, 1.0)
+	th.SetQ(s2, 2, 1.0)
+	th.ObserveTransition(s1, 2, s3)
+	th.ObserveTransition(s2, 2, s4)
 	// DVFS (chain end): s3 is worth 10, s4 is worth 1.
-	dv.Q.Set(s3, 0, 10)
-	dv.Q.Set(s4, 0, 1)
+	dv.SetQ(s3, 0, 10)
+	dv.SetQ(s4, 0, 1)
 
 	chain := []AgentKind{AgentThreads, AgentDVFS}
 	if got := c.chainArgmax(c.agents[AgentQP], chain, s0); got != 0 {
 		t.Errorf("chainArgmax = %d, want 0 (expected value 10 beats 1)", got)
 	}
 	// Sanity: without the chain, own argmax would pick action 1.
-	if got := qp.Q.ArgMax(s0); got != 1 {
+	if got := qp.ArgMax(s0); got != 1 {
 		t.Errorf("own argmax = %d, want 1", got)
 	}
 }
@@ -289,13 +289,13 @@ func TestChainArgmaxUsesProbabilities(t *testing.T) {
 	dv := c.agents[AgentDVFS].learner
 
 	// Action 0: 75% good, 25% bad. Action 1: always bad.
-	qp.Trans.Observe(s0, 0, sGood)
-	qp.Trans.Observe(s0, 0, sGood)
-	qp.Trans.Observe(s0, 0, sGood)
-	qp.Trans.Observe(s0, 0, sBad)
-	qp.Trans.Observe(s0, 1, sBad)
-	dv.Q.Set(sGood, 0, 8)
-	dv.Q.Set(sBad, 0, 2)
+	qp.ObserveTransition(s0, 0, sGood)
+	qp.ObserveTransition(s0, 0, sGood)
+	qp.ObserveTransition(s0, 0, sGood)
+	qp.ObserveTransition(s0, 0, sBad)
+	qp.ObserveTransition(s0, 1, sBad)
+	dv.SetQ(sGood, 0, 8)
+	dv.SetQ(sBad, 0, 2)
 
 	chain := []AgentKind{AgentDVFS}
 	// E[a0] = 0.75*8 + 0.25*2 = 6.5; E[a1] = 2.
@@ -356,10 +356,10 @@ func TestChainArgmaxEmptyChain(t *testing.T) {
 	c := testController(t, 7)
 	const s0, s1, s2 = 0, 3, 5
 	dv := c.agents[AgentDVFS].learner
-	dv.Trans.Observe(s0, 0, s1)
-	dv.Trans.Observe(s0, 1, s2)
-	dv.Q.Set(s1, 4, 9) // landing in s1 is great per own table
-	dv.Q.Set(s2, 4, 1)
+	dv.ObserveTransition(s0, 0, s1)
+	dv.ObserveTransition(s0, 1, s2)
+	dv.SetQ(s1, 4, 9) // landing in s1 is great per own table
+	dv.SetQ(s2, 4, 1)
 	if got := c.chainArgmax(c.agents[AgentDVFS], nil, s0); got != 0 {
 		t.Errorf("empty-chain argmax = %d, want 0", got)
 	}
@@ -370,7 +370,7 @@ func TestChainArgmaxEmptyChain(t *testing.T) {
 func TestExploitActionFallsBackWhenPeersNotReady(t *testing.T) {
 	c := testController(t, 8)
 	qp := c.agents[AgentQP].learner
-	qp.Q.Set(0, 3, 42) // own argmax is action 3
+	qp.SetQ(0, 3, 42) // own argmax is action 3
 	// No peer has explored anything: phases are Exploration.
 	if got := c.exploitAction(AgentQP, 0, 0); got != 3 {
 		t.Errorf("fallback action = %d, want 3", got)
@@ -385,7 +385,7 @@ func TestExploitActionAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.agents[AgentQP].learner.Q.Set(0, 2, 1.0)
+	c.agents[AgentQP].learner.SetQ(0, 2, 1.0)
 	if got := c.exploitAction(AgentQP, 0, 0); got != 2 {
 		t.Errorf("ablated exploit action = %d, want 2", got)
 	}

@@ -130,10 +130,10 @@ func TestControllerSaveLoadRoundTrip(t *testing.T) {
 		la, lb := a.Learner(k), b.Learner(k)
 		for s := 0; s < NumStates; s++ {
 			for ac := 0; ac < la.Config().Actions; ac++ {
-				if la.Q.Get(s, ac) != lb.Q.Get(s, ac) {
+				if la.Q(s, ac) != lb.Q(s, ac) {
 					t.Fatalf("agent %v Q(%d,%d) differs", k, s, ac)
 				}
-				if la.Visits.Num(s, ac) != lb.Visits.Num(s, ac) {
+				if la.Num(s, ac) != lb.Num(s, ac) {
 					t.Fatalf("agent %v visits(%d,%d) differ", k, s, ac)
 				}
 			}

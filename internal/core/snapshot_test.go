@@ -55,7 +55,7 @@ func TestWarmControllerSkipsExploration(t *testing.T) {
 		if got := warm.Learner(k).PhaseFor(0, 0); got != rl.Exploration {
 			t.Errorf("warm agent %v untrained-state phase %v, want exploration", k, got)
 		}
-		if got, want := warm.Learner(k).Q.Get(state, 0), donor.Learner(k).Q.Get(state, 0); got != want {
+		if got, want := warm.Learner(k).Q(state, 0), donor.Learner(k).Q(state, 0); got != want {
 			t.Errorf("warm agent %v Q = %g, want %g", k, got, want)
 		}
 	}
@@ -97,7 +97,7 @@ func TestControllerSnapshotMerge(t *testing.T) {
 		actions := a.Learner(k).Config().Actions
 		for _, s := range []int{10, 11} {
 			for act := 0; act < actions; act++ {
-				want := a.Learner(k).Visits.Num(s, act) + b.Learner(k).Visits.Num(s, act)
+				want := a.Learner(k).Num(s, act) + b.Learner(k).Num(s, act)
 				if got := sn[k].Tables().VisitsSA[s*actions+act]; got != want {
 					t.Errorf("agent %v Num(%d,%d) = %d, want %d", k, s, act, got, want)
 				}
@@ -108,7 +108,7 @@ func TestControllerSnapshotMerge(t *testing.T) {
 	// The merged snapshot is isolated from the donor: the donor's first
 	// write to a state it shares copies that state's row.
 	before := sn[AgentQP].Tables()
-	a.Learner(AgentQP).Q.Set(10, 0, 1e9)
+	a.Learner(AgentQP).SetQ(10, 0, 1e9)
 	if !reflect.DeepEqual(sn[AgentQP].Tables(), before) {
 		t.Error("a write to the controller reached its snapshot")
 	}

@@ -32,7 +32,7 @@ func scanAlphaMax(l *Learner, s, otherMinSum int) float64 {
 }
 
 // checkGreedy requires every row of sn to hold the greedy action a full
-// scan finds, and, when l is not nil, the learner's ArgMax and Max to
+// scan finds, and, when l is not nil, the learner's ArgMax and MaxQ to
 // return that action and the bits of its value.
 func checkGreedy(t *testing.T, what string, sn Snapshot, l *Learner) {
 	t.Helper()
@@ -44,11 +44,11 @@ func checkGreedy(t *testing.T, what string, sn Snapshot, l *Learner) {
 		if l == nil {
 			continue
 		}
-		if got := l.Q.ArgMax(s); got != a {
+		if got := l.ArgMax(s); got != a {
 			t.Fatalf("%s: ArgMax(%d) = %d, scan %d", what, s, got, a)
 		}
-		if got := l.Q.Max(s); math.Float64bits(got) != math.Float64bits(v) {
-			t.Fatalf("%s: Max(%d) = %v, scan %v", what, s, got, v)
+		if got := l.MaxQ(s); math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("%s: MaxQ(%d) = %v, scan %v", what, s, got, v)
 		}
 	}
 }
@@ -93,7 +93,7 @@ func TestGreedyRowsMatchFullScan(t *testing.T) {
 			case op < 3: // rewards from the same few values
 				ls[i].Update(rng.Intn(4), rng.Intn(4), rng.Intn(7), values[rng.Intn(len(values))], rng.Intn(3))
 			case op < 6:
-				ls[i].Q.Set(rng.Intn(5), rng.Intn(4), values[rng.Intn(len(values))])
+				ls[i].SetQ(rng.Intn(5), rng.Intn(4), values[rng.Intn(len(values))])
 			case op == 6:
 				sn[j] = ls[i].Snapshot()
 			case op == 7:
@@ -138,7 +138,7 @@ func TestGreedyRowKeepsNaN(t *testing.T) {
 			t.Fatal(err)
 		}
 		for a, v := range q {
-			l.Q.Set(0, a, v)
+			l.SetQ(0, a, v)
 		}
 		checkGreedy(t, fmt.Sprint(q), l.view(), l)
 	}

@@ -1,8 +1,21 @@
+// Package rl implements the tabular Q-learner MAMUT is built on. A
+// Learner holds one agent's Q-values Q(s,a), visit counts Num(s,a) and
+// empirical transition model P(s --a--> s') in one table of per-state
+// rows, and implements the paper's two-term learning rate (eq. 3), the Q
+// update and the per-state learning-phase state machine of SIV. A
+// Snapshot is a learner's exported state, for cross-session knowledge
+// reuse and for checkpoints.
+//
+// The package is deliberately agnostic of what states and actions mean:
+// states and actions are dense integer indices. The MAMUT controller
+// (internal/core) and the mono-agent baseline (internal/baseline) assign
+// meaning to them.
 package rl
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Phase is the per-state learning phase of paper SIV.
@@ -92,15 +105,12 @@ func checkDims(what string, states, actions int) error {
 	return nil
 }
 
-// Learner bundles one agent's Q-table, visit counts and transition model
-// — three views of one table of per-state rows — and implements the
-// eq. (3) learning rate and the Q update.
+// Learner is one agent's tabular Q-learner: its Q-values, visit counts
+// and transition model, one row per state, with the eq. (3) learning
+// rate and the Q update over them.
 type Learner struct {
-	cfg    Config
-	t      *table
-	Q      QTable
-	Visits Counter
-	Trans  Transitions
+	cfg Config
+	t   *table
 }
 
 // NewLearner builds a cold learner from a validated config: every state
@@ -109,8 +119,7 @@ func NewLearner(cfg Config) (*Learner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := newTable(cfg.States, cfg.Actions)
-	return &Learner{cfg: cfg, t: t, Q: QTable{t}, Visits: Counter{t}, Trans: Transitions{t}}, nil
+	return &Learner{cfg: cfg, t: newTable(cfg.States, cfg.Actions)}, nil
 }
 
 // Config returns the learner's configuration.
@@ -125,7 +134,7 @@ func (l *Learner) Config() Config { return l.cfg }
 // wrap. An unvisited pair has learning rate clamped to 1.
 func (l *Learner) Alpha(s, a, otherMinSum int) float64 {
 	otherMinSum = min(max(otherMinSum, 0), math.MaxInt-1)
-	n := l.Visits.Num(s, a)
+	n := l.Num(s, a)
 	var first float64
 	if n == 0 {
 		first = 1
@@ -178,10 +187,65 @@ func (l *Learner) PhaseFor(s, otherMinSum int) Phase {
 // with alpha from eq. (3) evaluated *after* the visit is counted. It
 // returns the learning rate used.
 func (l *Learner) Update(s, a, next int, reward float64, otherMinSum int) float64 {
-	l.Visits.Observe(s, a)
-	l.Trans.Observe(s, a, next)
+	l.observeVisit(s, a)
+	l.ObserveTransition(s, a, next)
 	alpha := l.Alpha(s, a, otherMinSum)
-	target := reward + l.cfg.Gamma*l.Q.Max(next)
-	l.Q.Set(s, a, l.Q.Get(s, a)+alpha*(target-l.Q.Get(s, a)))
+	target := reward + l.cfg.Gamma*l.MaxQ(next)
+	l.SetQ(s, a, l.Q(s, a)+alpha*(target-l.Q(s, a)))
 	return alpha
+}
+
+// Q returns Q(s,a).
+func (l *Learner) Q(s, a int) float64 { return l.t.read(s, a).q[a] }
+
+// SetQ overwrites Q(s,a).
+func (l *Learner) SetQ(s, a int, v float64) {
+	r := l.t.write(s, a)
+	r.q[a] = v
+	r.rescan()
+}
+
+// MaxQ returns max over actions of Q(s,a): Q at ArgMax(s).
+func (l *Learner) MaxQ(s int) float64 {
+	r := l.t.read(s, 0)
+	return r.q[r.best]
+}
+
+// ArgMax returns the action with the highest Q-value in s, breaking ties
+// toward the lowest action index (deterministic). The row keeps it, so
+// this reads no Q value.
+func (l *Learner) ArgMax(s int) int { return l.t.read(s, 0).best }
+
+// Num returns Num(s,a): how often a was taken in s.
+func (l *Learner) Num(s, a int) int { return l.t.read(s, a).n[a] }
+
+// MinActionCount returns min over actions of Num(a), how often an action
+// was taken across all states — the quantity other agents feed into the
+// second term of the eq. (3) learning rate.
+func (l *Learner) MinActionCount() int { return slices.Min(l.t.perAction) }
+
+// observeVisit records one occurrence of action a taken in state s.
+func (l *Learner) observeVisit(s, a int) {
+	l.t.write(s, a).n[a]++
+	l.t.perAction[a]++
+}
+
+// ObserveTransition records the transition s --a--> next in the model.
+func (l *Learner) ObserveTransition(s, a, next int) {
+	if next < 0 || next >= l.t.states {
+		panic(fmt.Sprintf("rl: next state %d out of range %d", next, l.t.states))
+	}
+	l.t.write(s, a).observe(a, next)
+}
+
+// Successors returns the observed successors of (s,a) in ascending state
+// order and their total count, 0 for a pair never taken: the Algorithm 1
+// lookahead weighs successor s' by float64(count)/float64(total). The
+// slice aliases the model; read it before the next ObserveTransition.
+func (l *Learner) Successors(s, a int) (run []Succ, total int) {
+	run = l.t.read(s, a).run(a)
+	for _, sc := range run {
+		total += sc.Count
+	}
+	return run, total
 }

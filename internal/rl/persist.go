@@ -1,13 +1,11 @@
 package rl
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 )
 
 // learnerFormatVersion is the current checkpoint format of a Snapshot.
@@ -142,16 +140,11 @@ func (sn Snapshot) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON reads the checkpoint form of any supported version and
-// builds the snapshot with NewSnapshot. A payload laid out exactly as
-// MarshalJSON writes it is read in one pass (scanWire); any other goes
-// through encoding/json, to the same result.
+// builds the snapshot with NewSnapshot.
 func (sn *Snapshot) UnmarshalJSON(b []byte) error {
-	w, ok := scanWire(b)
-	if !ok {
-		w = snapshotWire{}
-		if err := json.Unmarshal(b, &w); err != nil {
-			return err
-		}
+	var w snapshotWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
 	}
 	if w.Version < 0 || w.Version > learnerFormatVersion {
 		return fmt.Errorf("rl: snapshot: format version %d not supported (current %d)",
@@ -164,151 +157,6 @@ func (sn *Snapshot) UnmarshalJSON(b []byte) error {
 	}
 	*sn = out
 	return nil
-}
-
-// scanWire reads b in one pass when it is laid out exactly as MarshalJSON
-// writes it: every key once and in order, no white space, and integers
-// written as integers. ok is false for any other layout — a legacy
-// unversioned payload, say — and the caller then decodes b with
-// encoding/json, so the scan changes what a decode costs, never what it
-// yields. (A null table reads as an empty one, which NewSnapshot treats
-// alike.) The config, a handful of bytes, goes through encoding/json
-// either way.
-func scanWire(b []byte) (w snapshotWire, ok bool) {
-	sc := wireScanner{b: b, ok: true}
-	sc.lit(`{"format_version":`)
-	w.Version = sc.int()
-	sc.lit(`,"config":`)
-	if end := bytes.IndexByte(b[sc.i:], '}'); sc.ok && end >= 0 && b[sc.i] == '{' {
-		sc.ok = json.Unmarshal(b[sc.i:sc.i+end+1], &w.Config) == nil
-		sc.i += end + 1
-	} else {
-		sc.ok = false
-	}
-	sc.lit(`,"q":`)
-	sc.list(func() { w.Q = append(w.Q, sc.float()) })
-	sc.lit(`,"visits_sa":`)
-	sc.list(func() { w.VisitsSA = append(w.VisitsSA, sc.int()) })
-	sc.lit(`,"visits_action":`)
-	sc.list(func() { w.VisitsAction = append(w.VisitsAction, sc.int()) })
-	sc.lit(`,"transitions":`)
-	sc.list(func() {
-		var tu [4]int
-		sc.lit("[")
-		for i := range tu {
-			if i > 0 {
-				sc.lit(",")
-			}
-			tu[i] = sc.int()
-		}
-		sc.lit("]")
-		w.Transitions = append(w.Transitions, tu)
-	})
-	sc.lit("}")
-	return w, sc.ok && sc.i == len(b)
-}
-
-// wireScanner is scanWire's cursor over b. ok turns false at the first
-// byte out of the expected layout, and every later read is then a no-op.
-type wireScanner struct {
-	b  []byte
-	i  int
-	ok bool
-}
-
-// lit reads the literal s.
-func (sc *wireScanner) lit(s string) {
-	if sc.ok && string(sc.b[sc.i:min(sc.i+len(s), len(sc.b))]) == s {
-		sc.i += len(s)
-	} else {
-		sc.ok = false
-	}
-}
-
-// list reads null, or an array whose elements item reads.
-func (sc *wireScanner) list(item func()) {
-	if sc.ok && string(sc.b[sc.i:min(sc.i+4, len(sc.b))]) == "null" {
-		sc.i += 4
-		return
-	}
-	sc.lit("[")
-	if sc.ok && sc.i < len(sc.b) && sc.b[sc.i] == ']' {
-		sc.i++
-		return
-	}
-	for sc.ok {
-		item()
-		if sc.ok && sc.i < len(sc.b) && sc.b[sc.i] == ',' {
-			sc.i++
-			continue
-		}
-		sc.lit("]")
-		return
-	}
-}
-
-// number reads a JSON number, reporting whether it has neither a
-// fraction nor an exponent.
-func (sc *wireScanner) number() (tok []byte, integral bool) {
-	if !sc.ok {
-		return nil, false
-	}
-	b, i := sc.b, sc.i
-	digits := func() int {
-		j := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i - j
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	first := i
-	n := digits()
-	ok := n > 0 && (n == 1 || b[first] != '0')
-	integral = true
-	if i < len(b) && b[i] == '.' {
-		i++
-		integral, ok = false, ok && digits() > 0
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		integral, ok = false, ok && digits() > 0
-	}
-	if !ok {
-		sc.ok = false
-		return nil, false
-	}
-	tok, sc.i = b[sc.i:i], i
-	return tok, integral
-}
-
-// float reads a number as encoding/json reads a float64.
-func (sc *wireScanner) float() float64 {
-	tok, _ := sc.number()
-	if !sc.ok {
-		return 0
-	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	sc.ok = err == nil
-	return v
-}
-
-// int reads a number as encoding/json reads an int: integral and in
-// range, or not at all.
-func (sc *wireScanner) int() int {
-	tok, integral := sc.number()
-	if !sc.ok || !integral {
-		sc.ok = false
-		return 0
-	}
-	v, err := strconv.ParseInt(string(tok), 10, 64)
-	sc.ok = err == nil
-	return int(v)
 }
 
 // LearnerFrom rebuilds a learner from a snapshot, the inverse of

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -56,29 +55,64 @@ func TestLearnerSaveLoadRoundTrip(t *testing.T) {
 	}
 	for s := 0; s < 20; s++ {
 		for a := 0; a < 5; a++ {
-			if got.Q.Get(s, a) != l.Q.Get(s, a) {
-				t.Fatalf("Q(%d,%d) = %g, want %g", s, a, got.Q.Get(s, a), l.Q.Get(s, a))
+			if got.Q(s, a) != l.Q(s, a) {
+				t.Fatalf("Q(%d,%d) = %g, want %g", s, a, got.Q(s, a), l.Q(s, a))
 			}
-			if got.Visits.Num(s, a) != l.Visits.Num(s, a) {
+			if got.Num(s, a) != l.Num(s, a) {
 				t.Fatalf("visits(%d,%d) differ", s, a)
 			}
 			for next := 0; next < 20; next++ {
-				if got.Trans.Prob(s, a, next) != l.Trans.Prob(s, a, next) {
+				if prob(got, s, a, next) != prob(l, s, a, next) {
 					t.Fatalf("P(%d,%d,%d) differs", s, a, next)
 				}
 			}
 		}
 	}
 	for a := 0; a < 5; a++ {
-		if got.Visits.NumAction(a) != l.Visits.NumAction(a) {
+		if numAction(got, a) != numAction(l, a) {
 			t.Fatalf("per-action count %d differs", a)
 		}
 	}
 	// The restored learner keeps learning identically.
 	alpha1 := l.Update(3, 2, 7, 0.5, 10)
 	alpha2 := got.Update(3, 2, 7, 0.5, 10)
-	if alpha1 != alpha2 || l.Q.Get(3, 2) != got.Q.Get(3, 2) {
+	if alpha1 != alpha2 || l.Q(3, 2) != got.Q(3, 2) {
 		t.Error("restored learner diverges on further updates")
+	}
+
+	// Layouts MarshalJSON never writes: those encoding/json reads to the
+	// same tables load to the learner the canonical bytes hold, and the
+	// rest are refused.
+	canon := string(saveLearner(t, trainedSmallLearner(t, 8, 40)))
+	rest := strings.TrimPrefix(canon, `{"format_version":1,`)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, []byte(canon), "", " "); err != nil {
+		t.Fatal(err)
+	}
+	for name, layout := range map[string]struct {
+		payload string
+		ok      bool
+	}{
+		"white space":         {indented.String(), true},
+		"legacy":              {"{" + rest, true},
+		"keys reordered":      {"{" + strings.TrimSuffix(rest, "}") + `,"format_version":1}`, true},
+		"trailing space":      {canon + " ", true},
+		"fraction in a count": {strings.Replace(canon, `"visits_action":[`, `"visits_action":[1.0,`, 1), false},
+		"exponent in a count": {strings.Replace(canon, `"visits_sa":[`, `"visits_sa":[1e0,`, 1), false},
+		"float out of range":  {strings.Replace(canon, `"q":[`, `"q":[1e400,`, 1), false},
+		"short tuple":         {strings.Replace(canon, `"transitions":[[`, `"transitions":[[0,0],[`, 1), false},
+	} {
+		got, err := loadLearner(layout.payload)
+		switch {
+		case !layout.ok && err == nil:
+			t.Errorf("%s: accepted", name)
+		case layout.ok && err != nil:
+			t.Errorf("%s: rejected: %v", name, err)
+		case layout.ok:
+			if back := string(saveLearner(t, got)); back != canon {
+				t.Errorf("%s: re-marshals to\n%s\nwant\n%s", name, back, canon)
+			}
+		}
 	}
 }
 
@@ -134,7 +168,14 @@ const (
 // rebuilt learner's snapshot marshals to, which decode back to
 // themselves.
 func FuzzSnapshotDecode(f *testing.F) {
-	f.Add(saveLearner(f, trainedSmallLearner(f, 4, 30)))
+	canon := saveLearner(f, trainedSmallLearner(f, 4, 30))
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, canon, "", " "); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(canon)
+	f.Add(indented.Bytes())
+	f.Add(bytes.Replace(canon, []byte(`"format_version":1,`), nil, 1))
 	f.Add([]byte(wrappingDims))
 	f.Add([]byte(largeDims))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -184,7 +225,7 @@ func TestLoadLearnerFormatVersions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy unversioned payload rejected: %v", err)
 	}
-	if got.Config() != l.Config() || got.Q.Get(3, 2) != l.Q.Get(3, 2) {
+	if got.Config() != l.Config() || got.Q(3, 2) != l.Q(3, 2) {
 		t.Error("legacy payload restored a different learner")
 	}
 
@@ -238,71 +279,19 @@ func TestLoadLearnerLargeCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := float64(1<<40) / float64(1<<40+1)
-	if got := l.Trans.Prob(0, 0, 1); got != want {
+	if got := prob(l, 0, 0, 1); got != want {
 		t.Fatalf("P(0,0,1) = %v, want %v", got, want)
 	}
 	back, err := loadLearner(string(saveLearner(t, l)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := back.Trans.Prob(0, 0, 1); got != want {
+	if got := prob(back, 0, 0, 1); got != want {
 		t.Fatalf("round-tripped P(0,0,1) = %v, want %v", got, want)
 	}
 
 	overflow := head + fmt.Sprintf(`[[0,0,0,%d],[0,0,1,1]]}`, math.MaxInt)
 	if _, err := loadLearner(overflow); err == nil || !strings.Contains(err.Error(), "overflows") {
 		t.Fatalf("overflowing transition total: err = %v", err)
-	}
-}
-
-// TestScanWireMatchesEncodingJSON: the one-pass scan reads the bytes
-// MarshalJSON writes to exactly what encoding/json reads from them, and
-// declines every other layout, which the decoder then hands to
-// encoding/json.
-func TestScanWireMatchesEncodingJSON(t *testing.T) {
-	for _, l := range []*Learner{trainedLearner(t, 6), trainedSmallLearner(t, 7, 0)} {
-		data := saveLearner(t, l)
-		got, ok := scanWire(data)
-		if !ok {
-			t.Fatalf("canonical payload declined: %.80s", data)
-		}
-		var want snapshotWire
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("scan read %+v, encoding/json %+v", got, want)
-		}
-	}
-	canon := string(saveLearner(t, trainedSmallLearner(t, 8, 40)))
-	rest := strings.TrimPrefix(canon, `{"format_version":1,`)
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, []byte(canon), "", " "); err != nil {
-		t.Fatal(err)
-	}
-	for name, variant := range map[string]string{
-		"white space":         indented.String(),
-		"legacy":              "{" + rest,
-		"keys reordered":      "{" + strings.TrimSuffix(rest, "}") + `,"format_version":1}`,
-		"fraction in a count": strings.Replace(canon, `"visits_action":[`, `"visits_action":[1.0,`, 1),
-		"exponent in a count": strings.Replace(canon, `"visits_sa":[`, `"visits_sa":[1e0,`, 1),
-		"float out of range":  strings.Replace(canon, `"q":[`, `"q":[1e400,`, 1),
-		"short tuple":         strings.Replace(canon, `"transitions":[[`, `"transitions":[[0,0],[`, 1),
-		"trailing space":      canon + " ",
-	} {
-		if _, ok := scanWire([]byte(variant)); ok {
-			t.Errorf("%s: scan accepted a layout MarshalJSON never writes", name)
-		}
-		var sn, viaJSON Snapshot
-		err := sn.UnmarshalJSON([]byte(variant))
-		var w snapshotWire
-		errJSON := json.Unmarshal([]byte(variant), &w)
-		if errJSON == nil {
-			viaJSON, errJSON = NewSnapshot(w.Config, Tables{Q: w.Q, VisitsSA: w.VisitsSA,
-				VisitsAction: w.VisitsAction, Transitions: w.Transitions})
-		}
-		if (err == nil) != (errJSON == nil) || !reflect.DeepEqual(sn, viaJSON) {
-			t.Errorf("%s: decoded %v (err %v), encoding/json %v (err %v)", name, sn.Config, err, viaJSON.Config, errJSON)
-		}
 	}
 }

@@ -7,31 +7,41 @@ import (
 	"testing/quick"
 )
 
-func TestNewQTableValidation(t *testing.T) {
-	if _, err := NewQTable(0, 3); err == nil {
-		t.Error("zero states accepted")
+// prob returns P(s --a--> next) from l's empirical counts, 0 if (s,a)
+// was never observed.
+func prob(l *Learner, s, a, next int) float64 {
+	run, total := l.Successors(s, a)
+	for _, sc := range run {
+		if int(sc.State) == next {
+			return float64(sc.Count) / float64(total)
+		}
 	}
-	if _, err := NewQTable(3, 0); err == nil {
-		t.Error("zero actions accepted")
-	}
+	return 0
 }
 
-func TestQTableGetSetMaxArgMax(t *testing.T) {
-	q, err := NewQTable(4, 3)
+// numAction returns Num(a), how often l took action a across all states.
+func numAction(l *Learner, a int) int { return l.t.perAction[a] }
+
+// newTestLearner returns a cold learner with the paper's constants.
+func newTestLearner(t *testing.T, states, actions int) *Learner {
+	t.Helper()
+	l, err := NewLearner(DefaultConfig(states, actions))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.States() != 4 || q.Actions() != 3 {
-		t.Fatal("dimensions wrong")
+	return l
+}
+
+func TestQTableGetSetMaxArgMax(t *testing.T) {
+	q := newTestLearner(t, 4, 3)
+	q.SetQ(2, 0, 1.5)
+	q.SetQ(2, 1, -0.5)
+	q.SetQ(2, 2, 0.7)
+	if got := q.Q(2, 0); got != 1.5 {
+		t.Errorf("Q = %g", got)
 	}
-	q.Set(2, 0, 1.5)
-	q.Set(2, 1, -0.5)
-	q.Set(2, 2, 0.7)
-	if got := q.Get(2, 0); got != 1.5 {
-		t.Errorf("Get = %g", got)
-	}
-	if got := q.Max(2); got != 1.5 {
-		t.Errorf("Max = %g", got)
+	if got := q.MaxQ(2); got != 1.5 {
+		t.Errorf("MaxQ = %g", got)
 	}
 	if got := q.ArgMax(2); got != 0 {
 		t.Errorf("ArgMax = %d", got)
@@ -43,61 +53,55 @@ func TestQTableGetSetMaxArgMax(t *testing.T) {
 }
 
 func TestQTablePanicsOutOfRange(t *testing.T) {
-	q, _ := NewQTable(2, 2)
+	q := newTestLearner(t, 2, 2)
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range access did not panic")
 		}
 	}()
-	q.Get(2, 0)
+	q.Q(2, 0)
 }
 
 func TestCounter(t *testing.T) {
-	c, err := NewCounter(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Observe(0, 0)
-	c.Observe(0, 0)
-	c.Observe(1, 1)
+	c := newTestLearner(t, 3, 2)
+	c.observeVisit(0, 0)
+	c.observeVisit(0, 0)
+	c.observeVisit(1, 1)
 	if got := c.Num(0, 0); got != 2 {
 		t.Errorf("Num(0,0) = %d, want 2", got)
 	}
 	if got := c.Num(2, 1); got != 0 {
 		t.Errorf("Num(2,1) = %d, want 0", got)
 	}
-	if got := c.NumAction(0); got != 2 {
-		t.Errorf("NumAction(0) = %d, want 2", got)
+	if got := numAction(c, 0); got != 2 {
+		t.Errorf("Num(a=0) = %d, want 2", got)
 	}
 	if got := c.MinActionCount(); got != 1 {
 		t.Errorf("MinActionCount = %d, want 1", got)
 	}
-	c.Observe(2, 1)
-	c.Observe(2, 1)
+	c.observeVisit(2, 1)
+	c.observeVisit(2, 1)
 	if got := c.MinActionCount(); got != 2 {
 		t.Errorf("MinActionCount = %d, want 2", got)
 	}
 }
 
 func TestTransitionsProbabilities(t *testing.T) {
-	tr, err := NewTransitions(5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, total := tr.Run(0, 0); total != 0 {
+	tr := newTestLearner(t, 5, 2)
+	if _, total := tr.Successors(0, 0); total != 0 {
 		t.Error("fresh model claims observation")
 	}
-	if got := tr.Prob(0, 0, 1); got != 0 {
-		t.Errorf("unobserved Prob = %g, want 0", got)
+	if got := prob(tr, 0, 0, 1); got != 0 {
+		t.Errorf("unobserved P = %g, want 0", got)
 	}
-	tr.Observe(0, 0, 1)
-	tr.Observe(0, 0, 1)
-	tr.Observe(0, 0, 2)
-	tr.Observe(0, 0, 4)
-	if got := tr.Prob(0, 0, 1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Prob(0,0,1) = %g, want 0.5", got)
+	tr.ObserveTransition(0, 0, 1)
+	tr.ObserveTransition(0, 0, 1)
+	tr.ObserveTransition(0, 0, 2)
+	tr.ObserveTransition(0, 0, 4)
+	if got := prob(tr, 0, 0, 1); math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("P(0,0,1) = %g, want 0.5", got)
 	}
-	succ, total := tr.Run(0, 0)
+	succ, total := tr.Successors(0, 0)
 	if len(succ) != 3 || total != 4 {
 		t.Fatalf("successors = %v, total %d", succ, total)
 	}
@@ -114,6 +118,10 @@ func TestTransitionsProbabilities(t *testing.T) {
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("successor probabilities sum to %g", sum)
 	}
+	// Transitions count no visits.
+	if got := tr.Num(0, 0); got != 0 {
+		t.Errorf("Num(0,0) = %d after transitions alone, want 0", got)
+	}
 }
 
 // Property: after any sequence of observations, each observed (s,a)'s
@@ -121,17 +129,17 @@ func TestTransitionsProbabilities(t *testing.T) {
 func TestTransitionsNormalisationProperty(t *testing.T) {
 	prop := func(seed int64, nObs uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr, err := NewTransitions(6, 3)
+		tr, err := NewLearner(DefaultConfig(6, 3))
 		if err != nil {
 			return false
 		}
 		n := 1 + int(nObs)%200
 		for i := 0; i < n; i++ {
-			tr.Observe(rng.Intn(6), rng.Intn(3), rng.Intn(6))
+			tr.ObserveTransition(rng.Intn(6), rng.Intn(3), rng.Intn(6))
 		}
 		for s := 0; s < 6; s++ {
 			for a := 0; a < 3; a++ {
-				succ, total := tr.Run(s, a)
+				succ, total := tr.Successors(s, a)
 				if total == 0 {
 					if len(succ) != 0 {
 						return false
@@ -171,6 +179,7 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	mut := []func(*Config){
 		func(c *Config) { c.States = 0 },
+		func(c *Config) { c.Actions = 0 },
 		func(c *Config) { c.Beta = 0 },
 		func(c *Config) { c.BetaPrime = -0.1 },
 		func(c *Config) { c.AlphaTh1 = 0.05 }, // th1 == th2
@@ -205,7 +214,7 @@ func TestAlphaEquationThree(t *testing.T) {
 	}
 	// After 3 visits with otherMinSum 4: 0.3/3 + 0.2/5 = 0.14.
 	for i := 0; i < 3; i++ {
-		l.Visits.Observe(0, 0)
+		l.observeVisit(0, 0)
 	}
 	if got, want := l.Alpha(0, 0, 4), 0.3/3+0.2/5; math.Abs(got-want) > 1e-12 {
 		t.Errorf("alpha = %g, want %g", got, want)
@@ -225,8 +234,8 @@ func TestAlphaBlocksExploitationUntilOthersExplore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		l.Visits.Observe(0, 0)
-		l.Visits.Observe(0, 1)
+		l.observeVisit(0, 0)
+		l.observeVisit(0, 1)
 	}
 	// otherMinSum 0 means some other agent has an action never tried:
 	// alpha = ~0 + 0.2/1 = 0.2 > th1 -> still exploration.
@@ -251,19 +260,19 @@ func TestPhaseThresholds(t *testing.T) {
 	const others = 100000
 	// Num=3: alpha ~ 0.1 -> still exploration (threshold is strict <).
 	for i := 0; i < 3; i++ {
-		l.Visits.Observe(1, 0)
+		l.observeVisit(1, 0)
 	}
 	if got := l.PhaseFor(1, others); got != Exploration {
 		t.Errorf("alpha=0.1 phase = %v, want exploration", got)
 	}
 	// Num=4: alpha 0.075 -> explore-exploit.
-	l.Visits.Observe(1, 0)
+	l.observeVisit(1, 0)
 	if got := l.PhaseFor(1, others); got != ExploreExploit {
 		t.Errorf("alpha=0.075 phase = %v, want explore-exploit", got)
 	}
 	// Num=7: alpha ~0.043 -> exploitation.
 	for i := 0; i < 3; i++ {
-		l.Visits.Observe(1, 0)
+		l.observeVisit(1, 0)
 	}
 	if got := l.PhaseFor(1, others); got != Exploitation {
 		t.Errorf("alpha=0.043 phase = %v, want exploitation", got)
@@ -291,20 +300,20 @@ func TestUpdateMovesQTowardTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Make next state valuable.
-	l.Q.Set(1, 0, 2.0)
+	l.SetQ(1, 0, 2.0)
 	alpha := l.Update(0, 0, 1, 1.0, 1000)
 	if alpha <= 0 || alpha > 1 {
 		t.Fatalf("alpha = %g", alpha)
 	}
 	// target = 1.0 + 0.6*2.0 = 2.2; Q moved from 0 toward it by alpha.
 	want := alpha * 2.2
-	if got := l.Q.Get(0, 0); math.Abs(got-want) > 1e-12 {
+	if got := l.Q(0, 0); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Q after update = %g, want %g", got, want)
 	}
-	if l.Visits.Num(0, 0) != 1 {
+	if l.Num(0, 0) != 1 {
 		t.Error("visit not recorded")
 	}
-	if _, total := l.Trans.Run(0, 0); total != 1 {
+	if _, total := l.Successors(0, 0); total != 1 {
 		t.Error("transition not recorded")
 	}
 }
@@ -327,7 +336,7 @@ func TestQBoundedProperty(t *testing.T) {
 		}
 		for s := 0; s < 6; s++ {
 			for a := 0; a < 3; a++ {
-				if math.Abs(l.Q.Get(s, a)) > bound {
+				if math.Abs(l.Q(s, a)) > bound {
 					return false
 				}
 			}
@@ -356,24 +365,9 @@ func TestLearnerSolvesTinyMDP(t *testing.T) {
 		}
 		l.Update(0, a, 0, r, 100)
 	}
-	if got := l.Q.ArgMax(0); got != 1 {
+	if got := l.ArgMax(0); got != 1 {
 		t.Errorf("learned policy prefers action %d, want 1 (Q0=%g Q1=%g)",
-			got, l.Q.Get(0, 0), l.Q.Get(0, 1))
-	}
-}
-
-func TestRandomAction(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	seen := map[int]bool{}
-	for i := 0; i < 100; i++ {
-		a := RandomAction(5, rng)
-		if a < 0 || a >= 5 {
-			t.Fatalf("action %d out of range", a)
-		}
-		seen[a] = true
-	}
-	if len(seen) != 5 {
-		t.Errorf("saw %d distinct actions, want 5", len(seen))
+			got, l.Q(0, 0), l.Q(0, 1))
 	}
 }
 

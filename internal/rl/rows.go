@@ -224,9 +224,9 @@ func subtractRow(r, base *row, s int) (*row, error) {
 // per-action totals Num(a). A cold table points every state at one
 // shared blank row.
 type table struct {
-	dims
-	rows      []*row
-	perAction []int
+	states, actions int
+	rows            []*row
+	perAction       []int
 	// own marks the rows this table copied and so may write in place.
 	// Sharing the rows (share) clears it.
 	own []bool
@@ -236,13 +236,20 @@ type table struct {
 
 // newTable returns a cold table.
 func newTable(states, actions int) *table {
-	t := &table{dims: dims{states, actions}, rows: make([]*row, states),
+	t := &table{states: states, actions: actions, rows: make([]*row, states),
 		perAction: make([]int, actions), own: make([]bool, states)}
 	blank := newRow(actions)
 	for s := range t.rows {
 		t.rows[s] = blank
 	}
 	return t
+}
+
+// check panics when (s,a) is out of range.
+func (t *table) check(s, a int) {
+	if s < 0 || s >= t.states || a < 0 || a >= t.actions {
+		panic(fmt.Sprintf("rl: index (%d,%d) out of range %dx%d", s, a, t.states, t.actions))
+	}
 }
 
 // read returns state s's row, panicking when (s,a) is out of range.

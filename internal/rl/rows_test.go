@@ -214,7 +214,7 @@ func checkLearner(t *testing.T, what string, l *Learner, d *denseRef) {
 			for _, n := range d.trans[p] {
 				total += n
 			}
-			if _, got := l.Trans.Run(s, a); got != total {
+			if _, got := l.Successors(s, a); got != total {
 				t.Fatalf("%s: total of (%d,%d) = %d, reference %d", what, s, a, got, total)
 			}
 			for next := 0; next < cfg.States; next++ {
@@ -222,7 +222,7 @@ func checkLearner(t *testing.T, what string, l *Learner, d *denseRef) {
 				if total > 0 {
 					want = float64(d.trans[p][next]) / float64(total)
 				}
-				if got := l.Trans.Prob(s, a, next); got != want {
+				if got := prob(l, s, a, next); got != want {
 					t.Fatalf("%s: P(%d -%d-> %d) = %v, reference %v", what, s, a, next, got, want)
 				}
 			}
@@ -313,7 +313,7 @@ func TestModelMatchesMapReference(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					v = negZero
 				}
-				ls[i].Q.Set(s, a, v)
+				ls[i].SetQ(s, a, v)
 				lr[i].q[s*cfg.Actions+a] = v
 			case op == 12: // a fresh learner, whose rows are blank
 				var err error
@@ -533,9 +533,9 @@ func TestSnapshotValidateRejectsBadLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.Trans.Observe(0, 0, 1)
-		l.Trans.Observe(0, 0, 2)
-		l.Trans.Observe(0, 2, 0)
+		l.ObserveTransition(0, 0, 1)
+		l.ObserveTransition(0, 0, 2)
+		l.ObserveTransition(0, 2, 0)
 		return l.Snapshot() // state 0: off [0 2 2 3], succ [{1 1} {2 1} {0 1}]
 	}
 	if err := base().Validate(); err != nil {
@@ -592,7 +592,7 @@ func TestLoadLearnerSumsUnsortedDuplicateTuples(t *testing.T) {
 	if a, b := saveLearner(t, messy), saveLearner(t, tidy); !bytes.Equal(a, b) {
 		t.Fatalf("saved payloads differ:\n%s\n%s", a, b)
 	}
-	if got := messy.Trans.Prob(0, 0, 2); got != 0.8 {
+	if got := prob(messy, 0, 0, 2); got != 0.8 {
 		t.Fatalf("P(0,0,2) = %v, want 0.8", got)
 	}
 }

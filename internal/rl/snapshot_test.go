@@ -54,21 +54,21 @@ func TestSnapshotSeedRoundTrip(t *testing.T) {
 	}
 	for s := 0; s < 6; s++ {
 		for a := 0; a < 3; a++ {
-			if got, want := fresh.Q.Get(s, a), l.Q.Get(s, a); got != want {
+			if got, want := fresh.Q(s, a), l.Q(s, a); got != want {
 				t.Errorf("Q(%d,%d) = %g, want %g", s, a, got, want)
 			}
-			if got, want := fresh.Visits.Num(s, a), l.Visits.Num(s, a); got != want {
+			if got, want := fresh.Num(s, a), l.Num(s, a); got != want {
 				t.Errorf("Num(%d,%d) = %d, want %d", s, a, got, want)
 			}
 			for next := 0; next < 6; next++ {
-				if got, want := fresh.Trans.Prob(s, a, next), l.Trans.Prob(s, a, next); got != want {
+				if got, want := prob(fresh, s, a, next), prob(l, s, a, next); got != want {
 					t.Errorf("P(%d -%d-> %d) = %g, want %g", s, a, next, got, want)
 				}
 			}
 		}
 	}
 	for a := 0; a < 3; a++ {
-		if got, want := fresh.Visits.NumAction(a), l.Visits.NumAction(a); got != want {
+		if got, want := numAction(fresh, a), numAction(l, a); got != want {
 			t.Errorf("NumAction(%d) = %d, want %d", a, got, want)
 		}
 	}
@@ -147,7 +147,7 @@ func TestSnapshotMergeEquivalentToPooledUpdates(t *testing.T) {
 	}
 	for s := 0; s < 6; s++ {
 		for a := 0; a < 3; a++ {
-			want := l1.Visits.Num(s, a) + l2.Visits.Num(s, a)
+			want := l1.Num(s, a) + l2.Num(s, a)
 			if got := sn.Tables().VisitsSA[s*3+a]; got != want {
 				t.Errorf("pooled Num(%d,%d) = %d, want %d", s, a, got, want)
 			}
@@ -220,7 +220,7 @@ func TestSubtractCountsYieldsOwnExperience(t *testing.T) {
 	if got, want := dt.VisitsSA[1*3+2], own; got != want {
 		t.Errorf("delta Num(1,2) = %d, want %d", got, want)
 	}
-	if got, want := dt.Q[1*3+2], warm.Q.Get(1, 2); got != want {
+	if got, want := dt.Q[1*3+2], warm.Q(1, 2); got != want {
 		t.Errorf("delta kept Q %g, want the final estimate %g", got, want)
 	}
 	if got := dt.Transitions; len(got) != 1 || got[0] != [4]int{1, 2, 3, own} {
@@ -286,8 +286,8 @@ func TestSeedFoldsIntoPartiallyTrainedLearner(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One local visit at (0,0) with Q driven to a known value.
-	l.Visits.Observe(0, 0)
-	l.Q.Set(0, 0, 4.0)
+	l.observeVisit(0, 0)
+	l.SetQ(0, 0, 4.0)
 
 	donor, err := NewLearner(DefaultConfig(2, 2))
 	if err != nil {
@@ -303,10 +303,10 @@ func TestSeedFoldsIntoPartiallyTrainedLearner(t *testing.T) {
 		t.Fatal(err)
 	}
 	// (1*4 + 3*1)/4 = 1.75
-	if got := l.Q.Get(0, 0); math.Abs(got-1.75) > 1e-15 {
+	if got := l.Q(0, 0); math.Abs(got-1.75) > 1e-15 {
 		t.Errorf("folded Q = %g, want 1.75", got)
 	}
-	if got := l.Visits.Num(0, 0); got != 4 {
+	if got := l.Num(0, 0); got != 4 {
 		t.Errorf("folded visits = %d, want 4", got)
 	}
 }
