@@ -61,9 +61,9 @@
 // degrade@A-B:SRV:F cuts its power cap to F of nominal for the window,
 // and blip@A-B:SRV takes it out of service for the window with sessions
 // intact. Crash-interrupted sessions re-enter the -queue waiting room as
-// recovery entries under the library's default retry, backoff and
-// deadline bounds (-fault-drop loses them instead, the baseline),
-// restoring from their last -fault-checkpoint snapshot or cold-starting
+// recovery entries under fixed retry and backoff bounds and the
+// library's default recovery deadline (-fault-drop loses them instead,
+// the baseline), restoring from their last -fault-checkpoint snapshot or cold-starting
 // warm-seeded from the knowledge store. Fault runs stay byte-identical
 // for any -workers and -shards; with no plan the
 // output byte-matches fault-free builds. The summary gains "faults:" and
@@ -146,8 +146,8 @@ func main() {
 		rebalance  = flag.Bool("rebalance", false, "live-migrate sessions away from power hotspots every epoch")
 		autoscale  = flag.Bool("autoscale", false, "scale the fleet to target utilization (watermark scale-out, drain-based scale-in)")
 		drain      = flag.String("drain", "", "scheduled decommissions as at:server pairs, e.g. 120:0,300:3 (live-migrates sessions off)")
-		epoch      = flag.Float64("epoch", 0, "control-epoch interval for rebalance/autoscale/drain (seconds; 0 = default 30)")
-		scaleMax   = flag.Int("scale-max", 0, "autoscale: maximum in-service servers (0 = 4x -servers)")
+		epoch      = flag.Float64("epoch", 0, "control-epoch interval for rebalance/autoscale/drain (seconds; 0 = default 30; needs one of them)")
+		scaleMax   = flag.Int("scale-max", 0, "autoscale: maximum in-service servers (0 = 4x -servers; needs -autoscale)")
 		format     = flag.String("format", "", "output format for single runs: summary|csv (empty = summary)")
 		policies   = flag.String("policies", "", "grid mode: comma-separated policies (with -rates/-seeds)")
 		rates      = flag.String("rates", "", "grid mode: comma-separated arrival rates")
@@ -440,18 +440,14 @@ func runGrid(w io.Writer, base mamut.ServeConfig, opts runOpts) error {
 func printSummary(w io.Writer, cfg mamut.ServeConfig, r *mamut.ServeResult) {
 	fmt.Fprintf(w, "mamut-serve: policy=%s servers=%d admission=%d approach=%s seed=%d\n",
 		r.Policy, cfg.Servers, cfg.MaxSessionsPerServer, cfg.Approach, cfg.Seed)
-	// Print the effective mix and SLO: the CLI leaves both fields zero,
-	// which the library resolves to its defaults.
+	// Print the effective mix: the CLI leaves the field zero, which the
+	// library resolves to its default.
 	mix := cfg.Workload.HRFraction
 	switch {
 	case mix == 0:
 		mix = serve.DefaultHRFraction
 	case mix < 0:
 		mix = 0
-	}
-	slo := cfg.SLOFPSFactor
-	if slo == 0 {
-		slo = serve.DefaultSLOFPSFactor
 	}
 	fmt.Fprintf(w, "workload: rate=%g/s curve=%s mix=%.0f%%HR mean-session=%gs horizon=%gs warmup=%gs\n",
 		cfg.Workload.ArrivalRate, cfg.Workload.Curve, 100*mix,
@@ -476,7 +472,7 @@ func printSummary(w io.Writer, cfg mamut.ServeConfig, r *mamut.ServeResult) {
 			r.Queued, r.QueueAdmitted, r.QueueDropped, r.QueueDroppedPct, r.AvgQueueWaitSec)
 	}
 	fmt.Fprintf(w, "SLO (avg FPS >= %.0f%% of target): %.1f%% of %d measured sessions\n",
-		100*slo, r.SLOAttainedPct, r.Measured)
+		100*serve.DefaultSLOFPSFactor, r.SLOAttainedPct, r.Measured)
 	if cfg.KnowledgeReuse {
 		fmt.Fprintf(w, "knowledge: %d departed sessions contributed, %d admissions warm-started\n",
 			r.KnowledgeContributions, r.KnowledgeSeeded)

@@ -38,9 +38,8 @@ func fleetSmokeConfig(policy string) mamut.ServeConfig {
 			CurveAmplitude: 0.5,
 			RampEndFactor:  2,
 		},
-		WarmupSec:    10,
-		SLOFPSFactor: 0.95,
-		Seed:         7,
+		WarmupSec: 10,
+		Seed:      7,
 	}
 }
 
@@ -308,10 +307,12 @@ func TestParseDrain(t *testing.T) {
 }
 
 // TestRunRejectsFlagsOutsideTheirMode: a report flag the chosen mode does
-// not read is an error, not silently ignored, and so is a periodic
-// interval too small to schedule over the horizon (-epoch 1e-9
-// -rebalance, -fault-checkpoint 1e-9), which would otherwise exhaust
-// memory. Every row fails before any simulation runs.
+// not read is an error, not silently ignored, and so is a dependent
+// option without its feature (-scale-max without -autoscale, -epoch
+// without an elastic feature) and a periodic interval too small to
+// schedule over the horizon (-epoch 1e-9 -rebalance, -fault-checkpoint
+// 1e-9), which would otherwise exhaust memory. Every row fails before
+// any simulation runs.
 func TestRunRejectsFlagsOutsideTheirMode(t *testing.T) {
 	crash, err := mamut.ParseServeFaultPlan("crash@20:1")
 	if err != nil {
@@ -329,6 +330,12 @@ func TestRunRejectsFlagsOutsideTheirMode(t *testing.T) {
 		{"-format bogus", runOpts{format: "bogus"}, nil},
 		{"-checkpoint outside grid", runOpts{checkpoint: "grid.ckpt"}, nil},
 		{"grid -knowledge-out", runOpts{rates: "0.5", knowledgeOut: "kb.json"}, nil},
+		{"-scale-max 10 without -autoscale", runOpts{}, func(c *mamut.ServeConfig) {
+			c.Autoscale = mamut.ServeAutoscale{MaxServers: 10}
+		}},
+		{"-epoch 3 without an elastic feature", runOpts{}, func(c *mamut.ServeConfig) {
+			c.EpochSec = 3
+		}},
 		{"-epoch 1e-9 -rebalance", runOpts{}, func(c *mamut.ServeConfig) {
 			c.Rebalance = true
 			c.EpochSec = 1e-9

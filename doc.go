@@ -44,11 +44,11 @@
 // # Simulation core
 //
 // The engine simulates all sessions of one server as an indexed event
-// scheduler. Active sessions share one contention scale (and thermal
-// throttle factor), so service rates only ever rescale uniformly; the
-// engine exploits this by keeping a virtual service clock that advances
-// at scale*throttle times real time, and a min-heap of pending frame
-// completions keyed by virtual time that never needs re-keying. A frame
+// scheduler. Active sessions share one contention scale, so service
+// rates only ever rescale uniformly; the engine exploits this by keeping
+// a virtual service clock that advances at the contention scale times
+// real time, and a min-heap of pending frame completions keyed by
+// virtual time that never needs re-keying. A frame
 // event — completion, controller decision, next-frame admission — costs
 // O(log n) in the number of active sessions; aggregate contention state
 // and package power are maintained incrementally (platform.LoadAccount),
@@ -71,7 +71,7 @@
 // load curve, or replayed from a deterministic trace), a dispatcher
 // places each arrival on one server of a simulated fleet under a
 // pluggable placement policy (round-robin, least-loaded, or
-// power/thermal-aware) with per-server admission limits, and
+// power-aware) with per-server admission limits, and
 // steady-state service metrics — per-class real-time SLO attainment,
 // rejection rate, fleet power, per-server utilization — are aggregated
 // over a measurement window after warm-up. The fleet runs as one
@@ -89,7 +89,7 @@
 // The dispatcher itself is indexed, so fleets of thousands of servers
 // place arrivals in O(log n): engines expose the wall-clock time of
 // their next pending event (NextEventTime — exact, because the engine
-// settles energy/thermal/virtual-clock integration at events rather
+// settles energy and virtual-clock integration at events rather
 // than at clock parks), a min-heap keyed by those times advances only
 // the servers with events due before each arrival — idle engines are
 // never touched — and per-server dispatch state (occupancy, estimated

@@ -2,10 +2,12 @@ package config
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"mamut/internal/experiments"
+	"mamut/internal/platform"
 )
 
 func TestDefaultRoundTrip(t *testing.T) {
@@ -87,6 +89,36 @@ func TestLoadRejectsInvalid(t *testing.T) {
 		if _, err := Load(strings.NewReader(in)); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+
+	// A platform section that -dump-config wrote while the spec still
+	// had a thermal model carries a "Thermal" block: Load refuses it
+	// instead of running without the block it asked for.
+	var section map[string]any
+	spec, err := json.Marshal(platform.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(spec, &section); err != nil {
+		t.Fatal(err)
+	}
+	section["Thermal"] = map[string]any{
+		"Enabled": false, "AmbientC": 0, "RthCPerW": 0, "TauSec": 0, "ThrottleC": 0, "ThrottleFactor": 0,
+	}
+	legacy, err := json.Marshal(map[string]any{"platform": section})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), `"Thermal"`) {
+		t.Errorf("platform section with a Thermal block: Load error %v, want the unknown field named", err)
+	}
+	delete(section, "Thermal")
+	current, err := json.Marshal(map[string]any{"platform": section})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(current)); err != nil {
+		t.Errorf("the same platform section without the Thermal block: %v", err)
 	}
 }
 

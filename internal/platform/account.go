@@ -130,7 +130,7 @@ func (a *LoadAccount) Scale() float64 {
 }
 
 // DynPowerW returns the aggregate dynamic package power at the current
-// contention scale (excluding idle power and thermal throttling).
+// contention scale (excluding idle power).
 func (a *LoadAccount) DynPowerW() float64 {
 	if a.active == 0 {
 		return 0

@@ -54,9 +54,6 @@ type Spec struct {
 	PowerCapW float64
 	// PowerNoiseW is the std-dev of the power-meter reading jitter.
 	PowerNoiseW float64
-	// Thermal is the optional package thermal model; the zero value
-	// disables it.
-	Thermal ThermalSpec
 }
 
 // DefaultSpec returns the paper's platform: dual Xeon E5-2667 v4 with the
@@ -111,9 +108,6 @@ func (s *Spec) Validate() error {
 	}
 	if !s.freqOnLadder(s.MinRealTimeGHz) {
 		return fmt.Errorf("platform: MinRealTimeGHz %g not on ladder", s.MinRealTimeGHz)
-	}
-	if err := s.Thermal.Validate(); err != nil {
-		return err
 	}
 	return nil
 }
@@ -282,11 +276,11 @@ func (srv *Server) SpecInPlace() *Spec { return &srv.spec }
 
 // SetSpec swaps the server's hardware description live, after validating
 // the replacement. It models operational events that change a machine's
-// envelope mid-run — a firmware power-cap cut, thermal derating, or the
-// cap's later restoration. Resident loads are untouched: callers that
-// cache spec-derived values (frequency ladders, power budgets) must
-// refresh them, and callers integrating power over time must settle the
-// running segment at the old spec before swapping.
+// envelope mid-run — a firmware power-cap cut, or the cap's later
+// restoration. Resident loads are untouched: callers that cache
+// spec-derived values (frequency ladders, power budgets) must refresh
+// them, and callers integrating power over time must settle the running
+// segment at the old spec before swapping.
 func (srv *Server) SetSpec(spec Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err

@@ -331,12 +331,11 @@ func (d *dispatcher) admitQueued(t float64) error {
 		if choice < 0 {
 			if e.recovery {
 				e.attempt++
-				cl := d.recoveryClass(e.req.Res)
-				if e.attempt >= cl.RetryMax {
+				if e.attempt >= DefaultFaultRetryMax {
 					d.dropEntry(e)
 					continue
 				}
-				e.eligibleAt = t + cl.BackoffSec
+				e.eligibleAt = t + DefaultFaultBackoffSec
 			}
 			break
 		}

@@ -26,13 +26,13 @@ import (
 //
 // A migration moves the live session — frame cursor, playlist/content
 // process, controller decision state, every rng stream, accumulators — via
-// transcode.ExtractSession/InjectSession, paying Config.MigrationStallSec
+// transcode.ExtractSession/InjectSession, paying DefaultMigrationStallSec
 // of in-flight-frame stall on the destination. The session keeps its
 // arrival identity: its eventual departure record (and therefore its SLO
 // outcome, busy time and per-class statistics) is attributed to the server
 // it departs from.
 
-// Elasticity defaults.
+// Elasticity constants.
 const (
 	// DefaultEpochSec is the control-epoch interval when a Config enables
 	// an elasticity feature without setting EpochSec.
@@ -42,6 +42,13 @@ const (
 	// seconds (state transfer and stream re-attachment), counting against
 	// the SLO like any slow frame.
 	DefaultMigrationStallSec = 0.25
+
+	// The autoscaler's fleet floor, the utilization a scale-out sizes the
+	// fleet for, and its scale-out/scale-in watermarks (percent).
+	autoscaleMinServers    = 1
+	autoscaleTargetUtilPct = 70.0
+	autoscaleHighPct       = 85.0
+	autoscaleLowPct        = 40.0
 )
 
 // move is one rebalancing step: migrate one session from server from to
@@ -85,23 +92,17 @@ func hotspotMoves(states []ServerState) []move {
 // AutoscaleConfig parametrises target-utilization fleet autoscaling.
 // Utilization is resident sessions as a share of the admittable fleet's
 // capacity (non-draining in-service servers x the admission limit),
-// evaluated at each control epoch: above HighPct the fleet scales out to
-// the size that brings utilization back to TargetUtilPct (bounded by
-// MaxServers); below LowPct it drains the highest-index admittable
-// server (one per epoch, bounded by MinServers), which is then emptied
-// by migration and decommissioned once empty.
+// evaluated at each control epoch: above 85% the fleet scales out to
+// the size that brings utilization back to 70% (bounded by
+// MaxServers); below 40% it drains the highest-index admittable server
+// (one per epoch, keeping at least one), which is then emptied by
+// migration and decommissioned once empty.
 type AutoscaleConfig struct {
 	// Enabled turns the autoscaler on.
 	Enabled bool
-	// MinServers and MaxServers bound the in-service fleet size.
-	// Defaults: 1 and 4x the initial fleet.
-	MinServers, MaxServers int
-	// TargetUtilPct is the utilization scale-outs size the fleet for.
-	// Default 70.
-	TargetUtilPct float64
-	// HighPct and LowPct are the scale-out/scale-in watermarks.
-	// Defaults 85 and 40.
-	HighPct, LowPct float64
+	// MaxServers bounds the in-service fleet size; 4x the initial fleet
+	// when 0. Setting it with the autoscaler off is rejected.
+	MaxServers int
 }
 
 // DrainEvent schedules one server decommission: at the first control
@@ -275,7 +276,7 @@ func (d *dispatcher) markDraining(i int) {
 
 // autoscale applies the watermark policy against current utilization.
 func (d *dispatcher) autoscale() {
-	as := d.cfg.Autoscale
+	maxServers := d.cfg.Autoscale.MaxServers
 	admittable := 0
 	for _, fs := range d.servers {
 		if !fs.retired && !fs.decom {
@@ -284,24 +285,24 @@ func (d *dispatcher) autoscale() {
 	}
 	capacity := admittable * d.cfg.MaxSessionsPerServer
 	switch {
-	case capacity == 0 || 100*float64(d.active) > as.HighPct*float64(capacity):
-		if admittable >= as.MaxServers {
+	case capacity == 0 || 100*float64(d.active) > autoscaleHighPct*float64(capacity):
+		if admittable >= maxServers {
 			return
 		}
 		// Size for the target: the smallest admittable fleet that brings
-		// utilization back to TargetUtilPct.
-		desired := int(math.Ceil(100 * float64(d.active) / (as.TargetUtilPct * float64(d.cfg.MaxSessionsPerServer))))
+		// utilization back to the target utilization.
+		desired := int(math.Ceil(100 * float64(d.active) / (autoscaleTargetUtilPct * float64(d.cfg.MaxSessionsPerServer))))
 		if desired <= admittable {
 			desired = admittable + 1
 		}
-		if desired > as.MaxServers {
-			desired = as.MaxServers
+		if desired > maxServers {
+			desired = maxServers
 		}
 		for n := admittable; n < desired; n++ {
 			d.addServer()
 		}
-	case 100*float64(d.active) < as.LowPct*float64(capacity):
-		if admittable <= as.MinServers {
+	case 100*float64(d.active) < autoscaleLowPct*float64(capacity):
+		if admittable <= autoscaleMinServers {
 			return
 		}
 		// Drain the highest-index admittable server, one per epoch —
@@ -320,7 +321,7 @@ func (d *dispatcher) autoscale() {
 // admission, seeded by its index exactly like an initial server).
 func (d *dispatcher) addServer() {
 	i := len(d.servers)
-	fs := &fleetServer{resident: make(map[int]residentRec), budgetW: d.budget}
+	fs := &fleetServer{resident: make(map[int]residentRec)}
 	// Scaled-out servers join shards on the same index-mod rule as the
 	// initial fleet (runs in the serial phase; shards are idle).
 	d.joinShard(i, fs)
@@ -329,7 +330,7 @@ func (d *dispatcher) addServer() {
 		Index:        i,
 		MaxSessions:  d.cfg.MaxSessionsPerServer,
 		EstPowerW:    d.spec.IdlePowerW,
-		PowerBudgetW: d.budget,
+		PowerBudgetW: d.spec.PowerCapW,
 	})
 	d.stats.admitCount = append(d.stats.admitCount, 0)
 	d.stats.busy = append(d.stats.busy, 0)
@@ -466,7 +467,7 @@ func (d *dispatcher) migrate(t float64, from, sessID, to int) error {
 	if err != nil {
 		return fmt.Errorf("serve: migrate session %d off server %d: %w", sessID, from, err)
 	}
-	st.StallSec = d.cfg.MigrationStallSec
+	st.StallSec = DefaultMigrationStallSec
 	// The record carries the knowledge-harvest identity across, keeping
 	// the baseline the session was seeded with.
 	if err := d.injectSession(to, t, rec, st); err != nil {

@@ -229,11 +229,11 @@ func TestElasticValidate(t *testing.T) {
 		{"monoagent", func(c *Config) { c.Approach = experiments.MonoAgent; c.Rebalance = true }, "not migratable"},
 		{"negative epoch", func(c *Config) { c.Rebalance = true; c.EpochSec = -1 }, "negative epoch"},
 		{"tiny epoch", func(c *Config) { c.Rebalance = true; c.EpochSec = 1e-9 }, "epoch interval 1e-09"},
-		{"negative stall", func(c *Config) { c.Rebalance = true; c.MigrationStallSec = -0.5 }, "negative migration stall"},
 		{"drain out of range", func(c *Config) { c.Drain = []DrainEvent{{AtSec: 10, Server: 2}} }, "outside initial fleet"},
 		{"drain negative time", func(c *Config) { c.Drain = []DrainEvent{{AtSec: -1, Server: 0}} }, "negative time"},
-		{"autoscale bounds", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, MinServers: 3} }, "outside autoscale bounds"},
-		{"autoscale watermarks", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, LowPct: 90, HighPct: 80} }, "watermarks"},
+		{"autoscale bounds", func(c *Config) { c.Autoscale = AutoscaleConfig{Enabled: true, MaxServers: 1} }, "outside autoscale bounds"},
+		{"scale max without autoscale", func(c *Config) { c.Autoscale = AutoscaleConfig{MaxServers: 10} }, "autoscaling is disabled"},
+		{"epoch without elasticity", func(c *Config) { c.EpochSec = 3 }, "no elasticity feature"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"mamut/internal/metrics"
 	"mamut/internal/platform"
 	"mamut/internal/transcode"
-	"mamut/internal/video"
 )
 
 // Fault injection and session recovery: a deterministic fault plan
@@ -41,13 +40,13 @@ import (
 // Recovery is a queue-of-last-resort pipeline: a crash victim re-enters
 // the PR 9 waiting room as a *recovery entry* carrying its last
 // checkpoint snapshot (or nothing, for a cold restart seeded from the
-// knowledge store), with per-resolution-class retry/backoff and a
+// knowledge store), with bounded retries, a backoff between them and a
 // recovery deadline. Re-admission restores the snapshot on the chosen
-// server — charging Recovery.StallSec to the interrupted frame, like a
-// migration stall — or re-admits the session from scratch when no
-// snapshot exists. When post-fault capacity cannot hold the backlog the
-// waiting room sheds from the tail of the class-priority order, so
-// low-priority recoveries are lost before high-priority ones.
+// server — charging DefaultFaultRestoreStallSec to the interrupted
+// frame, like a migration stall — or re-admits the session from scratch
+// when no snapshot exists. When post-fault capacity cannot hold the
+// backlog the waiting room sheds from the tail of the class-priority
+// order, so low-priority recoveries are lost before high-priority ones.
 //
 // Every fault edge is a precomputed moment of the run's one timeline
 // (see dispatcher.timeline), run strictly in the serial phase, so
@@ -55,8 +54,8 @@ import (
 // worker and shard counts — and with no plan configured, no fault code
 // runs and output byte-matches the pre-fault goldens.
 
-// Fault-recovery defaults (applied per resolution class when a plan is
-// configured without Recovery.Drop).
+// Fault-recovery bounds, the same for both resolution classes; only the
+// deadline is configurable (FaultRecovery.DeadlineSec).
 const (
 	// DefaultFaultBackoffSec is the wait between failed re-admission
 	// attempts of a recovery entry.
@@ -65,7 +64,8 @@ const (
 	// entry before it is lost.
 	DefaultFaultRetryMax = 5
 	// DefaultFaultDeadlineSec bounds the total time from crash to
-	// restore; an entry still waiting this long after its crash is lost.
+	// restore when FaultRecovery.DeadlineSec is 0; an entry still waiting
+	// this long after its crash is lost.
 	DefaultFaultDeadlineSec = 30.0
 	// DefaultFaultRestoreStallSec is charged to a restored session's
 	// interrupted frame (state download and re-attachment), counting
@@ -244,30 +244,15 @@ func parseFaultEvent(s string) (FaultEvent, error) {
 	return ev, nil
 }
 
-// FaultRecoveryClass bounds one resolution class's recovery effort.
-type FaultRecoveryClass struct {
-	// BackoffSec is the wait between failed re-admission attempts.
-	// DefaultFaultBackoffSec when 0.
-	BackoffSec float64
-	// RetryMax bounds the placement attempts before the session is lost.
-	// DefaultFaultRetryMax when 0.
-	RetryMax int
-	// DeadlineSec bounds crash-to-restore; a session still waiting this
-	// long after its crash is lost. DefaultFaultDeadlineSec when 0.
-	DeadlineSec float64
-}
-
 // FaultRecovery configures what happens to sessions a crash interrupts.
 type FaultRecovery struct {
 	// Drop loses interrupted sessions with their server — the baseline
 	// the recovery pipeline is measured against. With Drop unset, crash
 	// victims re-enter the admission queue as recovery entries.
 	Drop bool
-	// HR and LR bound each class's recovery effort.
-	HR, LR FaultRecoveryClass
-	// StallSec is charged to a restored session's interrupted frame.
-	// DefaultFaultRestoreStallSec when 0.
-	StallSec float64
+	// DeadlineSec bounds crash-to-restore; a session still waiting this
+	// long after its crash is lost. DefaultFaultDeadlineSec when 0.
+	DeadlineSec float64
 }
 
 // FaultConfig schedules deterministic fault injection into a service
@@ -283,8 +268,10 @@ type FaultConfig struct {
 	// cold; only a restored snapshot goes through the wire codec. 0
 	// disables checkpoints: crash victims restart from scratch,
 	// warm-seeded from the knowledge store when Config.KnowledgeReuse is
-	// on. An interval that would put more than 2^20 checkpoint passes on
-	// the horizon is rejected.
+	// on. A restored session is charged DefaultFaultRestoreStallSec on
+	// its interrupted frame. Setting it without a Plan, or to an interval
+	// that would put more than 2^20 checkpoint passes on the horizon, is
+	// rejected.
 	CheckpointSec float64
 	// Recovery configures the crash-recovery pipeline.
 	Recovery FaultRecovery
@@ -293,25 +280,11 @@ type FaultConfig struct {
 // Enabled reports whether any fault is scheduled.
 func (f FaultConfig) Enabled() bool { return len(f.Plan) > 0 }
 
-// withDefaults resolves the zero recovery fields (plan configured only).
+// withDefaults resolves the zero recovery deadline (plan configured
+// only).
 func (f FaultConfig) withDefaults() FaultConfig {
-	if !f.Enabled() || f.Recovery.Drop {
-		return f
-	}
-	r := &f.Recovery
-	for _, cl := range []*FaultRecoveryClass{&r.HR, &r.LR} {
-		if cl.BackoffSec == 0 {
-			cl.BackoffSec = DefaultFaultBackoffSec
-		}
-		if cl.RetryMax == 0 {
-			cl.RetryMax = DefaultFaultRetryMax
-		}
-		if cl.DeadlineSec == 0 {
-			cl.DeadlineSec = DefaultFaultDeadlineSec
-		}
-	}
-	if r.StallSec == 0 {
-		r.StallSec = DefaultFaultRestoreStallSec
+	if f.Enabled() && !f.Recovery.Drop && f.Recovery.DeadlineSec == 0 {
+		f.Recovery.DeadlineSec = DefaultFaultDeadlineSec
 	}
 	return f
 }
@@ -322,11 +295,7 @@ func (f FaultConfig) withDefaults() FaultConfig {
 func (f FaultConfig) validate(servers int, horizon float64, queueCapacity int) error {
 	if err := checkFinite([]namedValue{
 		{"fault checkpoint interval", f.CheckpointSec},
-		{"fault restore stall", f.Recovery.StallSec},
-		{"HR fault-recovery backoff", f.Recovery.HR.BackoffSec},
-		{"HR fault-recovery deadline", f.Recovery.HR.DeadlineSec},
-		{"LR fault-recovery backoff", f.Recovery.LR.BackoffSec},
-		{"LR fault-recovery deadline", f.Recovery.LR.DeadlineSec},
+		{"fault-recovery deadline", f.Recovery.DeadlineSec},
 	}); err != nil {
 		return err
 	}
@@ -347,19 +316,8 @@ func (f FaultConfig) validate(servers int, horizon float64, queueCapacity int) e
 	if err := checkPeriod("fault checkpoint interval", f.CheckpointSec, horizon); err != nil {
 		return err
 	}
-	// A fixed HR-then-LR order, so a config with both classes out of
-	// bounds always reports the same one.
-	for _, c := range []struct {
-		name string
-		cl   FaultRecoveryClass
-	}{{"HR", f.Recovery.HR}, {"LR", f.Recovery.LR}} {
-		if cl := c.cl; cl.BackoffSec < 0 || cl.RetryMax < 0 || cl.DeadlineSec < 0 {
-			return fmt.Errorf("serve: negative %s fault-recovery bound (backoff %g, retries %d, deadline %g)",
-				c.name, cl.BackoffSec, cl.RetryMax, cl.DeadlineSec)
-		}
-	}
-	if f.Recovery.StallSec < 0 {
-		return fmt.Errorf("serve: negative fault restore stall %g", f.Recovery.StallSec)
+	if f.Recovery.DeadlineSec < 0 {
+		return fmt.Errorf("serve: negative fault-recovery deadline %g", f.Recovery.DeadlineSec)
 	}
 	for _, ev := range f.Plan {
 		switch ev.Kind {
@@ -444,10 +402,10 @@ func newFaults(cfg FaultConfig, tau float64) (*faults, error) {
 		return nil, nil
 	}
 	f := &faults{snaps: make(map[int]faultSnap)}
-	// Recovery latency is bounded by the slower class deadline (the
-	// default even under Recovery.Drop, where nothing recovers and the
-	// sketch stays empty).
-	bound := max(DefaultFaultDeadlineSec, cfg.Recovery.HR.DeadlineSec, cfg.Recovery.LR.DeadlineSec)
+	// Recovery latency is bounded by the recovery deadline (the default
+	// even under Recovery.Drop, where nothing recovers and the sketch
+	// stays empty).
+	bound := max(DefaultFaultDeadlineSec, cfg.Recovery.DeadlineSec)
 	var err error
 	if f.recH, err = metrics.NewHistogram(0, bound, 256); err != nil {
 		return nil, err
@@ -499,14 +457,6 @@ func (f *faults) report(res *Result, servers int) {
 type faultSnap struct {
 	snap *transcode.SessionSnapshot
 	at   float64
-}
-
-// recoveryClass resolves the recovery bounds for a resolution class.
-func (d *dispatcher) recoveryClass(res video.Resolution) FaultRecoveryClass {
-	if res == video.HR {
-		return d.cfg.Faults.Recovery.HR
-	}
-	return d.cfg.Faults.Recovery.LR
 }
 
 // applyFault executes one fault edge: sync the fleet to the instant,
@@ -580,15 +530,14 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 			}
 			continue
 		}
-		cl := d.recoveryClass(rec.res)
 		// The recovery entry joins the waiting room at the crash instant
 		// — behind the arrivals already waiting in its class, ahead of
 		// later ones — eligible immediately (backoff starts only after a
-		// failed attempt) and bounded by the class recovery deadline.
+		// failed attempt) and bounded by the recovery deadline.
 		d.queue.entries = append(d.queue.entries, queueEntry{
 			req:        rec.req,
 			measured:   rec.measured,
-			deadline:   t + cl.DeadlineSec,
+			deadline:   t + d.cfg.Faults.Recovery.DeadlineSec,
 			recovery:   true,
 			rec:        rec,
 			snap:       snap.snap,
@@ -605,7 +554,6 @@ func (d *dispatcher) crashServer(t float64, srv int) {
 	fs.n = [2]int{}
 	fs.eng = nil
 	fs.spec = nil
-	fs.budgetW = d.budget
 	d.nextEvt[srv] = math.Inf(1)
 	d.retire(srv)
 	f.crashes++
@@ -686,22 +634,18 @@ func (d *dispatcher) degradeEnd(t float64, srv int) error {
 	return d.reprofile(t, srv, nil)
 }
 
-// reprofile sets server srv's platform spec (nil = nominal) and the
-// power budget derived from it. A live engine is advanced to t first,
-// so the settlement anchor is t however lazily the sweep advanced it.
+// reprofile sets server srv's platform spec (nil = nominal), whose power
+// cap is the server's power budget. A live engine is advanced to t
+// first, so the settlement anchor is t however lazily the sweep advanced
+// it.
 func (d *dispatcher) reprofile(t float64, srv int, spec *platform.Spec) error {
 	fs := d.servers[srv]
 	fs.spec = spec
-	eff := d.spec
-	if spec != nil {
-		eff = *spec
-	}
-	fs.budgetW = powerBudgetW(eff)
 	if fs.eng != nil && !fs.retired {
 		if err := d.advance(srv, t); err != nil {
 			return err
 		}
-		if err := fs.eng.Reprofile(eff); err != nil {
+		if err := fs.eng.Reprofile(*d.specOf(fs)); err != nil {
 			return fmt.Errorf("serve: reprofile server %d: %w", srv, err)
 		}
 		d.scheduleServer(srv)
@@ -750,16 +694,16 @@ func (d *dispatcher) checkpointFleet(t float64) error {
 
 // restoreSession re-admits one recovery entry on server choice at time
 // t: from its checkpoint snapshot when it has one (the session resumes
-// mid-stream, charged Recovery.StallSec on the interrupted frame), or
-// from scratch otherwise (warm-seeded from the knowledge store like any
-// fresh admission, keeping its original arrival identity). The snapshot
-// goes through the wire codec here, and only here: it is encoded, then
-// decoded and verified, and a snapshot that fails the round trip is a
-// cold restart. So every restore resumes from the same artifact an
-// encode-at-checkpoint design would have stored. Recovery is
-// migration-like on the books: the session was already counted admitted
-// and measured at its original admission, so only the recovery counters
-// and the MTTR sketch move here.
+// mid-stream, charged DefaultFaultRestoreStallSec on the interrupted
+// frame), or from scratch otherwise (warm-seeded from the knowledge
+// store like any fresh admission, keeping its original arrival
+// identity). The snapshot goes through the wire codec here, and only
+// here: it is encoded, then decoded and verified, and a snapshot that
+// fails the round trip is a cold restart. So every restore resumes from
+// the same artifact an encode-at-checkpoint design would have stored.
+// Recovery is migration-like on the books: the session was already
+// counted admitted and measured at its original admission, so only the
+// recovery counters and the MTTR sketch move here.
 func (d *dispatcher) restoreSession(e *queueEntry, choice int, t float64) error {
 	rec := e.rec
 	var st *transcode.SessionState
@@ -771,7 +715,7 @@ func (d *dispatcher) restoreSession(e *queueEntry, choice int, t float64) error 
 		}
 	}
 	if st != nil {
-		st.StallSec = d.cfg.Faults.Recovery.StallSec
+		st.StallSec = DefaultFaultRestoreStallSec
 		// Busy time restarts here: the pre-crash span was credited to the
 		// crashed server at the crash. The original seed baseline stays:
 		// the session's eventual contribution must subtract what it was

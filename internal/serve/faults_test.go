@@ -169,12 +169,9 @@ func TestFaultConfigValidate(t *testing.T) {
 		{"recovery without plan", func(c *Config) {
 			c.Faults = FaultConfig{Recovery: FaultRecovery{Drop: true}}
 		}, "no fault plan"},
-		{"negative backoff", func(c *Config) {
-			c.Faults = FaultConfig{Plan: plan("crash@20:0"), Recovery: FaultRecovery{HR: FaultRecoveryClass{BackoffSec: -1}}}
-		}, "negative HR"},
-		{"negative stall", func(c *Config) {
-			c.Faults = FaultConfig{Plan: plan("crash@20:0"), Recovery: FaultRecovery{StallSec: -1}}
-		}, "stall"},
+		{"negative deadline", func(c *Config) {
+			c.Faults = FaultConfig{Plan: plan("crash@20:0"), Recovery: FaultRecovery{DeadlineSec: -1}}
+		}, "negative fault-recovery deadline"},
 		{"monoagent rejected", func(c *Config) {
 			c.Approach = "monoagent"
 			c.Faults.Plan = plan("blip@10-20:0")
@@ -245,7 +242,7 @@ func TestQueueStepDropAndReadmitSameInstant(t *testing.T) {
 		// A pinned single-server autoscale enables the epoch schedule
 		// without ever changing the fleet.
 		EpochSec:  10,
-		Autoscale: AutoscaleConfig{Enabled: true, MinServers: 1, MaxServers: 1},
+		Autoscale: AutoscaleConfig{Enabled: true, MaxServers: 1},
 		Queue:     QueueConfig{Capacity: 4, DeadlineSec: 29},
 	}
 	res, err := Run(cfg)
@@ -296,11 +293,8 @@ func runFaultTrace(t *testing.T, victimRes video.Resolution) *Result {
 		Workers:        1,
 		Queue:          QueueConfig{Capacity: 8, DeadlineSec: 250},
 		Faults: FaultConfig{
-			Plan: []FaultEvent{{Kind: FaultCrash, Server: 0, AtSec: 5}},
-			Recovery: FaultRecovery{
-				HR: FaultRecoveryClass{DeadlineSec: 100},
-				LR: FaultRecoveryClass{DeadlineSec: 100},
-			},
+			Plan:     []FaultEvent{{Kind: FaultCrash, Server: 0, AtSec: 5}},
+			Recovery: FaultRecovery{DeadlineSec: 100},
 		},
 	}
 	res, err := Run(cfg)
@@ -493,34 +487,6 @@ func TestFaultsOffFieldsInert(t *testing.T) {
 	}
 }
 
-// TestFaultConfigValidateClassOrder: with both recovery classes out of
-// bounds, Validate names the same class — HR, checked first — on every
-// call.
-func TestFaultConfigValidateClassOrder(t *testing.T) {
-	cfg := Config{
-		Servers:  4,
-		Approach: "heuristic",
-		Workload: Workload{ArrivalRate: 0.2, DurationSec: 100, MeanSessionSec: 10},
-		Queue:    QueueConfig{Capacity: 8},
-		Faults: FaultConfig{
-			Plan: []FaultEvent{{Kind: FaultCrash, Server: 0, AtSec: 20}},
-			Recovery: FaultRecovery{
-				HR: FaultRecoveryClass{BackoffSec: -1},
-				LR: FaultRecoveryClass{RetryMax: -1},
-			},
-		},
-	}
-	first := cfg.Validate()
-	if first == nil || !strings.Contains(first.Error(), "negative HR fault-recovery bound") {
-		t.Fatalf("Validate = %v, want the HR bound reported", first)
-	}
-	for i := 0; i < 20; i++ {
-		if err := cfg.Validate(); err == nil || err.Error() != first.Error() {
-			t.Fatalf("call %d: Validate = %v, want %q", i, err, first)
-		}
-	}
-}
-
 // TestRecoveryLossPaths pins every way a recovery entry can be lost
 // from the waiting room (Recovery.Drop loses sessions with the server
 // instead, and is covered elsewhere): shed when a crash overflows the
@@ -556,7 +522,7 @@ func TestRecoveryLossPaths(t *testing.T) {
 		perServer  int
 		trace      []SessionRequest
 		queueCap   int
-		class      FaultRecoveryClass
+		deadline   float64
 		durationS  float64
 		wantLost   []int
 		wantRecov  []int
@@ -570,19 +536,21 @@ func TestRecoveryLossPaths(t *testing.T) {
 			perServer: 4,
 			trace:     arrivals(holders(4, 120, video.LR, video.HR, video.LR, video.LR), 40),
 			queueCap:  1,
-			class:     FaultRecoveryClass{BackoffSec: 1, RetryMax: 5, DeadlineSec: 100},
+			deadline:  100,
 			durationS: 60,
 			wantLost:  []int{0, 4, 6}, wantRecov: []int{2}, wantInterr: 4,
 		},
 		{
-			// The attempts at the crash and at t=10 find server 1 full
-			// and exhaust RetryMax 2; server 1 frees up around t=15, so
-			// an entry still waiting would recover at t=20.
+			// The attempts at the crash and at t=7, 9, 11 and 13 (each
+			// once the backoff has passed) find server 1 full and use up
+			// the DefaultFaultRetryMax 5 attempts; server 1 frees up
+			// around t=15, so an entry still waiting would recover at
+			// t=20.
 			name:      "retries exhausted",
 			perServer: 1,
-			trace:     arrivals(holders(1, 360, video.LR), 10, 20),
+			trace:     arrivals(holders(1, 360, video.LR), 7, 9, 11, 13, 20),
 			queueCap:  1,
-			class:     FaultRecoveryClass{BackoffSec: 1, RetryMax: 2, DeadlineSec: 100},
+			deadline:  100,
 			durationS: 30,
 			wantLost:  []int{0}, wantInterr: 1,
 		},
@@ -594,7 +562,7 @@ func TestRecoveryLossPaths(t *testing.T) {
 			perServer: 1,
 			trace:     arrivals(holders(1, 360, video.LR), 10, 20),
 			queueCap:  1,
-			class:     FaultRecoveryClass{BackoffSec: 1, RetryMax: 10, DeadlineSec: 8},
+			deadline:  8,
 			durationS: 30,
 			wantLost:  []int{0}, wantInterr: 1,
 		},
@@ -605,7 +573,7 @@ func TestRecoveryLossPaths(t *testing.T) {
 			perServer: 1,
 			trace:     arrivals(holders(1, 2400, video.HR), 10, 20),
 			queueCap:  1,
-			class:     FaultRecoveryClass{BackoffSec: 1, RetryMax: 10, DeadlineSec: 100},
+			deadline:  100,
 			durationS: 30,
 			wantLost:  []int{0}, wantInterr: 1,
 		},
@@ -623,7 +591,7 @@ func TestRecoveryLossPaths(t *testing.T) {
 				Queue:                QueueConfig{Capacity: tc.queueCap, DeadlineSec: 100},
 				Faults: FaultConfig{
 					Plan:     []FaultEvent{{Kind: FaultCrash, Server: 0, AtSec: 5}},
-					Recovery: FaultRecovery{HR: tc.class, LR: tc.class},
+					Recovery: FaultRecovery{DeadlineSec: tc.deadline},
 				},
 			})
 			if err != nil {

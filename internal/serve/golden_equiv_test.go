@@ -25,9 +25,8 @@ func goldenConfig(policy string) Config {
 			CurveAmplitude: 0.5,
 			RampEndFactor:  2,
 		},
-		WarmupSec:    10,
-		SLOFPSFactor: 0.95,
-		Seed:         7,
+		WarmupSec: 10,
+		Seed:      7,
 	}
 }
 

@@ -35,8 +35,7 @@ type ServerState struct {
 	// Always false unless the config enables an elasticity feature.
 	Draining bool
 	// PowerBudgetW is the power level the server should stay under: the
-	// power cap, tightened to the thermal-throttle steady-state power
-	// when the thermal model is enabled.
+	// power cap of its platform spec (derated inside a degrade window).
 	PowerBudgetW float64
 }
 
@@ -94,7 +93,7 @@ const (
 	// sessions, rejecting only when the whole fleet is full.
 	PolicyLeastLoaded = "least-loaded"
 	// PolicyPowerAware places on the non-full server with the most
-	// power/thermal headroom, weighting HR sessions by their higher
+	// power headroom under its cap, weighting HR sessions by their higher
 	// estimated power draw; it rejects only when the whole fleet is
 	// full. Under mixed HR/LR load this balances *watts*, not session
 	// counts, which is what keeps every server real-time capable.
@@ -197,20 +196,4 @@ func estSessionPowerW(spec platform.Spec, res video.Resolution) (float64, error)
 		threads = 3.0
 	}
 	return spec.DynPowerPerCoreW * vf * efficiency * threads, nil
-}
-
-// powerBudgetW derives the dispatcher's per-server power budget from a
-// platform spec: the power cap, tightened to the steady-state power at
-// which the package would reach its throttle temperature when the thermal
-// model is enabled. Staying under this level keeps the server out of
-// thermal throttling, which would otherwise cut every resident session's
-// service rate.
-func powerBudgetW(spec platform.Spec) float64 {
-	budget := spec.PowerCapW
-	if spec.Thermal.Enabled {
-		if p := (spec.Thermal.ThrottleC - spec.Thermal.AmbientC) / spec.Thermal.RthCPerW; p < budget {
-			budget = p
-		}
-	}
-	return budget
 }

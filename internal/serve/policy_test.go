@@ -90,21 +90,3 @@ func TestPowerAwareBalancesWatts(t *testing.T) {
 		t.Errorf("over-budget fallback chose %d, want 1", got)
 	}
 }
-
-func TestPowerBudgetTightenedByThermal(t *testing.T) {
-	spec := platform.DefaultSpec()
-	capOnly := powerBudgetW(spec)
-	if capOnly != spec.PowerCapW {
-		t.Fatalf("budget without thermal = %g, want cap %g", capOnly, spec.PowerCapW)
-	}
-	spec.Thermal = platform.DefaultThermalSpec()
-	withThermal := powerBudgetW(spec)
-	want := (spec.Thermal.ThrottleC - spec.Thermal.AmbientC) / spec.Thermal.RthCPerW
-	if want < spec.PowerCapW {
-		if withThermal != want {
-			t.Errorf("thermal budget = %g, want throttle steady-state %g", withThermal, want)
-		}
-	} else if withThermal != spec.PowerCapW {
-		t.Errorf("thermal budget = %g, want cap %g", withThermal, spec.PowerCapW)
-	}
-}

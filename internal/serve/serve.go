@@ -72,9 +72,6 @@ type Config struct {
 	// it and power drawn before it are excluded from the steady-state
 	// metrics. The window ends at the workload horizon.
 	WarmupSec float64
-	// SLOFPSFactor is the session SLO threshold as a fraction of the
-	// target frame rate. DefaultSLOFPSFactor when 0.
-	SLOFPSFactor float64
 	// Spec and Catalog override the simulated substrate.
 	Spec    *platform.Spec
 	Catalog *video.Catalog
@@ -114,14 +111,13 @@ type Config struct {
 	RetainSessions bool
 	// EpochSec is the control-epoch interval driving the elasticity
 	// features below (rebalancing, autoscaling, scheduled drains).
-	// DefaultEpochSec when 0 and any of them is enabled; ignored — no
-	// epochs run — otherwise. Epochs interleave with the arrival stream
-	// on the one merged clock (an epoch due at an arrival's instant runs
-	// before the arrival) and continue to the workload horizon, so every
-	// elasticity decision lands at a deterministic point of the event
-	// order and results stay bit-identical for any Workers count. An
-	// interval that would put more than 2^20 epochs on the horizon is
-	// rejected.
+	// DefaultEpochSec when 0; setting it with none of them enabled is
+	// rejected. Epochs interleave with the arrival stream on the one
+	// merged clock (an epoch due at an arrival's instant runs before the
+	// arrival) and continue to the workload horizon, so every elasticity
+	// decision lands at a deterministic point of the event order and
+	// results stay bit-identical for any Workers count. An interval that
+	// would put more than 2^20 epochs on the horizon is rejected.
 	EpochSec float64
 	// Rebalance enables hotspot rebalancing: each epoch one session is
 	// live-migrated away from every server whose estimated package power
@@ -129,12 +125,6 @@ type Config struct {
 	// headroom. Elasticity requires migratable sessions, so the MonoAgent
 	// approach is rejected.
 	Rebalance bool
-	// MigrationStallSec is the stall each live migration charges the
-	// moved session: its in-flight frame is delayed this many real
-	// seconds, counting against throughput — and therefore the SLO —
-	// like any slow frame. DefaultMigrationStallSec when 0 and an
-	// elasticity feature is enabled.
-	MigrationStallSec float64
 	// Autoscale enables target-utilization fleet autoscaling on the
 	// epoch schedule: scale-out adds servers when utilization crosses
 	// the high watermark, scale-in drains (migrate-then-decommission)
@@ -196,7 +186,7 @@ type SessionOutcome struct {
 	// ViolationPct is the share of frames whose windowed FPS fell below
 	// the target over the session's lifetime.
 	ViolationPct float64
-	// SLOMet reports AvgFPS >= SLOFPSFactor * target.
+	// SLOMet reports AvgFPS >= DefaultSLOFPSFactor * target.
 	SLOMet bool
 	// Averages over the session's lifetime.
 	AvgFPS         float64
@@ -413,33 +403,11 @@ func (c Config) withDefaults() Config {
 	if c.Approach == "" {
 		c.Approach = experiments.MAMUT
 	}
-	if c.SLOFPSFactor == 0 {
-		c.SLOFPSFactor = DefaultSLOFPSFactor
+	if c.Elastic() && c.EpochSec == 0 {
+		c.EpochSec = DefaultEpochSec
 	}
-	if c.Elastic() {
-		if c.EpochSec == 0 {
-			c.EpochSec = DefaultEpochSec
-		}
-		if c.MigrationStallSec == 0 {
-			c.MigrationStallSec = DefaultMigrationStallSec
-		}
-		if c.Autoscale.Enabled {
-			if c.Autoscale.MinServers == 0 {
-				c.Autoscale.MinServers = 1
-			}
-			if c.Autoscale.MaxServers == 0 {
-				c.Autoscale.MaxServers = 4 * c.Servers
-			}
-			if c.Autoscale.TargetUtilPct == 0 {
-				c.Autoscale.TargetUtilPct = 70
-			}
-			if c.Autoscale.HighPct == 0 {
-				c.Autoscale.HighPct = 85
-			}
-			if c.Autoscale.LowPct == 0 {
-				c.Autoscale.LowPct = 40
-			}
-		}
+	if c.Autoscale.Enabled && c.Autoscale.MaxServers == 0 {
+		c.Autoscale.MaxServers = 4 * c.Servers
 	}
 	if c.Queue.Capacity > 0 {
 		if c.Queue.DeadlineSec == 0 {
@@ -509,12 +477,7 @@ func (c Config) Validate() error {
 	}
 	if err := checkFinite([]namedValue{
 		{"warm-up", c.WarmupSec},
-		{"SLO factor", c.SLOFPSFactor},
 		{"epoch interval", c.EpochSec},
-		{"migration stall", c.MigrationStallSec},
-		{"autoscale target utilization", c.Autoscale.TargetUtilPct},
-		{"autoscale high watermark", c.Autoscale.HighPct},
-		{"autoscale low watermark", c.Autoscale.LowPct},
 	}); err != nil {
 		return err
 	}
@@ -528,15 +491,6 @@ func (c Config) Validate() error {
 	}
 	if d := c.Workload.withDefaults().DurationSec; c.WarmupSec >= d && d > 0 {
 		return fmt.Errorf("serve: warm-up %gs consumes the whole %gs horizon", c.WarmupSec, d)
-	}
-	if c.SLOFPSFactor < 0 {
-		return fmt.Errorf("serve: negative SLO factor %g", c.SLOFPSFactor)
-	}
-	if c.SLOFPSFactor > 1 {
-		// Controllers regulate *around* the target frame rate, so a
-		// factor above 1 demands a sustained average beyond the target —
-		// an unattainable SLO that silently zeroes SLOAttainedPct.
-		return fmt.Errorf("serve: SLO factor %g > 1 is unattainable (sessions regulate around the target FPS)", c.SLOFPSFactor)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("serve: workers %d < 0", c.Workers)
@@ -581,9 +535,6 @@ func (c Config) Validate() error {
 		if err := checkPeriod("epoch interval", c.EpochSec, c.Workload.withDefaults().DurationSec); err != nil {
 			return err
 		}
-		if c.MigrationStallSec < 0 {
-			return fmt.Errorf("serve: negative migration stall %g", c.MigrationStallSec)
-		}
 		for _, ev := range c.Drain {
 			if ev.AtSec < 0 {
 				return fmt.Errorf("serve: drain event at negative time %g", ev.AtSec)
@@ -592,20 +543,14 @@ func (c Config) Validate() error {
 				return fmt.Errorf("serve: drain event for server %d outside initial fleet 0..%d", ev.Server, c.Servers-1)
 			}
 		}
-		if as := c.Autoscale; as.Enabled {
-			if as.MinServers < 1 {
-				return fmt.Errorf("serve: autoscale min %d < 1", as.MinServers)
-			}
-			if as.MinServers > c.Servers || as.MaxServers < c.Servers {
-				return fmt.Errorf("serve: initial fleet %d outside autoscale bounds [%d,%d]", c.Servers, as.MinServers, as.MaxServers)
-			}
-			if as.TargetUtilPct <= 0 || as.TargetUtilPct > 100 {
-				return fmt.Errorf("serve: autoscale target utilization %g%% outside (0,100]", as.TargetUtilPct)
-			}
-			if as.LowPct < 0 || as.LowPct >= as.HighPct || as.HighPct > 100 {
-				return fmt.Errorf("serve: autoscale watermarks low=%g high=%g invalid (need 0 <= low < high <= 100)", as.LowPct, as.HighPct)
-			}
+		if as := c.Autoscale; as.Enabled && as.MaxServers < c.Servers {
+			return fmt.Errorf("serve: initial fleet %d outside autoscale bounds [%d,%d]", c.Servers, autoscaleMinServers, as.MaxServers)
 		}
+	} else if c.EpochSec != 0 {
+		return fmt.Errorf("serve: epoch interval %g set but no elasticity feature (rebalance/autoscale/drain) is enabled", c.EpochSec)
+	}
+	if c.Autoscale.MaxServers != 0 && !c.Autoscale.Enabled {
+		return fmt.Errorf("serve: autoscale maximum %d set but autoscaling is disabled", c.Autoscale.MaxServers)
 	}
 	return nil
 }
@@ -672,11 +617,9 @@ type fleetServer struct {
 	// unavailable for a blip window (its state reports Draining, so
 	// placement and rebalancing skip it while its engine keeps running).
 	// spec is the degraded platform spec while a degrade window is open
-	// (nil = nominal), and budgetW the per-server power budget placement
-	// reads — d.budget except inside a degrade window.
+	// (nil = nominal); its power cap is the budget placement reads.
 	blipped bool
 	spec    *platform.Spec
-	budgetW float64
 
 	// sh is the shard owning this server. During the parallel sweep
 	// window only the owning shard touches this server; the departure
@@ -686,6 +629,15 @@ type fleetServer struct {
 
 // active is the number of sessions resident on the server.
 func (fs *fleetServer) active() int { return fs.n[video.HR] + fs.n[video.LR] }
+
+// specOf returns the platform spec server fs runs on: the degraded one
+// inside a degrade window, the fleet's nominal spec otherwise.
+func (d *dispatcher) specOf(fs *fleetServer) *platform.Spec {
+	if fs.spec != nil {
+		return fs.spec
+	}
+	return &d.spec
+}
 
 // residentRec is the arrival-side half of a future departRec. seq is the
 // catalog sequence the session plays — needed to rebuild its content
@@ -771,7 +723,6 @@ func (d *dispatcher) addSession(i int, req SessionRequest, seed *core.Snapshot, 
 		Controller:    ctrl,
 		Initial:       experiments.InitialSettings(req.Res),
 		BandwidthMbps: req.BandwidthMbps,
-		TargetFPS:     d.cfg.Workload.TargetFPS,
 		FrameBudget:   req.Frames,
 		StartAtSec:    startAt,
 	})
@@ -1016,10 +967,8 @@ type dispatcher struct {
 	indexed bool
 	idx     FleetIndex
 
-	// estW is the per-session power estimate of each resolution class,
-	// budget the nominal per-server power budget.
-	estW   [2]float64
-	budget float64
+	// estW is the per-session power estimate of each resolution class.
+	estW [2]float64
 
 	servers []*fleetServer
 	states  []ServerState
@@ -1047,7 +996,7 @@ type dispatcher struct {
 // time. Nothing here grows with the number of sessions served, except
 // the outcome log Config.RetainSessions asks for.
 type stats struct {
-	sloFPS                              float64 // SLO threshold: SLOFPSFactor * target FPS
+	sloFPS                              float64 // SLO threshold: DefaultSLOFPSFactor * target FPS
 	offered, admitted, rejected         int
 	measOffered, measRejected, measured int
 	admitCount                          []int     // per-server admissions
@@ -1063,8 +1012,12 @@ type stats struct {
 // newStats builds the aggregates for a run of the given arrival count;
 // tau is the decay constant of the windowed views.
 func newStats(cfg Config, arrivals int, tau float64) (stats, error) {
+	// A float64 product, not a constant expression: Go evaluates
+	// constant arithmetic exactly, and 0.95*24 rounds to a different
+	// float64 than fl(0.95)*24 does.
+	sloFactor := DefaultSLOFPSFactor
 	s := stats{
-		sloFPS:     cfg.SLOFPSFactor * cfg.Workload.TargetFPS,
+		sloFPS:     sloFactor * transcode.DefaultTargetFPS,
 		admitCount: make([]int, cfg.Servers),
 		busy:       make([]float64, cfg.Servers),
 	}
@@ -1075,7 +1028,7 @@ func newStats(cfg Config, arrivals int, tau float64) (stats, error) {
 	// contention stretch; the tails clamp.
 	for r := range s.fps {
 		var err error
-		if s.fps[r], err = metrics.NewHistogram(0, 2*cfg.Workload.TargetFPS, 256); err != nil {
+		if s.fps[r], err = metrics.NewHistogram(0, 2*transcode.DefaultTargetFPS, 256); err != nil {
 			return s, err
 		}
 		if s.dur[r], err = metrics.NewHistogram(0, 8*cfg.Workload.MeanSessionSec, 512); err != nil {
@@ -1144,7 +1097,6 @@ func (a classAgg) stats() ClassStats {
 // policy index.
 func (d *dispatcher) init(arrivals int) error {
 	cfg := d.cfg
-	d.budget = powerBudgetW(d.spec)
 	for _, r := range []video.Resolution{video.HR, video.LR} {
 		w, err := estSessionPowerW(d.spec, r)
 		if err != nil {
@@ -1154,7 +1106,7 @@ func (d *dispatcher) init(arrivals int) error {
 	}
 	d.servers = make([]*fleetServer, cfg.Servers)
 	for i := range d.servers {
-		d.servers[i] = &fleetServer{resident: make(map[int]residentRec), budgetW: d.budget}
+		d.servers[i] = &fleetServer{resident: make(map[int]residentRec)}
 	}
 	d.states = make([]ServerState, cfg.Servers)
 	for i := range d.states {
@@ -1164,7 +1116,7 @@ func (d *dispatcher) init(arrivals int) error {
 			// Idle power exactly: the incremental refresh expression with
 			// zero resident sessions reduces to the same float.
 			EstPowerW:    d.spec.IdlePowerW,
-			PowerBudgetW: d.budget,
+			PowerBudgetW: d.spec.PowerCapW,
 		}
 	}
 	d.liveSrv = cfg.Servers
@@ -1379,7 +1331,7 @@ func (d *dispatcher) refreshState(i int) {
 	// A blipped server reports Draining (hence Full): placement and
 	// rebalancing skip it for the window without a dedicated state bit.
 	s.Draining = fs.decom || fs.blipped
-	s.PowerBudgetW = fs.budgetW
+	s.PowerBudgetW = d.specOf(fs).PowerCapW
 	if d.idx != nil && !fs.retired {
 		d.idx.Update(*s)
 	}
@@ -1433,14 +1385,9 @@ func (d *dispatcher) refreshScanStates(req SessionRequest) []ServerState {
 // sessions) over any horizon.
 func (d *dispatcher) createEngine(i int) error {
 	fs := d.servers[i]
-	spec := d.spec
-	if fs.spec != nil {
-		// First admission lands inside a degrade window: the engine is
-		// born with the derated spec and reprofiles back at the window
-		// close.
-		spec = *fs.spec
-	}
-	eng, err := transcode.NewEngine(spec, hevc.DefaultModel(), experiments.SubSeed(d.cfg.Seed, "serve|server", i))
+	// A first admission inside a degrade window gives the engine the
+	// derated spec; it reprofiles back at the window close.
+	eng, err := transcode.NewEngine(*d.specOf(fs), hevc.DefaultModel(), experiments.SubSeed(d.cfg.Seed, "serve|server", i))
 	if err != nil {
 		return err
 	}

@@ -148,7 +148,7 @@ func TestFaultWindowOnRetiredServer(t *testing.T) {
 					// inside its fault window, and the fleet is down to
 					// its one-server minimum by t=15 — before any arrival
 					// samples availability.
-					Autoscale: AutoscaleConfig{Enabled: true, MinServers: 1},
+					Autoscale: AutoscaleConfig{Enabled: true},
 					EpochSec:  5,
 					Workload: Workload{Trace: []SessionRequest{
 						{ArriveAtSec: 20, Frames: 48},
@@ -211,14 +211,11 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 			c.Workload.Trace = []SessionRequest{{ArriveAtSec: 0, Frames: 24}, {ArriveAtSec: nan, Frames: 24}}
 		}},
 		{"warm-up", func(c *Config) { c.WarmupSec = nan }},
-		{"SLO factor", func(c *Config) { c.SLOFPSFactor = nan }},
 		{"epoch interval", func(c *Config) { elastic(c); c.EpochSec = nan }},
-		{"migration stall", func(c *Config) { elastic(c); c.MigrationStallSec = nan }},
 		{"drain event 0 time", func(c *Config) { elastic(c); c.Drain = []DrainEvent{{AtSec: nan, Server: 0}} }},
-		{"autoscale target utilization", func(c *Config) { elastic(c); c.Autoscale.TargetUtilPct = nan }},
 		{"queue deadline", func(c *Config) { c.Queue = QueueConfig{Capacity: 8, DeadlineSec: nan} }},
 		{"fault checkpoint interval", func(c *Config) { faults(c); c.Faults.CheckpointSec = nan }},
-		{"fault restore stall", func(c *Config) { faults(c); c.Faults.Recovery.StallSec = nan }},
+		{"fault-recovery deadline", func(c *Config) { faults(c); c.Faults.Recovery.DeadlineSec = nan }},
 		{"fault 0: time", func(c *Config) { faults(c); c.Faults.Plan[0].AtSec = nan }},
 	}
 	for _, row := range rows {

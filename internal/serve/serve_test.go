@@ -6,6 +6,7 @@ import (
 
 	"mamut/internal/experiments"
 	"mamut/internal/platform"
+	"mamut/internal/transcode"
 	"mamut/internal/video"
 )
 
@@ -246,11 +247,11 @@ func TestActualDeparturesChangePlacement(t *testing.T) {
 	}
 	// Premise: A's nominal residency ended before B arrived, its actual
 	// one did not.
-	nominalEnd := a.Req.ArriveAtSec + float64(a.Req.Frames)/cfg.Workload.withDefaults().TargetFPS
+	nominalEnd := a.Req.ArriveAtSec + float64(a.Req.Frames)/transcode.DefaultTargetFPS
 	if nominalEnd >= b.Req.ArriveAtSec {
 		t.Fatalf("nominal end %.1fs not before B's arrival %.1fs; premise broken", nominalEnd, b.Req.ArriveAtSec)
 	}
-	if a.AvgFPS >= cfg.Workload.withDefaults().TargetFPS {
+	if a.AvgFPS >= transcode.DefaultTargetFPS {
 		t.Fatalf("A averaged %.1f FPS on a single core; expected it stretched", a.AvgFPS)
 	}
 	// The divergent decision: nominal occupancy would put B on server 0.
@@ -280,11 +281,6 @@ func TestConfigValidate(t *testing.T) {
 		{Workload: Workload{}},
 		{Workload: Workload{ArrivalRate: 1, DurationSec: 10}, WarmupSec: 10},
 		{Workload: Workload{ArrivalRate: 1, DurationSec: 10}, WarmupSec: -1},
-		{Workload: Workload{ArrivalRate: 1, DurationSec: 10}, SLOFPSFactor: -2},
-		// An SLO factor above 1 demands average FPS beyond the target the
-		// controllers regulate around: unattainable, silently zeroing
-		// SLOAttainedPct.
-		{Workload: Workload{ArrivalRate: 1, DurationSec: 10}, SLOFPSFactor: 1.05},
 		{Workload: Workload{ArrivalRate: 1, DurationSec: 10}, Workers: -1},
 		// Knowledge reuse needs a learner that can export its tables.
 		{Workload: Workload{ArrivalRate: 1, DurationSec: 10}, Approach: experiments.Heuristic, KnowledgeReuse: true},

@@ -149,7 +149,7 @@ func (d *dispatcher) due(sh *shard, t float64) bool {
 // pops only the owned engines with due events — idle or empty engines
 // are never touched — so it costs O(k log servers) for the k servers
 // with events. Advancing an engine lazily is exact: the transcode engine
-// settles its energy/thermal/virtual-clock integration at events, never
+// settles its energy and virtual-clock integration at events, never
 // at parks, so skipped parks cannot shift any result (see
 // transcode.Engine.AdvanceTo). The test reference advances every owned
 // live engine instead. All state touched (engines, the shard heap, the

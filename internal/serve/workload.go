@@ -51,7 +51,7 @@
 // watermarks add servers mid-run or drain the highest-index one), and
 // hotspot rebalancing (Config.Rebalance — the planner migrates sessions
 // away from power-hotspot servers).
-// Every migration charges Config.MigrationStallSec to the moved
+// Every migration charges DefaultMigrationStallSec to the moved
 // session's in-flight frame. Epoch decisions run in the sequential
 // phase and pick sessions in arrival-ID order, so elastic runs stay
 // byte-identical across worker and shard counts; with every
@@ -68,8 +68,8 @@
 // (Config.Faults.CheckpointSec) snapshot live sessions with the same
 // state read migration uses, kept as typed in-memory copies that only a
 // restore encodes; crash-interrupted sessions re-enter
-// the admission queue as recovery entries with per-class backoff, retry
-// and deadline budgets, restoring from their last snapshot — or
+// the admission queue as recovery entries with backoff, retry and
+// deadline budgets, restoring from their last snapshot — or
 // cold-restarting, warm-seeded from the KnowledgeStore when enabled —
 // on the next server with capacity, and shedding by class priority when
 // recovery demand exceeds queue capacity. Fault edges, checkpoints and
@@ -162,9 +162,6 @@ type Workload struct {
 	// MinSessionSec floors the session length. DefaultMinSessionSec
 	// when 0.
 	MinSessionSec float64
-	// TargetFPS converts session seconds to a frame budget.
-	// transcode.DefaultTargetFPS when 0.
-	TargetFPS float64
 	// Curve selects the load shape (LoadConstant when empty).
 	Curve LoadCurve
 	// CurveAmplitude is the diurnal modulation depth in [0,1):
@@ -214,9 +211,6 @@ func (w Workload) withDefaults() Workload {
 	if w.MinSessionSec == 0 {
 		w.MinSessionSec = DefaultMinSessionSec
 	}
-	if w.TargetFPS == 0 {
-		w.TargetFPS = transcode.DefaultTargetFPS
-	}
 	if w.Curve == "" {
 		w.Curve = LoadConstant
 	}
@@ -256,7 +250,6 @@ func (w Workload) Validate() error {
 		{"HR fraction", w.HRFraction},
 		{"mean session length", w.MeanSessionSec},
 		{"min session length", w.MinSessionSec},
-		{"target FPS", w.TargetFPS},
 		{"diurnal amplitude", w.CurveAmplitude},
 		{"ramp end factor", w.RampEndFactor},
 		{"burst factor", w.BurstFactor},
@@ -290,9 +283,6 @@ func (w Workload) Validate() error {
 	}
 	if w.MeanSessionSec <= 0 || w.MinSessionSec <= 0 {
 		return fmt.Errorf("serve: session lengths must be positive (mean %g, min %g)", w.MeanSessionSec, w.MinSessionSec)
-	}
-	if w.TargetFPS <= 0 {
-		return fmt.Errorf("serve: target FPS %g must be positive", w.TargetFPS)
 	}
 	switch w.Curve {
 	case LoadConstant, LoadRamp:
@@ -406,7 +396,7 @@ func GenerateArrivals(w Workload, catalog *video.Catalog, seed int64) ([]Session
 		if lengthSec < w.MinSessionSec {
 			lengthSec = w.MinSessionSec
 		}
-		frames := int(lengthSec*w.TargetFPS + 0.5)
+		frames := int(lengthSec*transcode.DefaultTargetFPS + 0.5)
 		if frames < 1 {
 			frames = 1
 		}

@@ -49,30 +49,46 @@ func TestSessionArrivalJoinsLate(t *testing.T) {
 }
 
 func TestSessionArrivalOnIdleServer(t *testing.T) {
-	// The only session arrives at t=10: the engine must idle forward and
-	// account idle energy for the gap.
-	eng, err := NewEngine(quietSpec(), quietModel(), 64)
-	if err != nil {
-		t.Fatal(err)
+	// The only session arrives at t=10: the engine must idle forward,
+	// charge the gap at idle power and still attribute the dynamic
+	// energy to the session.
+	const gap = 10.0
+	spec := quietSpec()
+	run := func(start float64) (*Result, map[int][]Observation) {
+		eng, err := NewEngine(spec, quietModel(), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := Settings{QP: 32, Threads: 4, FreqGHz: 2.6}
+		if _, err := eng.AddSession(SessionConfig{
+			Source: testSource(t, video.LR, 65), Controller: &Static{S: set},
+			Initial: set, FrameBudget: 24, StartAtSec: start,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		tr := recordTraces(eng)
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, tr
 	}
-	set := Settings{QP: 32, Threads: 4, FreqGHz: 2.6}
-	if _, err := eng.AddSession(SessionConfig{
-		Source: testSource(t, video.LR, 65), Controller: &Static{S: set},
-		Initial: set, FrameBudget: 24, StartAtSec: 10,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tr := recordTraces(eng)
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr[0][0].Time < 10 {
+	gapped, tr := run(gap)
+	immediate, _ := run(0)
+	if tr[0][0].Time < gap {
 		t.Error("session ran before its arrival")
 	}
-	// Energy must include the idle lead-in: at least idle power * 10 s.
-	if res.EnergyJ < quietSpec().IdlePowerW*10 {
-		t.Errorf("energy %.1f J misses the idle lead-in", res.EnergyJ)
+	// The gapped run costs exactly the idle lead-in more than the
+	// immediate one: the loaded part is identical.
+	idleLead := spec.IdlePowerW * gap
+	if diff := math.Abs(gapped.EnergyJ - (immediate.EnergyJ + idleLead)); diff > 1e-6*gapped.EnergyJ {
+		t.Errorf("energy across the idle gap off by %.3f J (gapped %.1f, immediate %.1f + idle %.1f)",
+			diff, gapped.EnergyJ, immediate.EnergyJ, idleLead)
+	}
+	sessionDyn := gapped.Sessions[0].DynEnergyJ
+	packageDyn := gapped.EnergyJ - spec.IdlePowerW*gapped.DurationSec
+	if rel := math.Abs(sessionDyn-packageDyn) / packageDyn; rel > 1e-6 {
+		t.Errorf("session dynamic energy %.2f J vs package %.2f J (rel %.2e)", sessionDyn, packageDyn, rel)
 	}
 }
 

@@ -23,8 +23,6 @@ const fpsWindow = 6
 type SessionConfig struct {
 	// Source provides the stream content. Required.
 	Source video.Source
-	// Preset overrides the paper's resolution->preset mapping when set.
-	Preset *hevc.Preset
 	// Controller drives the session's knobs. Required.
 	Controller Controller
 	// Initial are the knob settings for the first frame.
@@ -163,10 +161,6 @@ type Result struct {
 	EnergyJ float64
 	// AvgPowerW is EnergyJ / DurationSec.
 	AvgPowerW float64
-	// TempMaxC and TempAvgC report package temperature when the spec
-	// enables the thermal model (zero otherwise).
-	TempMaxC float64
-	TempAvgC float64
 	// Sessions holds one entry per session still in the engine, in id
 	// order: extracted sessions are absent, and so are departed ones when
 	// an OnSessionEnd hook is installed.
@@ -219,10 +213,9 @@ type Engine struct {
 	sessions []*session
 	rng      *rand.Rand
 	now      float64 // real simulated time
-	vnow     float64 // virtual service time (integral of scale*throttle dt)
-	segStart float64 // time energy/thermal/vnow are settled up to (<= now)
+	vnow     float64 // virtual service time (integral of scale dt)
+	segStart float64 // time energy and vnow are settled up to (<= now)
 	energy   float64
-	thermal  *platform.ThermalState
 	acct     *platform.LoadAccount
 	compl    eventHeap // pending completions keyed by virtual service time
 	arrivals eventHeap // pending arrivals keyed by real time
@@ -257,15 +250,7 @@ func NewEngine(spec platform.Spec, model hevc.Model, seed int64) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{server: srv, spec: srv.SpecInPlace(), model: model, rng: rng, acct: srv.NewLoadAccount()}
-	if spec.Thermal.Enabled {
-		ts, err := platform.NewThermalState(spec.Thermal)
-		if err != nil {
-			return nil, err
-		}
-		e.thermal = ts
-	}
-	return e, nil
+	return &Engine{server: srv, spec: srv.SpecInPlace(), model: model, rng: rng, acct: srv.NewLoadAccount()}, nil
 }
 
 // Server exposes the platform (used by controllers needing spec data).
@@ -274,12 +259,11 @@ func (e *Engine) Server() *platform.Server { return e.server }
 // Reprofile swaps the server's platform spec live — the fault-injection
 // layer uses it to cut (and later restore) a degraded machine's power
 // cap mid-run. The running segment is settled at the old spec's rates
-// first, so energy, thermal state and the virtual clock up to this
-// instant are exactly what they would have been without the swap; the
-// new spec governs from now on. The spec is validated; the frequency
-// ladder must keep every resident load's frequency (their contention
-// contributions were resolved at admission), which holds trivially for
-// cap-only changes.
+// first, so energy and the virtual clock up to this instant are exactly
+// what they would have been without the swap; the new spec governs
+// from now on. The spec is validated; the frequency ladder must keep
+// every resident load's frequency (their contention contributions were
+// resolved at admission), which holds trivially for cap-only changes.
 func (e *Engine) Reprofile(spec platform.Spec) error {
 	if e.finished {
 		return errFinished
@@ -353,14 +337,10 @@ func (e *Engine) AddSession(cfg SessionConfig) (int, error) {
 	if cfg.StartAtSec < e.now {
 		cfg.StartAtSec = e.now
 	}
-	preset := hevc.PresetFor(cfg.Source.Res())
-	if cfg.Preset != nil {
-		preset = *cfg.Preset
-	}
 	// The encoder rng is built over an owned xrand.Source (same stream as
 	// xrand.New) so ExtractSession can freeze the noise stream mid-run.
 	encSrc := xrand.NewSource(e.rng.Int63())
-	enc, err := hevc.NewEncoder(cfg.Source.Res(), preset, e.model, rand.New(encSrc))
+	enc, err := hevc.NewEncoder(cfg.Source.Res(), hevc.PresetFor(cfg.Source.Res()), e.model, rand.New(encSrc))
 	if err != nil {
 		return 0, err
 	}
@@ -434,13 +414,12 @@ func (e *Engine) RunUntilAll() (*Result, error) {
 // dispatcher placing arrivals — and observe actual session lifetimes as
 // they happen. Times at or before the current clock are a no-op.
 //
-// Between events the engine's state (contention scale, power, throttle
-// factor) is constant, so energy, thermal and virtual-clock integration
-// is settled lazily at the next event rather than at every AdvanceTo
-// call: parking the clock is O(1) and results are bit-identical no
-// matter how often (or rarely) a caller steps an idle engine. Fleet
-// dispatchers exploit this by consulting NextEventTime and skipping
-// engines with nothing pending.
+// Between events the engine's state (contention scale, power) is
+// constant, so energy and virtual-clock integration is settled lazily
+// at the next event rather than at every AdvanceTo call: parking the
+// clock is O(1) and results are bit-identical no matter how often (or
+// rarely) a caller steps an idle engine. Fleet dispatchers exploit this
+// by consulting NextEventTime and skipping engines with nothing pending.
 func (e *Engine) AdvanceTo(t float64) error {
 	if math.IsInf(t, 1) || math.IsNaN(t) {
 		return fmt.Errorf("transcode: AdvanceTo time must be finite")
@@ -453,8 +432,8 @@ func (e *Engine) AdvanceTo(t float64) error {
 
 // NextEventTime returns the simulated wall-clock time of the engine's
 // earliest pending event: the head of the completion heap translated
-// through the current virtual-clock speed (contention scale x thermal
-// throttle), or the next scheduled session arrival, whichever is sooner.
+// through the current virtual-clock speed (the contention scale), or
+// the next scheduled session arrival, whichever is sooner.
 // It returns +Inf when nothing is pending — advancing an idle engine
 // processes no event, so a fleet dispatcher can skip it entirely. The
 // returned time is exactly the instant AdvanceTo would process the event
@@ -484,7 +463,7 @@ func (e *Engine) NextEventTime() float64 {
 // advance is the event loop: it processes events in time order until the
 // limit (exclusive of events strictly beyond it), then parks the clock at
 // the limit when finite. Parking does not integrate anything: the
-// energy/thermal/virtual-clock accounting of the running segment is
+// energy and virtual-clock accounting of the running segment is
 // settled in one step when the next event fires (or in buildResult),
 // which both makes parking an idle engine O(1) and makes the simulation
 // independent of how an outer loop slices its AdvanceTo calls.
@@ -580,15 +559,10 @@ func (e *Engine) advance(limit float64, untilAll bool) error {
 
 // segRates returns the package power and virtual-clock speed of the
 // current segment. Both only change when an event is processed (a load
-// joins, leaves or is re-shaped; the thermal state steps), so they hold
-// from the last settled point to the next event regardless of clock
-// parks in between.
+// joins, leaves or is re-shaped), so they hold from the last settled
+// point to the next event regardless of clock parks in between.
 func (e *Engine) segRates() (powerIdeal, speed float64) {
-	f := 1.0
-	if e.thermal != nil && e.thermal.Throttled() {
-		f = e.thermal.ThrottleFactor()
-	}
-	return e.spec.IdlePowerW + e.acct.DynPowerW()*f, e.acct.Scale() * f
+	return e.spec.IdlePowerW + e.acct.DynPowerW(), e.acct.Scale()
 }
 
 // completionTime translates the completion heap's head from virtual
@@ -607,7 +581,7 @@ func (e *Engine) completionTime(speed float64) float64 {
 	return t
 }
 
-// settle integrates energy, the thermal model and the virtual clock over
+// settle integrates energy and the virtual clock over
 // [segStart, t] at the given (constant) segment power and speed. Because
 // the whole pending span is integrated in one step, the accounting is
 // independent of how many times the clock was parked inside it.
@@ -615,9 +589,6 @@ func (e *Engine) settle(t, powerIdeal, speed float64) {
 	dt := t - e.segStart
 	if dt > 0 {
 		e.energy += powerIdeal * dt
-		if e.thermal != nil {
-			e.thermal.Advance(powerIdeal, dt)
-		}
 		if len(e.compl) > 0 {
 			e.vnow += speed * dt
 		}
@@ -691,7 +662,7 @@ func (e *Engine) beginFrame(s *session) error {
 
 // dynCoef is the session's dynamic-power coefficient: its busy
 // core-equivalents weighted by V^2*f, so that instantaneous dynamic power
-// is dynCoef * scale * throttle and dynamic energy integrates as
+// is dynCoef * scale and dynamic energy integrates as
 // dynCoef * (virtual time elapsed).
 func (e *Engine) dynCoef(l platform.SessionLoad) float64 {
 	vf, err := e.spec.VFNorm(l.FreqGHz)
@@ -807,10 +778,6 @@ func (e *Engine) buildResult() *Result {
 	res := &Result{DurationSec: e.now, EnergyJ: e.energy}
 	if e.now > 0 {
 		res.AvgPowerW = e.energy / e.now
-	}
-	if e.thermal != nil {
-		res.TempMaxC = e.thermal.MaxC()
-		res.TempAvgC = e.thermal.AvgC()
 	}
 	for _, s := range e.sessions {
 		if s == nil {

@@ -478,3 +478,51 @@ func TestTallyMatchesEngineResult(t *testing.T) {
 		}
 	}
 }
+
+func TestEngineThrottledSessionEnergyReconciles(t *testing.T) {
+	// The package energy integrates PowerIdealW = idle + sum(DynPowerW),
+	// so the per-session dynamic energies must always sum to the package
+	// energy minus the idle floor — including while the sessions are
+	// throttled: oversubscription scales every session's rate and
+	// dynamic power by the same contention factor.
+	spec := quietSpec()
+	eng, err := NewEngine(spec, quietModel(), 47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := Settings{QP: 22, Threads: 12, FreqGHz: 3.2}
+	for i := 0; i < 6; i++ {
+		if _, err := eng.AddSession(SessionConfig{
+			Source: testSource(t, video.HR, int64(48+i)), Controller: &Static{S: set},
+			Initial: set, FrameBudget: 1500,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Parking the clock changes no result (TestParkInvarianceExact).
+	if err := eng.AdvanceTo(0.01); err != nil {
+		t.Fatal(err)
+	}
+	if scale := eng.acct.Scale(); scale >= 1 {
+		t.Fatalf("contention scale %g: the workload never oversubscribes; test is vacuous", scale)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessionDyn float64
+	for _, sr := range res.Sessions {
+		if sr.DynEnergyJ <= 0 {
+			t.Errorf("session %d has non-positive dynamic energy %.1f J", sr.ID, sr.DynEnergyJ)
+		}
+		sessionDyn += sr.DynEnergyJ
+	}
+	packageDyn := res.EnergyJ - spec.IdlePowerW*res.DurationSec
+	if packageDyn <= 0 {
+		t.Fatalf("package dynamic energy %.1f J not positive", packageDyn)
+	}
+	if rel := math.Abs(sessionDyn-packageDyn) / packageDyn; rel > 1e-6 {
+		t.Errorf("session dynamic energies %.1f J do not reconcile with package dynamic energy %.1f J (rel err %.2e)",
+			sessionDyn, packageDyn, rel)
+	}
+}

@@ -7,9 +7,9 @@ package transcode
 // on the hottest path of the simulator.
 //
 // Virtual service time is the engine clock that makes the completion heap
-// stable under contention: it advances at scale*throttle times real time,
-// the uniform factor every active session's service rate is multiplied
-// by. A frame that needs W cycles on a session with unscaled rate r
+// stable under contention: it advances at the contention scale times
+// real time, the uniform factor every active session's service rate is
+// multiplied by. A frame that needs W cycles on a session with unscaled rate r
 // completes exactly when the virtual clock reaches v_start + W/r, no
 // matter how the contention scale moves while it encodes — so arrivals,
 // departures and setting changes never re-key pending events, and an

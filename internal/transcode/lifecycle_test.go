@@ -1,10 +1,8 @@
 package transcode
 
 import (
-	"math"
 	"testing"
 
-	"mamut/internal/platform"
 	"mamut/internal/video"
 )
 
@@ -172,10 +170,9 @@ func TestOnSessionEndHook(t *testing.T) {
 
 // TestAdvanceToChunksMatchSingleRun: stepping the simulation through many
 // AdvanceTo calls must process the same events as one continuous run; the
-// chunk boundaries only split the energy/thermal integration segments.
+// chunk boundaries only split the energy integration segments.
 func TestAdvanceToChunksMatchSingleRun(t *testing.T) {
 	spec := quietSpec()
-	spec.Thermal = DefaultThermalForTest()
 	build := func() *Engine {
 		eng, err := NewEngine(spec, quietModel(), 85)
 		if err != nil {
@@ -222,12 +219,6 @@ func TestAdvanceToChunksMatchSingleRun(t *testing.T) {
 	}
 	// Chunking splits FP reductions; events themselves are identical.
 	compareToGolden(t, toGolden(want, wantTr), got, gotTr, 1e-9)
-	if got.TempMaxC <= spec.Thermal.AmbientC {
-		t.Error("thermal tracking lost across AdvanceTo chunks")
-	}
-	if math.Abs(got.TempMaxC-want.TempMaxC) > 0.5 {
-		t.Errorf("chunked max temp %.2fC far from continuous %.2fC", got.TempMaxC, want.TempMaxC)
-	}
 }
 
 // TestHookDrivenAddSession: an OnSessionEnd hook that immediately refills
@@ -287,13 +278,4 @@ func TestHookDrivenAddSession(t *testing.T) {
 			t.Errorf("refill %d completed a frame at %g, before predecessor ended at %g", i, firstDone, prevEnd)
 		}
 	}
-}
-
-// DefaultThermalForTest returns a fast-response thermal spec that never
-// throttles, so AdvanceTo chunk boundaries stay pure integration splits.
-func DefaultThermalForTest() platform.ThermalSpec {
-	ts := platform.DefaultThermalSpec()
-	ts.TauSec = 5
-	ts.ThrottleC = 300
-	return ts
 }

@@ -61,8 +61,10 @@ type StatefulController interface {
 // sessionFormatVersion is the current SessionState payload format.
 // Decoders accept this version and older; newer payloads error cleanly.
 // Payloads written when a session could retain its frames carry
-// "collect_trace" and "trace" fields; decoding ignores them, so the
-// version did not change when they were retired.
+// "collect_trace" and "trace" fields, and ones written when a session
+// could override its encoder preset may carry "preset"; decoding
+// ignores them (every session now uses hevc.PresetFor of its class), so
+// the version did not change when they were retired.
 const sessionFormatVersion = 1
 
 // SessionState is a frozen, serializable session: everything InjectSession
@@ -77,12 +79,11 @@ type SessionState struct {
 
 	// Session parameters (the SessionConfig minus source and controller,
 	// which travel as opaque state payloads below).
-	Initial       Settings     `json:"initial"`
-	Preset        *hevc.Preset `json:"preset,omitempty"`
-	BandwidthMbps float64      `json:"bandwidth_mbps"`
-	TargetFPS     float64      `json:"target_fps"`
-	FrameBudget   int          `json:"frame_budget"`
-	StartAtSec    float64      `json:"start_at_sec"`
+	Initial       Settings `json:"initial"`
+	BandwidthMbps float64  `json:"bandwidth_mbps"`
+	TargetFPS     float64  `json:"target_fps"`
+	FrameBudget   int      `json:"frame_budget"`
+	StartAtSec    float64  `json:"start_at_sec"`
 
 	// Stream cursor and in-flight frame. Running is false only for a
 	// session extracted before its scheduled arrival; CompletionKey and
@@ -288,7 +289,7 @@ func (e *Engine) ExtractSession(id int) (*SessionState, error) {
 	}
 	s := e.sessions[id]
 	if s.running {
-		// Settle energy/thermal/virtual clock to now at the pre-removal
+		// Settle energy and the virtual clock to now at the pre-removal
 		// rates: the same settlement freeze computed.
 		powerIdeal, speed := e.segRates()
 		e.settle(e.now, powerIdeal, speed)
@@ -405,11 +406,6 @@ func (e *Engine) freeze(op string, id int) (*SessionState, any, error) {
 		Source:        srcState,
 		EncoderRNG:    s.encSrc.State(),
 	}
-	if s.cfg.Preset != nil {
-		p := *s.cfg.Preset
-		st.Preset = &p
-	}
-
 	if s.running {
 		ev, ok := e.compl.find(id)
 		if !ok {
@@ -481,13 +477,9 @@ func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionSta
 		return 0, fmt.Errorf("transcode: InjectSession: %w", err)
 	}
 
-	preset := hevc.PresetFor(st.Res)
-	if st.Preset != nil {
-		preset = *st.Preset
-	}
 	encSrc := xrand.NewSource(0)
 	encSrc.SetState(st.EncoderRNG)
-	enc, err := hevc.NewEncoder(st.Res, preset, e.model, rand.New(encSrc))
+	enc, err := hevc.NewEncoder(st.Res, hevc.PresetFor(st.Res), e.model, rand.New(encSrc))
 	if err != nil {
 		return 0, fmt.Errorf("transcode: InjectSession: %w", err)
 	}
@@ -517,11 +509,6 @@ func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionSta
 		tally:       st.Tally,
 		firstAction: st.FirstAction,
 	}
-	if st.Preset != nil {
-		p := *st.Preset
-		s.cfg.Preset = &p
-	}
-
 	if !st.Running {
 		// Extracted before its arrival: schedule it like a fresh admission.
 		at := st.StartAtSec

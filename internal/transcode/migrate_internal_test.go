@@ -29,7 +29,7 @@ func sampleSource(t *testing.T) video.Source {
 }
 
 // sampleState extracts a mid-stream session whose state reaches every
-// field kind: a preset and a non-zero stall.
+// field kind, a non-zero stall included.
 func sampleState(t *testing.T) *SessionState {
 	t.Helper()
 	eng, err := NewEngine(platform.DefaultSpec(), hevc.DefaultModel(), 17)
@@ -38,10 +38,8 @@ func sampleState(t *testing.T) *SessionState {
 	}
 	spec := eng.Server().Spec()
 	set := Settings{QP: 32, Threads: 2, FreqGHz: spec.MaxGHz()}
-	preset := hevc.Slow
 	id, err := eng.AddSession(SessionConfig{
-		Source: sampleSource(t), Controller: &Static{S: set}, Initial: set, Preset: &preset,
-		FrameBudget: 60,
+		Source: sampleSource(t), Controller: &Static{S: set}, Initial: set, FrameBudget: 60,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +85,10 @@ func TestEncodeSessionStateMatchesEnvelopeMarshal(t *testing.T) {
 }
 
 // TestLegacyTraceStateResumes: a checkpoint written while sessions could
-// still carry a trace has "collect_trace" and "trace" in its payload. It
-// still decodes, to the same state as without them, and resumes to the
-// same departure result and the same OnFrame stream.
+// still carry a trace has "collect_trace" and "trace" in its payload, and
+// one written while they could override their encoder preset may carry
+// "preset". It still decodes, to the same state as without them, and
+// resumes to the same departure result and the same OnFrame stream.
 func TestLegacyTraceStateResumes(t *testing.T) {
 	st := sampleState(t)
 	current, err := EncodeSessionState(st)
@@ -107,7 +106,7 @@ func TestLegacyTraceStateResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := append([]byte(`{"collect_trace":true,"trace":`), obs...)
+	payload := append([]byte(`{"preset":3,"collect_trace":true,"trace":`), obs...)
 	payload = append(append(payload, ','), env.Payload[1:]...)
 	sum := sha256.Sum256(payload)
 	legacy, err := json.Marshal(sessionEnvelope{Version: 1, SHA256: hex.EncodeToString(sum[:]), Payload: payload})

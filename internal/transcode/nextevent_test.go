@@ -86,13 +86,12 @@ func TestNextEventTime(t *testing.T) {
 
 // TestParkInvarianceExact: slicing a run into arbitrary AdvanceTo steps
 // must not change the result AT ALL — integration is settled lazily at
-// events, so park boundaries cannot split the energy/thermal/virtual
-// clock FP reductions. This exactness is what lets the serve dispatcher
+// events, so park boundaries cannot split the energy/virtual-clock FP
+// reductions. This exactness is what lets the serve dispatcher
 // skip idle engines and still reproduce the all-server sweep
 // byte-identically.
 func TestParkInvarianceExact(t *testing.T) {
 	spec := quietSpec()
-	spec.Thermal = DefaultThermalForTest()
 	build := func() *Engine {
 		eng, err := NewEngine(spec, quietModel(), 85)
 		if err != nil {

@@ -61,7 +61,6 @@ type refEngine struct {
 	rng      *rand.Rand
 	now      float64
 	energy   float64
-	thermal  *platform.ThermalState
 	onFrame  func(Observation) // the Engine.OnFrame mirror
 }
 
@@ -75,15 +74,7 @@ func newRefEngine(t *testing.T, spec platform.Spec, model hevc.Model, seed int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &refEngine{server: srv, model: model, rng: rng}
-	if spec.Thermal.Enabled {
-		ts, err := platform.NewThermalState(spec.Thermal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.thermal = ts
-	}
-	return e
+	return &refEngine{server: srv, model: model, rng: rng}
 }
 
 func (e *refEngine) addSession(t *testing.T, cfg SessionConfig) {
@@ -91,11 +82,7 @@ func (e *refEngine) addSession(t *testing.T, cfg SessionConfig) {
 	if cfg.TargetFPS == 0 {
 		cfg.TargetFPS = DefaultTargetFPS
 	}
-	preset := hevc.PresetFor(cfg.Source.Res())
-	if cfg.Preset != nil {
-		preset = *cfg.Preset
-	}
-	enc, err := hevc.NewEncoder(cfg.Source.Res(), preset, e.model, xrand.New(e.rng.Int63()))
+	enc, err := hevc.NewEncoder(cfg.Source.Res(), hevc.PresetFor(cfg.Source.Res()), e.model, xrand.New(e.rng.Int63()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +115,7 @@ func (e *refEngine) run(untilAll bool) (*Result, error) {
 		active := e.startFrames(untilAll)
 		if len(active) == 0 {
 			if arrival := e.nextArrival(); !math.IsInf(arrival, 1) {
-				idle := e.server.Spec().IdlePowerW
-				e.energy += idle * (arrival - e.now)
-				if e.thermal != nil {
-					e.thermal.Advance(idle, arrival-e.now)
-				}
+				e.energy += e.server.Spec().IdlePowerW * (arrival - e.now)
 				e.now = arrival
 				continue
 			}
@@ -152,17 +135,6 @@ func (e *refEngine) run(untilAll bool) (*Result, error) {
 			return nil, fmt.Errorf("transcode: t=%.3f: %w", e.now, err)
 		}
 
-		if e.thermal != nil && e.thermal.Throttled() {
-			f := e.thermal.ThrottleFactor()
-			for i := range snap.Rates {
-				snap.Rates[i] *= f
-				snap.DynPowerW[i] *= f
-			}
-			idle := e.server.Spec().IdlePowerW
-			snap.PowerIdealW = idle + (snap.PowerIdealW-idle)*f
-			snap.PowerW = idle + (snap.PowerW-idle)*f
-		}
-
 		dt := math.Inf(1)
 		for i, s := range active {
 			if t := s.remaining / snap.Rates[i]; t < dt {
@@ -180,9 +152,6 @@ func (e *refEngine) run(untilAll bool) (*Result, error) {
 		}
 		e.now += dt
 		e.energy += snap.PowerIdealW * dt
-		if e.thermal != nil {
-			e.thermal.Advance(snap.PowerIdealW, dt)
-		}
 
 		const eps = 1e-9
 		for i, s := range active {
@@ -331,10 +300,6 @@ func (e *refEngine) buildResult() *Result {
 	res := &Result{DurationSec: e.now, EnergyJ: e.energy}
 	if e.now > 0 {
 		res.AvgPowerW = e.energy / e.now
-	}
-	if e.thermal != nil {
-		res.TempMaxC = e.thermal.MaxC()
-		res.TempAvgC = e.thermal.AvgC()
 	}
 	for _, s := range e.sessions {
 		sr := SessionResult{

@@ -67,39 +67,36 @@ func TestSnapshotSessionEncodesLikeExtract(t *testing.T) {
 // TestSnapshotSessionLeavesEngineBitIdentical: snapshotting is a pure
 // read. An engine whose live sessions are snapshotted over and over —
 // before and after arrivals, mid-frame — finishes with a Result
-// DeepEqual to an untouched twin's, with and without the thermal model.
+// DeepEqual to an untouched twin's.
 func TestSnapshotSessionLeavesEngineBitIdentical(t *testing.T) {
 	const seed = 37
-	thermal := platform.DefaultSpec()
-	thermal.Thermal = transcode.DefaultThermalForTest()
-	for name, spec := range map[string]platform.Spec{"default": platform.DefaultSpec(), "thermal": thermal} {
-		t.Run(name, func(t *testing.T) {
-			base, snapped := migEngineOn(t, spec, 3, seed), migEngineOn(t, spec, 3, seed)
-			for _, at := range []float64{0, 0.3, 0.5, 1.7, 3.3, 4.9} {
-				for _, e := range []*transcode.Engine{base, snapped} {
-					if err := e.AdvanceTo(at); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for id := 0; id < 3; id++ {
-					if _, err := snapped.SnapshotSession(id); err != nil {
-						t.Fatalf("t=%g session %d: %v", at, id, err)
-					}
+	t.Run("default", func(t *testing.T) {
+		spec := platform.DefaultSpec()
+		base, snapped := migEngineOn(t, spec, 3, seed), migEngineOn(t, spec, 3, seed)
+		for _, at := range []float64{0, 0.3, 0.5, 1.7, 3.3, 4.9} {
+			for _, e := range []*transcode.Engine{base, snapped} {
+				if err := e.AdvanceTo(at); err != nil {
+					t.Fatal(err)
 				}
 			}
-			want, err := base.Run()
-			if err != nil {
-				t.Fatal(err)
+			for id := 0; id < 3; id++ {
+				if _, err := snapped.SnapshotSession(id); err != nil {
+					t.Fatalf("t=%g session %d: %v", at, id, err)
+				}
 			}
-			got, err := snapped.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("snapshotted engine's result differs from the untouched twin's:\n got %+v\nwant %+v", got, want)
-			}
-		})
-	}
+		}
+		want, err := base.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := snapped.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshotted engine's result differs from the untouched twin's:\n got %+v\nwant %+v", got, want)
+		}
+	})
 }
 
 // plainController steers a fixed setting and has no state export, so its

@@ -180,8 +180,8 @@ type (
 	// instant, or a degrade/blip window.
 	ServeFaultEvent = serve.FaultEvent
 	// ServeFaultRecovery configures what happens to sessions a crash
-	// interrupts: drop them, or re-admit through the waiting room with
-	// per-class retry/backoff/deadline bounds.
+	// interrupts: drop them, or re-admit through the waiting room within
+	// a recovery deadline.
 	ServeFaultRecovery = serve.FaultRecovery
 	// KnowledgeStore is the per-resolution-class shared knowledge base a
 	// knowledge-reuse service run maintains.
