@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"mamut/internal/platform"
@@ -214,9 +213,9 @@ func (h *Heuristic) ControllerState() any {
 }
 
 // RestoreControllerState implements transcode.StatefulController.
-func (h *Heuristic) RestoreControllerState(data []byte) error {
-	var st heuristicState
-	if err := json.Unmarshal(data, &st); err != nil {
+func (h *Heuristic) RestoreControllerState(state any) error {
+	st, err := transcode.ResolveControllerState[heuristicState](state)
+	if err != nil {
 		return fmt.Errorf("baseline: restore heuristic state: %w", err)
 	}
 	if err := st.Settings.Validate(); err != nil {

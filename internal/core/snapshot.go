@@ -2,20 +2,18 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mamut/internal/rl"
-	"mamut/internal/transcode"
 )
 
 // Snapshot is the exported learned state of one MAMUT controller: one
 // rl.Snapshot per agent, indexed by AgentKind. It is the unit of
 // cross-session knowledge reuse (the KaaS regime): departing sessions
 // export snapshots, a knowledge base folds them together with Merge, and
-// NewWarm seeds fresh controllers from the accumulated state so
-// well-observed states start past exploration. It is also the agents of
-// a ResumeState, where it encodes as a JSON array of three checkpoint
-// learners.
+// Controller.Seed warm-starts fresh controllers from the accumulated
+// state so well-observed states start past exploration. It is also the
+// agents of a ResumeState, where it encodes as a JSON array of three
+// checkpoint learners.
 type Snapshot [3]rl.Snapshot
 
 // Snapshot exports the controller's current learning state: one pointer
@@ -87,34 +85,33 @@ func (sn *Snapshot) fold(what string, other Snapshot, f func(*rl.Snapshot, rl.Sn
 	return nil
 }
 
-// NewWarm builds a MAMUT controller like New and, when snap is non-nil,
-// seeds all three agents from the snapshot before the first frame. The
-// eq. (3) learning-rate/phase machinery then takes over: states whose
-// folded visit counts push every action's alpha below the thresholds
-// start directly in explore-exploit or exploitation, skipping the random
-// exploration a cold-started session would spend most of a short
-// lifetime in. A nil snap is exactly New (cold start). The snapshot's
-// table dimensions must match the configuration's action sets; only
-// they are read from its configs, so an imported snapshot whose configs
-// carry nothing else seeds like an exported one.
+// Seed warm-starts the controller from a knowledge snapshot before its
+// first frame, folding each agent's snapshot into its learner
+// (rl.Learner.Seed). The eq. (3) learning-rate/phase machinery then
+// takes over: states whose folded visit counts push every action's
+// alpha below the thresholds start directly in explore-exploit or
+// exploitation, skipping the random exploration a cold-started session
+// would spend most of a short lifetime in. The snapshot's table
+// dimensions must match the configuration's action sets; only they are
+// read from its configs, so an imported snapshot whose configs carry
+// nothing else seeds like an exported one. Every agent is checked before
+// any is seeded, so a failed Seed leaves the controller untouched.
 //
 // Seeding copies no table: each agent shares the snapshot's immutable
-// rows (rl.Learner.Seed) — exactly the fold wherever every action a row
-// never visited holds +0 Q, and any other row is folded into a copy —
-// and copies a row only on its first write to that state, so a warm
-// session pays for the states it visits, not for the store's size.
-func NewWarm(cfg Config, initial transcode.Settings, rng *rand.Rand, snap *Snapshot) (*Controller, error) {
-	c, err := New(cfg, initial, rng)
-	if err != nil {
-		return nil, err
-	}
-	if snap == nil {
-		return c, nil
+// rows — exactly the fold wherever every action a row never visited
+// holds +0 Q, and any other row is folded into a copy — and copies a row
+// only on its first write to that state, so a warm session pays for the
+// states it visits, not for the store's size.
+func (c *Controller) Seed(snap Snapshot) error {
+	for k := AgentQP; k < numAgents; k++ {
+		if err := c.agents[k].learner.Compatible(snap[k]); err != nil {
+			return fmt.Errorf("core: warm start agent %v: %w", k, err)
+		}
 	}
 	for k := AgentQP; k < numAgents; k++ {
 		if err := c.agents[k].learner.Seed(snap[k]); err != nil {
-			return nil, fmt.Errorf("core: warm start agent %v: %w", k, err)
+			return fmt.Errorf("core: warm start agent %v: %w", k, err)
 		}
 	}
-	return c, nil
+	return nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -41,9 +43,12 @@ func TestWarmControllerSkipsExploration(t *testing.T) {
 	if err := sn.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := NewWarm(testConfig(), transcode.Settings{QP: 32, Threads: 6, FreqGHz: 2.6},
-		rand.New(rand.NewSource(2)), &sn)
+	warm, err := New(testConfig(), transcode.Settings{QP: 32, Threads: 6, FreqGHz: 2.6},
+		rand.New(rand.NewSource(2)))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Seed(sn); err != nil {
 		t.Fatal(err)
 	}
 	for k := AgentQP; k < numAgents; k++ {
@@ -60,9 +65,9 @@ func TestWarmControllerSkipsExploration(t *testing.T) {
 		}
 	}
 
-	// A nil snapshot is a cold start.
-	cold, err := NewWarm(testConfig(), transcode.Settings{QP: 32, Threads: 6, FreqGHz: 2.6},
-		rand.New(rand.NewSource(3)), nil)
+	// An unseeded controller is a cold start.
+	cold, err := New(testConfig(), transcode.Settings{QP: 32, Threads: 6, FreqGHz: 2.6},
+		rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +78,29 @@ func TestWarmControllerSkipsExploration(t *testing.T) {
 
 func TestWarmControllerDimensionMismatch(t *testing.T) {
 	donor := testController(t, 1)
+	trainState(donor, 10, 4)
 	sn := donor.Snapshot()
 	cfg := testConfig()
 	cfg.ThreadValues = cfg.ThreadValues[:5] // LR-sized action set vs HR snapshot
-	if _, err := NewWarm(cfg, transcode.Settings{QP: 32, Threads: 3, FreqGHz: 2.6},
-		rand.New(rand.NewSource(2)), &sn); err == nil {
-		t.Error("mismatched snapshot accepted by NewWarm")
+	c, err := New(cfg, transcode.Settings{QP: 32, Threads: 3, FreqGHz: 2.6}, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := json.Marshal(c.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Seed(sn); err == nil {
+		t.Error("mismatched snapshot accepted by Seed")
+	}
+	// The QP agent's tables match the snapshot's; a failed Seed must not
+	// have seeded it either.
+	after, err := json.Marshal(c.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Error("a failed Seed changed the controller")
 	}
 }
 

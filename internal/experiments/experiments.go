@@ -65,17 +65,7 @@ type Options struct {
 	Workers int
 	// Progress, when set, observes every completed unit (see ProgressFunc).
 	Progress ProgressFunc
-	// WarmStart, when set, supplies the knowledge snapshot each new MAMUT
-	// controller is seeded with (cross-session knowledge reuse); a nil
-	// return is a cold start. It is consulted at controller-build time,
-	// only by the MAMUT factory — the other approaches ignore it. The
-	// returned snapshot is read, never retained or mutated.
-	WarmStart WarmStartFunc
 }
-
-// WarmStartFunc resolves the warm-start snapshot for a new MAMUT session
-// of the given resolution class, or nil for a cold start.
-type WarmStartFunc func(res video.Resolution) *core.Snapshot
 
 // DefaultOptions returns the configuration used for the published
 // experiment outputs in EXPERIMENTS.md.
@@ -245,10 +235,7 @@ func Factory(a Approach, opts Options) (ControllerFactory, error) {
 	case MAMUT:
 		return func(res video.Resolution, initial transcode.Settings, rng *rand.Rand) (transcode.Controller, error) {
 			cfg := core.DefaultConfig(res, opts.Spec, opts.Model.MaxUsefulThreads(res))
-			if opts.WarmStart == nil {
-				return core.New(cfg, initial, rng)
-			}
-			return core.NewWarm(cfg, initial, rng, opts.WarmStart(res))
+			return core.New(cfg, initial, rng)
 		}, nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown approach %q", a)

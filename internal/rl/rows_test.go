@@ -446,12 +446,12 @@ func TestSnapshotCopiesStayIsolated(t *testing.T) {
 
 // TestWarmLearnerCopiesOnlyWrittenRows counts row copies exactly along a
 // session's life under knowledge reuse, at the paper's 180 states: a
-// learner seeded from a snapshot (NewWarm's step per agent) shares every
-// row; writing to k distinct states copies exactly k rows; a checkpoint
-// snapshot copies none and hands the rows back, so the next frames copy
-// each state they write to once more; and the harvest — the departing
-// snapshot less the seed, folded into the store — makes fresh rows only
-// for the states the session wrote to.
+// learner seeded from a snapshot (core.Controller.Seed's step per agent)
+// shares every row; writing to k distinct states copies exactly k rows;
+// a checkpoint snapshot copies none and hands the rows back, so the next
+// frames copy each state they write to once more; and the harvest — the
+// departing snapshot less the seed, folded into the store — makes fresh
+// rows only for the states the session wrote to.
 func TestWarmLearnerCopiesOnlyWrittenRows(t *testing.T) {
 	cfg := DefaultConfig(180, 7)
 	donor, err := NewLearner(cfg)

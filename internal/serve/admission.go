@@ -253,7 +253,7 @@ type queueEntry struct {
 	// instant the MTTR clock started.
 	recovery   bool
 	rec        residentRec
-	snap       *transcode.SessionSnapshot
+	snap       *transcode.SessionState
 	attempt    int
 	eligibleAt float64
 	crashAt    float64
@@ -424,7 +424,7 @@ func (d *dispatcher) choose(req SessionRequest, now float64) (int, error) {
 		if d.idx != nil {
 			choice = d.idx.Place(req)
 		} else {
-			choice = d.pol.Place(req, d.refreshScanStates(req))
+			choice = d.pol.Place(req, d.refreshScanStates())
 		}
 	}
 	if choice < -1 || choice >= len(d.states) {

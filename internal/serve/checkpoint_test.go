@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"mamut/internal/baseline"
 	"mamut/internal/core"
 	"mamut/internal/experiments"
 	"mamut/internal/hevc"
@@ -64,7 +66,7 @@ func TestMAMUTCheckpointBytesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if checkpoints[i], err = snap.Encode(); err != nil {
+		if checkpoints[i], err = transcode.EncodeSessionState(snap); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +118,7 @@ func TestMAMUTControllerStateWirePin(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := &statefulMAMUT{Controller: mc, src: xrand.NewSource(99)}
-	if err := fresh.RestoreControllerState(legacy); err != nil {
+	if err := fresh.RestoreControllerState(json.RawMessage(legacy)); err != nil {
 		t.Fatal(err)
 	}
 	back, err := json.Marshal(fresh.ControllerState())
@@ -138,7 +140,7 @@ func TestMAMUTSnapshotDoesNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := snap.Encode()
+	want, err := transcode.EncodeSessionState(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +151,14 @@ func TestMAMUTSnapshotDoesNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, err := later.Encode()
+	moved, err := transcode.EncodeSessionState(later)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(moved, want) {
 		t.Fatal("the session did not change in a minute of learning; the test proves nothing")
 	}
-	got, err := snap.Encode()
+	got, err := transcode.EncodeSessionState(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,23 +167,180 @@ func TestMAMUTSnapshotDoesNotAlias(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpointSession is the session-codec floor of crash
+// TestInProcessHandoffMatchesWire: injecting a frozen session state as
+// is resumes exactly what injecting its wire round trip
+// (DecodeSessionState of EncodeSessionState) resumes. For a static, a
+// heuristic and a trained MAMUT session, the two fresh engines encode a
+// second freeze to the same bytes and finish with DeepEqual Results, and
+// the frozen state itself encodes as before while the sessions it was
+// restored into ran on.
+func TestInProcessHandoffMatchesWire(t *testing.T) {
+	spec, model := platform.DefaultSpec(), hevc.DefaultModel()
+	seq, err := video.DefaultCatalog().Get("Kimono")
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := experiments.InitialSettings(video.HR)
+	for _, tc := range []struct {
+		name  string
+		shell func(seed uint64) transcode.Controller
+	}{
+		{"static", func(uint64) transcode.Controller { return &transcode.Static{S: initial} }},
+		{"heuristic", func(uint64) transcode.Controller {
+			h, err := baseline.NewHeuristic(baseline.DefaultHeuristicConfig(video.HR, spec, model.MaxUsefulThreads(video.HR)), initial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}},
+		{"mamut", func(seed uint64) transcode.Controller {
+			ctrlSrc := xrand.NewSource(int64(seed))
+			mc, err := core.New(core.DefaultConfig(video.HR, spec, model.MaxUsefulThreads(video.HR)), initial, rand.New(ctrlSrc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &statefulMAMUT{Controller: mc, src: ctrlSrc}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engine := func(seed uint64, st *transcode.SessionState) (*transcode.Engine, int) {
+				t.Helper()
+				eng, err := transcode.NewEngine(spec, model, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src, err := video.NewStatefulGenerator(seq, int64(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var id int
+				if st == nil {
+					id, err = eng.AddSession(transcode.SessionConfig{
+						Source: src, Controller: tc.shell(seed), Initial: initial, FrameBudget: 2400,
+					})
+				} else {
+					id, err = eng.InjectSession(src, tc.shell(seed), st)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng, id
+			}
+			orig, id := engine(11, nil)
+			if err := orig.AdvanceTo(60); err != nil {
+				t.Fatal(err)
+			}
+			frozen, err := orig.SnapshotSession(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire, err := transcode.EncodeSessionState(frozen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := transcode.DecodeSessionState(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, directID := engine(0, frozen)
+			viaWire, wireID := engine(0, decoded)
+
+			var second [2][]byte
+			for i, run := range []struct {
+				eng *transcode.Engine
+				id  int
+			}{{direct, directID}, {viaWire, wireID}} {
+				if err := run.eng.AdvanceTo(30); err != nil {
+					t.Fatal(err)
+				}
+				st, err := run.eng.SnapshotSession(run.id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if second[i], err = transcode.EncodeSessionState(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(second[0], second[1]) {
+				t.Fatalf("second freeze differs:\n direct %.300s\n   wire %.300s", second[0], second[1])
+			}
+			if bytes.Equal(second[0], wire) {
+				t.Fatal("the session did not move between the freezes; the test proves nothing")
+			}
+			got, err := direct.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := viaWire.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("in-process hand-over result differs from the wire round trip's:\n got %+v\nwant %+v", got, want)
+			}
+			again, err := transcode.EncodeSessionState(frozen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, wire) {
+				t.Fatal("the frozen state changed while the session restored from it ran on")
+			}
+		})
+	}
+}
+
+// BenchmarkCheckpointSession is the session-state floor of crash
 // recovery for one trained MAMUT session. snapshot times what
 // checkpointFleet runs per resident session at every checkpoint: the
-// typed snapshot. restore times what restoreSession adds for a crash
-// victim before injection: the wire encode and the verified decode.
-// inject times the rest of a restore from the encoded bytes: the decode,
-// then InjectSession into a fresh engine with a fresh source and
-// controller, which decodes the controller payload and rebuilds the
-// three learners (RestoreControllerState).
+// typed snapshot. handoff times an in-process restore as restoreSession
+// runs it: a snapshot, then InjectSession into a fresh engine with a
+// fresh source and controller, which rebuilds the three learners from
+// the frozen value (RestoreControllerState). restore and inject time the
+// wire path a state that leaves the process takes instead: restore the
+// encode and the verified decode, inject the decode plus InjectSession,
+// which then also decodes the controller payload.
 func BenchmarkCheckpointSession(b *testing.B) {
 	eng, id, _ := mamutCheckpointEngine(b)
+	spec, model := platform.DefaultSpec(), hevc.DefaultModel()
+	seq, err := video.DefaultCatalog().Get("Kimono")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig(video.HR, spec, model.MaxUsefulThreads(video.HR))
+	inject := func(b *testing.B, st *transcode.SessionState) {
+		dst, err := transcode.NewEngine(spec, model, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src, err := video.NewStatefulGenerator(seq, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctrlSrc := xrand.NewSource(0)
+		mc, err := core.New(cfg, st.Initial, rand.New(ctrlSrc))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dst.InjectSession(src, &statefulMAMUT{Controller: mc, src: ctrlSrc}, st); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.Run("snapshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			if _, err := eng.SnapshotSession(id); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("handoff", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			st, err := eng.SnapshotSession(id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inject(b, st)
 		}
 	})
 	b.Run("restore", func(b *testing.B) {
@@ -191,7 +350,7 @@ func BenchmarkCheckpointSession(b *testing.B) {
 		}
 		b.ReportAllocs()
 		for b.Loop() {
-			data, err := snap.Encode()
+			data, err := transcode.EncodeSessionState(snap)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -205,38 +364,17 @@ func BenchmarkCheckpointSession(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		data, err := snap.Encode()
+		data, err := transcode.EncodeSessionState(snap)
 		if err != nil {
 			b.Fatal(err)
 		}
-		spec, model := platform.DefaultSpec(), hevc.DefaultModel()
-		seq, err := video.DefaultCatalog().Get("Kimono")
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := core.DefaultConfig(video.HR, spec, model.MaxUsefulThreads(video.HR))
 		b.ReportAllocs()
 		for b.Loop() {
 			st, err := transcode.DecodeSessionState(data)
 			if err != nil {
 				b.Fatal(err)
 			}
-			dst, err := transcode.NewEngine(spec, model, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src, err := video.NewStatefulGenerator(seq, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctrlSrc := xrand.NewSource(0)
-			mc, err := core.New(cfg, st.Initial, rand.New(ctrlSrc))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := dst.InjectSession(src, &statefulMAMUT{Controller: mc, src: ctrlSrc}, st); err != nil {
-				b.Fatal(err)
-			}
+			inject(b, st)
 		}
 	})
 }

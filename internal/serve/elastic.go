@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -170,8 +169,9 @@ type statefulMAMUT struct {
 
 // mamutCtrlState is the wrapper's typed state: the resume state is
 // already frozen (its learners share rows the controller copies before
-// writing), so a checkpoint holds it as is and the wire codec encodes the
-// learner tables in one pass only when it is needed.
+// writing), so a checkpoint holds it as is, a restore or migration in
+// process rebuilds the learners straight from it, and only a state that
+// leaves the process encodes the learner tables.
 type mamutCtrlState struct {
 	Resume *core.ResumeState `json:"resume"`
 	RNG    uint64            `json:"rng"`
@@ -183,9 +183,9 @@ func (c *statefulMAMUT) ControllerState() any {
 }
 
 // RestoreControllerState implements transcode.StatefulController.
-func (c *statefulMAMUT) RestoreControllerState(data []byte) error {
-	var st mamutCtrlState
-	if err := json.Unmarshal(data, &st); err != nil {
+func (c *statefulMAMUT) RestoreControllerState(state any) error {
+	st, err := transcode.ResolveControllerState[mamutCtrlState](state)
+	if err != nil {
 		return fmt.Errorf("serve: restore mamut controller: %w", err)
 	}
 	if st.Resume == nil {
@@ -483,7 +483,7 @@ func (d *dispatcher) migrate(t float64, from, sessID, to int) error {
 	return nil
 }
 
-// injectSession lands an extracted (migration) or decoded (crash
+// injectSession lands an extracted (migration) or checkpointed (crash
 // restore) session state on server i at time t: the engine is created on
 // first use and advanced to t, fresh source and controller shells take
 // the payload's mid-stream state, and the session is booked resident

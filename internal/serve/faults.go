@@ -251,7 +251,9 @@ type FaultRecovery struct {
 	// victims re-enter the admission queue as recovery entries.
 	Drop bool
 	// DeadlineSec bounds crash-to-restore; a session still waiting this
-	// long after its crash is lost. DefaultFaultDeadlineSec when 0.
+	// long after its crash is lost. DefaultFaultDeadlineSec when 0. It
+	// needs a crash in the plan and Drop unset: setting it otherwise is
+	// rejected.
 	DeadlineSec float64
 }
 
@@ -265,8 +267,8 @@ type FaultConfig struct {
 	// CheckpointSec periodically freezes every resident session's state
 	// (transcode.Engine.SnapshotSession, a typed in-memory copy) so crash
 	// victims restore from their last snapshot instead of restarting
-	// cold; only a restored snapshot goes through the wire codec. 0
-	// disables checkpoints: crash victims restart from scratch,
+	// cold; the restore injects that state as is, and no wire codec
+	// runs. 0 disables checkpoints: crash victims restart from scratch,
 	// warm-seeded from the knowledge store when Config.KnowledgeReuse is
 	// on. A restored session is charged DefaultFaultRestoreStallSec on
 	// its interrupted frame. Setting it without a Plan, or to an interval
@@ -280,10 +282,16 @@ type FaultConfig struct {
 // Enabled reports whether any fault is scheduled.
 func (f FaultConfig) Enabled() bool { return len(f.Plan) > 0 }
 
-// withDefaults resolves the zero recovery deadline (plan configured
-// only).
+// crashes reports whether the plan takes a server out for good, so
+// that the recovery pipeline runs.
+func (f FaultConfig) crashes() bool {
+	return slices.ContainsFunc(f.Plan, func(ev FaultEvent) bool { return ev.Kind == FaultCrash })
+}
+
+// withDefaults resolves the zero recovery deadline where a crash victim
+// can wait out its recovery: a plan with a crash and Drop unset.
 func (f FaultConfig) withDefaults() FaultConfig {
-	if f.Enabled() && !f.Recovery.Drop && f.Recovery.DeadlineSec == 0 {
+	if f.crashes() && !f.Recovery.Drop && f.Recovery.DeadlineSec == 0 {
 		f.Recovery.DeadlineSec = DefaultFaultDeadlineSec
 	}
 	return f
@@ -372,9 +380,12 @@ func (f FaultConfig) validate(servers int, horizon float64, queueCapacity int) e
 			}
 		}
 	}
-	crash := slices.ContainsFunc(f.Plan, func(ev FaultEvent) bool { return ev.Kind == FaultCrash })
+	crash := f.crashes()
 	if crash && !f.Recovery.Drop && queueCapacity <= 0 {
 		return fmt.Errorf("serve: crash recovery re-enters sessions through the admission queue; set Queue.Capacity (or Recovery.Drop to lose interrupted sessions)")
+	}
+	if f.Recovery.DeadlineSec != 0 && (!crash || f.Recovery.Drop) {
+		return fmt.Errorf("serve: fault-recovery deadline %g set but no crash victim waits for recovery (no crash in the plan, or Recovery.Drop)", f.Recovery.DeadlineSec)
 	}
 	return nil
 }
@@ -451,11 +462,10 @@ func (f *faults) report(res *Result, servers int) {
 }
 
 // faultSnap is one session's last periodic checkpoint, keyed by arrival
-// ID in faults.snaps: the typed in-memory snapshot, which only a crash
-// victim's restore ever encodes, and the checkpoint instant for the
-// lost-work accounting.
+// ID in faults.snaps: the frozen state a crash victim's restore injects,
+// and the checkpoint instant for the lost-work accounting.
 type faultSnap struct {
-	snap *transcode.SessionSnapshot
+	snap *transcode.SessionState
 	at   float64
 }
 
@@ -659,10 +669,8 @@ func (d *dispatcher) reprofile(t float64, srv int, spec *platform.Spec) error {
 // checkpointFleet freezes every resident session's state at time t for
 // crash recovery. Each session's snapshot is a typed in-memory copy
 // (transcode.Engine.SnapshotSession), a pure read of the engine, so the
-// engine after the pass is bit-identical to never having checkpointed,
-// and no codec runs until a crash victim is restored; the snapshot then
-// encodes to the bytes ExtractSession would have produced. A session
-// whose state cannot be snapshotted (or could not be encoded) keeps its
+// engine after the pass is bit-identical to never having checkpointed;
+// no codec runs. A session whose state cannot be snapshotted keeps its
 // previous checkpoint, if any.
 func (d *dispatcher) checkpointFleet(t float64) error {
 	if err := d.syncPoint(t); err != nil {
@@ -693,28 +701,19 @@ func (d *dispatcher) checkpointFleet(t float64) error {
 }
 
 // restoreSession re-admits one recovery entry on server choice at time
-// t: from its checkpoint snapshot when it has one (the session resumes
-// mid-stream, charged DefaultFaultRestoreStallSec on the interrupted
-// frame), or from scratch otherwise (warm-seeded from the knowledge
-// store like any fresh admission, keeping its original arrival
-// identity). The snapshot goes through the wire codec here, and only
-// here: it is encoded, then decoded and verified, and a snapshot that
-// fails the round trip is a cold restart. So every restore resumes from
-// the same artifact an encode-at-checkpoint design would have stored.
-// Recovery is migration-like on the books: the session was already
-// counted admitted and measured at its original admission, so only the
-// recovery counters and the MTTR sketch move here.
+// t: from its checkpoint when it has one (the session resumes
+// mid-stream from the frozen state, charged DefaultFaultRestoreStallSec
+// on the interrupted frame), or from scratch otherwise (warm-seeded from
+// the knowledge store like any fresh admission, keeping its original
+// arrival identity). The checkpoint passed SnapshotSession's checks, so
+// it is injected as is, with no codec; an injection error is a run
+// error, as in a migration. Recovery is migration-like on the books: the
+// session was already counted admitted and measured at its original
+// admission, so only the recovery counters and the MTTR sketch move
+// here.
 func (d *dispatcher) restoreSession(e *queueEntry, choice int, t float64) error {
 	rec := e.rec
-	var st *transcode.SessionState
-	if e.snap != nil {
-		if data, err := e.snap.Encode(); err == nil {
-			if s, err := transcode.DecodeSessionState(data); err == nil {
-				st = s
-			}
-		}
-	}
-	if st != nil {
+	if st := e.snap; st != nil {
 		st.StallSec = DefaultFaultRestoreStallSec
 		// Busy time restarts here: the pre-crash span was credited to the
 		// crashed server at the crash. The original seed baseline stays:

@@ -172,6 +172,12 @@ func TestFaultConfigValidate(t *testing.T) {
 		{"negative deadline", func(c *Config) {
 			c.Faults = FaultConfig{Plan: plan("crash@20:0"), Recovery: FaultRecovery{DeadlineSec: -1}}
 		}, "negative fault-recovery deadline"},
+		{"deadline with drop", func(c *Config) {
+			c.Faults = FaultConfig{Plan: plan("crash@20:0"), Recovery: FaultRecovery{Drop: true, DeadlineSec: 5}}
+		}, "fault-recovery deadline 5 set but no crash victim waits"},
+		{"deadline without crash", func(c *Config) {
+			c.Faults = FaultConfig{Plan: plan("blip@10-20:0"), Recovery: FaultRecovery{DeadlineSec: 5}}
+		}, "fault-recovery deadline 5 set but no crash victim waits"},
 		{"monoagent rejected", func(c *Config) {
 			c.Approach = "monoagent"
 			c.Faults.Plan = plan("blip@10-20:0")

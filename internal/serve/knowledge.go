@@ -77,7 +77,8 @@ func (ks *KnowledgeStore) Contribute(res video.Resolution, snap core.Snapshot) e
 // returned snapshot is owned by the store and changes with every later
 // contribution: read it, or Clone it to keep a frozen copy — a clone
 // costs one pointer per state and shares the immutable rows, and
-// core.NewWarm seeds a controller from it by sharing those rows too.
+// core.Controller.Seed seeds a controller from it by sharing those rows
+// too.
 func (ks *KnowledgeStore) Seed(res video.Resolution) *core.Snapshot {
 	return ks.byRes[res]
 }
@@ -88,12 +89,10 @@ func (ks *KnowledgeStore) Contributions(res video.Resolution) int {
 }
 
 // knowledge is a run's knowledge-reuse state (nil when reuse is off):
-// the store, the seed the controller factory's WarmStart hook hands the
-// next controller, and the warm-start count.
+// the store and the warm-start count.
 type knowledge struct {
-	store   *KnowledgeStore
-	pending *core.Snapshot
-	seeded  int
+	store  *KnowledgeStore
+	seeded int
 }
 
 // newKnowledge starts a run's knowledge state from a copy of the
@@ -110,9 +109,9 @@ func newKnowledge(imported *KnowledgeStore) *knowledge {
 // seed picks the knowledge seed for one admission of class res (nil when
 // knowledge reuse is off or the class is still cold). The store keeps
 // merging afterwards, so the admission needs a frozen copy of the class's
-// current snapshot, which serves both as the controller's seed (via the
-// WarmStart hook) and as the baseline its departing contribution is
-// measured against. The copy is a clone — three times 180 row pointers,
+// current snapshot, which serves both as the controller's seed
+// (core.Controller.Seed) and as the baseline its departing contribution
+// is measured against. The copy is a clone — three times 180 row pointers,
 // whatever the store holds — whose rows the controller shares until it
 // writes to them.
 func (k *knowledge) seed(res video.Resolution) *core.Snapshot {

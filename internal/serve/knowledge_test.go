@@ -213,10 +213,15 @@ func warmMAMUT(t *testing.T, seed *core.Snapshot, rngSeed int64) *core.Controlle
 		t.Fatal(err)
 	}
 	initial := experiments.InitialSettings(video.HR)
-	c, err := core.NewWarm(core.DefaultConfig(video.HR, spec, model.MaxUsefulThreads(video.HR)),
-		initial, rand.New(rand.NewSource(rngSeed)), seed)
+	c, err := core.New(core.DefaultConfig(video.HR, spec, model.MaxUsefulThreads(video.HR)),
+		initial, rand.New(rand.NewSource(rngSeed)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if seed != nil {
+		if err := c.Seed(*seed); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := eng.AddSession(transcode.SessionConfig{
 		Source: src, Controller: c, Initial: initial, FrameBudget: 1 << 30,

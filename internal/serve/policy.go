@@ -27,9 +27,6 @@ type ServerState struct {
 	// EstPowerW is the estimated package power: idle plus a per-session
 	// estimate for each resident session.
 	EstPowerW float64
-	// EstArrivalW is the estimated power the incoming session would add
-	// to this server (computed from the fleet's platform spec).
-	EstArrivalW float64
 	// Draining marks a server being decommissioned: it admits nothing
 	// (Full reports true) and its sessions are being live-migrated off.
 	// Always false unless the config enables an elasticity feature.
@@ -155,10 +152,10 @@ func (powerAware) Name() string { return PolicyPowerAware }
 func (powerAware) Place(_ SessionRequest, servers []ServerState) int {
 	// Place on the non-full server with the most power headroom (budget
 	// minus estimated package power), lowest index among exact ties. The
-	// arrival's own estimated draw (EstArrivalW) is fleet-uniform, so it
-	// shifts every candidate's headroom equally and cannot change the
-	// ranking; keeping it out of the comparison means the scan and the
-	// indexed headroom heap order by the very same float values. When
+	// arrival's own estimated draw is fleet-uniform, so it would shift
+	// every candidate's headroom equally and cannot change the ranking;
+	// leaving it out means the scan and the indexed headroom heap order
+	// by the very same float values. When
 	// every server is over budget this naturally degrades to the least
 	// overloaded one — degrading everyone a little beats rejecting
 	// outright.

@@ -146,13 +146,6 @@ func TestIndexedPoliciesMatchScanRandomized(t *testing.T) {
 						res = video.HR
 					}
 					req := SessionRequest{ID: step, Res: res}
-					aw := hrW
-					if res == video.LR {
-						aw = lrW
-					}
-					for i := range states {
-						states[i].EstArrivalW = aw
-					}
 					want := scanPol.Place(req, states)
 					got := idx.Place(req)
 					if got != want {

@@ -71,8 +71,8 @@ func TestPowerAwareBalancesWatts(t *testing.T) {
 	// Server 0 hosts one HR session, server 1 one LR session: equal
 	// session counts, but server 1 has more power headroom.
 	s := []ServerState{
-		{Index: 0, Active: 1, HRActive: 1, MaxSessions: 4, EstPowerW: spec.IdlePowerW + hrW, EstArrivalW: hrW, PowerBudgetW: spec.PowerCapW},
-		{Index: 1, Active: 1, LRActive: 1, MaxSessions: 4, EstPowerW: spec.IdlePowerW + lrW, EstArrivalW: hrW, PowerBudgetW: spec.PowerCapW},
+		{Index: 0, Active: 1, HRActive: 1, MaxSessions: 4, EstPowerW: spec.IdlePowerW + hrW, PowerBudgetW: spec.PowerCapW},
+		{Index: 1, Active: 1, LRActive: 1, MaxSessions: 4, EstPowerW: spec.IdlePowerW + lrW, PowerBudgetW: spec.PowerCapW},
 	}
 	if got := p.Place(SessionRequest{Res: video.HR}, s); got != 1 {
 		t.Errorf("power-aware chose %d, want the cooler server 1", got)

@@ -672,8 +672,8 @@ type residentRec struct {
 // shell builds a session's content source and controller: the catalog
 // sequence's stateful generator, and the approach's controller over an
 // explicit rng source, wrapped so live migration can carry both rng
-// states. seed is the knowledge snapshot the controller factory
-// warm-starts from (nil when knowledge reuse is off or the class is
+// states. seed is the knowledge snapshot the built controller is
+// warm-started from (nil when knowledge reuse is off or the class is
 // still cold). An injected session takes its shells' mid-stream state
 // from its payload, so it builds them from zero seeds and no warm start.
 func (d *dispatcher) shell(seqName string, res video.Resolution, srcSeed, ctrlSeed int64, seed *core.Snapshot) (video.Source, transcode.Controller, error) {
@@ -692,16 +692,22 @@ func (d *dispatcher) shell(seqName string, res video.Resolution, srcSeed, ctrlSe
 		return nil, nil, err
 	}
 	ctrlSrc := xrand.NewSource(ctrlSeed)
-	if d.knowledge != nil {
-		// The factory seeds from the exact snapshot the admission records
-		// as its subtraction baseline, so baseline == seed by
-		// construction — delta harvesting cannot drift from what the
-		// controller actually absorbed, even if fold points move.
-		d.knowledge.pending = seed
-	}
 	ctrl, err := d.factory(res, experiments.InitialSettings(res), rand.New(ctrlSrc))
 	if err != nil {
 		return nil, nil, err
+	}
+	if seed != nil {
+		// Seed from the exact snapshot the admission records as its
+		// subtraction baseline, so baseline == seed by construction —
+		// delta harvesting cannot drift from what the controller
+		// actually absorbed, even if fold points move.
+		mc, ok := ctrl.(*core.Controller)
+		if !ok {
+			return nil, nil, fmt.Errorf("serve: knowledge seed for controller %q", ctrl.Name())
+		}
+		if err := mc.Seed(*seed); err != nil {
+			return nil, nil, err
+		}
 	}
 	return src, wrapStateful(ctrl, ctrlSrc), nil
 }
@@ -791,12 +797,10 @@ func Run(cfg Config) (*Result, error) {
 	if d.catalog == nil {
 		d.catalog = video.DefaultCatalog()
 	}
-	exOpts := experiments.Options{Spec: d.spec, Model: hevc.DefaultModel()}
 	if cfg.KnowledgeReuse {
 		d.knowledge = newKnowledge(cfg.Knowledge)
-		exOpts.WarmStart = func(video.Resolution) *core.Snapshot { return d.knowledge.pending }
 	}
-	factory, err := experiments.Factory(cfg.Approach, exOpts)
+	factory, err := experiments.Factory(cfg.Approach, experiments.Options{Spec: d.spec, Model: hevc.DefaultModel()})
 	if err != nil {
 		return nil, err
 	}
@@ -1348,19 +1352,14 @@ func (d *dispatcher) refreshLive() {
 }
 
 // refreshScanStates prepares the state slice a scanning policy places
-// from. Occupancy and power are already current, so only the arrival's
-// class-specific EstArrivalW needs stamping; the test reference instead
-// rebuilds the slice from the resident counts per placement. Once the
-// fleet has retired servers the policy receives the in-service view
-// only (matching what the fleet indexes are rebuilt from), so e.g.
+// from. Occupancy and power are already current; the test reference
+// instead rebuilds the slice from the resident counts per placement.
+// Once the fleet has retired servers the policy receives the in-service
+// view only (matching what the fleet indexes are rebuilt from), so e.g.
 // round-robin's modulus cycles over the same servers on both paths.
-func (d *dispatcher) refreshScanStates(req SessionRequest) []ServerState {
+func (d *dispatcher) refreshScanStates() []ServerState {
 	if !d.indexed {
 		d.refreshLive()
-	}
-	aw := d.estW[req.Res]
-	for i := range d.states {
-		d.states[i].EstArrivalW = aw
 	}
 	if d.liveSrv == len(d.servers) {
 		return d.states

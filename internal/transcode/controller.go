@@ -11,10 +11,7 @@
 // and thousands of simulated seconds cost milliseconds of wall time.
 package transcode
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Settings are the three knobs MAMUT manages per session (paper SIII-A).
 type Settings struct {
@@ -121,9 +118,9 @@ func (s *Static) OnFrameDone(Observation) {}
 func (s *Static) ControllerState() any { return s.S }
 
 // RestoreControllerState implements StatefulController.
-func (s *Static) RestoreControllerState(data []byte) error {
-	var set Settings
-	if err := json.Unmarshal(data, &set); err != nil {
+func (s *Static) RestoreControllerState(state any) error {
+	set, err := ResolveControllerState[Settings](state)
+	if err != nil {
 		return fmt.Errorf("transcode: restore static controller: %w", err)
 	}
 	if err := set.Validate(); err != nil {

@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strconv"
 
 	"mamut/internal/hevc"
 	"mamut/internal/platform"
@@ -17,28 +16,26 @@ import (
 )
 
 // Live session migration: ExtractSession freezes one session into a
-// serializable SessionState and removes it; InjectSession resumes it
-// mid-stream on another engine (or the same one, under a new id). The
-// state is complete — frame cursor, playlist/content process,
-// per-session energy and duration accumulators, every rng stream, the
-// controller's decision state, and the in-flight frame's completion
-// anchor — so a migrated session continues as the same logical stream,
-// deterministically. Injection pays the honest settlement: the
-// destination's accounting is exact for its own timeline, but a migrated
-// fleet is a different physical scenario than an unmigrated one, so its
-// floats legitimately differ.
+// SessionState and removes it; InjectSession resumes it mid-stream on
+// another engine (or the same one, under a new id). The state is
+// complete — frame cursor, playlist/content process, per-session energy
+// and duration accumulators, every rng stream, the controller's decision
+// state, and the in-flight frame's completion anchor — so a migrated
+// session continues as the same logical stream, deterministically.
+// Injection pays the honest settlement: the destination's accounting is
+// exact for its own timeline, but a migrated fleet is a different
+// physical scenario than an unmigrated one, so its floats legitimately
+// differ.
 //
 // Both build on freeze, a pure read of one session's state: it computes
 // the running segment's settlement without applying it, so the frozen
 // floats are bit-identical to the ones an applied settlement would
-// leave. ExtractSession is freeze followed by the removal.
-// SnapshotSession is freeze alone, for checkpoints: the engine is left
-// untouched, and the state stays in memory as a SessionSnapshot. The
-// controller's part of it is the typed frozen value
-// StatefulController.ControllerState returns, so a snapshot costs one
-// freeze of the decision state, and no encode; SessionSnapshot.Encode
-// produces the wire bytes when the state is actually needed, identical
-// to ExtractSession's followed by EncodeSessionState.
+// leave. SnapshotSession is freeze alone, for checkpoints: the engine is
+// left untouched. ExtractSession is freeze followed by the removal. The
+// frozen state holds the controller's typed ControllerState value, so
+// freezing runs no codec, and an in-process hand-over passes the state
+// straight to InjectSession. EncodeSessionState and DecodeSessionState
+// are the wire form, for a state that leaves the process.
 
 // StatefulController is a Controller whose decision state can be frozen
 // and restored, which is what makes its session migratable. The state
@@ -49,13 +46,30 @@ type StatefulController interface {
 	// ControllerState freezes the complete decision state as a typed
 	// value that encoding/json marshals: nothing the controller does
 	// later reaches it (it may share memory the controller never writes
-	// again), so it stays valid while the controller runs on.
-	// The engine marshals it only when the state leaves the process
-	// (ExtractSession, SessionSnapshot.Encode).
+	// again), so it stays valid while the controller runs on, and it
+	// may be restored into any number of controllers.
 	ControllerState() any
-	// RestoreControllerState resumes from the JSON encoding of a
-	// ControllerState value.
-	RestoreControllerState(data []byte) error
+	// RestoreControllerState resumes from a ControllerState value, either
+	// as ControllerState returned it (an in-process hand-over) or as its
+	// JSON encoding in a json.RawMessage (a state DecodeSessionState
+	// read); ResolveControllerState resolves both. It never writes to
+	// the state.
+	RestoreControllerState(state any) error
+}
+
+// ResolveControllerState resolves a state handed to
+// RestoreControllerState to the controller's concrete state type T:
+// the value itself, or T decoded from its json.RawMessage encoding.
+func ResolveControllerState[T any](state any) (T, error) {
+	var v T
+	switch s := state.(type) {
+	case T:
+		return s, nil
+	case json.RawMessage:
+		err := json.Unmarshal(s, &v)
+		return v, err
+	}
+	return v, fmt.Errorf("controller state of type %T, want %T", state, v)
 }
 
 // sessionFormatVersion is the current SessionState payload format.
@@ -67,9 +81,13 @@ type StatefulController interface {
 // the version did not change when they were retired.
 const sessionFormatVersion = 1
 
-// SessionState is a frozen, serializable session: everything InjectSession
-// needs to resume the stream on another engine. All floats are finite, so
-// the state round-trips bit-identically through encoding/json.
+// SessionState is a frozen session: everything InjectSession needs to
+// resume the stream on another engine. SnapshotSession and
+// ExtractSession return it with the controller's typed state; an
+// in-process hand-over injects it as is, and EncodeSessionState writes it
+// when it leaves the process. All floats are finite, so the state
+// round-trips bit-identically through encoding/json, and injecting the
+// decoded state resumes exactly what injecting the frozen one does.
 type SessionState struct {
 	Version int `json:"format_version"`
 	// ID is the session's id on the engine it was extracted from.
@@ -106,9 +124,11 @@ type SessionState struct {
 	FirstAction bool               `json:"first_action"`
 
 	// Opaque sub-states: the content process (video.StatefulSource), the
-	// controller (StatefulController) and the encoder noise stream.
+	// controller (StatefulController: its ControllerState value, or that
+	// value's JSON when DecodeSessionState read the state) and the
+	// encoder noise stream.
 	Source     json.RawMessage `json:"source"`
-	Controller json.RawMessage `json:"controller"`
+	Controller any             `json:"controller"`
 	EncoderRNG uint64          `json:"encoder_rng"`
 
 	// StallSec is the migration cost: extra real-time the in-flight frame
@@ -120,21 +140,9 @@ type SessionState struct {
 }
 
 // Validate checks the state's internal consistency. It is called by
-// InjectSession and DecodeSessionState, so a corrupted or hand-rolled
-// payload fails loudly instead of desynchronising an engine.
+// every freeze, InjectSession and DecodeSessionState, so a corrupted or
+// hand-rolled payload fails loudly instead of desynchronising an engine.
 func (st *SessionState) Validate() error {
-	if err := st.validateStream(); err != nil {
-		return err
-	}
-	if len(st.Controller) == 0 {
-		return fmt.Errorf("transcode: session state: missing controller state")
-	}
-	return nil
-}
-
-// validateStream is Validate minus the controller payload, which a
-// SessionSnapshot holds typed until it is encoded.
-func (st *SessionState) validateStream() error {
 	if st.Version < 0 || st.Version > sessionFormatVersion {
 		return fmt.Errorf("transcode: session state: format version %d not supported (current %d)", st.Version, sessionFormatVersion)
 	}
@@ -203,6 +211,9 @@ func (st *SessionState) validateStream() error {
 	if len(st.Source) == 0 {
 		return fmt.Errorf("transcode: session state: missing source state")
 	}
+	if st.Controller == nil {
+		return fmt.Errorf("transcode: session state: missing controller state")
+	}
 	return nil
 }
 
@@ -229,22 +240,13 @@ func EncodeSessionState(st *SessionState) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transcode: encode session state: %w", err)
 	}
-	// Write the envelope around the already-compact payload: marshalling
-	// a sessionEnvelope would rescan the whole payload as a RawMessage
-	// only to reproduce these exact bytes.
 	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, len(payload)+len(sum)*2+64)
-	out = append(out, `{"format_version":`...)
-	out = strconv.AppendInt(out, sessionFormatVersion, 10)
-	out = append(out, `,"sha256":"`...)
-	out = hex.AppendEncode(out, sum[:])
-	out = append(out, `","payload":`...)
-	out = append(out, payload...)
-	return append(out, '}'), nil
+	return json.Marshal(sessionEnvelope{Version: sessionFormatVersion, SHA256: hex.EncodeToString(sum[:]), Payload: payload})
 }
 
 // DecodeSessionState parses an EncodeSessionState artifact, verifying the
-// checksum and validating the state.
+// checksum and validating the state. The controller state stays in its
+// JSON form, a json.RawMessage, for RestoreControllerState to decode.
 func DecodeSessionState(data []byte) (*SessionState, error) {
 	var env sessionEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -257,9 +259,18 @@ func DecodeSessionState(data []byte) (*SessionState, error) {
 	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {
 		return nil, fmt.Errorf("transcode: decode session state: payload checksum mismatch (artifact corrupted or tampered with): have %s, recorded %s", got, env.SHA256)
 	}
-	st := new(SessionState)
-	if err := json.Unmarshal(env.Payload, st); err != nil {
+	// The outer Controller field shadows the embedded one, so the
+	// payload's controller state is kept as raw JSON.
+	var w struct {
+		SessionState
+		Controller json.RawMessage `json:"controller"`
+	}
+	if err := json.Unmarshal(env.Payload, &w); err != nil {
 		return nil, fmt.Errorf("transcode: decode session state: %w", err)
+	}
+	st := &w.SessionState
+	if w.Controller != nil {
+		st.Controller = w.Controller
 	}
 	if err := st.Validate(); err != nil {
 		return nil, err
@@ -273,19 +284,16 @@ func DecodeSessionState(data []byte) (*SessionState, error) {
 // retired — ids are never reused, so event determinism is unaffected. The
 // session's source and controller must support state snapshots
 // (video.StatefulSource, StatefulController). The state is frozen and
-// marshalled before anything is removed, so a rejected extraction leaves
-// the engine untouched.
+// checked like SnapshotSession's before anything is removed, so a
+// rejected extraction leaves the engine untouched.
 //
 // Extraction settles the running segment first: the departing load
 // contributed power and contention up to this instant, and the remaining
 // sessions' accounting must reflect that.
 func (e *Engine) ExtractSession(id int) (*SessionState, error) {
-	st, ctrl, err := e.freeze("ExtractSession", id)
+	st, err := e.freeze("ExtractSession", id)
 	if err != nil {
 		return nil, err
-	}
-	if st.Controller, err = json.Marshal(ctrl); err != nil {
-		return nil, fmt.Errorf("transcode: ExtractSession(%d): %w", id, err)
 	}
 	s := e.sessions[id]
 	if s.running {
@@ -309,80 +317,50 @@ func (e *Engine) ExtractSession(id int) (*SessionState, error) {
 	return st, nil
 }
 
-// SessionSnapshot is one session's state frozen in memory at
-// SnapshotSession: the SessionState without its controller payload, plus
-// the controller's typed ControllerState copy. Taking one runs no codec;
-// Encode produces the wire artifact when the state is actually needed.
-type SessionSnapshot struct {
-	st   SessionState // Controller is empty; ctrl holds it typed
-	ctrl any
+// SnapshotSession freezes one live session without removing it, for a
+// checkpoint. It is a pure read: the engine is left exactly as it was.
+// It fails with ExtractSession's errors under its own name, so a state
+// it returns passes Validate, holds no NaN or infinite float, and always
+// encodes.
+func (e *Engine) SnapshotSession(id int) (*SessionState, error) {
+	return e.freeze("SnapshotSession", id)
 }
 
-// SnapshotSession freezes one live session without removing it. It is a
-// pure read: the engine is left exactly as it was. It fails with
-// ExtractSession's errors, and also when the state could not be encoded
-// (Validate fails, or a float is NaN or infinite), so a snapshot that
-// exists always encodes.
-func (e *Engine) SnapshotSession(id int) (*SessionSnapshot, error) {
-	st, ctrl, err := e.freeze("SnapshotSession", id)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.validateStream(); err != nil {
-		return nil, err
-	}
-	if !finiteJSON(reflect.ValueOf(st)) || !finiteJSON(reflect.ValueOf(ctrl)) {
-		return nil, fmt.Errorf("transcode: SnapshotSession(%d): state holds a non-finite float", id)
-	}
-	return &SessionSnapshot{st: *st, ctrl: ctrl}, nil
-}
-
-// Encode serialises the snapshot with EncodeSessionState. The bytes are
-// exactly those of EncodeSessionState(ExtractSession(id)) at the
-// snapshot instant.
-func (sn *SessionSnapshot) Encode() ([]byte, error) {
-	st := sn.st
-	var err error
-	if st.Controller, err = json.Marshal(sn.ctrl); err != nil {
-		return nil, fmt.Errorf("transcode: encode session snapshot: %w", err)
-	}
-	return EncodeSessionState(&st)
-}
-
-// freeze reads one session's state without touching the engine: the
-// SessionState minus its controller payload, which it returns typed. A
-// running session's state is taken as if the running segment were
-// settled to now; freeze computes that settlement with the float
-// operations settle performs, so the values are bit-identical to those
-// ExtractSession leaves behind. op names the caller in errors.
-func (e *Engine) freeze(op string, id int) (*SessionState, any, error) {
+// freeze reads one session's state without touching the engine, with
+// the controller's typed state, and checks it: Validate, then no NaN or
+// infinite float anywhere encoding/json would meet it. A running
+// session's state is taken as if the running segment were settled to
+// now; freeze computes that settlement with the float operations settle
+// performs, so the values are bit-identical to those ExtractSession
+// leaves behind. op names the caller in errors.
+func (e *Engine) freeze(op string, id int) (*SessionState, error) {
 	if e.finished {
-		return nil, nil, fmt.Errorf("transcode: %s(%d): sessions are frozen mid-frame in the terminal state and cannot be exported: %w", op, id, errFinished)
+		return nil, fmt.Errorf("transcode: %s(%d): sessions are frozen mid-frame in the terminal state and cannot be exported: %w", op, id, errFinished)
 	}
 	if id < 0 || id >= len(e.sessions) {
-		return nil, nil, fmt.Errorf("transcode: %s(%d): no such session", op, id)
+		return nil, fmt.Errorf("transcode: %s(%d): no such session", op, id)
 	}
 	s := e.sessions[id]
 	if s == nil {
 		if e.extracted[id] {
-			return nil, nil, fmt.Errorf("transcode: %s(%d): session already extracted", op, id)
+			return nil, fmt.Errorf("transcode: %s(%d): session already extracted", op, id)
 		}
-		return nil, nil, fmt.Errorf("transcode: %s(%d): session departed and was discarded", op, id)
+		return nil, fmt.Errorf("transcode: %s(%d): session departed and was discarded", op, id)
 	}
 	if s.done {
-		return nil, nil, fmt.Errorf("transcode: %s(%d): session already departed", op, id)
+		return nil, fmt.Errorf("transcode: %s(%d): session already departed", op, id)
 	}
 	src, ok := s.cfg.Source.(video.StatefulSource)
 	if !ok {
-		return nil, nil, fmt.Errorf("transcode: %s(%d): video source %T does not support state snapshots", op, id, s.cfg.Source)
+		return nil, fmt.Errorf("transcode: %s(%d): video source %T does not support state snapshots", op, id, s.cfg.Source)
 	}
 	ctrl, ok := s.cfg.Controller.(StatefulController)
 	if !ok {
-		return nil, nil, fmt.Errorf("transcode: %s(%d): controller %q does not support migration", op, id, s.cfg.Controller.Name())
+		return nil, fmt.Errorf("transcode: %s(%d): controller %q does not support migration", op, id, s.cfg.Controller.Name())
 	}
 	srcState, err := src.SourceState()
 	if err != nil {
-		return nil, nil, fmt.Errorf("transcode: %s(%d): %w", op, id, err)
+		return nil, fmt.Errorf("transcode: %s(%d): %w", op, id, err)
 	}
 
 	st := &SessionState{
@@ -410,7 +388,7 @@ func (e *Engine) freeze(op string, id int) (*SessionState, any, error) {
 		ev, ok := e.compl.find(id)
 		if !ok {
 			// Unreachable: a running session always has a pending completion.
-			return nil, nil, fmt.Errorf("transcode: %s(%d): no pending completion", op, id)
+			return nil, fmt.Errorf("transcode: %s(%d): no pending completion", op, id)
 		}
 		// settle's virtual-clock step to now (the completion heap holds
 		// ev, so it is not empty), then the session's own dynamic-energy
@@ -428,11 +406,18 @@ func (e *Engine) freeze(op string, id int) (*SessionState, any, error) {
 	} else {
 		ev, ok := e.arrivals.find(id)
 		if !ok {
-			return nil, nil, fmt.Errorf("transcode: %s(%d): no pending arrival", op, id)
+			return nil, fmt.Errorf("transcode: %s(%d): no pending arrival", op, id)
 		}
 		st.StartAtSec = ev.key
 	}
-	return st, ctrl.ControllerState(), nil
+	st.Controller = ctrl.ControllerState()
+	if err := st.Validate(); err != nil {
+		return nil, err
+	}
+	if !finiteJSON(reflect.ValueOf(st)) {
+		return nil, fmt.Errorf("transcode: %s(%d): state holds a non-finite float", op, id)
+	}
+	return st, nil
 }
 
 // InjectSession resumes an extracted session on this engine. src and ctrl
@@ -560,11 +545,19 @@ func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionSta
 	return id, nil
 }
 
+// finiter is a value whose JSON form holds floats that a walk of its
+// exported fields cannot see, such as rl.Snapshot's learner rows.
+type finiter interface{ Finite() bool }
+
+var finiterType = reflect.TypeFor[finiter]()
+
 // finiteJSON reports whether v holds no NaN or infinite float where
 // encoding/json would meet it — the one marshal failure the states
 // ControllerState returns can hit. It walks what json.Marshal walks:
 // exported and embedded struct fields, pointers, interfaces, slices,
-// arrays and map values, skipping containers that cannot hold a float.
+// arrays and map values, skipping containers that cannot hold a float,
+// and asks a struct that is a finiter about the floats it keeps
+// unexported.
 func finiteJSON(v reflect.Value) bool {
 	switch v.Kind() {
 	case reflect.Float32, reflect.Float64:
@@ -574,6 +567,9 @@ func finiteJSON(v reflect.Value) bool {
 		return v.IsNil() || finiteJSON(v.Elem())
 	case reflect.Struct:
 		t := v.Type()
+		if t.Implements(finiterType) && v.CanInterface() && !v.Interface().(finiter).Finite() {
+			return false
+		}
 		for i := 0; i < v.NumField(); i++ {
 			f := t.Field(i)
 			if (!f.IsExported() && !f.Anonymous) || f.Tag.Get("json") == "-" {

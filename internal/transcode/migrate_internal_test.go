@@ -58,8 +58,9 @@ func sampleState(t *testing.T) *SessionState {
 	return st
 }
 
-// TestEncodeSessionStateMatchesEnvelopeMarshal pins the hand-written
-// envelope to the encoding/json form DecodeSessionState parses.
+// TestEncodeSessionStateMatchesEnvelopeMarshal pins the envelope bytes
+// to the encoding/json form of a sessionEnvelope, which
+// DecodeSessionState parses.
 func TestEncodeSessionStateMatchesEnvelopeMarshal(t *testing.T) {
 	st := sampleState(t)
 	got, err := EncodeSessionState(st)
@@ -195,7 +196,7 @@ func TestFreezeMatchesAppliedSettlement(t *testing.T) {
 		}
 		frozen := make([]*SessionState, len(eng.sessions))
 		for id := range eng.sessions {
-			if frozen[id], _, err = eng.freeze("freeze", id); err != nil {
+			if frozen[id], err = eng.freeze("freeze", id); err != nil {
 				t.Fatal(err)
 			}
 		}

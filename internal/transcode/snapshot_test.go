@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mamut/internal/platform"
+	"mamut/internal/rl"
 	"mamut/internal/transcode"
 	"mamut/internal/video"
 )
@@ -32,7 +33,7 @@ func TestSnapshotSessionEncodesLikeExtract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := snap.Encode()
+			got, err := transcode.EncodeSessionState(snap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,12 +116,24 @@ func (c *nanController) ControllerState() any {
 	return struct{ Gain []float64 }{[]float64{1, math.NaN()}}
 }
 
+// rowNaNController is a Static whose exported state is a learner
+// snapshot with a NaN Q value, held in the snapshot's unexported rows.
+type rowNaNController struct {
+	transcode.Static
+	learner *rl.Learner
+}
+
+func (c *rowNaNController) ControllerState() any {
+	return struct{ Agent rl.Snapshot }{c.learner.Snapshot()}
+}
+
 // TestSnapshotSessionErrorsMatchExtract: SnapshotSession rejects exactly
 // what ExtractSession rejects, with the same message under its own name
 // — unknown ids, sessions that departed before and after a departure
 // hook was installed (the second leave the engine through it), already
 // extracted and non-migratable sessions, a finished engine — and a state
-// that cannot be encoded, which ExtractSession fails to marshal.
+// that cannot be encoded, because of a NaN in an exported field or in a
+// learner snapshot's rows.
 func TestSnapshotSessionErrorsMatchExtract(t *testing.T) {
 	eng := migEngine(t, 2, 5)
 	spec := eng.Server().Spec()
@@ -148,6 +161,12 @@ func TestSnapshotSessionErrorsMatchExtract(t *testing.T) {
 	plainSrc := add(plain, &transcode.Static{S: set}, 200)
 	plainCtrl := add(stateful(2), &plainController{s: set}, 200)
 	nan := add(stateful(3), &nanController{transcode.Static{S: set}}, 200)
+	learner, err := rl.NewLearner(rl.DefaultConfig(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	learner.SetQ(1, 0, math.NaN())
+	nanRow := add(stateful(7), &rowNaNController{transcode.Static{S: set}, learner}, 200)
 	extracted := add(stateful(4), &transcode.Static{S: set}, 200)
 	short := add(stateful(5), &transcode.Static{S: set}, 2)
 	if err := eng.AdvanceTo(1); err != nil {
@@ -183,11 +202,12 @@ func TestSnapshotSessionErrorsMatchExtract(t *testing.T) {
 	same("already extracted", extracted, "already extracted")
 	same("departed", short, "already departed")
 	same("discarded", discarded, "discarded")
+	same("NaN learner row", nanRow, "non-finite")
 
 	if _, err := eng.SnapshotSession(nan); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Errorf("snapshot of a NaN controller state: %v", err)
 	}
-	if _, err := eng.ExtractSession(nan); err == nil || !strings.Contains(err.Error(), "NaN") {
+	if _, err := eng.ExtractSession(nan); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Errorf("extraction of a NaN controller state: %v", err)
 	}
 	// Neither failure removed the session.
@@ -201,8 +221,8 @@ func TestSnapshotSessionErrorsMatchExtract(t *testing.T) {
 	same("finished engine", 0, "terminal")
 }
 
-// TestFailedExtractionLeavesEngineBitIdentical: an extraction that fails
-// to marshal the controller state mutates nothing. It is attempted
+// TestFailedExtractionLeavesEngineBitIdentical: an extraction that
+// refuses the controller state mutates nothing. It is attempted
 // mid-segment at several instants on an oversubscribed engine, where
 // even an applied settlement (the first step of a successful extraction)
 // would change later floats; the engine still finishes with a Result
