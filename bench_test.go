@@ -1,15 +1,15 @@
 package mamut
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (see DESIGN.md S4 for the experiment index), plus the
-// DESIGN.md S5 ablations and micro-benchmarks of the hot paths.
+// evaluation, plus the design-choice ablations (README "Paper claims and
+// their verdicts") and micro-benchmarks of the hot paths.
 //
 // The per-figure benchmarks run scaled-down windows so an iteration stays
 // in the seconds range; cmd/mamut-experiments regenerates the full-scale
-// numbers recorded in EXPERIMENTS.md. Key experiment outputs are attached
-// to each benchmark via b.ReportMetric, so `go test -bench=.` doubles as a
-// smoke reproduction: delta(%) orderings and watt levels are visible next
-// to the timing.
+// numbers README's "Paper claims and their verdicts" quotes. Key
+// experiment outputs are attached to each benchmark via b.ReportMetric,
+// so `go test -bench=.` doubles as a smoke reproduction: delta(%)
+// orderings and watt levels are visible next to the timing.
 
 import (
 	"fmt"
@@ -171,7 +171,7 @@ func BenchmarkLearningTime(b *testing.B) {
 	}
 }
 
-// benchAblation runs one named DESIGN.md S5 variant.
+// benchAblation runs one named experiments.DefaultAblations variant.
 func benchAblation(b *testing.B, name string) {
 	opts := benchOptions()
 	var variant experiments.AblationVariant

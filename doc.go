@@ -13,7 +13,7 @@
 // Because this repository must run anywhere, the paper's physical testbed
 // (Kvazaar encoder on a dual Xeon E5-2667 v4 with per-core DVFS) is
 // replaced by calibrated analytic models with the same response surfaces;
-// see DESIGN.md for the substitution table and calibration anchors. The
+// README "Quickstart" shows how to print and edit the calibration. The
 // controllers themselves - MAMUT and both baselines - are implemented
 // exactly as the paper describes.
 //

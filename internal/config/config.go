@@ -1,6 +1,6 @@
 // Package config loads and saves the simulator's calibration and
 // experiment parameters as JSON, so a deployment can re-calibrate the
-// platform/encoder models (DESIGN.md S6) or change the experiment
+// platform/encoder models (README "Quickstart") or change the experiment
 // protocol without recompiling.
 package config
 

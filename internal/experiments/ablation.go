@@ -29,8 +29,8 @@ type AblationVariant struct {
 	Mutate func(*core.Config)
 }
 
-// DefaultAblations returns the design-choice ablations called out in
-// DESIGN.md S5.
+// DefaultAblations returns the design-choice ablations; README "Paper
+// claims and their verdicts" holds the claims they are measured against.
 func DefaultAblations() []AblationVariant {
 	return []AblationVariant{
 		{Name: "mamut-full", Mutate: func(*core.Config) {}},

@@ -1,8 +1,8 @@
 // Package experiments reproduces the paper's evaluation: the Fig. 2
 // characterisation sweep, the Scenario I workload sweep (Fig. 4, Table I),
 // the Scenario II request-batch study (Table II), the Fig. 5 execution
-// trace, the mono-agent learning-time comparison (SV-B) and the ablations
-// called out in DESIGN.md.
+// trace, the mono-agent learning-time comparison (SV-B) and the
+// design-choice ablations (DefaultAblations).
 //
 // Every run is deterministic for a fixed Options.Seed. Like the paper
 // (SV-A), each configuration is repeated several times and averaged; the
@@ -67,8 +67,8 @@ type Options struct {
 	Progress ProgressFunc
 }
 
-// DefaultOptions returns the configuration used for the published
-// experiment outputs in EXPERIMENTS.md.
+// DefaultOptions returns the configuration of the headline outputs
+// README's "Paper claims and their verdicts" quotes.
 func DefaultOptions() Options {
 	return Options{
 		Spec:          platform.DefaultSpec(),

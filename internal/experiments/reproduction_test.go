@@ -4,13 +4,13 @@ import "testing"
 
 // TestHeadlineReproduction is the end-to-end regression guard for the
 // paper's headline claims at a reduced-but-converging horizon (about a
-// second of wall time). It protects the calibrated shape documented in
-// EXPERIMENTS.md: if a model or controller change breaks an ordering,
-// this test goes red. The horizon was lengthened to 60k warm-up frames
-// when the engine's rng streams moved to xrand: at 30k the MAMUT
-// controllers were still mid-descent on the power objective, and the
-// power ordering (heuristic highest) is only a converged-behaviour
-// claim.
+// second of wall time). It protects the calibrated shape README's "Paper
+// claims and their verdicts" documents: if a model or controller change
+// breaks an ordering, this test goes red. The horizon was lengthened to
+// 60k warm-up frames when the engine's rng streams moved to xrand: at
+// 30k the MAMUT controllers were still mid-descent on the power
+// objective, and the power ordering (heuristic highest) is only a
+// converged-behaviour claim.
 func TestHeadlineReproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline reproduction needs a converging horizon")

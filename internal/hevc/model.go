@@ -15,7 +15,8 @@
 //   - bits/frame halve roughly every 6 QP steps (the classic RD rule).
 //
 // Constants are calibrated against the operating points published in the
-// paper's Fig. 2 and Tables I-II; see DESIGN.md S6 and EXPERIMENTS.md.
+// paper's Fig. 2 and Tables I-II; README "Paper claims and their
+// verdicts" lists what they reproduce.
 package hevc
 
 import (
@@ -105,7 +106,7 @@ type Model struct {
 }
 
 // DefaultModel returns constants calibrated to the paper's published
-// operating points (see DESIGN.md S6).
+// operating points.
 func DefaultModel() Model {
 	return Model{
 		CyclesPerPixelUltrafast: 250,

@@ -85,19 +85,6 @@ func (sn Snapshot) Validate() error {
 	return nil
 }
 
-// Finite reports whether every Q value is finite, that is whether the
-// checkpoint form encodes: encoding/json refuses NaN and infinities.
-func (sn Snapshot) Finite() bool {
-	for _, r := range sn.rows {
-		for _, q := range r.q {
-			if q-q != 0 { // x-x is 0 for every finite x, NaN for NaN and ±Inf
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Compatible reports whether other has the receiver's shape and
 // dimensions, i.e. whether the two snapshots can fold together. It never
 // mutates either side, so callers folding multi-part state (e.g. one

@@ -667,10 +667,11 @@ func (d *dispatcher) reprofile(t float64, srv int, spec *platform.Spec) error {
 // --- checkpoint & restore ---------------------------------------------
 
 // checkpointFleet freezes every resident session's state at time t for
-// crash recovery. Each session's snapshot is a typed in-memory copy
-// (transcode.Engine.SnapshotSession), a pure read of the engine, so the
-// engine after the pass is bit-identical to never having checkpointed;
-// no codec runs. A session whose state cannot be snapshotted keeps its
+// crash recovery. Each session's snapshot is a typed in-memory value
+// (transcode.Engine.SnapshotSession: the source's and the controller's
+// typed states), a pure read of the engine, so the engine after the pass
+// is bit-identical to never having checkpointed; no codec and no
+// reflection run. A session whose state cannot be snapshotted keeps its
 // previous checkpoint, if any.
 func (d *dispatcher) checkpointFleet(t float64) error {
 	if err := d.syncPoint(t); err != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 
 	"mamut/internal/hevc"
 	"mamut/internal/platform"
@@ -32,10 +31,13 @@ import (
 // floats are bit-identical to the ones an applied settlement would
 // leave. SnapshotSession is freeze alone, for checkpoints: the engine is
 // left untouched. ExtractSession is freeze followed by the removal. The
-// frozen state holds the controller's typed ControllerState value, so
-// freezing runs no codec, and an in-process hand-over passes the state
+// frozen state holds the content process's typed video.SourceState and
+// the controller's typed ControllerState value, so freezing runs no
+// codec and no reflection, and an in-process hand-over passes the state
 // straight to InjectSession. EncodeSessionState and DecodeSessionState
-// are the wire form, for a state that leaves the process.
+// are the wire form, for a state that leaves the process; a NaN or
+// infinite float in the controller state is refused only there, by
+// encoding/json.
 
 // StatefulController is a Controller whose decision state can be frozen
 // and restored, which is what makes its session migratable. The state
@@ -83,10 +85,11 @@ const sessionFormatVersion = 1
 
 // SessionState is a frozen session: everything InjectSession needs to
 // resume the stream on another engine. SnapshotSession and
-// ExtractSession return it with the controller's typed state; an
-// in-process hand-over injects it as is, and EncodeSessionState writes it
-// when it leaves the process. All floats are finite, so the state
-// round-trips bit-identically through encoding/json, and injecting the
+// ExtractSession return it with the source's and the controller's typed
+// states; an in-process hand-over injects it as is, with the floats the
+// live session held. EncodeSessionState writes it when it leaves the
+// process and refuses it there if a float is NaN or infinite (encoding/json
+// does). An encoded state round-trips bit-identically, so injecting the
 // decoded state resumes exactly what injecting the frozen one does.
 type SessionState struct {
 	Version int `json:"format_version"`
@@ -96,7 +99,7 @@ type SessionState struct {
 	Res video.Resolution `json:"res"`
 
 	// Session parameters (the SessionConfig minus source and controller,
-	// which travel as opaque state payloads below).
+	// which travel as their frozen states below).
 	Initial       Settings `json:"initial"`
 	BandwidthMbps float64  `json:"bandwidth_mbps"`
 	TargetFPS     float64  `json:"target_fps"`
@@ -123,13 +126,13 @@ type SessionState struct {
 	Tally                          // its fields encode flat, in place
 	FirstAction bool               `json:"first_action"`
 
-	// Opaque sub-states: the content process (video.StatefulSource), the
+	// Sub-states: the content process (video.StatefulSource), the
 	// controller (StatefulController: its ControllerState value, or that
 	// value's JSON when DecodeSessionState read the state) and the
 	// encoder noise stream.
-	Source     json.RawMessage `json:"source"`
-	Controller any             `json:"controller"`
-	EncoderRNG uint64          `json:"encoder_rng"`
+	Source     video.SourceState `json:"source"`
+	Controller any               `json:"controller"`
+	EncoderRNG uint64            `json:"encoder_rng"`
 
 	// StallSec is the migration cost: extra real-time the in-flight frame
 	// is stalled at injection, modelling state transfer and stream
@@ -208,7 +211,7 @@ func (st *SessionState) Validate() error {
 	} else if st.Frames != 0 || st.FrameIdx != 0 {
 		return fmt.Errorf("transcode: session state: not running but %d frames at index %d", st.Frames, st.FrameIdx)
 	}
-	if len(st.Source) == 0 {
+	if st.Source.Sequence == "" {
 		return fmt.Errorf("transcode: session state: missing source state")
 	}
 	if st.Controller == nil {
@@ -228,7 +231,9 @@ type sessionEnvelope struct {
 }
 
 // EncodeSessionState serialises a SessionState with an integrity checksum
-// for transfer between processes. DecodeSessionState is the inverse.
+// for transfer between processes. DecodeSessionState is the inverse. It
+// refuses a state holding a NaN or infinite float anywhere, the
+// controller's learner rows included: encoding/json cannot write one.
 func EncodeSessionState(st *SessionState) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("transcode: encode session state: nil state")
@@ -245,8 +250,9 @@ func EncodeSessionState(st *SessionState) ([]byte, error) {
 }
 
 // DecodeSessionState parses an EncodeSessionState artifact, verifying the
-// checksum and validating the state. The controller state stays in its
-// JSON form, a json.RawMessage, for RestoreControllerState to decode.
+// checksum and validating the state. The source state decodes to its
+// typed value; the controller state stays in its JSON form, a
+// json.RawMessage, for RestoreControllerState to decode.
 func DecodeSessionState(data []byte) (*SessionState, error) {
 	var env sessionEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -320,19 +326,19 @@ func (e *Engine) ExtractSession(id int) (*SessionState, error) {
 // SnapshotSession freezes one live session without removing it, for a
 // checkpoint. It is a pure read: the engine is left exactly as it was.
 // It fails with ExtractSession's errors under its own name, so a state
-// it returns passes Validate, holds no NaN or infinite float, and always
-// encodes.
+// it returns passes Validate and injects wherever an extracted one
+// would.
 func (e *Engine) SnapshotSession(id int) (*SessionState, error) {
 	return e.freeze("SnapshotSession", id)
 }
 
 // freeze reads one session's state without touching the engine, with
-// the controller's typed state, and checks it: Validate, then no NaN or
-// infinite float anywhere encoding/json would meet it. A running
-// session's state is taken as if the running segment were settled to
-// now; freeze computes that settlement with the float operations settle
-// performs, so the values are bit-identical to those ExtractSession
-// leaves behind. op names the caller in errors.
+// the source's and the controller's typed states, and checks it with
+// Validate, which refuses a NaN or infinite session-level float. A
+// running session's state is taken as if the running segment were
+// settled to now; freeze computes that settlement with the float
+// operations settle performs, so the values are bit-identical to those
+// ExtractSession leaves behind. op names the caller in errors.
 func (e *Engine) freeze(op string, id int) (*SessionState, error) {
 	if e.finished {
 		return nil, fmt.Errorf("transcode: %s(%d): sessions are frozen mid-frame in the terminal state and cannot be exported: %w", op, id, errFinished)
@@ -413,9 +419,6 @@ func (e *Engine) freeze(op string, id int) (*SessionState, error) {
 	st.Controller = ctrl.ControllerState()
 	if err := st.Validate(); err != nil {
 		return nil, err
-	}
-	if !finiteJSON(reflect.ValueOf(st)) {
-		return nil, fmt.Errorf("transcode: %s(%d): state holds a non-finite float", op, id)
 	}
 	return st, nil
 }
@@ -543,92 +546,4 @@ func (e *Engine) InjectSession(src video.Source, ctrl Controller, st *SessionSta
 	e.compl.push(event{key: key, id: id})
 	e.totalBudget += st.FrameBudget - st.Frames
 	return id, nil
-}
-
-// finiter is a value whose JSON form holds floats that a walk of its
-// exported fields cannot see, such as rl.Snapshot's learner rows.
-type finiter interface{ Finite() bool }
-
-var finiterType = reflect.TypeFor[finiter]()
-
-// finiteJSON reports whether v holds no NaN or infinite float where
-// encoding/json would meet it — the one marshal failure the states
-// ControllerState returns can hit. It walks what json.Marshal walks:
-// exported and embedded struct fields, pointers, interfaces, slices,
-// arrays and map values, skipping containers that cannot hold a float,
-// and asks a struct that is a finiter about the floats it keeps
-// unexported.
-func finiteJSON(v reflect.Value) bool {
-	switch v.Kind() {
-	case reflect.Float32, reflect.Float64:
-		f := v.Float()
-		return !math.IsNaN(f) && !math.IsInf(f, 0)
-	case reflect.Pointer, reflect.Interface:
-		return v.IsNil() || finiteJSON(v.Elem())
-	case reflect.Struct:
-		t := v.Type()
-		if t.Implements(finiterType) && v.CanInterface() && !v.Interface().(finiter).Finite() {
-			return false
-		}
-		for i := 0; i < v.NumField(); i++ {
-			f := t.Field(i)
-			if (!f.IsExported() && !f.Anonymous) || f.Tag.Get("json") == "-" {
-				continue
-			}
-			if !finiteJSON(v.Field(i)) {
-				return false
-			}
-		}
-	case reflect.Slice, reflect.Array:
-		if floatFree(v.Type().Elem()) {
-			return true
-		}
-		if v.Kind() == reflect.Slice && v.CanInterface() {
-			if fs, ok := v.Interface().([]float64); ok { // Q-tables: skip per-element reflection
-				for _, f := range fs {
-					if math.IsNaN(f) || math.IsInf(f, 0) {
-						return false
-					}
-				}
-				return true
-			}
-		}
-		for i := 0; i < v.Len(); i++ {
-			if !finiteJSON(v.Index(i)) {
-				return false
-			}
-		}
-	case reflect.Map:
-		if floatFree(v.Type().Elem()) {
-			return true
-		}
-		for it := v.MapRange(); it.Next(); {
-			if !finiteJSON(it.Value()) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// floatFree reports whether every value of type t is a non-float scalar,
-// or an array or struct of them, such as a transition tuple or a
-// transition model's successor.
-func floatFree(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool, reflect.String,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return true
-	case reflect.Array:
-		return floatFree(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !floatFree(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }

@@ -6,7 +6,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mamut/internal/hevc"
@@ -82,6 +85,87 @@ func TestEncodeSessionStateMatchesEnvelopeMarshal(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("envelope differs from json.Marshal:\n got %.120s\nwant %.120s", got, want)
+	}
+}
+
+// TestSessionStateWirePin pins the bytes of a whole EncodeSessionState
+// artifact: a Static session extracted while running, with its content
+// process mid-scene, to testdata/session_pin.json (-update regenerates
+// it). Decoding the committed artifact and encoding it again reproduces
+// it byte for byte, so a change to how any field is typed or written,
+// the source state's included, shows here.
+func TestSessionStateWirePin(t *testing.T) {
+	golden := filepath.Join("testdata", "session_pin.json")
+	st := sampleState(t)
+	if !st.Running {
+		t.Fatal("pinned session is not running")
+	}
+	got, err := EncodeSessionState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading pin (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoded state diverged from %s:\n got: %s\nwant: %s", golden, got, want)
+	}
+	var env struct {
+		Payload struct {
+			Source struct {
+				SceneLeft  int  `json:"scene_left"`
+				FirstFrame bool `json:"first_frame"`
+			} `json:"source"`
+		} `json:"payload"`
+	}
+	if err := json.Unmarshal(want, &env); err != nil {
+		t.Fatal(err)
+	}
+	if src := env.Payload.Source; src.SceneLeft == 0 || src.FirstFrame {
+		t.Fatalf("pinned source is not mid-scene: %+v", src)
+	}
+	dec, err := DecodeSessionState(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := EncodeSessionState(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatalf("decode+encode of %s is not byte-identical:\n got: %s\nwant: %s", golden, again, want)
+	}
+}
+
+// TestValidateRejectsMissingSubstates: a state without its source or its
+// controller state is refused by Validate, so neither the encoder nor
+// InjectSession takes it.
+func TestValidateRejectsMissingSubstates(t *testing.T) {
+	for _, c := range []struct {
+		edit func(*SessionState)
+		want string
+	}{
+		{func(st *SessionState) { st.Source = video.SourceState{} }, "missing source state"},
+		{func(st *SessionState) { st.Controller = nil }, "missing controller state"},
+	} {
+		st := sampleState(t)
+		c.edit(st)
+		if _, err := EncodeSessionState(st); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("encode: %v, want one mentioning %q", err, c.want)
+		}
+		eng, err := NewEngine(platform.DefaultSpec(), hevc.DefaultModel(), 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.InjectSession(sampleSource(t), &Static{}, st); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("inject: %v, want one mentioning %q", err, c.want)
+		}
 	}
 }
 
@@ -214,27 +298,5 @@ func TestFreezeMatchesAppliedSettlement(t *testing.T) {
 				t.Errorf("t=%g session %d: frozen dynamic energy %v, settled %v", at, id, st.DynEnergyJ, want)
 			}
 		}
-	}
-}
-
-// TestFiniteJSONStructElements: a slice of structs without a float field
-// is skipped whole, and a NaN inside a struct element is still found.
-func TestFiniteJSONStructElements(t *testing.T) {
-	type succ struct {
-		State int32
-		Count int
-	}
-	type weighted struct {
-		State  int32
-		Weight float64
-	}
-	if !floatFree(reflect.TypeOf(succ{})) || floatFree(reflect.TypeOf(weighted{})) {
-		t.Fatal("floatFree misjudges a struct")
-	}
-	if !finiteJSON(reflect.ValueOf([]succ{{1, 2}, {3, 4}})) {
-		t.Error("float-free struct slice rejected")
-	}
-	if finiteJSON(reflect.ValueOf(struct{ Runs []weighted }{[]weighted{{1, 0.5}, {2, math.NaN()}}})) {
-		t.Error("NaN inside a struct element accepted")
 	}
 }

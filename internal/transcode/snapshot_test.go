@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mamut/internal/hevc"
 	"mamut/internal/platform"
 	"mamut/internal/rl"
 	"mamut/internal/transcode"
@@ -108,32 +109,71 @@ func (c *plainController) Name() string                                         
 func (c *plainController) OnFrameStart(transcode.FrameStart) transcode.Settings { return c.s }
 func (c *plainController) OnFrameDone(transcode.Observation)                    {}
 
-// nanController is a Static whose exported state holds a NaN, which
+// nanState is nanController's state: a NaN in an exported field, which
 // encoding/json refuses to marshal.
-type nanController struct{ transcode.Static }
+type nanState struct{ Gain []float64 }
 
-func (c *nanController) ControllerState() any {
-	return struct{ Gain []float64 }{[]float64{1, math.NaN()}}
+// nanController is a Static whose state holds a NaN in an exported
+// field. It restores whatever nanState it is handed.
+type nanController struct {
+	transcode.Static
+	restored nanState
 }
 
-// rowNaNController is a Static whose exported state is a learner
-// snapshot with a NaN Q value, held in the snapshot's unexported rows.
+func (c *nanController) ControllerState() any { return nanState{[]float64{1, math.NaN()}} }
+
+func (c *nanController) RestoreControllerState(state any) error {
+	st, err := transcode.ResolveControllerState[nanState](state)
+	c.restored = st
+	return err
+}
+
+func (c *nanController) restoredNaN() bool {
+	return len(c.restored.Gain) == 2 && math.IsNaN(c.restored.Gain[1])
+}
+
+// rowNaNState is rowNaNController's state: a learner snapshot whose
+// unexported rows hold a NaN Q value.
+type rowNaNState struct{ Agent rl.Snapshot }
+
+// rowNaNController is a Static whose state is a learner snapshot with a
+// NaN Q value. It restores whatever rowNaNState it is handed.
 type rowNaNController struct {
 	transcode.Static
-	learner *rl.Learner
+	learner  *rl.Learner
+	restored rowNaNState
 }
 
-func (c *rowNaNController) ControllerState() any {
-	return struct{ Agent rl.Snapshot }{c.learner.Snapshot()}
+func (c *rowNaNController) ControllerState() any { return rowNaNState{c.learner.Snapshot()} }
+
+func (c *rowNaNController) RestoreControllerState(state any) error {
+	st, err := transcode.ResolveControllerState[rowNaNState](state)
+	c.restored = st
+	return err
 }
+
+func (c *rowNaNController) restoredNaN() bool {
+	q := c.restored.Agent.Tables().Q
+	return len(q) > 2 && math.IsNaN(q[2]) // state 1, action 0
+}
+
+// nilStateController is a Static that exports no state, which Validate
+// refuses as a missing controller state. freeze checks it last, after
+// the running segment's settlement has been computed.
+type nilStateController struct{ transcode.Static }
+
+func (c *nilStateController) ControllerState() any { return nil }
 
 // TestSnapshotSessionErrorsMatchExtract: SnapshotSession rejects exactly
 // what ExtractSession rejects, with the same message under its own name
 // — unknown ids, sessions that departed before and after a departure
 // hook was installed (the second leave the engine through it), already
-// extracted and non-migratable sessions, a finished engine — and a state
-// that cannot be encoded, because of a NaN in an exported field or in a
-// learner snapshot's rows.
+// extracted and non-migratable sessions, a controller that exports no
+// state, a finished engine. A NaN in a controller field or in a learner
+// snapshot's rows is not a freeze error: the floats are the ones the
+// live session holds, and InjectSession restores them as they are.
+// EncodeSessionState refuses them, where the state would leave the
+// process.
 func TestSnapshotSessionErrorsMatchExtract(t *testing.T) {
 	eng := migEngine(t, 2, 5)
 	spec := eng.Server().Spec()
@@ -160,13 +200,14 @@ func TestSnapshotSessionErrorsMatchExtract(t *testing.T) {
 	}
 	plainSrc := add(plain, &transcode.Static{S: set}, 200)
 	plainCtrl := add(stateful(2), &plainController{s: set}, 200)
-	nan := add(stateful(3), &nanController{transcode.Static{S: set}}, 200)
+	nan := add(stateful(3), &nanController{Static: transcode.Static{S: set}}, 200)
 	learner, err := rl.NewLearner(rl.DefaultConfig(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	learner.SetQ(1, 0, math.NaN())
-	nanRow := add(stateful(7), &rowNaNController{transcode.Static{S: set}, learner}, 200)
+	nanRow := add(stateful(7), &rowNaNController{Static: transcode.Static{S: set}, learner: learner}, 200)
+	nilState := add(stateful(8), &nilStateController{transcode.Static{S: set}}, 200)
 	extracted := add(stateful(4), &transcode.Static{S: set}, 200)
 	short := add(stateful(5), &transcode.Static{S: set}, 2)
 	if err := eng.AdvanceTo(1); err != nil {
@@ -202,17 +243,47 @@ func TestSnapshotSessionErrorsMatchExtract(t *testing.T) {
 	same("already extracted", extracted, "already extracted")
 	same("departed", short, "already departed")
 	same("discarded", discarded, "discarded")
-	same("NaN learner row", nanRow, "non-finite")
-
-	if _, err := eng.SnapshotSession(nan); err == nil || !strings.Contains(err.Error(), "non-finite") {
-		t.Errorf("snapshot of a NaN controller state: %v", err)
-	}
-	if _, err := eng.ExtractSession(nan); err == nil || !strings.Contains(err.Error(), "non-finite") {
-		t.Errorf("extraction of a NaN controller state: %v", err)
-	}
+	same("nil controller state", nilState, "missing controller state")
 	// Neither failure removed the session.
-	if _, err := eng.SnapshotSession(nan); err == nil || !strings.Contains(err.Error(), "non-finite") {
+	if _, err := eng.SnapshotSession(nilState); err == nil || !strings.Contains(err.Error(), "missing controller state") {
 		t.Errorf("snapshot after a failed extraction: %v", err)
+	}
+
+	for _, c := range []struct {
+		name string
+		id   int
+		seed int64
+		ctrl interface {
+			transcode.StatefulController
+			restoredNaN() bool
+		}
+	}{
+		{"NaN controller field", nan, 3, &nanController{}},
+		{"NaN learner row", nanRow, 7, &rowNaNController{}},
+	} {
+		snap, err := eng.SnapshotSession(c.id)
+		if err != nil {
+			t.Fatalf("%s: snapshot: %v", c.name, err)
+		}
+		st, err := eng.ExtractSession(c.id)
+		if err != nil {
+			t.Fatalf("%s: extraction: %v", c.name, err)
+		}
+		for _, frozen := range []*transcode.SessionState{snap, st} {
+			if _, err := transcode.EncodeSessionState(frozen); err == nil || !strings.Contains(err.Error(), "NaN") {
+				t.Errorf("%s: encoding: %v, want a NaN refusal", c.name, err)
+			}
+			fresh, err := transcode.NewEngine(spec, hevc.DefaultModel(), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.InjectSession(stateful(c.seed), c.ctrl, frozen); err != nil {
+				t.Errorf("%s: injection: %v", c.name, err)
+			}
+			if !c.ctrl.restoredNaN() {
+				t.Errorf("%s: injected controller did not restore the NaN", c.name)
+			}
+		}
 	}
 
 	if _, err := eng.RunUntilAll(); err != nil {
@@ -222,7 +293,8 @@ func TestSnapshotSessionErrorsMatchExtract(t *testing.T) {
 }
 
 // TestFailedExtractionLeavesEngineBitIdentical: an extraction that
-// refuses the controller state mutates nothing. It is attempted
+// refuses the controller state mutates nothing, though freeze has
+// already computed the running segment's settlement. It is attempted
 // mid-segment at several instants on an oversubscribed engine, where
 // even an applied settlement (the first step of a successful extraction)
 // would change later floats; the engine still finishes with a Result
@@ -243,7 +315,7 @@ func TestFailedExtractionLeavesEngineBitIdentical(t *testing.T) {
 			}
 			var ctrl transcode.Controller = &transcode.Static{S: set}
 			if i == 0 {
-				ctrl = &nanController{transcode.Static{S: set}}
+				ctrl = &nilStateController{transcode.Static{S: set}}
 			}
 			sid, err := eng.AddSession(transcode.SessionConfig{Source: src, Controller: ctrl, Initial: set, FrameBudget: 120})
 			if err != nil {
@@ -256,15 +328,15 @@ func TestFailedExtractionLeavesEngineBitIdentical(t *testing.T) {
 		return eng, id
 	}
 	base, _ := build()
-	failed, nan := build()
+	failed, refused := build()
 	for _, at := range []float64{0.37, 0.81, 1.23, 1.71, 2.39, 3.07, 3.53, 4.11} {
 		for _, e := range []*transcode.Engine{base, failed} {
 			if err := e.AdvanceTo(at); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := failed.ExtractSession(nan); err == nil {
-			t.Fatalf("t=%g: extraction of a NaN controller state succeeded", at)
+		if _, err := failed.ExtractSession(refused); err == nil || !strings.Contains(err.Error(), "missing controller state") {
+			t.Fatalf("t=%g: extraction without a controller state: %v", at, err)
 		}
 	}
 	want, err := base.Run()

@@ -1,7 +1,6 @@
 package video
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,15 +10,15 @@ import (
 
 // StatefulSource is a Source whose content process can be frozen and
 // resumed bit-exactly — the playlist-cursor half of live session
-// migration. SourceState returns an opaque, JSON-stable payload;
+// migration. SourceState returns the typed SourceState value;
 // RestoreSourceState on a source built for the same sequence resumes the
 // identical frame stream.
 type StatefulSource interface {
 	Source
 	// SourceState freezes the stream position and content process.
-	SourceState() ([]byte, error)
-	// RestoreSourceState resumes from a SourceState payload.
-	RestoreSourceState(data []byte) error
+	SourceState() (SourceState, error)
+	// RestoreSourceState resumes from a SourceState value.
+	RestoreSourceState(st SourceState) error
 }
 
 // NewStatefulGenerator returns a looping generator whose stream is
@@ -36,14 +35,15 @@ func NewStatefulGenerator(seq *Sequence, seed int64) (StatefulSource, error) {
 	return g, nil
 }
 
-// sourceFormatVersion is the current SourceState payload format. Loaders
-// reject newer payloads instead of misinterpreting them.
+// sourceFormatVersion is the current SourceState format.
+// RestoreSourceState rejects a newer state instead of misinterpreting it.
 const sourceFormatVersion = 1
 
-// generatorState is the serialised content process of a generator. All
-// floats are finite and round-trip exactly through encoding/json
-// (shortest-representation float encoding), so restore is bit-identical.
-type generatorState struct {
+// SourceState is the frozen content process of a generator. It is a
+// plain value: a session hand-over inside the process passes it as is,
+// and its JSON form (shortest-representation floats) round-trips it
+// exactly when a session state leaves the process.
+type SourceState struct {
 	Version    int     `json:"format_version"`
 	Sequence   string  `json:"sequence"`
 	Index      int     `json:"index"`
@@ -57,11 +57,11 @@ type generatorState struct {
 // SourceState implements StatefulSource. It errors when the generator was
 // built with a caller-owned rng (NewGenerator), whose state is not
 // reachable from here.
-func (g *generator) SourceState() ([]byte, error) {
+func (g *generator) SourceState() (SourceState, error) {
 	if g.src == nil {
-		return nil, fmt.Errorf("video: source for %s was built without snapshot support (use NewStatefulGenerator)", g.seq.Name)
+		return SourceState{}, fmt.Errorf("video: source for %s was built without snapshot support (use NewStatefulGenerator)", g.seq.Name)
 	}
-	return json.Marshal(generatorState{
+	return SourceState{
 		Version:    sourceFormatVersion,
 		Sequence:   g.seq.Name,
 		Index:      g.index,
@@ -70,17 +70,14 @@ func (g *generator) SourceState() ([]byte, error) {
 		Current:    g.current,
 		FirstFrame: g.firstFrame,
 		RNG:        g.src.State(),
-	})
+	}, nil
 }
 
-// RestoreSourceState implements StatefulSource.
-func (g *generator) RestoreSourceState(data []byte) error {
+// RestoreSourceState implements StatefulSource. A rejected state leaves
+// the generator as it was.
+func (g *generator) RestoreSourceState(st SourceState) error {
 	if g.src == nil {
 		return fmt.Errorf("video: source for %s was built without snapshot support (use NewStatefulGenerator)", g.seq.Name)
-	}
-	var st generatorState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("video: restore source state: %w", err)
 	}
 	switch {
 	case st.Version < 0 || st.Version > sourceFormatVersion:
