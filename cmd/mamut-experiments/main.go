@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,56 +31,19 @@ import (
 )
 
 func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment: fig2|fig4|fig5|table1|table2|learntime|ablation|all")
-		out      = flag.String("out", "", "directory for CSV/SVG artifacts (optional)")
-		quick    = flag.Bool("quick", false, "reduced repetitions and windows (faster, less converged)")
-		seed     = flag.Int64("seed", 1, "experiment seed")
-		reps     = flag.Int("reps", 0, "override repetitions (0 = default)")
-		workers  = flag.Int("workers", 0, "parallel worker goroutines (0 = one per CPU, 1 = serial); results are identical for any value")
-		progress = flag.Bool("progress", false, "print per-unit progress to stderr")
-		cfgPath  = flag.String("config", "", "JSON configuration file (see -dump-config)")
-		dumpCfg  = flag.Bool("dump-config", false, "print the default configuration as JSON and exit")
-	)
-	flag.Parse()
-
-	if *dumpCfg {
+	inv, err := parseArgs(os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	if inv.dumpCfg {
 		if err := config.Default().Save(os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
 	}
-
-	opts := experiments.DefaultOptions()
-	if *quick {
-		opts = experiments.QuickOptions()
-	}
-	opts.Seed = *seed
-	if *reps > 0 {
-		opts.Repetitions = *reps
-	}
-	if *cfgPath != "" {
-		f, err := config.LoadPath(*cfgPath)
-		if err != nil {
-			fatal(err)
-		}
-		opts, err = f.Apply(opts)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if *workers < 0 {
-		fatal(fmt.Errorf("-workers %d must be >= 0", *workers))
-	}
-	opts.Workers = *workers
-	if *progress {
-		opts.Progress = func(done, total int, label string) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, label)
-		}
-	}
-
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
+	opts, out, want := inv.opts, inv.out, inv.selected
+	if out != "" {
+		if err := os.MkdirAll(out, 0o755); err != nil {
 			fatal(err)
 		}
 	}
@@ -93,39 +57,110 @@ func main() {
 		fmt.Printf("(%s done in %.1fs)\n\n", name, time.Since(t0).Seconds())
 	}
 
-	all := *exp == "all"
-	selected := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		selected[strings.TrimSpace(e)] = true
-	}
-	want := func(name string) bool { return all || selected[name] }
-
 	var scenarioI []experiments.WorkloadResult
-	if want("fig2") {
-		run("fig2", func() error { return runFig2(opts, *out) })
+	if want["fig2"] {
+		run("fig2", func() error { return runFig2(opts, out) })
 	}
-	if want("fig4") || want("table1") {
+	if want["fig4"] || want["table1"] {
 		run("fig4 (Scenario I)", func() error {
 			var err error
-			scenarioI, err = runFig4(opts, *out)
+			scenarioI, err = runFig4(opts, out)
 			return err
 		})
 	}
-	if want("table1") {
-		run("table1", func() error { return runTableI(scenarioI, *out) })
+	if want["table1"] {
+		run("table1", func() error { return runTableI(scenarioI, out) })
 	}
-	if want("fig5") {
-		run("fig5", func() error { return runFig5(opts, *out) })
+	if want["fig5"] {
+		run("fig5", func() error { return runFig5(opts, out) })
 	}
-	if want("table2") {
-		run("table2 (Scenario II)", func() error { return runTableII(opts, *out) })
+	if want["table2"] {
+		run("table2 (Scenario II)", func() error { return runTableII(opts, out) })
 	}
-	if want("learntime") {
-		run("learntime", func() error { return runLearnTime(opts, *out) })
+	if want["learntime"] {
+		run("learntime", func() error { return runLearnTime(opts, out) })
 	}
-	if want("ablation") {
-		run("ablation", func() error { return runAblation(opts, *out) })
+	if want["ablation"] {
+		run("ablation", func() error { return runAblation(opts, out) })
 	}
+}
+
+// experimentNames are the experiments -exp selects from; "all" selects
+// every one.
+var experimentNames = []string{"fig2", "fig4", "fig5", "table1", "table2", "learntime", "ablation"}
+
+// invocation is one parsed command line.
+type invocation struct {
+	opts     experiments.Options
+	selected map[string]bool // experiment name -> run it
+	out      string
+	dumpCfg  bool
+}
+
+// parseArgs turns the command line into an invocation, rejecting an
+// unknown experiment and negative counts instead of running nothing or
+// falling back to a default.
+func parseArgs(args []string) (invocation, error) {
+	fs := flag.NewFlagSet("mamut-experiments", flag.ExitOnError)
+	var (
+		exp      = fs.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|")+"|all (comma-separated)")
+		out      = fs.String("out", "", "directory for CSV/SVG artifacts (optional)")
+		quick    = fs.Bool("quick", false, "reduced repetitions and windows (faster, less converged)")
+		seed     = fs.Int64("seed", 1, "experiment seed")
+		reps     = fs.Int("reps", 0, "override repetitions (0 = default)")
+		workers  = fs.Int("workers", 0, "parallel worker goroutines (0 = one per CPU, 1 = serial); results are identical for any value")
+		progress = fs.Bool("progress", false, "print per-unit progress to stderr")
+		cfgPath  = fs.String("config", "", "JSON configuration file (see -dump-config)")
+		dumpCfg  = fs.Bool("dump-config", false, "print the default configuration as JSON and exit")
+	)
+	_ = fs.Parse(args) // ExitOnError: a malformed flag exits with the usage text
+	inv := invocation{out: *out, dumpCfg: *dumpCfg, selected: map[string]bool{}}
+	if inv.dumpCfg {
+		return inv, nil
+	}
+	for _, e := range strings.Split(*exp, ",") {
+		switch e = strings.TrimSpace(e); {
+		case e == "all":
+			for _, name := range experimentNames {
+				inv.selected[name] = true
+			}
+		case slices.Contains(experimentNames, e):
+			inv.selected[e] = true
+		default:
+			return invocation{}, fmt.Errorf("-exp %q: unknown experiment (want %s or all)", e, strings.Join(experimentNames, ", "))
+		}
+	}
+	if *reps < 0 {
+		return invocation{}, fmt.Errorf("-reps %d must be >= 0", *reps)
+	}
+	if *workers < 0 {
+		return invocation{}, fmt.Errorf("-workers %d must be >= 0", *workers)
+	}
+
+	inv.opts = experiments.DefaultOptions()
+	if *quick {
+		inv.opts = experiments.QuickOptions()
+	}
+	inv.opts.Seed = *seed
+	if *reps > 0 {
+		inv.opts.Repetitions = *reps
+	}
+	if *cfgPath != "" {
+		f, err := config.LoadPath(*cfgPath)
+		if err != nil {
+			return invocation{}, err
+		}
+		if inv.opts, err = f.Apply(inv.opts); err != nil {
+			return invocation{}, err
+		}
+	}
+	inv.opts.Workers = *workers
+	if *progress {
+		inv.opts.Progress = func(done, total int, label string) {
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, label)
+		}
+	}
+	return inv, nil
 }
 
 func fatal(err error) {

@@ -14,13 +14,10 @@
 // the built-in policies place through incremental fleet indexes, so
 // thousands of servers dispatch in O(log n) per arrival. (An O(servers)
 // scan dispatcher survives only inside internal/serve's tests, as the
-// reference the indexed one must match byte for byte.) -shards S
-// additionally splits the
-// fleet across S dispatcher goroutines that advance their servers'
-// engines in parallel between placements (server i belongs to shard
-// i mod S), reconciling with the coordinator before every decision —
-// output stays byte-identical to -shards 1; the gain is wall clock on
-// multi-core hosts at large fleet sizes (see cmd/mamut-fleetbench).
+// reference the indexed one must match byte for byte.) The one
+// parallel phase is the drain after the last arrival, which fans the
+// loaded engines out over -workers goroutines; cmd/mamut-fleetbench
+// measures ns/arrival by fleet size.
 //
 // With -knowledge the fleet shares learned transcoding knowledge across
 // sessions (KaaS-style warm starts): departing MAMUT sessions contribute
@@ -42,7 +39,7 @@
 // (capped at -scale-max servers), and -rebalance
 // migrates sessions away from power-hotspot servers — all on a fixed
 // -epoch schedule, so elastic runs remain byte-identical for any
-// -workers and -shards count. The summary gains an "elastic:"
+// -workers count. The summary gains an "elastic:"
 // line with migration and scaling counts.
 //
 // With -queue N arrivals that find no capacity wait in a bounded
@@ -65,7 +62,7 @@
 // library's default recovery deadline (-fault-drop loses them instead,
 // the baseline), restoring from their last -fault-checkpoint snapshot or cold-starting
 // warm-seeded from the knowledge store. Fault runs stay byte-identical
-// for any -workers and -shards; with no plan the
+// for any -workers; with no plan the
 // output byte-matches fault-free builds. The summary gains "faults:" and
 // "recovery:" lines (MTTR, recovery-latency quantiles, lost work,
 // availability).
@@ -119,65 +116,119 @@ import (
 )
 
 func main() {
-	var (
-		servers    = flag.Int("servers", 2, "fleet size (number of simulated servers)")
-		rate       = flag.Float64("arrival-rate", 0.2, "mean session arrival rate (sessions/sec)")
-		policy     = flag.String("policy", mamut.PolicyLeastLoaded, "placement policy: "+strings.Join(mamut.ServePolicyNames(), "|"))
-		duration   = flag.Float64("duration", 300, "arrival-process horizon (simulated seconds)")
-		seed       = flag.Int64("seed", 1, "seed; equal seeds give byte-identical output")
-		workers    = flag.Int("workers", 0, "parallel worker goroutines (0 = one per CPU); output is identical for any value")
-		shards     = flag.Int("shards", 0, "fleet shards advancing engines in parallel (0/1 = unsharded); output is identical for any value")
-		meanSess   = flag.Float64("mean-session", 60, "mean session length (seconds, exponential)")
-		admission  = flag.Int("admission", 8, "per-server admission limit (sessions)")
-		warmup     = flag.Float64("warmup", -1, "measurement-window start (seconds; -1 = duration/4)")
-		approach   = flag.String("approach", string(mamut.ApproachMAMUT), "per-session controller: mamut|monoagent|heuristic")
-		curve      = flag.String("curve", string(mamut.LoadConstant), "load curve: constant|diurnal|ramp|burst")
-		amplitude  = flag.Float64("amplitude", 0.5, "diurnal modulation depth in [0,1)")
-		burstTo    = flag.Float64("burst-factor", 0, "burst: spike/base arrival-rate ratio (0 = default 3)")
-		burstFrom  = flag.Float64("burst-start", 0, "burst: spike window start (seconds; with -burst-end 0, defaults to duration/4)")
-		burstUntil = flag.Float64("burst-end", 0, "burst: spike window end (seconds; with -burst-start 0, defaults to duration/2)")
-		queueCap   = flag.Int("queue", 0, "admission-queue capacity (0 = off: reject on full, the historical behavior)")
-		queueDL    = flag.Float64("queue-deadline", 0, "admission-queue per-entry deadline (seconds; 0 = default 30)")
-		queuePrio  = flag.String("queue-prio", "", "admission-queue priority order: "+strings.Join(queuePrioNames(), "|")+" (empty = hr-first)")
-		faults     = flag.String("faults", "", "fault plan: comma-separated crash@T:SRV, degrade@A-B:SRV:FACTOR, blip@A-B:SRV events")
-		faultCkpt  = flag.Float64("fault-checkpoint", 0, "periodic session-checkpoint interval for crash recovery (seconds; 0 = no checkpoints)")
-		faultDrop  = flag.Bool("fault-drop", false, "drop crash-interrupted sessions instead of recovering them (the baseline)")
-		knowledge  = flag.Bool("knowledge", false, "share learned knowledge across sessions (KaaS-style warm starts; mamut approach only)")
-		rebalance  = flag.Bool("rebalance", false, "live-migrate sessions away from power hotspots every epoch")
-		autoscale  = flag.Bool("autoscale", false, "scale the fleet to target utilization (watermark scale-out, drain-based scale-in)")
-		drain      = flag.String("drain", "", "scheduled decommissions as at:server pairs, e.g. 120:0,300:3 (live-migrates sessions off)")
-		epoch      = flag.Float64("epoch", 0, "control-epoch interval for rebalance/autoscale/drain (seconds; 0 = default 30; needs one of them)")
-		scaleMax   = flag.Int("scale-max", 0, "autoscale: maximum in-service servers (0 = 4x -servers; needs -autoscale)")
-		format     = flag.String("format", "", "output format for single runs: summary|csv (empty = summary)")
-		policies   = flag.String("policies", "", "grid mode: comma-separated policies (with -rates/-seeds)")
-		rates      = flag.String("rates", "", "grid mode: comma-separated arrival rates")
-		seeds      = flag.String("seeds", "", "grid mode: comma-separated seeds")
-		quantiles  = flag.Bool("quantiles", false, "summary: also print streamed FPS/duration quantiles and windowed stats")
-		knowIn     = flag.String("knowledge-in", "", "import a knowledge artifact and warm-start the fleet from it (implies -knowledge)")
-		knowOut    = flag.String("knowledge-out", "", "export the run's knowledge store to this file (implies -knowledge)")
-		checkpoint = flag.String("checkpoint", "", "grid mode: stream per-cell results to this file and resume from it")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-	)
-	flag.Parse()
+	inv, err := parseArgs(os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	var cpuFile *os.File
+	if inv.cpuprofile != "" {
+		f, err := os.Create(inv.cpuprofile)
+		if err != nil {
+			fatal(err)
+		}
+		cpuFile = f
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+	}
+	err = run(os.Stdout, inv.cfg, inv.opts)
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if cerr := cpuFile.Close(); cerr != nil {
+			fatal(cerr)
+		}
+	}
+	if err != nil {
+		fatal(err)
+	}
+	if inv.memprofile != "" {
+		f, err := os.Create(inv.memprofile)
+		if err != nil {
+			fatal(err)
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+	}
+}
 
-	if *warmup < 0 {
+// invocation is one parsed command line: the simulation config, the
+// report options and the profile destinations.
+type invocation struct {
+	cfg                    mamut.ServeConfig
+	opts                   runOpts
+	cpuprofile, memprofile string
+}
+
+// parseArgs turns the command line into an invocation, rejecting flag
+// values and combinations the library would otherwise read as defaults.
+func parseArgs(args []string) (invocation, error) {
+	fs := flag.NewFlagSet("mamut-serve", flag.ExitOnError)
+	var (
+		servers    = fs.Int("servers", 2, "fleet size (number of simulated servers)")
+		rate       = fs.Float64("arrival-rate", 0.2, "mean session arrival rate (sessions/sec)")
+		policy     = fs.String("policy", mamut.PolicyLeastLoaded, "placement policy: "+strings.Join(mamut.ServePolicyNames(), "|"))
+		duration   = fs.Float64("duration", 300, "arrival-process horizon (simulated seconds)")
+		seed       = fs.Int64("seed", 1, "seed; equal seeds give byte-identical output")
+		workers    = fs.Int("workers", 0, "parallel worker goroutines (0 = one per CPU); output is identical for any value")
+		meanSess   = fs.Float64("mean-session", 60, "mean session length (seconds, exponential)")
+		admission  = fs.Int("admission", 8, "per-server admission limit (sessions)")
+		warmup     = fs.Float64("warmup", -1, "measurement-window start (seconds; -1 = duration/4)")
+		approach   = fs.String("approach", string(mamut.ApproachMAMUT), "per-session controller: mamut|monoagent|heuristic")
+		curve      = fs.String("curve", string(mamut.LoadConstant), "load curve: constant|diurnal|ramp|burst")
+		amplitude  = fs.Float64("amplitude", 0.5, "diurnal modulation depth in [0,1)")
+		burstTo    = fs.Float64("burst-factor", 0, "burst: spike/base arrival-rate ratio (0 = default 3)")
+		burstFrom  = fs.Float64("burst-start", 0, "burst: spike window start (seconds; with -burst-end 0, defaults to duration/4)")
+		burstUntil = fs.Float64("burst-end", 0, "burst: spike window end (seconds; with -burst-start 0, defaults to duration/2)")
+		queueCap   = fs.Int("queue", 0, "admission-queue capacity (0 = off: reject on full, the historical behavior)")
+		queueDL    = fs.Float64("queue-deadline", 0, "admission-queue per-entry deadline (seconds; 0 = default 30)")
+		queuePrio  = fs.String("queue-prio", "", "admission-queue priority order: "+strings.Join(queuePrioNames(), "|")+" (empty = hr-first)")
+		faults     = fs.String("faults", "", "fault plan: comma-separated crash@T:SRV, degrade@A-B:SRV:FACTOR, blip@A-B:SRV events")
+		faultCkpt  = fs.Float64("fault-checkpoint", 0, "periodic session-checkpoint interval for crash recovery (seconds; 0 = no checkpoints)")
+		faultDrop  = fs.Bool("fault-drop", false, "drop crash-interrupted sessions instead of recovering them (the baseline)")
+		knowledge  = fs.Bool("knowledge", false, "share learned knowledge across sessions (KaaS-style warm starts; mamut approach only)")
+		rebalance  = fs.Bool("rebalance", false, "live-migrate sessions away from power hotspots every epoch")
+		autoscale  = fs.Bool("autoscale", false, "scale the fleet to target utilization (watermark scale-out, drain-based scale-in)")
+		drain      = fs.String("drain", "", "scheduled decommissions as at:server pairs, e.g. 120:0,300:3 (live-migrates sessions off)")
+		epoch      = fs.Float64("epoch", 0, "control-epoch interval for rebalance/autoscale/drain (seconds; 0 = default 30; needs one of them)")
+		scaleMax   = fs.Int("scale-max", 0, "autoscale: maximum in-service servers (0 = 4x -servers; needs -autoscale)")
+		format     = fs.String("format", "", "output format for single runs: summary|csv (empty = summary)")
+		policies   = fs.String("policies", "", "grid mode: comma-separated policies (with -rates/-seeds)")
+		rates      = fs.String("rates", "", "grid mode: comma-separated arrival rates")
+		seeds      = fs.String("seeds", "", "grid mode: comma-separated seeds")
+		quantiles  = fs.Bool("quantiles", false, "summary: also print streamed FPS/duration quantiles and windowed stats")
+		knowIn     = fs.String("knowledge-in", "", "import a knowledge artifact and warm-start the fleet from it (implies -knowledge)")
+		knowOut    = fs.String("knowledge-out", "", "export the run's knowledge store to this file (implies -knowledge)")
+		checkpoint = fs.String("checkpoint", "", "grid mode: stream per-cell results to this file and resume from it")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile taken after the run to this file")
+	)
+	_ = fs.Parse(args) // ExitOnError: a malformed flag exits with the usage text
+
+	switch {
+	case *warmup == -1:
 		*warmup = *duration / 4
+	case *warmup < 0:
+		return invocation{}, fmt.Errorf("-warmup %g: want >= 0, or -1 for duration/4", *warmup)
 	}
 	// The library treats zero-valued config fields as "use the default",
 	// so an *explicit* zero on these flags must be translated into the
 	// forcing value (or rejected) rather than silently becoming the
 	// default.
 	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	if setFlags["amplitude"] && *amplitude == 0 {
 		*amplitude = 1e-9 // effectively unmodulated diurnal curve
 	}
 	if setFlags["admission"] && *admission <= 0 {
-		fatal(fmt.Errorf("-admission %d must be >= 1", *admission))
+		return invocation{}, fmt.Errorf("-admission %d must be >= 1", *admission)
 	}
 	if *queueCap <= 0 && (setFlags["queue-deadline"] || setFlags["queue-prio"]) {
-		fatal(fmt.Errorf("-queue-deadline/-queue-prio require -queue N with N >= 1"))
+		return invocation{}, fmt.Errorf("-queue-deadline/-queue-prio require -queue N with N >= 1")
 	}
 	if *queueCap > 0 {
 		// Resolve the queue defaults here so the summary header can print
@@ -191,14 +242,14 @@ func main() {
 	}
 	drainEvents, err := parseDrain(*drain)
 	if err != nil {
-		fatal(err)
+		return invocation{}, err
 	}
 	if *faults == "" && (setFlags["fault-checkpoint"] || setFlags["fault-drop"]) {
-		fatal(fmt.Errorf("-fault-checkpoint/-fault-drop require a -faults plan"))
+		return invocation{}, fmt.Errorf("-fault-checkpoint/-fault-drop require a -faults plan")
 	}
 	faultPlan, err := mamut.ParseServeFaultPlan(*faults)
 	if err != nil {
-		fatal(err)
+		return invocation{}, err
 	}
 	cfg := mamut.ServeConfig{
 		Servers:              *servers,
@@ -219,7 +270,6 @@ func main() {
 		KnowledgeReuse: *knowledge || *knowIn != "" || *knowOut != "",
 		Seed:           *seed,
 		Workers:        *workers,
-		Shards:         *shards,
 		EpochSec:       *epoch,
 		Rebalance:      *rebalance,
 		Drain:          drainEvents,
@@ -249,41 +299,7 @@ func main() {
 		knowledgeOut: *knowOut,
 		checkpoint:   *checkpoint,
 	}
-
-	var cpuFile *os.File
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		cpuFile = f
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-	}
-	err = run(os.Stdout, cfg, opts)
-	if cpuFile != nil {
-		pprof.StopCPUProfile()
-		if cerr := cpuFile.Close(); cerr != nil {
-			fatal(cerr)
-		}
-	}
-	if err != nil {
-		fatal(err)
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
+	return invocation{cfg: cfg, opts: opts, cpuprofile: *cpuprofile, memprofile: *memprofile}, nil
 }
 
 // parseDrain parses the -drain flag: comma-separated at:server pairs.

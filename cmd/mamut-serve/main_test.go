@@ -43,20 +43,16 @@ func fleetSmokeConfig(policy string) mamut.ServeConfig {
 	}
 }
 
-// goldenVariants are the worker and shard settings every golden is
-// checked under. The sharded variants assert against the same golden
-// bytes: the sharded dispatcher's contract is bit-identical output.
-// (internal/serve's TestGoldenConfigsMatchReference runs the same
-// configs against the scan reference dispatcher.)
+// goldenVariants are the drain-pool sizes every golden is checked
+// under, against the same golden bytes: output is bit-identical for any
+// worker count. (internal/serve's TestGoldenConfigsMatchReference runs
+// the same configs against the scan reference dispatcher.)
 var goldenVariants = []struct {
 	name    string
 	workers int
-	shards  int
 }{
-	{"w1_s1", 1, 1},
-	{"w4_s1", 4, 1},
-	{"w1_s4", 1, 4},
-	{"w4_s4", 4, 4},
+	{"w1", 1},
+	{"w4", 4},
 }
 
 // checkGolden runs newCfg's config under every golden variant, requires
@@ -70,7 +66,6 @@ func checkGolden(t *testing.T, golden string, newCfg func() mamut.ServeConfig, q
 	for _, variant := range goldenVariants {
 		cfg := newCfg()
 		cfg.Workers = variant.workers
-		cfg.Shards = variant.shards
 		var buf bytes.Buffer
 		if err := run(&buf, cfg, runOpts{format: "summary", workers: cfg.Workers, quantiles: quantiles}); err != nil {
 			t.Fatalf("%s: %v", variant.name, err)
@@ -105,7 +100,7 @@ func checkGolden(t *testing.T, golden string, newCfg func() mamut.ServeConfig, q
 
 // TestFleetSmokeGolden pins the mamut-serve summary output for a
 // 64-server fleet under every built-in policy to committed goldens —
-// byte-identical across worker and shard counts.
+// byte-identical across worker counts.
 func TestFleetSmokeGolden(t *testing.T) {
 	for _, policy := range mamut.ServePolicyNames() {
 		t.Run(policy, func(t *testing.T) {
@@ -142,7 +137,7 @@ func elasticSmokeConfig() mamut.ServeConfig {
 // TestElasticFleetGolden pins the summary output of a 32-server elastic
 // run — diurnal spike, autoscaling, hotspot rebalancing and a scheduled
 // drain all active — to a committed golden, byte-identical across worker
-// and shard counts: live migration and fleet topology changes preserve
+// counts: live migration and fleet topology changes preserve
 // the repo's determinism contract.
 func TestElasticFleetGolden(t *testing.T) {
 	checkGolden(t, "elastic32.golden", elasticSmokeConfig, false, "elastic: ")
@@ -170,8 +165,8 @@ func queuedSmokeConfig() mamut.ServeConfig {
 }
 
 // TestQueuedFleetGolden pins the summary output of a queued-admission
-// burst run to a committed golden, byte-identical across worker and
-// shard counts: the admission pipeline preserves the repo's determinism
+// burst run to a committed golden, byte-identical across worker
+// counts: the admission pipeline preserves the repo's determinism
 // contract.
 func TestQueuedFleetGolden(t *testing.T) {
 	checkGolden(t, "queue64.golden", queuedSmokeConfig, false, "queue: ")
@@ -204,7 +199,7 @@ func chaosSmokeConfig() mamut.ServeConfig {
 
 // TestFaultEquivalence pins the summary output of a chaos run — crash,
 // degrade and blip faults with checkpointed queue-based recovery — to a
-// committed golden, byte-identical across worker and shard counts:
+// committed golden, byte-identical across worker counts:
 // fault injection and recovery land only in the serial control phase,
 // preserving the repo's determinism contract.
 func TestFaultEquivalence(t *testing.T) {
@@ -356,6 +351,36 @@ func TestRunRejectsFlagsOutsideTheirMode(t *testing.T) {
 		}
 		if buf.Len() != 0 {
 			t.Errorf("%s: printed output before rejecting:\n%s", row.name, buf.String())
+		}
+	}
+}
+
+// TestParseArgs: -warmup -1 (the default) means a quarter of the
+// horizon, and a flag value or combination the library would read as a
+// default is an error, not silently replaced.
+func TestParseArgs(t *testing.T) {
+	for _, args := range [][]string{{"-duration", "40"}, {"-duration", "40", "-warmup", "-1"}} {
+		inv, err := parseArgs(args)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if inv.cfg.WarmupSec != 10 {
+			t.Errorf("%v: warm-up %g, want duration/4 = 10", args, inv.cfg.WarmupSec)
+		}
+	}
+	for _, args := range [][]string{
+		{"-duration", "40", "-warmup", "-7"},
+		{"-warmup", "-0.5"},
+		{"-admission", "0"},
+		{"-queue-deadline", "5"},
+		{"-queue-prio", "fifo"},
+		{"-fault-drop"},
+		{"-fault-checkpoint", "5"},
+		{"-drain", "120"},
+		{"-faults", "crash@x:1"},
+	} {
+		if inv, err := parseArgs(args); err == nil {
+			t.Errorf("%v: accepted (warm-up %g)", args, inv.cfg.WarmupSec)
 		}
 	}
 }

@@ -20,8 +20,7 @@
 // This package is the public facade, cut to what the repository's
 // commands and examples use. NewSimulation runs managed streams on one
 // simulated server; RunService, RunServiceGrid, ServeArrivals,
-// SplitServeArrivals, ImportKnowledge, OpenServeCheckpoint and
-// ParseServeFaultPlan drive the serving layer, configured through the
+// ImportKnowledge, OpenServeCheckpoint and ParseServeFaultPlan drive the serving layer, configured through the
 // Serve* type aliases and the policy, load-curve, queue-priority and
 // fault-kind constants. The paper's experiments run from
 // cmd/mamut-experiments. The implementation lives under internal/:
@@ -105,35 +104,25 @@
 // BenchmarkFleetScale tracks the per-arrival cost: near-flat from 10 to
 // 5000 servers, where the seed's O(servers) sweep grew linearly.
 //
-// # Sharded fleet dispatch
+// # One fleet sweep, one parallel phase
 //
-// Indexing removes the O(servers) placement cost; what remains serial
-// is advancing the engine simulations themselves, and that
-// parallelises. ServeConfig.Shards splits the fleet into shards (server
-// i belongs to shard i mod S) in a phased design; an unsharded run is one
-// inline shard. Each shard exclusively owns its servers' engines, its
-// partition of the engine event heap, and a departure buffer (each record
-// carries its knowledge harvest). The coordinator steps through the run's
-// one timeline — arrivals, epochs, checkpoints, fault edges and the
-// queue's horizon pass are its moments — serially and, at each sweep,
-// opens a barrier under which due shards advance their disjoint engines
-// concurrently (the coordinator advances shard 0 itself, shards 1..S-1
-// run on their own goroutines), then reconciles the buffers in shard-ID
-// order before any decision. Departures are always buffered and
-// reconciled, also from the serial-phase engine steps. Shared state
-// — the KnowledgeStore, global accounting, streaming aggregates, policy
-// fleet indexes — is only ever touched in the serial phase, so no locks
-// exist anywhere. Determinism is by construction: the shard heaps
-// exactly partition the global heap (every engine sees the identical
-// AdvanceTo sequence), departure folds sort by arrival ID (erasing the
-// merge order), and the policy indexes are layout-independent — so
-// Shards=S output is byte-identical to Shards<=1 for every policy,
-// knowledge reuse and full elasticity (equivalence tests,
-// race-detector stress and CI goldens pin this). cmd/mamut-fleetbench
-// measures ns/arrival across (fleet size x shard count) and writes a
-// machine-readable artifact stamped with the measuring environment;
-// SplitArrivals is the workload-side counterpart, dealing one arrival
-// stream into interleaved per-region substreams.
+// Indexing removes the O(servers) placement cost; what remains is
+// advancing the engine simulations themselves. The dispatcher steps
+// through the run's one timeline — arrivals, epochs, checkpoints, fault
+// edges and the queue's horizon pass are its moments — serially. At each
+// sweep it pops the engines with due events off one event heap and
+// advances them; their departure hooks buffer records (each carrying its
+// knowledge harvest), and the dispatcher reconciles the buffer before
+// any decision, also after the serial-phase engine steps. Shared state —
+// the KnowledgeStore, global accounting, streaming aggregates, policy
+// fleet indexes — is only ever touched serially, so no locks exist
+// anywhere. The one parallel phase is the drain after the last moment:
+// no decision remains, so the loaded engines run to completion on the
+// ServeConfig.Workers pool, and their departures fold in arrival-ID
+// order, so output is byte-identical for any worker count (README
+// records why the sweep itself stays serial). cmd/mamut-fleetbench
+// measures ns/arrival by fleet size and writes a machine-readable
+// artifact stamped with the measuring environment.
 //
 // # Queued admission
 //
@@ -157,7 +146,7 @@
 // depth, capacity, oldest wait) through the optional
 // serve.BacklogObserver extension. The pipeline
 // runs entirely in the dispatcher's serial phase, so queued runs stay
-// bit-identical across worker and shard counts — and with the queue off
+// bit-identical across worker counts — and with the queue off
 // (the empty-queue case of the same pipeline) the dispatcher
 // byte-reproduces the pre-queue output. Under a burst workload (ServeWorkload LoadBurst —
 // a flash-crowd spike window) the deadline-bounded queue strictly beats

@@ -10,28 +10,20 @@ import (
 
 // Scaling reports: the machine-readable record a scaling driver (e.g.
 // cmd/mamut-fleetbench) emits so the performance trajectory — ns/arrival
-// by fleet size × shard count — is tracked across PRs as a committed
-// JSON artifact instead of prose in commit messages. The environment
-// block matters as much as the numbers: a 1-core container measuring a
-// parallel dispatcher legitimately reports speedup ≈ 1, and without
-// GOMAXPROCS in the record that would read as a regression.
+// by fleet size — is tracked across PRs as a committed JSON artifact
+// instead of prose in commit messages. The environment block matters as
+// much as the numbers: wall clock is only comparable on the same host.
 
 // ScalingCell is one measured point of a scaling experiment.
 type ScalingCell struct {
-	// Label identifies the cell (e.g. "n10000/s8").
-	Label string `json:"label"`
-	// FleetSize and Shards locate the cell in the scaling matrix.
-	FleetSize int `json:"fleet_size"`
-	Shards    int `json:"shards"`
+	// Label identifies the cell (e.g. "n10000").
+	Label     string `json:"label"`
+	FleetSize int    `json:"fleet_size"`
 	// Arrivals is the work the cell processed; ElapsedSec the wall
 	// clock it took; NsPerArrival the quotient — the scaling metric.
 	Arrivals     int     `json:"arrivals"`
 	ElapsedSec   float64 `json:"elapsed_sec"`
 	NsPerArrival float64 `json:"ns_per_arrival"`
-	// SpeedupX is wall-clock speedup versus the 1-shard cell of the
-	// same fleet size (0 until ComputeSpeedups, or when no baseline
-	// cell exists).
-	SpeedupX float64 `json:"speedup_x,omitempty"`
 }
 
 // ScalingReport is the JSON artifact: the environment the cells were
@@ -64,7 +56,7 @@ func NewScalingReport(name string) *ScalingReport {
 // Measure times one run closure and appends its cell. The closure
 // returns the number of arrivals it processed (the unit ns/arrival is
 // normalised by).
-func (r *ScalingReport) Measure(label string, fleetSize, shards int, run func() (int, error)) (*ScalingCell, error) {
+func (r *ScalingReport) Measure(label string, fleetSize int, run func() (int, error)) (*ScalingCell, error) {
 	start := time.Now()
 	arrivals, err := run()
 	elapsed := time.Since(start)
@@ -77,7 +69,6 @@ func (r *ScalingReport) Measure(label string, fleetSize, shards int, run func() 
 	cell := ScalingCell{
 		Label:        label,
 		FleetSize:    fleetSize,
-		Shards:       shards,
 		Arrivals:     arrivals,
 		ElapsedSec:   elapsed.Seconds(),
 		NsPerArrival: float64(elapsed.Nanoseconds()) / float64(arrivals),
@@ -86,44 +77,9 @@ func (r *ScalingReport) Measure(label string, fleetSize, shards int, run func() 
 	return &r.Cells[len(r.Cells)-1], nil
 }
 
-// ComputeSpeedups fills each cell's SpeedupX against the first 1-shard
-// cell of the same fleet size (including the baseline's own 1.0), and
-// returns the largest speedup found. Cells of sizes without a 1-shard
-// baseline are left at 0.
-func (r *ScalingReport) ComputeSpeedups() float64 {
-	base := map[int]float64{}
-	for _, c := range r.Cells {
-		if c.Shards == 1 {
-			if _, ok := base[c.FleetSize]; !ok {
-				base[c.FleetSize] = c.NsPerArrival
-			}
-		}
-	}
-	best := 0.0
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if b, ok := base[c.FleetSize]; ok && c.NsPerArrival > 0 {
-			c.SpeedupX = b / c.NsPerArrival
-			if c.SpeedupX > best {
-				best = c.SpeedupX
-			}
-		}
-	}
-	return best
-}
-
 // WriteJSON writes the indented artifact.
 func (r *ScalingReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ReadScalingReport parses an artifact written by WriteJSON.
-func ReadScalingReport(rd io.Reader) (*ScalingReport, error) {
-	var r ScalingReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("experiments: reading scaling report: %w", err)
-	}
-	return &r, nil
 }

@@ -47,9 +47,9 @@ import (
 // Offered == Admitted + Rejected + QueueDropped always holds.
 //
 // Everything here runs in the serial phase of the dispatcher (at a
-// timeline moment), never during a parallel shard window, so queued
+// timeline moment), never during the parallel drain, so queued
 // runs keep the repo's determinism contract:
-// bit-identical results for any worker and shard count. With
+// bit-identical results for any worker count. With
 // Capacity == 0 the queue stays empty, every queue step is a no-op, and
 // the dispatcher byte-reproduces the pre-queue output.
 

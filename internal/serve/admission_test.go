@@ -26,33 +26,30 @@ func queuedEquivConfig() Config {
 }
 
 // TestQueueEquivalence pins the tentpole determinism contract with the
-// admission queue on: scan and indexed dispatch, any worker count and
-// any shard count produce DeepEqual results — the queue decision points
-// all live in the serial phase.
+// admission queue on: scan and indexed dispatch and any worker count
+// produce DeepEqual results — the queue decision points all live in the
+// serial phase.
 func TestQueueEquivalence(t *testing.T) {
-	run := func(reference bool, workers, shards int) *Result {
+	run := func(reference bool, workers int) *Result {
 		cfg := queuedEquivConfig()
 		cfg.reference = reference
 		cfg.Workers = workers
-		cfg.Shards = shards
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	base := run(true, 1, 0)
+	base := run(true, 1)
 	if base.Queued == 0 || base.QueueAdmitted == 0 || base.QueueDropped == 0 || base.Rejected == 0 {
 		t.Fatalf("config not exercising every queue outcome (queued %d, queue-admitted %d, queue-dropped %d, rejected %d)",
 			base.Queued, base.QueueAdmitted, base.QueueDropped, base.Rejected)
 	}
 	for _, mode := range dispatchModes {
 		for _, workers := range []int{1, 4} {
-			for _, shards := range []int{0, 4} {
-				if got := run(mode.reference, workers, shards); !reflect.DeepEqual(base, got) {
-					t.Errorf("queued run (dispatch=%s workers=%d shards=%d) diverged from the scan reference",
-						mode.name, workers, shards)
-				}
+			if got := run(mode.reference, workers); !reflect.DeepEqual(base, got) {
+				t.Errorf("queued run (dispatch=%s workers=%d) diverged from the scan reference",
+					mode.name, workers)
 			}
 		}
 	}

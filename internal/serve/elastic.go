@@ -21,7 +21,7 @@ import (
 // migrations. Everything happens in the sequential phase of the run —
 // never during the concurrent post-horizon drain — and sessions are
 // always selected in arrival-ID order, so results stay bit-identical for
-// any worker or shard count.
+// any worker count.
 //
 // A migration moves the live session — frame cursor, playlist/content
 // process, controller decision state, every rng stream, accumulators — via
@@ -60,7 +60,7 @@ type move struct{ from, to int }
 // so the two pull the fleet toward the same equilibrium. states is the
 // in-service fleet, ordered by index (draining servers included with
 // Draining set). The plan depends only on states, so it is identical for
-// any worker or shard count.
+// any worker count.
 func hotspotMoves(states []ServerState) []move {
 	var moves []move
 	for _, s := range states {
@@ -322,9 +322,6 @@ func (d *dispatcher) autoscale() {
 func (d *dispatcher) addServer() {
 	i := len(d.servers)
 	fs := &fleetServer{resident: make(map[int]residentRec)}
-	// Scaled-out servers join shards on the same index-mod rule as the
-	// initial fleet (runs in the serial phase; shards are idle).
-	d.joinShard(i, fs)
 	d.servers = append(d.servers, fs)
 	d.states = append(d.states, ServerState{
 		Index:        i,

@@ -51,7 +51,7 @@ import (
 // Every fault edge is a precomputed moment of the run's one timeline
 // (see dispatcher.timeline), run strictly in the serial phase, so
 // fault runs keep the repo invariant: byte-identical results across
-// worker and shard counts — and with no plan configured, no fault code
+// worker counts — and with no plan configured, no fault code
 // runs and output byte-matches the pre-fault goldens.
 
 // Fault-recovery bounds, the same for both resolution classes; only the

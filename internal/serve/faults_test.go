@@ -438,24 +438,21 @@ func chaosEquivConfig() Config {
 	}
 }
 
-// TestShardFaultChaosEquivalence pins the determinism contract under
-// chaos: crash, degrade and blip faults with checkpointed recovery
-// produce DeepEqual results across both dispatchers, worker counts and
-// shard counts. (The TestShard prefix puts it under CI's -race stress
-// of the sharded path.)
-func TestShardFaultChaosEquivalence(t *testing.T) {
-	run := func(reference bool, workers, shards int) *Result {
+// TestFaultChaosEquivalence pins the determinism contract under chaos:
+// crash, degrade and blip faults with checkpointed recovery produce
+// DeepEqual results across both dispatchers and worker counts.
+func TestFaultChaosEquivalence(t *testing.T) {
+	run := func(reference bool, workers int) *Result {
 		cfg := chaosEquivConfig()
 		cfg.reference = reference
 		cfg.Workers = workers
-		cfg.Shards = shards
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	base := run(true, 1, 0)
+	base := run(true, 1)
 	if base.FaultsInjected != 3 || base.ServersCrashed != 1 {
 		t.Fatalf("chaos config not injecting the plan (injected %d, crashed %d)",
 			base.FaultsInjected, base.ServersCrashed)
@@ -466,11 +463,9 @@ func TestShardFaultChaosEquivalence(t *testing.T) {
 	}
 	for _, mode := range dispatchModes {
 		for _, workers := range []int{1, 4} {
-			for _, shards := range []int{0, 4} {
-				if got := run(mode.reference, workers, shards); !reflect.DeepEqual(base, got) {
-					t.Errorf("chaos run (dispatch=%s workers=%d shards=%d) diverged from the scan reference",
-						mode.name, workers, shards)
-				}
+			if got := run(mode.reference, workers); !reflect.DeepEqual(base, got) {
+				t.Errorf("chaos run (dispatch=%s workers=%d) diverged from the scan reference",
+					mode.name, workers)
 			}
 		}
 	}

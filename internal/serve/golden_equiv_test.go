@@ -107,19 +107,19 @@ func goldenConfigs() []struct {
 }
 
 // TestGoldenConfigsMatchReference runs every committed golden config
-// under the scan reference and the production dispatcher, each
-// unsharded and with four shards, and requires DeepEqual results. The
-// CLI golden tests pin the production output's bytes; this pins that
-// the reference still agrees with it.
+// under the scan reference and the production dispatcher, each with a
+// serial drain and a drain pool of four workers, and requires DeepEqual
+// results. The CLI golden tests pin the production output's bytes; this
+// pins that the reference still agrees with it.
 func TestGoldenConfigsMatchReference(t *testing.T) {
 	for _, g := range goldenConfigs() {
 		t.Run(g.name, func(t *testing.T) {
 			var want *Result
 			for _, mode := range dispatchModes {
-				for _, shards := range []int{1, 4} {
+				for _, workers := range []int{1, 4} {
 					cfg := g.cfg
 					cfg.reference = mode.reference
-					cfg.Shards = shards
+					cfg.Workers = workers
 					got, err := Run(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -127,7 +127,7 @@ func TestGoldenConfigsMatchReference(t *testing.T) {
 					if want == nil {
 						want = got
 					} else if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s shards=%d diverged from indexed shards=1", mode.name, shards)
+						t.Errorf("%s workers=%d diverged from indexed workers=1", mode.name, workers)
 					}
 				}
 			}

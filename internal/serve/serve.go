@@ -10,6 +10,7 @@ import (
 
 	"mamut/internal/core"
 	"mamut/internal/experiments"
+	"mamut/internal/heaps"
 	"mamut/internal/hevc"
 	"mamut/internal/metrics"
 	"mamut/internal/platform"
@@ -81,20 +82,6 @@ type Config struct {
 	// (0 = one per CPU, 1 = serial). Results are bit-identical for any
 	// worker count.
 	Workers int
-	// Shards splits the fleet into shards: server i belongs to shard
-	// i mod Shards, and each shard advances its own engines (with its
-	// own slice of the event heap) in the parallel phase of every
-	// dispatcher step, reconciling with the coordinator at a barrier
-	// before any placement, epoch or fault decision — see shard.go. The
-	// coordinator advances shard 0 itself and every other shard runs on
-	// its own goroutine, so 0 or 1 (unsharded) is the one-shard case of
-	// the same code: one inline shard. Departures are always buffered
-	// and reconciled by the coordinator. Results are bit-identical for
-	// every shard count, policy, knowledge reuse and the elastic
-	// features; shards only buy wall clock on multi-core hosts once
-	// fleets are large enough that advancing engines dominates
-	// placement.
-	Shards int
 	// reference selects the O(servers)-per-arrival scan dispatcher the
 	// equivalence tests compare the production dispatcher against:
 	// every live engine is advanced to each decision instant, the full
@@ -228,7 +215,7 @@ type ClassStats struct {
 // QuantileSummary reports streaming quantile estimates over one metric
 // of the measured sessions, read from a fixed-bin histogram sketch
 // (deterministic and order-independent, so results stay bit-identical
-// across worker and shard counts).
+// across worker counts).
 type QuantileSummary struct {
 	// Count is the number of sessions folded into the sketch.
 	Count int
@@ -495,9 +482,6 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("serve: workers %d < 0", c.Workers)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("serve: shards %d < 0", c.Shards)
-	}
 	if c.Spec != nil {
 		// A malformed custom spec is a config error; surfacing it here
 		// keeps the dispatcher's power estimation from crashing mid-run.
@@ -562,7 +546,7 @@ func (c Config) Validate() error {
 // then streaming aggregates — in arrival-ID order (at the next sync
 // point, or at finish for the drain phase), so the fold sequence — and
 // therefore every accumulated float — depends only on the workload and
-// seed, never on server iteration order, shard count or the worker pool.
+// seed, never on server iteration order or the worker pool.
 // The embedded record's knowledge harvest (ctrl, seeded) is cleared for
 // drain departures, which are never harvested.
 type departRec struct {
@@ -620,11 +604,6 @@ type fleetServer struct {
 	// (nil = nominal); its power cap is the budget placement reads.
 	blipped bool
 	spec    *platform.Spec
-
-	// sh is the shard owning this server. During the parallel sweep
-	// window only the owning shard touches this server; the departure
-	// hook buffers into sh, never into the dispatcher (see shard.go).
-	sh *shard
 }
 
 // active is the number of sessions resident on the server.
@@ -821,9 +800,6 @@ func Run(cfg Config) (*Result, error) {
 	if err := d.init(len(arrivals)); err != nil {
 		return nil, err
 	}
-	// Join the shard goroutines however the run ends (including mid-run
-	// errors).
-	defer d.stopShards()
 	for _, m := range d.timeline(arrivals) {
 		if err := d.step(m); err != nil {
 			return nil, err
@@ -954,8 +930,8 @@ func (d *dispatcher) step(m moment) error {
 
 // dispatcher is the live state of one service run's interleaved phase:
 // the fleet and its placement core — the policy (with its optional
-// index), the incrementally maintained server states, the sharded engine
-// event heap and the departure batch — plus one owned block per feature,
+// index), the incrementally maintained server states, the engine event
+// heap and the departure batch — plus one owned block per feature,
 // each declared, built and reported in its feature's file.
 type dispatcher struct {
 	cfg     Config
@@ -976,17 +952,20 @@ type dispatcher struct {
 
 	servers []*fleetServer
 	states  []ServerState
-	nextEvt []float64 // current heap key per server (+Inf = idle, not in heap)
-	active  int       // fleet-wide resident sessions
-	liveSrv int       // in-service (non-retired) servers
-	// departs is the departure batch: every record reconciled since the
-	// last fold, folded sorted by arrival ID at the next sync point.
+	evts    heaps.Heap[fleetEvent] // engine event heap (sweep.go)
+	nextEvt []float64              // current heap key per server (+Inf = idle, not in heap)
+	active  int                    // fleet-wide resident sessions
+	liveSrv int                    // in-service (non-retired) servers
+	// ended buffers the departure hook's records until reconcile moves
+	// them into departs, the departure batch: every record reconciled
+	// since the last fold, folded sorted by arrival ID at the next sync
+	// point.
+	ended   []departRec
 	departs []departRec
 	// scratch backs the live-states view scan-mode policies place from
 	// once the fleet has retired servers.
 	scratch []ServerState
 
-	shards    shards     // the fleet partitions (shard.go)
 	stats     stats      // streaming aggregates (below)
 	queue     queue      // the admission waiting room (admission.go)
 	elastic   elastic    // drain schedule and topology counters (elastic.go)
@@ -1146,7 +1125,6 @@ func (d *dispatcher) init(arrivals int) error {
 	if fi, ok := d.pol.(FleetIndexer); ok && d.indexed {
 		d.idx = fi.NewFleetIndex(d.states)
 	}
-	d.initShards()
 	return nil
 }
 
@@ -1305,8 +1283,7 @@ func (d *dispatcher) foldDepart(r departRec, t float64) {
 // scheduleServer re-keys one engine in the event heap from its next
 // pending event; idle engines (+Inf) leave the heap entirely. Old heap
 // entries are invalidated by the key change and discarded when popped.
-// The engine is keyed into its owning shard's partition of the heap. The
-// reference sweep keeps no heap, so there it does nothing.
+// The reference sweep keeps no heap, so there it does nothing.
 func (d *dispatcher) scheduleServer(i int) {
 	if !d.indexed {
 		return
@@ -1314,7 +1291,7 @@ func (d *dispatcher) scheduleServer(i int) {
 	next := d.servers[i].eng.NextEventTime()
 	d.nextEvt[i] = next
 	if !math.IsInf(next, 1) {
-		d.servers[i].sh.evts.Push(fleetEvent{key: next, id: i})
+		d.evts.Push(fleetEvent{key: next, id: i})
 	}
 }
 
@@ -1377,7 +1354,7 @@ func (d *dispatcher) refreshScanStates() []ServerState {
 // createEngine builds server i's engine on first admission and installs
 // the streaming hooks: the departure hook releases the server's slot and
 // buffers the session's departure record — knowledge harvest included —
-// in the owning shard for the coordinator to reconcile; the frame hook
+// for the dispatcher to reconcile; the frame hook
 // feeds the server's window-power integrator. A session the departure
 // hook sees leaves the engine with it — the departure record carries
 // everything the aggregates need — so server memory stays O(resident
@@ -1398,7 +1375,7 @@ func (d *dispatcher) createEngine(i int) error {
 		if stampFirst && obs.FrameIndex == 0 {
 			// First frame of a session: record the instant for the
 			// time-to-first-frame fold at departure. Per-server state
-			// only, so the hook stays shard-safe; the record (and the
+			// only, so the hook stays drain-safe; the record (and the
 			// stamp) migrates with the session. The zero-check keeps an
 			// earlier stamp authoritative if frame numbering ever
 			// restarts (e.g. after a migration).
@@ -1435,10 +1412,9 @@ func (d *dispatcher) createEngine(i int) error {
 			fs.drained = append(fs.drained, dr)
 			return
 		}
-		// The hook may run on the owning shard's goroutine, so only
-		// shard-local state is touched; the coordinator applies the
-		// global side when it reconciles the shard.
-		fs.sh.departs = append(fs.sh.departs, dr)
+		// The dispatcher applies the global side when it reconciles
+		// the buffer at the end of the sweep (sweep.go).
+		d.ended = append(d.ended, dr)
 	})
 	return nil
 }

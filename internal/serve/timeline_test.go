@@ -41,23 +41,19 @@ func TestTimelineSameInstantOrder(t *testing.T) {
 			CheckpointSec: 10,
 		},
 	}
-	for _, shards := range []int{1, 3} {
-		cfg.Shards = shards
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if so := res.Sessions[0]; so.Server != 2 {
-			t.Errorf("shards=%d: arrival at t=10 landed on server %d, want 2 (the drain and the blip at its instant run first)",
-				shards, so.Server)
-		}
-		if so := res.Sessions[1]; so.Server != 1 || so.Queued {
-			t.Errorf("shards=%d: arrival 1 should place directly on server 1, got %+v", shards, so)
-		}
-		horizon := cfg.Workload.DurationSec
-		if so := res.Sessions[2]; !so.Queued || so.Server != 1 || so.QueueWaitSec != horizon-so.Req.ArriveAtSec {
-			t.Errorf("shards=%d: arrival 2 should queue and admit on server 1 at the horizon pass (wait %g), got %+v",
-				shards, horizon-so.Req.ArriveAtSec, so)
-		}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if so := res.Sessions[0]; so.Server != 2 {
+		t.Errorf("arrival at t=10 landed on server %d, want 2 (the drain and the blip at its instant run first)", so.Server)
+	}
+	if so := res.Sessions[1]; so.Server != 1 || so.Queued {
+		t.Errorf("arrival 1 should place directly on server 1, got %+v", so)
+	}
+	horizon := cfg.Workload.DurationSec
+	if so := res.Sessions[2]; !so.Queued || so.Server != 1 || so.QueueWaitSec != horizon-so.Req.ArriveAtSec {
+		t.Errorf("arrival 2 should queue and admit on server 1 at the horizon pass (wait %g), got %+v",
+			horizon-so.Req.ArriveAtSec, so)
 	}
 }

@@ -5,7 +5,7 @@
 // quality of service is measured in steady state over a window after
 // warm-up. This is the regime the paper's follow-up work (KaaS resource
 // management, digital-twin collaborative transcoding) studies, and the
-// foundation for sharding/balancing experiments at fleet scale.
+// foundation for balancing experiments at fleet scale.
 //
 // The fleet runs as one event-interleaved simulation: every server's
 // engine is stepped to each arrival instant before the placement
@@ -54,7 +54,7 @@
 // Every migration charges DefaultMigrationStallSec to the moved
 // session's in-flight frame. Epoch decisions run in the sequential
 // phase and pick sessions in arrival-ID order, so elastic runs stay
-// byte-identical across worker and shard counts; with every
+// byte-identical across worker counts; with every
 // elastic feature off the dispatcher is byte-identical to the
 // fixed-fleet implementation it grew from (CI-pinned goldens).
 //
@@ -75,7 +75,7 @@
 // recovery demand exceeds queue capacity. Fault edges, checkpoints and
 // elastic epochs merge with the arrivals into one deterministic
 // timeline (dispatcher.timeline), so chaos runs stay byte-identical
-// across worker counts, dispatchers and shard counts; with no plan
+// across worker counts and dispatchers; with no plan
 // configured the subsystem is inert and output byte-matches the
 // pre-fault goldens.
 // MTTR, recovery-latency quantiles, lost work and fleet availability are
@@ -448,36 +448,6 @@ func normalizeTrace(w Workload, catalog *video.Catalog, seed int64) ([]SessionRe
 		if r.ControllerSeed == 0 {
 			r.ControllerSeed = experiments.SubSeed(seed, "serve|tracectl", i)
 		}
-	}
-	return out, nil
-}
-
-// SplitArrivals deterministically partitions an arrival stream into
-// shard substreams by interleaved round-robin on arrival ID: request r
-// goes to substream r.ID mod shards. GenerateArrivals (and trace
-// normalization) number arrivals 0..n-1 in time order, so the substreams
-// interleave one-in-S, each preserves the stream's time order, their
-// sizes differ by at most one, and their ID-ordered union is exactly the
-// input stream — the invariants a regional split of the workload needs
-// (hashing the ID would satisfy them equally, minus the balance bound).
-// The sharded dispatcher itself partitions servers, not arrivals (every
-// arrival must see the whole fleet for placement to stay policy-exact —
-// see shard.go); SplitArrivals is the workload-side primitive for
-// driving independent per-region runs over one generated stream.
-func SplitArrivals(arrivals []SessionRequest, shards int) ([][]SessionRequest, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("serve: cannot split arrivals into %d shards", shards)
-	}
-	out := make([][]SessionRequest, shards)
-	for s := range out {
-		out[s] = make([]SessionRequest, 0, (len(arrivals)+shards-1)/shards)
-	}
-	for _, r := range arrivals {
-		s := r.ID % shards
-		if s < 0 { // defensive: hand-built traces could carry negative IDs
-			s += shards
-		}
-		out[s] = append(out[s], r)
 	}
 	return out, nil
 }

@@ -266,12 +266,3 @@ func ServeArrivals(w ServeWorkload, catalog *Catalog, seed int64) ([]ServeSessio
 	}
 	return serve.GenerateArrivals(w, catalog, seed)
 }
-
-// SplitServeArrivals partitions an arrival stream into interleaved
-// round-robin substreams (request r to substream r.ID mod shards): each
-// substream preserves time order, sizes differ by at most one, and the
-// ID-ordered union is exactly the input — the workload-side primitive
-// for driving independent per-region runs over one generated stream.
-func SplitServeArrivals(arrivals []ServeSessionRequest, shards int) ([][]ServeSessionRequest, error) {
-	return serve.SplitArrivals(arrivals, shards)
-}
